@@ -60,13 +60,9 @@ from .numerics import (
     PcaModel,
     cca_fit,
     cca_transform,
-    load_cca_model,
-    load_pca_model,
     pca_fit,
     pca_transform,
     rcca_residual,
-    save_cca_model,
-    save_pca_model,
 )
 from .search import (
     GridSpec,

@@ -1,21 +1,17 @@
 """Hot scoring kernels: batch pair cosines and tie-averaged ranks.
 
 Both kernels run once per configuration inside a sweep, which makes them
-the non-BLAS hot path. Each has a numba ``@njit`` implementation and a
-pure-numpy fallback. Set ``MMFUSE_NO_NUMBA=1`` to force the numpy path;
-it is also selected automatically when numba is not importable.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+the non-BLAS hot path. They are plain numpy; every pair score in the
+package, the scalar ``cosine`` included, goes through
+``pair_cosine_scores``.
 """
-
-import os
 
 import numpy as np
 
 ZERO_NORM_EPS = 1e-12  # below this a vector counts as degenerate and scores 0
 
 
-def pair_cosine_scores_numpy(matrix, idx1, idx2):
+def pair_cosine_scores(matrix, idx1, idx2):
     """Cosine per index pair; returns (scores, n_degenerate)."""
     rows1 = matrix[idx1]
     rows2 = matrix[idx2]
@@ -28,7 +24,7 @@ def pair_cosine_scores_numpy(matrix, idx1, idx2):
     return scores, int(degenerate.sum())
 
 
-def average_ranks_numpy(values):
+def average_ranks(values):
     """1-based ranks with ties assigned the mean of the ranks they span."""
     n = values.shape[0]
     order = np.argsort(values, kind="mergesort")
@@ -44,70 +40,3 @@ def average_ranks_numpy(values):
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = avg[group]
     return ranks
-
-
-def _pair_cosine_scores_loops(matrix, idx1, idx2):
-    m = idx1.shape[0]
-    d = matrix.shape[1]
-    out = np.empty(m, dtype=np.float64)
-    degenerate = 0
-    for p in range(m):
-        i = idx1[p]
-        j = idx2[p]
-        dot = 0.0
-        ni = 0.0
-        nj = 0.0
-        for c in range(d):
-            a = matrix[i, c]
-            b = matrix[j, c]
-            dot += a * b
-            ni += a * a
-            nj += b * b
-        ni = np.sqrt(ni)
-        nj = np.sqrt(nj)
-        if ni < ZERO_NORM_EPS or nj < ZERO_NORM_EPS:
-            out[p] = 0.0
-            degenerate += 1
-        else:
-            out[p] = dot / (ni * nj)
-    return out, degenerate
-
-
-def _average_ranks_loops(values):
-    n = values.shape[0]
-    order = np.argsort(values)
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = 0.5 * (i + j) + 1.0
-        for t in range(i, j + 1):
-            ranks[order[t]] = avg
-        i = j + 1
-    return ranks
-
-
-_FORCE_NUMPY = os.environ.get("MMFUSE_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-pair_cosine_scores_numba = None
-average_ranks_numba = None
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:
-        _FORCE_NUMPY = True
-    else:
-        pair_cosine_scores_numba = njit(cache=True, nogil=True)(_pair_cosine_scores_loops)
-        average_ranks_numba = njit(cache=True, nogil=True)(_average_ranks_loops)
-
-if _FORCE_NUMPY:
-    BACKEND = "numpy"
-    pair_cosine_scores = pair_cosine_scores_numpy
-    average_ranks = average_ranks_numpy
-else:
-    BACKEND = "numba"
-    pair_cosine_scores = pair_cosine_scores_numba
-    average_ranks = average_ranks_numba

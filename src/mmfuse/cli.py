@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .composition import (
@@ -22,7 +23,7 @@ from .composition import (
     load_configuration,
     validate_configuration,
 )
-from .embeddings import align_vocabularies, load_embeddings, save_embeddings
+from .embeddings import align_vocabularies, load_embeddings, read_utf8, save_embeddings
 from .errors import (
     ConfigurationError,
     InputError,
@@ -30,7 +31,7 @@ from .errors import (
     NoResultError,
     NumericalError,
 )
-from .evaluation import evaluate, load_benchmark
+from .evaluation import load_benchmark
 from .numerics import DEFAULT_RIDGE
 from .search import (
     GridSpec,
@@ -87,20 +88,19 @@ _MANIFEST_KEYS = {
 def _read_manifest_file(path):
     values = {}
     try:
-        fh = open(path, encoding="utf-8")
+        text = read_utf8(path)
     except OSError as exc:
         raise InputError(f"cannot read manifest {path}: {exc}") from exc
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{line_no}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _MANIFEST_KEYS:
-                raise InputError(f"{path}:{line_no}: unknown manifest key {key!r}")
-            values[key] = _MANIFEST_KEYS[key](value)
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{line_no}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _MANIFEST_KEYS:
+            raise InputError(f"{path}:{line_no}: unknown manifest key {key!r}")
+        values[key] = _MANIFEST_KEYS[key](value)
     return values
 
 
@@ -225,18 +225,17 @@ def _safe_name(name):
     return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in name)
 
 
-def cmd_eval(manifest):
+def cmd_evaluate(manifest, label):
+    """Body of ``eval`` and ``cross``: one configuration on every benchmark."""
     textual, visual, benches = _load_inputs(manifest)
     config = _load_config_checked(manifest, textual.dim, visual.dim)
-    model = apply_configuration(
-        config, textual, visual, normalize_concat=manifest.normalize_concat
-    )
-    named = [(b.name, evaluate(model, b)) for b in benches]
-    header = f"configuration: {describe_configuration(config)}\n\n"
-    _write(manifest.out / "eval_report.txt", header + _result_rows(named))
-    _write(manifest.out / "eval_report.tsv", _result_machine(config, named))
-    _log(manifest, f"eval: {len(named)} benchmark(s)")
-    print((header + _result_rows(named)).rstrip())
+    named = cross_evaluate(config, textual, visual, benches,
+                           normalize_concat=manifest.normalize_concat)
+    text = f"configuration: {describe_configuration(config)}\n\n" + _result_rows(named)
+    _write(manifest.out / f"{label}_report.txt", text)
+    _write(manifest.out / f"{label}_report.tsv", _result_machine(config, named))
+    _log(manifest, f"{label}: {len(named)} benchmark(s)")
+    print(text.rstrip())
     if all(result.defined for _, result in named):
         return EXIT_OK
     print("error: undefined correlation on at least one benchmark", file=sys.stderr)
@@ -286,22 +285,6 @@ def cmd_search(manifest):
             print(f"error: {message}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
-
-
-def cmd_cross(manifest):
-    textual, visual, benches = _load_inputs(manifest)
-    config = _load_config_checked(manifest, textual.dim, visual.dim)
-    named = cross_evaluate(config, textual, visual, benches,
-                           normalize_concat=manifest.normalize_concat)
-    header = f"configuration: {describe_configuration(config)}\n\n"
-    _write(manifest.out / "cross_report.txt", header + _result_rows(named))
-    _write(manifest.out / "cross_report.tsv", _result_machine(config, named))
-    _log(manifest, f"cross: {len(named)} benchmark(s)")
-    print((header + _result_rows(named)).rstrip())
-    if all(result.defined for _, result in named):
-        return EXIT_OK
-    print("error: undefined correlation on at least one benchmark", file=sys.stderr)
-    return EXIT_NUMERIC
 
 
 def cmd_apply(manifest):
@@ -366,9 +349,9 @@ def build_parser():
 
 
 _COMMANDS = {
-    "eval": (cmd_eval, True, True),
+    "eval": (partial(cmd_evaluate, label="eval"), True, True),
     "search": (cmd_search, False, True),
-    "cross": (cmd_cross, True, True),
+    "cross": (partial(cmd_evaluate, label="cross"), True, True),
     "apply": (cmd_apply, True, False),
 }
 

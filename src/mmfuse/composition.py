@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, read_utf8
 from .errors import AlignmentError, ConfigurationError, ParseError
 from .numerics import (
     DEFAULT_RIDGE,
@@ -534,8 +534,7 @@ def parse_configuration(text):
 def load_configuration(path):
     """Read a configuration file (one ``key=value`` per line)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_utf8(path)
     except OSError as exc:
         raise ParseError(path, 0, str(exc)) from exc
     try:

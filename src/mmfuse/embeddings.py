@@ -72,14 +72,24 @@ class EmbeddingTable:
             raise KeyError(f"word {word!r} not in table {self.name!r}") from None
 
 
+def read_utf8(path):
+    """Whole text file; a byte that is not UTF-8 raises ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line_no, f"not valid UTF-8 ({exc.reason})") from None
+
+
 def load_embeddings(path, name=""):
     """Parse a text embedding file into a validated :class:`EmbeddingTable`.
 
     An optional ``"n dim"`` header is accepted and checked against the
     content. Malformed lines, duplicate words and empty files raise.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_utf8(path).splitlines()
     words = []
     seen = set()
     vectors = []

@@ -3,9 +3,11 @@
 Benchmark files are one pair per line, ``word1 <sep> word2 <sep> score``
 with the separator (tab or comma) auto-detected per file. A model's pair
 score is the cosine of the two word vectors; a pair model interpolates
-the two cosines with weight ``alpha`` on the first. Model quality is the
-Spearman rank correlation between model scores and the human gold scores,
-with ties receiving average ranks.
+the two cosines with weight ``alpha`` on the first. ``evaluate``,
+``pair_score`` and ``cosine`` all score through the one batch kernel in
+``_kernels``. Model quality is the Spearman rank correlation between
+model scores and the human gold scores, with ties receiving average
+ranks; a non-finite model score is a ``NumericalError``.
 """
 
 import warnings
@@ -14,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .embeddings import read_utf8
 from .errors import (
     DimensionError,
     DuplicateEntryError,
     EmptyInputError,
+    NumericalError,
     ParseError,
     UndefinedCorrelationError,
     WordLookupError,
@@ -63,8 +67,7 @@ class EvaluationResult:
 
 def load_benchmark(path, name=None):
     """Parse a TSV/CSV benchmark file; duplicates are unordered duplicates."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_utf8(path).splitlines()
     content = [(no, line) for no, line in enumerate(lines, start=1) if line.strip()]
     if not content:
         raise EmptyInputError(f"{path}: no benchmark pairs")
@@ -126,12 +129,12 @@ def cosine(u, v):
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise DimensionError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    nu = np.sqrt(u @ u)
-    nv = np.sqrt(v @ v)
-    if nu < _kernels.ZERO_NORM_EPS or nv < _kernels.ZERO_NORM_EPS:
+    scores, degenerate = _kernels.pair_cosine_scores(
+        np.stack([u, v]), np.array([0]), np.array([1])
+    )
+    if degenerate:
         warnings.warn("zero-norm vector in cosine; scoring pair as 0", RuntimeWarning)
-        return 0.0
-    return float((u @ v) / (nu * nv))
+    return float(scores[0])
 
 
 def pair_score(model, w1, w2):
@@ -139,11 +142,8 @@ def pair_score(model, w1, w2):
     for w in (w1, w2):
         if w not in model.first:
             raise WordLookupError(f"word {w!r} not in model vocabulary")
-    s1 = cosine(model.first.row(w1), model.first.row(w2))
-    if not model.is_pair:
-        return s1
-    s2 = cosine(model.second.row(w1), model.second.row(w2))
-    return model.alpha * s1 + (1.0 - model.alpha) * s2
+    index = model.first.index
+    return float(_batch_scores(model, np.array([index[w1]]), np.array([index[w2]]))[0])
 
 
 def spearman(a, b):
@@ -160,17 +160,15 @@ def spearman(a, b):
     rb = _kernels.average_ranks(b)
     dx = ra - ra.mean()
     dy = rb - rb.mean()
-    den = np.sqrt(float(dx @ dx) * float(dy @ dy))
+    den = float(np.sqrt(float(dx @ dx) * float(dy @ dy)))
     if den == 0.0:
         raise UndefinedCorrelationError("zero rank variance")
     rho = float(dx @ dy) / den
     return min(1.0, max(-1.0, rho))
 
 
-def _batch_scores(model, pairs):
-    index = model.first.index
-    idx1 = np.fromiter((index[w1] for w1, _, _ in pairs), dtype=np.int64, count=len(pairs))
-    idx2 = np.fromiter((index[w2] for _, w2, _ in pairs), dtype=np.int64, count=len(pairs))
+def _batch_scores(model, idx1, idx2):
+    """Model score of each row pair ``(idx1[p], idx2[p])``."""
     scores, degenerate = _kernels.pair_cosine_scores(model.first.matrix, idx1, idx2)
     if model.is_pair:
         scores2, deg2 = _kernels.pair_cosine_scores(model.second.matrix, idx1, idx2)
@@ -188,14 +186,20 @@ def evaluate(model, bench):
     """Coverage-filter, score, and rank-correlate a model on a benchmark.
 
     An undefined correlation is not an error here: it is reported as an
-    explicit empty outcome (``rho`` None).
+    explicit empty outcome (``rho`` None). Non-finite pair scores (vector
+    norms that overflow) raise ``NumericalError``.
     """
     covered = filter_coverage(bench, model.vocab)
     n_total = len(bench.pairs)
     n_eval = len(covered.pairs)
     if n_eval < 2:
         return EvaluationResult(rho=None, n_evaluated=n_eval, n_total=n_total)
-    scores = _batch_scores(model, covered.pairs)
+    index = model.first.index
+    idx1 = np.fromiter((index[w1] for w1, _, _ in covered.pairs), dtype=np.int64, count=n_eval)
+    idx2 = np.fromiter((index[w2] for _, w2, _ in covered.pairs), dtype=np.int64, count=n_eval)
+    scores = _batch_scores(model, idx1, idx2)
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError(f"non-finite pair scores on {bench.name!r}")
     gold = np.array([g for _, _, g in covered.pairs], dtype=np.float64)
     try:
         rho = spearman(scores, gold)

@@ -10,6 +10,12 @@ full-rank inputs.
 All fits are deterministic: no randomized initialization, and component
 signs are pinned (largest-magnitude entry positive; the CCA pair is
 flipped jointly so the pinned sign never negates a correlation).
+
+Numerical failures raise ``NumericalError``, which a sweep records as a
+failed configuration instead of stopping: a LAPACK routine that does not
+converge, a non-finite input, and a fit intermediate that overflows (a
+covariance or a PCA variance). Projecting the data a model was fitted on
+needs no such check, because the checked fit bounds its scale.
 """
 
 from dataclasses import dataclass
@@ -27,8 +33,6 @@ DEFAULT_RIDGE = 1e-3
 
 SIDE_TEXTUAL = "textual"
 SIDE_VISUAL = "visual"
-
-_SAVE_FMT = "%.6f"  # model dumps follow the embedding-file precision rule
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,22 @@ def _check_matrix(X, what):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionError(f"{what} must be a 2-d matrix")
-    if not np.all(np.isfinite(X)):
-        raise ValueError(f"{what} contains non-finite values")
-    return X
+    return _check_finite(X, what)
+
+
+def _check_finite(arr, what):
+    if not np.all(np.isfinite(arr)):
+        raise NumericalError(f"{what} contains non-finite values")
+    return arr
+
+
+def _decompose(routine, matrix, what, **kwargs):
+    """Run a LAPACK decomposition of a finite matrix; failure is numerical."""
+    _check_finite(matrix, what)
+    try:
+        return routine(matrix, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what}: {exc}") from None
 
 
 def _fix_signs(components):
@@ -124,9 +141,9 @@ def pca_fit(X, k):
         )
     mean = X.mean(axis=0)
     Xc = X - mean
-    _, s, vt = np.linalg.svd(Xc, full_matrices=False)
+    _, s, vt = _decompose(np.linalg.svd, Xc, "centered PCA input", full_matrices=False)
     components = vt[:k].T
-    variance = np.maximum(s[:k] ** 2 / (n - 1), 0.0)
+    variance = _check_finite(np.maximum(s[:k] ** 2 / (n - 1), 0.0), "PCA variance")
     components, _ = _fix_signs(components)
     return PcaModel(mean=mean, components=components, explained_variance=variance)
 
@@ -143,7 +160,7 @@ def pca_transform(model, X):
 
 def _inv_sqrt_psd(C, ridge, what):
     d = C.shape[0]
-    evals, evecs = np.linalg.eigh(C + ridge * np.eye(d))
+    evals, evecs = _decompose(np.linalg.eigh, C + ridge * np.eye(d), f"{what} covariance")
     tol = d * np.finfo(np.float64).eps * max(float(evals.max()), 0.0)
     if evals.min() <= tol:
         raise NumericalError(
@@ -184,7 +201,10 @@ def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE):
     cxy = Xc.T @ Yc / (n - 1)
     isqrt_x = _inv_sqrt_psd(cxx, ridge, "first-view")
     isqrt_y = _inv_sqrt_psd(cyy, ridge, "second-view")
-    u, _, vt = np.linalg.svd(isqrt_x @ cxy @ isqrt_y, full_matrices=False)
+    u, _, vt = _decompose(
+        np.linalg.svd, isqrt_x @ cxy @ isqrt_y, "whitened cross covariance",
+        full_matrices=False,
+    )
     proj_x = isqrt_x @ u[:, :k]
     proj_y = isqrt_y @ vt[:k].T
     # joint sign fix: the flip is decided on the stacked component so that
@@ -257,74 +277,3 @@ def rcca_residual(original, projected, pca=None):
             f"reducer maps {pca.dim_in} -> {pca.k}, need {d} -> {k}"
         )
     return pca_transform(pca, original) - projected
-
-
-# --- text serialization (embedding-style precision rules) -----------------
-
-def _dump_array(fh, name, arr):
-    arr = np.atleast_2d(arr)
-    fh.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
-    for row in arr:
-        fh.write(" ".join(_SAVE_FMT % v for v in row) + "\n")
-
-
-def _parse_arrays(lines):
-    arrays = {}
-    i = 0
-    while i < len(lines):
-        name, rows, cols = lines[i].split()
-        rows, cols = int(rows), int(cols)
-        block = [
-            [float(t) for t in lines[i + 1 + r].split()] for r in range(rows)
-        ]
-        arrays[name] = np.array(block, dtype=np.float64).reshape(rows, cols)
-        i += 1 + rows
-    return arrays
-
-
-def save_pca_model(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pca\n")
-        _dump_array(fh, "mean", model.mean)
-        _dump_array(fh, "components", model.components)
-        _dump_array(fh, "explained_variance", model.explained_variance)
-
-
-def load_pca_model(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "pca":
-        raise ValueError(f"{path}: not a PCA model dump")
-    arrays = _parse_arrays(lines[1:])
-    return PcaModel(
-        mean=arrays["mean"][0],
-        components=arrays["components"],
-        explained_variance=arrays["explained_variance"][0],
-    )
-
-
-def save_cca_model(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"cca ridge={model.ridge!r}\n")
-        _dump_array(fh, "mean_x", model.mean_x)
-        _dump_array(fh, "mean_y", model.mean_y)
-        _dump_array(fh, "proj_x", model.proj_x)
-        _dump_array(fh, "proj_y", model.proj_y)
-        _dump_array(fh, "correlations", model.correlations)
-
-
-def load_cca_model(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("cca ridge="):
-        raise ValueError(f"{path}: not a CCA model dump")
-    ridge = float(lines[0].split("=", 1)[1])
-    arrays = _parse_arrays(lines[1:])
-    return CcaModel(
-        mean_x=arrays["mean_x"][0],
-        mean_y=arrays["mean_y"][0],
-        proj_x=arrays["proj_x"],
-        proj_y=arrays["proj_y"],
-        correlations=arrays["correlations"][0],
-        ridge=ridge,
-    )

@@ -271,3 +271,59 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         # the report is still written, with the explicit empty outcome
         assert "n/a" in (tmp_path / "out" / "eval_report.txt").read_text()
+
+
+class TestReportRho:
+    def test_every_ok_rho_parses_as_a_plain_float(self, workspace):
+        two = common(workspace, "--bench", str(workspace / "toy2.tsv"))
+        cfg = ["--config", str(workspace / "good.cfg")]
+        assert main(["search", *two, "--out", str(workspace / "s"),
+                     *TestSearch.ARGS]) == EXIT_OK
+        assert main(["eval", *two, "--out", str(workspace / "e"), *cfg]) == EXIT_OK
+        assert main(["cross", *two, "--out", str(workspace / "c"), *cfg]) == EXIT_OK
+        rhos = []
+        for name in ("toy.report.tsv", "toy2.report.tsv"):
+            for line in (workspace / "s" / name).read_text().splitlines()[1:]:
+                fields = line.split("\t")
+                if fields[1] == "ok":
+                    rhos.append(fields[2])
+        for path in (workspace / "e" / "eval_report.tsv",
+                     workspace / "c" / "cross_report.tsv"):
+            rhos += [line.split("\t")[1] for line in path.read_text().splitlines()[1:]]
+        assert len(rhos) > 4
+        for rho in rhos:
+            assert -1.0 <= float(rho) <= 1.0
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("kind", ["embeddings", "benchmark", "config", "manifest"])
+    def test_non_utf8_file_exits_2_with_its_line(self, workspace, capsys, kind):
+        manifest = workspace / "run.manifest"
+        manifest.write_text(f"out={workspace / 'out'}\ndim_step=2\n")
+        path = {
+            "embeddings": workspace / "text.vecs",
+            "benchmark": workspace / "toy.tsv",
+            "config": workspace / "good.cfg",
+            "manifest": manifest,
+        }[kind]
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = b"\xff" + lines[1]
+        path.write_bytes(b"".join(lines))
+        code = main(["eval", *common(workspace), "--manifest", str(manifest),
+                     "--config", str(workspace / "good.cfg")])
+        assert code == EXIT_INPUT
+        assert f"{path}:2: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_value_fails_entries_not_the_sweep(self, workspace):
+        path = workspace / "image.vecs"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].split()[0] + " 1e200 0 0 0"
+        path.write_text("\n".join(lines) + "\n")
+        out = workspace / "out"
+        code = main(["search", *common(workspace), "--out", str(out), *TestSearch.ARGS])
+        assert code in (EXIT_OK, EXIT_NUMERIC)
+        statuses = [line.split("\t")[1]
+                    for line in (out / "toy.report.tsv").read_text().splitlines()[1:]]
+        assert "failed" in statuses
+        assert "non-finite" in (out / "toy.report.txt").read_text()

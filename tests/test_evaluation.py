@@ -7,6 +7,7 @@ from mmfuse import (
     DuplicateEntryError,
     EmbeddingTable,
     EmptyInputError,
+    NumericalError,
     ParseError,
     ScoringModel,
     UndefinedCorrelationError,
@@ -199,6 +200,11 @@ class TestSpearman:
         with pytest.raises(DimensionError):
             spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_result_is_a_plain_float(self):
+        # reports print rho with repr(), which must not read np.float64(...)
+        rho = spearman([1.0, 2.0, 2.0, 4.0], [1.0, 3.0, 2.0, 4.0])
+        assert type(rho) is float
+
 
 class TestEvaluate:
     def test_gold_equal_to_scores_gives_one(self):
@@ -284,6 +290,15 @@ class TestEvaluate:
         scores = [pair_score(model, w1, w2) for w1, w2, _ in bench.pairs]
         gold = [g for _, _, g in bench.pairs]
         assert result.rho == pytest.approx(spearman(scores, gold), abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_scores_are_a_numerical_error(self):
+        # norms and dot products of these rows overflow, so cosines are nan
+        rows = [[1e200, 1e200], [1e200, 1e200], [1.0, 0.0]]
+        model = ScoringModel(table(("a", "b", "c"), rows))
+        bench = Benchmark("big", (("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 3.0)))
+        with pytest.raises(NumericalError, match="non-finite"):
+            evaluate(model, bench)
 
     def test_degenerate_rows_warn_not_fail(self):
         vocab = ("a", "b", "c")

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -24,23 +20,6 @@ def test_pair_cosines_match_plain_formula():
         u, v = matrix[idx1[p]], matrix[idx2[p]]
         expected = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
         assert scores[p] == pytest.approx(expected, abs=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_numpy_and_numba_paths_agree(seed):
-    matrix, idx1, idx2 = _random_case(seed)
-    matrix[3] = 0.0  # force a degenerate row into the mix
-    s_np, d_np = _kernels.pair_cosine_scores_numpy(matrix, idx1, idx2)
-    if _kernels.pair_cosine_scores_numba is None:
-        pytest.skip("numba unavailable")
-    s_nb, d_nb = _kernels.pair_cosine_scores_numba(matrix, idx1, idx2)
-    np.testing.assert_allclose(s_np, s_nb, atol=1e-12)
-    assert d_np == d_nb
-
-    values = np.round(np.random.default_rng(seed).normal(size=101), 1)
-    r_np = _kernels.average_ranks_numpy(values)
-    r_nb = _kernels.average_ranks_numba(values)
-    np.testing.assert_array_equal(r_np, r_nb)
 
 
 def test_degenerate_pairs_score_zero():
@@ -77,12 +56,3 @@ def test_average_ranks_against_enumeration():
 def test_average_ranks_all_tied():
     ranks = _kernels.average_ranks(np.full(5, 3.25))
     np.testing.assert_array_equal(ranks, np.full(5, 3.0))
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, MMFUSE_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from mmfuse import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
