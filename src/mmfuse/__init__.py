@@ -8,7 +8,6 @@ for the composition that best matches human word-similarity judgments.
 
 from .composition import (
     Configuration,
-    FitProvider,
     ScoringModel,
     apply_configuration,
     describe_configuration,

@@ -5,7 +5,9 @@ report files. Timestamps never appear in report bodies; they go to the
 ``run.log`` sidecar in the output directory.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse/validation error,
-3 numerical failure with no successful result.
+3 numerical failure with no successful result. Reports and fused tables
+are written to a temporary file and renamed into place, so a failed run
+never leaves one half-written.
 """
 
 import argparse
@@ -23,7 +25,13 @@ from .composition import (
     load_configuration,
     validate_configuration,
 )
-from .embeddings import align_vocabularies, load_embeddings, read_utf8, save_embeddings
+from .embeddings import (
+    align_vocabularies,
+    atomic_open,
+    load_embeddings,
+    read_utf8,
+    save_embeddings,
+)
 from .errors import (
     ConfigurationError,
     InputError,
@@ -100,7 +108,10 @@ def _read_manifest_file(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _MANIFEST_KEYS:
             raise InputError(f"{path}:{line_no}: unknown manifest key {key!r}")
-        values[key] = _MANIFEST_KEYS[key](value)
+        try:
+            values[key] = _MANIFEST_KEYS[key](value)
+        except ValueError:
+            raise InputError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
     return values
 
 
@@ -163,6 +174,8 @@ def _build_manifest(args, need_config, need_bench=True):
         config=Path(config) if config else None,
         normalize_concat=pick(args.normalize_concat, "normalize_concat", False),
     )
+    if manifest.workers < 1:
+        raise InputError(f"workers must be >= 1, got {manifest.workers}")
     for path in [manifest.text_vecs, manifest.image_vecs, *manifest.benches] + (
         [manifest.config] if manifest.config else []
     ):
@@ -189,7 +202,8 @@ def _load_config_checked(manifest, dim_t, dim_v):
 
 
 def _write(path, text):
-    path.write_text(text, encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _log(manifest, message):

@@ -14,6 +14,9 @@ two inputs of layer c always come from the same layer-b method except for
 the explicit CCA-plus-residual mix. A configuration with no motifs at all
 must name the modality it scores with (``output_side``), so unimodal
 baselines are first-class.
+
+``apply_configuration`` and the sweep both run the layer functions below,
+so every PCA/CCA fit and projection in the package happens here.
 """
 
 from dataclasses import dataclass
@@ -192,55 +195,64 @@ def validate_configuration(config, dim_t, dim_v):
     return v
 
 
-class FitProvider:
-    """Computes layer fits on demand.
+def layer_a(textual_matrix, visual_matrix, a_dim):
+    """Layer-a output of both modalities, textual first (``a_dim`` None keeps them raw)."""
+    raw = {SIDE_TEXTUAL: textual_matrix, SIDE_VISUAL: visual_matrix}
+    if a_dim is None:
+        return raw
+    return {side: pca_transform(pca_fit(m, a_dim), m) for side, m in raw.items()}
 
-    ``apply_configuration`` routes every PCA/CCA fit through one of these;
-    sweeps substitute a memoizing subclass so repeated configurations
-    share work without changing any result.
+
+def fit_fusion(reduced, dim, ridge):
+    """Layer-b CCA fit between the two layer-a outputs."""
+    return cca_fit(reduced[SIDE_TEXTUAL], reduced[SIDE_VISUAL], dim, ridge=ridge)
+
+
+def layer_inputs(config):
+    """Ordered ``(origin, side)`` inputs of layer c (or the one output table).
+
+    ``origin`` is ``""`` (layer-a output), ``"cca"`` or ``"rcca"``. The
+    textual-derived input comes first; on one modality, CCA before residual.
     """
-
-    def __init__(self, textual_matrix, visual_matrix):
-        self._raw = {SIDE_TEXTUAL: textual_matrix, SIDE_VISUAL: visual_matrix}
-
-    def reduced(self, side, a_dim):
-        """Layer-a output for one modality (``a_dim`` None means raw)."""
-        if a_dim is None:
-            return self._raw[side]
-        model = self.reducer(side, None, a_dim)
-        return pca_transform(model, self._raw[side])
-
-    def reducer(self, side, a_dim, dim):
-        """PCA fit of the layer-a output of ``side`` down to ``dim``."""
-        return pca_fit(self.reduced(side, a_dim), dim)
-
-    def fusion(self, a_dim, dim, ridge):
-        """CCA fit between the two layer-a outputs."""
-        return cca_fit(
-            self.reduced(SIDE_TEXTUAL, a_dim),
-            self.reduced(SIDE_VISUAL, a_dim),
-            dim,
-            ridge=ridge,
-        )
+    if config.layer_b == "cca_plus_rcca":
+        inputs = [("cca", config.cca_side), ("rcca", config.rcca_side)]
+    else:
+        origin = "" if config.layer_b == "none" else config.layer_b
+        sides = [config.output_side]
+        if config.output_side in (None, SIDE_BOTH):
+            sides = [SIDE_TEXTUAL, SIDE_VISUAL]
+        inputs = [(origin, side) for side in sides]
+    return sorted(inputs, key=lambda item: (item[1] != SIDE_TEXTUAL, item[0] == "rcca"))
 
 
-def _residual(fits, cca_model, side, a_dim):
-    mat = fits.reduced(side, a_dim)
-    projected = cca_transform(cca_model, mat, side)
+def project(model, reduced, side):
+    """CCA projection of one modality's layer-a output."""
+    return cca_transform(model, reduced[side], side)
+
+
+def residual(reduced, side, projected):
+    """R-CCA: a layer-a output minus its CCA projection.
+
+    A signal wider than its projection is first reduced by a PCA fit on
+    the signal itself.
+    """
+    matrix = reduced[side]
     reducer = None
-    if mat.shape[1] != projected.shape[1]:
-        # the fallback reduction is fit on this signal itself
-        reducer = fits.reducer(side, a_dim, projected.shape[1])
-    return rcca_residual(mat, projected, pca=reducer)
+    if matrix.shape[1] != projected.shape[1]:
+        reducer = pca_fit(matrix, projected.shape[1])
+    return rcca_residual(matrix, projected, pca=reducer)
 
 
-def _row_normalize(matrix):
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    safe = np.where(norms > 1e-12, norms, 1.0)
-    return matrix / safe[:, None]
+def concatenate(first, second, normalize=False):
+    """Layer-c concatenation; ``normalize`` row-normalizes each block first."""
+    blocks = [first, second]
+    if normalize:
+        norms = [np.sqrt(np.einsum("ij,ij->i", b, b)) for b in blocks]
+        blocks = [b / np.where(n > 1e-12, n, 1.0)[:, None] for b, n in zip(blocks, norms)]
+    return np.hstack(blocks)
 
 
-def apply_configuration(config, textual, visual, fits=None, normalize_concat=False):
+def apply_configuration(config, textual, visual, normalize_concat=False):
     """Execute a configuration on an aligned table pair.
 
     Returns a :class:`ScoringModel`; deterministic for identical inputs.
@@ -253,73 +265,28 @@ def apply_configuration(config, textual, visual, fits=None, normalize_concat=Fal
     violations = validate_configuration(config, textual.dim, visual.dim)
     if violations:
         raise ConfigurationError(violations)
-    if fits is None:
-        fits = FitProvider(textual.matrix, visual.matrix)
 
     a_dim = config.pca_dim if config.layer_a == "pca" else None
-    vocab = textual.vocab
-
-    def table(matrix, label):
-        return EmbeddingTable(vocab, matrix, name=label)
-
-    def label(side, origin):
+    reduced = layer_a(textual.matrix, visual.matrix, a_dim)
+    if config.layer_b != "none":
+        model = fit_fusion(reduced, config.fusion_dim, config.ridge)
+    matrices, labels = [], []
+    for origin, side in layer_inputs(config):
+        matrix = reduced[side]
+        if origin:
+            projected = project(model, reduced, side)
+            matrix = projected if origin == "cca" else residual(reduced, side, projected)
         base = textual.name if side == SIDE_TEXTUAL else visual.name
-        prefix = f"pca{a_dim}({base})" if a_dim else base
-        return f"{origin}({prefix})" if origin else prefix
+        base = f"pca{a_dim}({base})" if a_dim else base
+        matrices.append(matrix)
+        labels.append(f"{origin}({base})" if origin else base)
 
-    # layer b: derive (matrix, modality, origin) entries
-    if config.layer_b == "none":
-        entries = [
-            (fits.reduced(SIDE_TEXTUAL, a_dim), SIDE_TEXTUAL, ""),
-            (fits.reduced(SIDE_VISUAL, a_dim), SIDE_VISUAL, ""),
-        ]
-    else:
-        model = fits.fusion(a_dim, config.fusion_dim, config.ridge)
-        if config.layer_b == "cca":
-            entries = [
-                (cca_transform(model, fits.reduced(s, a_dim), s), s, "cca")
-                for s in (SIDE_TEXTUAL, SIDE_VISUAL)
-            ]
-        elif config.layer_b == "rcca":
-            entries = [
-                (_residual(fits, model, s, a_dim), s, "rcca")
-                for s in (SIDE_TEXTUAL, SIDE_VISUAL)
-            ]
-        else:  # cca_plus_rcca: projection of one side, residual of the other
-            s_c, s_r = config.cca_side, config.rcca_side
-            entries = [
-                (cca_transform(model, fits.reduced(s_c, a_dim), s_c), s_c, "cca"),
-                (_residual(fits, model, s_r, a_dim), s_r, "rcca"),
-            ]
-
-    if config.layer_b in ("cca", "rcca") and config.output_side != SIDE_BOTH:
-        entries = [e for e in entries if e[1] == config.output_side]
-    if config.layer_b == "none" and config.layer_c == "none":
-        entries = [e for e in entries if e[1] == config.output_side]
-
-    # layer c ordering: the textual-derived input comes first; when both
-    # inputs share a modality the CCA-derived one comes first
-    if len(entries) == 2:
-        first, second = entries
-        if first[1] != second[1]:
-            if second[1] == SIDE_TEXTUAL:
-                first, second = second, first
-        entries = [first, second]
-
-    if config.layer_c == "none":
-        mat, side, origin = entries[0]
-        return ScoringModel(table(mat, label(side, origin)))
+    vocab = textual.vocab
     if config.layer_c == "concat":
-        (m1, s1, o1), (m2, s2, o2) = entries
-        if normalize_concat:
-            m1 = _row_normalize(m1)
-            m2 = _row_normalize(m2)
-        name = f"concat[{label(s1, o1)};{label(s2, o2)}]"
-        return ScoringModel(table(np.hstack([m1, m2]), name))
-    (m1, s1, o1), (m2, s2, o2) = entries
-    return ScoringModel(
-        table(m1, label(s1, o1)), table(m2, label(s2, o2)), alpha=config.alpha
-    )
+        fused = concatenate(*matrices, normalize=normalize_concat)
+        return ScoringModel(EmbeddingTable(vocab, fused, name=f"concat[{labels[0]};{labels[1]}]"))
+    tables = [EmbeddingTable(vocab, m, name=n) for m, n in zip(matrices, labels)]
+    return ScoringModel(*tables, alpha=config.alpha)
 
 
 def used_motifs(config):

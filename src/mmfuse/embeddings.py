@@ -7,8 +7,11 @@ numbers are written with 6 decimal digits. Words are compared byte-exact;
 no case folding is applied anywhere.
 """
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -83,6 +86,23 @@ def read_utf8(path):
         raise ParseError(path, line_no, f"not valid UTF-8 ({exc.reason})") from None
 
 
+@contextmanager
+def atomic_open(path):
+    """Text handle on a temporary file that replaces ``path`` once fully written.
+
+    The temporary file sits beside ``path``. If the block raises, it is
+    removed and ``path`` keeps its previous content.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def load_embeddings(path, name=""):
     """Parse a text embedding file into a validated :class:`EmbeddingTable`.
 
@@ -144,10 +164,14 @@ def load_embeddings(path, name=""):
 
 
 def save_embeddings(table, path):
-    """Write ``table`` as header plus one row per word, 6 decimal digits."""
+    """Write ``table`` as header plus one row per word, 6 decimal digits.
+
+    The file is replaced atomically: a failed write leaves any previous
+    file at ``path`` intact.
+    """
     fmt = f"%.{SAVE_DECIMALS}f"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write(f"{len(table)} {table.dim}\n")
             for word, row in zip(table.vocab, table.matrix):
                 fh.write(word + " " + " ".join(fmt % v for v in row) + "\n")

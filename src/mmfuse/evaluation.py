@@ -8,10 +8,15 @@ the two cosines with weight ``alpha`` on the first. ``evaluate``,
 ``_kernels``. Model quality is the Spearman rank correlation between
 model scores and the human gold scores, with ties receiving average
 ranks; a non-finite model score is a ``NumericalError``.
+
+``evaluate`` is ``covered_pairs``, then ``table_scores`` per table,
+``interpolate`` for a pair model, then ``rank_result``. A sweep calls the
+same pieces, sharing each table's score vector between configurations.
 """
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,7 +148,11 @@ def pair_score(model, w1, w2):
         if w not in model.first:
             raise WordLookupError(f"word {w!r} not in model vocabulary")
     index = model.first.index
-    return float(_batch_scores(model, np.array([index[w1]]), np.array([index[w2]]))[0])
+    idx1, idx2 = np.array([index[w1]]), np.array([index[w2]])
+    score = _cosines(model.first.matrix, idx1, idx2)
+    if model.is_pair:
+        score = interpolate(model.alpha, score, _cosines(model.second.matrix, idx1, idx2))
+    return float(score[0])
 
 
 def spearman(a, b):
@@ -167,19 +176,55 @@ def spearman(a, b):
     return min(1.0, max(-1.0, rho))
 
 
-def _batch_scores(model, idx1, idx2):
-    """Model score of each row pair ``(idx1[p], idx2[p])``."""
-    scores, degenerate = _kernels.pair_cosine_scores(model.first.matrix, idx1, idx2)
-    if model.is_pair:
-        scores2, deg2 = _kernels.pair_cosine_scores(model.second.matrix, idx1, idx2)
-        scores = model.alpha * scores + (1.0 - model.alpha) * scores2
-        degenerate += deg2
+class CoveredPairs(NamedTuple):
+    """Row indices and gold scores of the benchmark pairs a table covers."""
+
+    idx1: np.ndarray
+    idx2: np.ndarray
+    gold: np.ndarray
+
+
+def covered_pairs(bench, table):
+    """The pairs of ``bench`` whose both words are rows of ``table``."""
+    pairs = filter_coverage(bench, table.vocab).pairs
+    index = table.index
+    return CoveredPairs(
+        np.array([index[w1] for w1, _, _ in pairs], dtype=np.int64),
+        np.array([index[w2] for _, w2, _ in pairs], dtype=np.int64),
+        np.array([g for _, _, g in pairs], dtype=np.float64),
+    )
+
+
+def _cosines(matrix, idx1, idx2):
+    scores, degenerate = _kernels.pair_cosine_scores(matrix, idx1, idx2)
     if degenerate:
-        warnings.warn(
-            f"{degenerate} degenerate zero-norm pair scores set to 0",
-            RuntimeWarning,
-        )
+        warnings.warn(f"{degenerate} degenerate zero-norm pair scores set to 0", RuntimeWarning)
     return scores
+
+
+def table_scores(matrix, covered):
+    """Cosines of the covered pairs in one table; ``rank_result`` rejects overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cosines(matrix, covered.idx1, covered.idx2)
+
+
+def interpolate(alpha, first, second):
+    """LI pair scores: weight ``alpha`` on the first table's scores."""
+    return alpha * first + (1.0 - alpha) * second
+
+
+def rank_result(scores, covered, bench):
+    """Spearman rho of ``scores`` against the covered gold scores of ``bench``."""
+    n_eval = len(covered.gold)
+    rho = None
+    if n_eval >= 2:
+        if not np.all(np.isfinite(scores)):
+            raise NumericalError(f"non-finite pair scores on {bench.name!r}")
+        try:
+            rho = spearman(scores, covered.gold)
+        except UndefinedCorrelationError:
+            pass
+    return EvaluationResult(rho=rho, n_evaluated=n_eval, n_total=len(bench.pairs))
 
 
 def evaluate(model, bench):
@@ -189,20 +234,8 @@ def evaluate(model, bench):
     explicit empty outcome (``rho`` None). Non-finite pair scores (vector
     norms that overflow) raise ``NumericalError``.
     """
-    covered = filter_coverage(bench, model.vocab)
-    n_total = len(bench.pairs)
-    n_eval = len(covered.pairs)
-    if n_eval < 2:
-        return EvaluationResult(rho=None, n_evaluated=n_eval, n_total=n_total)
-    index = model.first.index
-    idx1 = np.fromiter((index[w1] for w1, _, _ in covered.pairs), dtype=np.int64, count=n_eval)
-    idx2 = np.fromiter((index[w2] for _, w2, _ in covered.pairs), dtype=np.int64, count=n_eval)
-    scores = _batch_scores(model, idx1, idx2)
-    if not np.all(np.isfinite(scores)):
-        raise NumericalError(f"non-finite pair scores on {bench.name!r}")
-    gold = np.array([g for _, _, g in covered.pairs], dtype=np.float64)
-    try:
-        rho = spearman(scores, gold)
-    except UndefinedCorrelationError:
-        return EvaluationResult(rho=None, n_evaluated=n_eval, n_total=n_total)
-    return EvaluationResult(rho=rho, n_evaluated=n_eval, n_total=n_total)
+    covered = covered_pairs(bench, model.first)
+    scores = table_scores(model.first.matrix, covered)
+    if model.is_pair:
+        scores = interpolate(model.alpha, scores, table_scores(model.second.matrix, covered))
+    return rank_result(scores, covered, bench)

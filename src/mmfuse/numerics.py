@@ -14,8 +14,10 @@ flipped jointly so the pinned sign never negates a correlation).
 Numerical failures raise ``NumericalError``, which a sweep records as a
 failed configuration instead of stopping: a LAPACK routine that does not
 converge, a non-finite input, and a fit intermediate that overflows (a
-covariance or a PCA variance). Projecting the data a model was fitted on
-needs no such check, because the checked fit bounds its scale.
+covariance or a PCA variance). numpy's overflow warnings are silenced at
+those checked intermediates, since the failure is reported instead.
+Projecting the data a model was fitted on needs no such check, because
+the checked fit bounds its scale.
 """
 
 from dataclasses import dataclass
@@ -143,7 +145,9 @@ def pca_fit(X, k):
     Xc = X - mean
     _, s, vt = _decompose(np.linalg.svd, Xc, "centered PCA input", full_matrices=False)
     components = vt[:k].T
-    variance = _check_finite(np.maximum(s[:k] ** 2 / (n - 1), 0.0), "PCA variance")
+    with np.errstate(over="ignore"):  # an overflowing variance is rejected below
+        variance = np.maximum(s[:k] ** 2 / (n - 1), 0.0)
+    variance = _check_finite(variance, "PCA variance")
     components, _ = _fix_signs(components)
     return PcaModel(mean=mean, components=components, explained_variance=variance)
 
@@ -196,9 +200,11 @@ def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE):
     mean_y = Y.mean(axis=0)
     Xc = X - mean_x
     Yc = Y - mean_y
-    cxx = Xc.T @ Xc / (n - 1)
-    cyy = Yc.T @ Yc / (n - 1)
-    cxy = Xc.T @ Yc / (n - 1)
+    # overflowing covariances are rejected by the finite checks of _decompose
+    with np.errstate(over="ignore", invalid="ignore"):
+        cxx = Xc.T @ Xc / (n - 1)
+        cyy = Yc.T @ Yc / (n - 1)
+        cxy = Xc.T @ Yc / (n - 1)
     isqrt_x = _inv_sqrt_psd(cxx, ridge, "first-view")
     isqrt_y = _inv_sqrt_psd(cyy, ridge, "second-view")
     u, _, vt = _decompose(

@@ -7,22 +7,31 @@ independent of evaluation scheduling. Configurations that fail
 numerically are kept in the report, marked and ranked last, so a sweep is
 auditable end to end.
 
-PCA/CCA fits are memoized per (layer-a dim, layer-b dim, ridge) within a
-sweep; memoization shares work only and never changes a result.
+A sweep runs each layer-a dim's configurations through the layer
+functions of ``composition`` and the scoring pieces of ``evaluation``,
+computing layer a, each CCA fit, and each (fusion dim, origin, side)
+table and score vector once. A failure is stored where it happened and
+given, with its text, to every configuration built on it. Groups share no
+state, so ``workers`` sweeps them in threads without locks.
 """
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
 
 from .composition import (
-    FitProvider,
     apply_configuration,
-    canonical_key,
+    concatenate,
     describe_configuration,
     enumerate_configurations,
+    fit_fusion,
     format_configuration,
+    layer_a,
+    layer_inputs,
     output_dimension,
+    project,
+    residual,
 )
 from .errors import (
     AlignmentError,
@@ -32,7 +41,7 @@ from .errors import (
     NoResultError,
     NumericalError,
 )
-from .evaluation import evaluate
+from .evaluation import covered_pairs, evaluate, interpolate, rank_result, table_scores
 from .numerics import DEFAULT_RIDGE
 
 STATUS_OK = "ok"
@@ -132,102 +141,91 @@ def _entry_sort_key(entry):
     )
 
 
-class _MemoFitProvider(FitProvider):
-    """Compute-once fit cache, safe under concurrent evaluation."""
-
-    def __init__(self, textual_matrix, visual_matrix):
-        super().__init__(textual_matrix, visual_matrix)
-        self._results = {}
-        self._master = threading.Lock()
-        self._locks = {}
-
-    def _once(self, key, compute):
-        with self._master:
-            if key in self._results:
-                return self._results[key]
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            with self._master:
-                if key in self._results:
-                    return self._results[key]
-            value = compute()
-            with self._master:
-                self._results[key] = value
-            return value
-
-    def reduced(self, side, a_dim):
-        if a_dim is None:
-            return FitProvider.reduced(self, side, a_dim)
-        return self._once(
-            ("reduced", side, a_dim),
-            lambda: FitProvider.reduced(self, side, a_dim),
-        )
-
-    def reducer(self, side, a_dim, dim):
-        return self._once(
-            ("reducer", side, a_dim, dim),
-            lambda: FitProvider.reducer(self, side, a_dim, dim),
-        )
-
-    def fusion(self, a_dim, dim, ridge):
-        return self._once(
-            ("fusion", a_dim, dim, ridge),
-            lambda: FitProvider.fusion(self, a_dim, dim, ridge),
-        )
+_FAILURES = (NumericalError, DimensionError, MissingReductionError)
 
 
-def _evaluate_one(order_index, config, textual, visual, bench, fits, normalize_concat):
-    out_dim = output_dimension(config, textual.dim, visual.dim)
-    try:
-        model = apply_configuration(
-            config, textual, visual, fits=fits, normalize_concat=normalize_concat
-        )
-        result = evaluate(model, bench)
-    except (NumericalError, DimensionError, MissingReductionError) as exc:
-        return SearchEntry(
-            config=config, result=None, status=STATUS_FAILED,
-            output_dim=out_dim, order_index=order_index, error=str(exc),
-        )
-    status = STATUS_OK if result.defined else STATUS_UNDEFINED
-    return SearchEntry(
-        config=config, result=result, status=status,
-        output_dim=out_dim, order_index=order_index,
-    )
+def _sweep_group(items, textual, visual, bench, covered, normalize_concat):
+    """Search entries of ``(order_index, config)`` items sharing one layer-a dim."""
+    a_dim = items[0][1].pca_dim
+    done = {}   # key -> computed value, or the failure computing it raised
+
+    def once(key, compute):
+        if key not in done:
+            try:
+                done[key] = compute()
+            except _FAILURES as exc:
+                done[key] = exc
+        if isinstance(done[key], Exception):
+            raise done[key].with_traceback(None)
+        return done[key]
+
+    def result(config):
+        reduced = once("layer_a", lambda: layer_a(textual.matrix, visual.matrix, a_dim))
+        f_dim = config.fusion_dim
+
+        def matrix(origin, side):
+            if not origin:
+                return reduced[side]
+            model = once(("fit", f_dim), lambda: fit_fusion(reduced, f_dim, config.ridge))
+            projected = once((f_dim, "cca", side), lambda: project(model, reduced, side))
+            if origin == "cca":
+                return projected
+            return once((f_dim, origin, side), lambda: residual(reduced, side, projected))
+
+        def scores(origin, side):
+            return once(("scores", f_dim, origin, side),
+                        lambda: table_scores(matrix(origin, side), covered))
+
+        inputs = layer_inputs(config)
+        if config.layer_c == "concat":
+            fused = concatenate(*(matrix(*i) for i in inputs), normalize=normalize_concat)
+            vector = table_scores(fused, covered)
+        elif config.layer_c == "li":
+            vector = interpolate(config.alpha, *(scores(*i) for i in inputs))
+        else:
+            vector = scores(*inputs[0])
+        return rank_result(vector, covered, bench)
+
+    entries = []
+    for order_index, config in items:
+        try:
+            res, error = result(config), None
+        except _FAILURES as exc:
+            res, error = None, str(exc)
+        status = STATUS_FAILED if res is None else STATUS_OK if res.defined else STATUS_UNDEFINED
+        entries.append(SearchEntry(
+            config=config, result=res, status=status,
+            output_dim=output_dimension(config, textual.dim, visual.dim),
+            order_index=order_index, error=error,
+        ))
+    return entries
 
 
 def grid_search(textual, visual, bench, grid, workers=1, progress=None,
                 normalize_concat=False):
     """Evaluate every configuration in the grid against one benchmark.
 
-    ``progress``, when given, is called as ``progress(done, total)`` after
-    each configuration. Results are independent of ``workers``.
+    ``progress``, when given, is called from the calling thread as
+    ``progress(done, total)`` once per configuration. ``workers`` layer-a
+    groups are swept at once; results do not depend on it.
     """
     if textual.vocab != visual.vocab:
         raise AlignmentError("tables must be vocabulary-aligned before searching")
     configs = enumerate_configurations(textual.dim, visual.dim, grid)
     if not configs:
         raise GridError("grid produced no configurations")
-    fits = _MemoFitProvider(textual.matrix, visual.matrix)
-    total = len(configs)
-    done = 0
-    tick = threading.Lock()
-
-    def run(item):
-        nonlocal done
-        i, cfg = item
-        entry = _evaluate_one(i, cfg, textual, visual, bench, fits, normalize_concat)
-        if progress is not None:
-            with tick:
-                done += 1
-                progress(done, total)
-        return entry
-
-    items = list(enumerate(configs))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(run, items))
-    else:
-        entries = [run(item) for item in items]
+    # canonical order keeps each layer-a dim contiguous
+    groups = [list(g) for _, g in groupby(enumerate(configs), key=lambda i: i[1].pca_dim)]
+    sweep = partial(_sweep_group, textual=textual, visual=visual, bench=bench,
+                    covered=covered_pairs(bench, textual), normalize_concat=normalize_concat)
+    entries = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # a single worker sweeps in the calling thread
+        for group in pool.map(sweep, groups) if workers > 1 else map(sweep, groups):
+            for entry in group:
+                entries.append(entry)
+                if progress is not None:
+                    progress(len(entries), len(configs))
     entries.sort(key=_entry_sort_key)
     return SearchReport(benchmark_name=bench.name, grid=grid, entries=tuple(entries))
 

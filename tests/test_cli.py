@@ -232,6 +232,25 @@ class TestManifest:
         assert code == EXIT_INPUT
         assert "unknown manifest key" in capsys.readouterr().err
 
+    def test_non_numeric_manifest_value_exits_2(self, workspace, capsys):
+        manifest = workspace / "run.manifest"
+        manifest.write_text("dim_step=2\nworkers=many\n")
+        code = main(["search", *common(workspace), "--out", str(workspace / "out"),
+                     "--manifest", str(manifest)])
+        assert code == EXIT_INPUT
+        assert f"{manifest}:2: bad value 'many' for workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source, workers", [("flag", "0"), ("manifest", "-3")])
+    def test_workers_below_one_exit_2(self, workspace, capsys, source, workers):
+        manifest = workspace / "run.manifest"
+        manifest.write_text(f"workers={workers}\n" if source == "manifest" else "")
+        extra = ["--workers", workers] if source == "flag" else []
+        code = main(["search", *common(workspace), "--out", str(workspace / "out"),
+                     "--manifest", str(manifest), *extra])
+        assert code == EXIT_INPUT
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
     def test_missing_manifest_file(self, workspace, capsys):
         code = main(["search", "--manifest", str(workspace / "nope.manifest")])
         assert code == EXIT_INPUT
@@ -314,7 +333,7 @@ class TestMalformedInput:
         assert code == EXIT_INPUT
         assert f"{path}:2: not valid UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_value_fails_entries_not_the_sweep(self, workspace):
         path = workspace / "image.vecs"
         lines = path.read_text().splitlines()
@@ -322,8 +341,20 @@ class TestMalformedInput:
         path.write_text("\n".join(lines) + "\n")
         out = workspace / "out"
         code = main(["search", *common(workspace), "--out", str(out), *TestSearch.ARGS])
-        assert code in (EXIT_OK, EXIT_NUMERIC)
+        assert code == EXIT_OK
         statuses = [line.split("\t")[1]
                     for line in (out / "toy.report.tsv").read_text().splitlines()[1:]]
         assert "failed" in statuses
         assert "non-finite" in (out / "toy.report.txt").read_text()
+
+
+class TestAtomicReports:
+    def test_failed_write_keeps_previous_report(self, tmp_path):
+        from mmfuse.cli import _write
+
+        path = tmp_path / "summary.txt"
+        _write(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            _write(path, "new\n\ud800\n")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.txt"]

@@ -98,6 +98,16 @@ class TestSaveRoundTrip:
         save_embeddings(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.vecs"
+        save_embeddings(EmbeddingTable(("a", "b"), np.eye(2)), path)
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded: the write fails at the second row
+        with pytest.raises(UnicodeEncodeError):
+            save_embeddings(EmbeddingTable(("a", "\ud800"), np.ones((2, 2))), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.vecs"]
+
     def test_unwritable_path(self, tmp_path):
         table = EmbeddingTable(("a",), np.ones((1, 2)))
         with pytest.raises(WriteError):

@@ -22,28 +22,63 @@ from mmfuse import (
     select_best,
 )
 from mmfuse.errors import DimensionError, MissingReductionError, NumericalError
-from mmfuse.search import STATUS_FAILED, STATUS_OK, _entry_sort_key
+from mmfuse.search import STATUS_FAILED, STATUS_OK, STATUS_UNDEFINED, _entry_sort_key
 
 TOY_GRID = GridSpec(dim_step=2, dim_min=2, alpha_step=0.1, ridge=1e-3)
 
 
 def exhaustive_oracle(textual, visual, bench, grid):
-    """Independent sweep: evaluate each configuration directly (no cache,
-    no shared collection logic) and sort with a locally written key."""
+    """Independent sweep: evaluate each configuration directly (no shared
+    fits, no shared collection logic) and sort with a locally written key.
+    Rows are (status rank, -rho, output dim, index, config, result, error)."""
     rows = []
     for i, cfg in enumerate(enumerate_configurations(textual.dim, visual.dim, grid)):
         out_dim = output_dimension(cfg, textual.dim, visual.dim)
         try:
             result = evaluate(apply_configuration(cfg, textual, visual), bench)
-        except (NumericalError, DimensionError, MissingReductionError):
-            rows.append((2, 0.0, out_dim, i, cfg, None))
+        except (NumericalError, DimensionError, MissingReductionError) as exc:
+            rows.append((2, 0.0, out_dim, i, cfg, None, str(exc)))
             continue
         if result.rho is None:
-            rows.append((1, 0.0, out_dim, i, cfg, result))
+            rows.append((1, 0.0, out_dim, i, cfg, result, None))
         else:
-            rows.append((0, -result.rho, out_dim, i, cfg, result))
+            rows.append((0, -result.rho, out_dim, i, cfg, result, None))
     rows.sort(key=lambda r: r[:4])
     return rows
+
+
+def assert_matches_oracle(report, oracle):
+    assert len(report.entries) == len(oracle)
+    for entry, (rank, _, out_dim, _, cfg, result, error) in zip(report.entries, oracle):
+        assert entry.config == cfg
+        assert entry.output_dim == out_dim
+        assert entry.status == (STATUS_OK, STATUS_UNDEFINED, STATUS_FAILED)[rank]
+        assert entry.error == error
+        if result is None:
+            assert entry.result is None
+        else:
+            assert entry.result == result
+
+
+@pytest.fixture(scope="module")
+def ragged():
+    """Unequal table widths, partial coverage and failing fits.
+
+    Six words: layer-a PCA to 6 dims exceeds n-1 and fails; the textual
+    table has rank 3, so with ridge 0 its PCA outputs beyond 3 dims have
+    singular covariances and every CCA fit on them fails. Fusion dims
+    below the layer-a dim run the R-CCA fallback reducer.
+    """
+    rng = np.random.default_rng(11)
+    vocab = tuple(f"w{i}" for i in range(6))
+    textual = EmbeddingTable(vocab, rng.normal(size=(6, 3)) @ rng.normal(size=(3, 6)),
+                             name="textual")
+    visual = EmbeddingTable(vocab, rng.normal(size=(6, 8)), name="visual")
+    words = vocab + ("oov1", "oov2")
+    pairs = tuple((words[i], words[j], float(rng.uniform(0, 10)))
+                  for i in range(8) for j in range(i + 1, 8) if (i + j) % 3)
+    grid = GridSpec(dim_step=1, dim_min=1, alpha_step=0.5, ridge=0.0)
+    return textual, visual, Benchmark("ragged", pairs), grid
 
 
 class TestGridSpec:
@@ -70,17 +105,10 @@ class TestPlantedSweep:
 
     def test_full_ranking_matches_exhaustive_oracle(self, planted):
         textual, visual, bench = planted
-        report = grid_search(textual, visual, bench, TOY_GRID)
         oracle = exhaustive_oracle(textual, visual, bench, TOY_GRID)
-        assert len(report.entries) == len(oracle)
-        for entry, row in zip(report.entries, oracle):
-            _, _, out_dim, _, cfg, result = row
-            assert entry.config == cfg
-            assert entry.output_dim == out_dim
-            if result is None:
-                assert entry.status == STATUS_FAILED
-            else:
-                assert entry.rho == result.rho
+        for workers in (1, 3):
+            report = grid_search(textual, visual, bench, TOY_GRID, workers=workers)
+            assert_matches_oracle(report, oracle)
 
     def test_best_dominates_every_entry(self, planted):
         textual, visual, bench = planted
@@ -192,31 +220,45 @@ class TestFailureHandling:
             )
             assert fresh.rho == entry.rho
 
-    def test_memo_computes_each_key_exactly_once_under_threads(self):
-        import threading
-        from mmfuse.search import _MemoFitProvider
+    def test_ragged_sweep_matches_exhaustive_oracle(self, ragged):
+        textual, visual, bench, grid = ragged
+        oracle = exhaustive_oracle(textual, visual, bench, grid)
+        for workers in (1, 3):
+            report = grid_search(textual, visual, bench, grid, workers=workers)
+            counts = report.counts()
+            assert counts[STATUS_OK] and counts[STATUS_FAILED]
+            assert {e.result.n_evaluated for e in report.entries if e.result} == {10}
+            assert_matches_oracle(report, oracle)
 
-        provider = _MemoFitProvider(np.eye(3), np.eye(3))
+    def test_each_distinct_fit_runs_once(self, monkeypatch):
+        # one overflowing visual value: every visual PCA fails, and so does
+        # every CCA fit on the raw tables
+        import mmfuse.composition as composition
+
+        rng = np.random.default_rng(5)
+        vocab = tuple(f"w{i:02d}" for i in range(12))
+        visual = rng.normal(size=(12, 4))
+        visual[1, 0] = 1e200
+        textual = EmbeddingTable(vocab, rng.normal(size=(12, 4)), name="textual")
+        visual = EmbeddingTable(vocab, visual, name="visual")
+        bench = Benchmark("big", tuple((vocab[i], vocab[j], float(i * j % 7))
+                                       for i in range(12) for j in range(i + 1, 12, 3)))
+        grid = GridSpec(dim_step=1, dim_min=1, alpha_step=0.1, ridge=1e-3)
         calls = []
-        barrier = threading.Barrier(16)
 
-        def compute():
-            calls.append(1)
-            return object()
+        def counted(name, fit):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args[0].tobytes(), args[1].tobytes() if name == "cca"
+                              else None, args[-1] if name == "pca" else args[2]))
+                return fit(*args, **kwargs)
+            return wrapper
 
-        results = []
-
-        def worker():
-            barrier.wait()
-            results.append(provider._once("key", compute))
-
-        threads = [threading.Thread(target=worker) for _ in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(calls) == 1
-        assert all(r is results[0] for r in results)
+        monkeypatch.setattr(composition, "pca_fit", counted("pca", composition.pca_fit))
+        monkeypatch.setattr(composition, "cca_fit", counted("cca", composition.cca_fit))
+        report = grid_search(textual, visual, bench, grid)
+        assert len(calls) == len(set(calls)) == 12
+        assert report.counts()[STATUS_FAILED] > 0
+        assert_matches_oracle(report, exhaustive_oracle(textual, visual, bench, grid))
 
 
 class TestCrossEvaluate:
