@@ -58,8 +58,10 @@ from .numerics import (
     CcaModel,
     PcaModel,
     cca_fit,
+    cca_fits,
     cca_transform,
     pca_fit,
+    pca_fits,
     pca_transform,
     rcca_residual,
 )
@@ -72,6 +74,7 @@ from .search import (
     render_report_machine,
     render_report_table,
     select_best,
+    sweep,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,12 @@
 """Hot scoring kernels: batch pair cosines and tie-averaged ranks.
 
-Both kernels run once per configuration inside a sweep, which makes them
-the non-BLAS hot path. They are plain numpy; every pair score in the
-package, the scalar ``cosine`` included, goes through
-``pair_cosine_scores``.
+In a sweep the cosine kernel runs once per table and per concatenation,
+and the rank kernel once per ranked configuration plus once per
+benchmark's gold scores, which makes them the non-BLAS hot path. They are
+plain numpy; every pair score in the package, the scalar ``cosine``
+included, goes through ``pair_cosine_scores``. A pair with a vector norm
+that overflows scores nan, so that callers reject it instead of scoring
+it 0.
 """
 
 import numpy as np
@@ -21,6 +24,8 @@ def pair_cosine_scores(matrix, idx1, idx2):
     degenerate = (n1 < ZERO_NORM_EPS) | (n2 < ZERO_NORM_EPS)
     denom = np.where(degenerate, 1.0, n1 * n2)
     scores = np.where(degenerate, 0.0, dots / denom)
+    # a norm that overflows has no cosine: score it nan for callers to reject
+    scores[~(np.isfinite(n1) & np.isfinite(n2))] = np.nan
     return scores, int(degenerate.sum())
 
 

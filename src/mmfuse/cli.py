@@ -41,13 +41,16 @@ from .errors import (
 )
 from .evaluation import load_benchmark
 from .numerics import DEFAULT_RIDGE
-from .search import (
+# grid_search is not called here, but perfbench/traced.py wraps it at this
+# lookup site, so it stays importable from this module
+from .search import (  # noqa: F401
     GridSpec,
     cross_evaluate,
     grid_search,
     render_report_machine,
     render_report_table,
     select_best,
+    sweep,
 )
 
 EXIT_OK = 0
@@ -265,18 +268,19 @@ def cmd_search(manifest):
         ridge=manifest.ridge,
         motif_filter=manifest.motifs,
     )
+
+    def progress(bench, done, total):
+        if done == total or done % 200 == 0:
+            print(f"[{bench.name}] {done}/{total} configurations", file=sys.stderr)
+
+    reports = sweep(
+        textual, visual, benches, grid,
+        workers=manifest.workers, progress=progress,
+        normalize_concat=manifest.normalize_concat,
+    )
     summary = []
     missing_best = []
-    for bench in benches:
-        def progress(done, total):
-            if done == total or done % 200 == 0:
-                print(f"[{bench.name}] {done}/{total} configurations", file=sys.stderr)
-
-        report = grid_search(
-            textual, visual, bench, grid,
-            workers=manifest.workers, progress=progress,
-            normalize_concat=manifest.normalize_concat,
-        )
+    for bench, report in zip(benches, reports):
         stem = _safe_name(bench.name)
         _write(manifest.out / f"{stem}.report.txt", render_report_table(report))
         _write(manifest.out / f"{stem}.report.tsv", render_report_machine(report))

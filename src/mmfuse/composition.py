@@ -16,7 +16,10 @@ must name the modality it scores with (``output_side``), so unimodal
 baselines are first-class.
 
 ``apply_configuration`` and the sweep both run the layer functions below,
-so every PCA/CCA fit and projection in the package happens here.
+so every PCA/CCA fit and projection in the package happens here. The
+fitting functions take a list of dims and fit them all from one
+decomposition; ``apply_configuration`` passes one dim, the sweep every
+dim it needs.
 """
 
 from dataclasses import dataclass
@@ -24,14 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingTable, read_utf8
-from .errors import AlignmentError, ConfigurationError, ParseError
-from .numerics import (
+from .errors import AlignmentError, ConfigurationError, NumericalError, ParseError
+# pca_fit and cca_fit are not called here, but perfbench/traced.py wraps
+# them at this lookup site, so they stay importable from this module
+from .numerics import (  # noqa: F401
     DEFAULT_RIDGE,
     SIDE_TEXTUAL,
     SIDE_VISUAL,
     cca_fit,
+    cca_fits,
     cca_transform,
+    fitted,
     pca_fit,
+    pca_fits,
     pca_transform,
     rcca_residual,
 )
@@ -195,17 +203,24 @@ def validate_configuration(config, dim_t, dim_v):
     return v
 
 
-def layer_a(textual_matrix, visual_matrix, a_dim):
-    """Layer-a output of both modalities, textual first (``a_dim`` None keeps them raw)."""
-    raw = {SIDE_TEXTUAL: textual_matrix, SIDE_VISUAL: visual_matrix}
-    if a_dim is None:
-        return raw
-    return {side: pca_transform(pca_fit(m, a_dim), m) for side, m in raw.items()}
+def layer_a(matrices, dims):
+    """Layer-a PCA fits of both modalities (``{side: matrix}``) at every dim in ``dims``.
+
+    Returns ``{side: {dim: PcaModel or the error fitting it raised}}``,
+    textual first, from one decomposition per side. On a raw side the fit
+    at dim k is also that side's R-CCA fallback reducer at fusion dim k.
+    """
+    return {side: pca_fits(m, dims) for side, m in matrices.items()}
 
 
-def fit_fusion(reduced, dim, ridge):
-    """Layer-b CCA fit between the two layer-a outputs."""
-    return cca_fit(reduced[SIDE_TEXTUAL], reduced[SIDE_VISUAL], dim, ridge=ridge)
+def layer_a_output(matrices, fits, a_dim):
+    """Both modalities reduced by their layer-a fits at ``a_dim``, textual first."""
+    return {side: pca_transform(fitted(fits[side][a_dim]), m) for side, m in matrices.items()}
+
+
+def fit_fusion(reduced, dims, ridge):
+    """Layer-b CCA fits between the two layer-a outputs: ``{dim: CcaModel or error}``."""
+    return cca_fits(reduced[SIDE_TEXTUAL], reduced[SIDE_VISUAL], dims, ridge=ridge)
 
 
 def layer_inputs(config):
@@ -230,24 +245,34 @@ def project(model, reduced, side):
     return cca_transform(model, reduced[side], side)
 
 
-def residual(reduced, side, projected):
+def fallback_reducers(matrix, dims):
+    """R-CCA fallback reducers of one layer-a output: its PCA fits at the dims narrower than it."""
+    return pca_fits(matrix, [k for k in dims if k < matrix.shape[1]])
+
+
+def residual(reduced, side, projected, reducers):
     """R-CCA: a layer-a output minus its CCA projection.
 
-    A signal wider than its projection is first reduced by a PCA fit on
-    the signal itself.
+    A signal wider than its projection is first reduced by its fallback
+    reducer at the projection's dim, taken from ``reducers`` (``{dim: fit}``
+    of that signal, as ``fallback_reducers`` returns).
     """
     matrix = reduced[side]
-    reducer = None
-    if matrix.shape[1] != projected.shape[1]:
-        reducer = pca_fit(matrix, projected.shape[1])
+    k = projected.shape[1]
+    reducer = fitted(reducers[k]) if matrix.shape[1] != k else None
     return rcca_residual(matrix, projected, pca=reducer)
 
 
 def concatenate(first, second, normalize=False):
-    """Layer-c concatenation; ``normalize`` row-normalizes each block first."""
+    """Layer-c concatenation; ``normalize`` row-normalizes each block first.
+
+    A row whose norm overflows cannot be normalized: ``NumericalError``.
+    """
     blocks = [first, second]
     if normalize:
         norms = [np.sqrt(np.einsum("ij,ij->i", b, b)) for b in blocks]
+        if not all(np.all(np.isfinite(n)) for n in norms):
+            raise NumericalError("a row norm overflows in normalized concatenation")
         blocks = [b / np.where(n > 1e-12, n, 1.0)[:, None] for b, n in zip(blocks, norms)]
     return np.hstack(blocks)
 
@@ -267,15 +292,22 @@ def apply_configuration(config, textual, visual, normalize_concat=False):
         raise ConfigurationError(violations)
 
     a_dim = config.pca_dim if config.layer_a == "pca" else None
-    reduced = layer_a(textual.matrix, visual.matrix, a_dim)
+    f_dim = config.fusion_dim
+    reduced = {SIDE_TEXTUAL: textual.matrix, SIDE_VISUAL: visual.matrix}
+    if a_dim is not None:
+        reduced = layer_a_output(reduced, layer_a(reduced, [a_dim]), a_dim)
     if config.layer_b != "none":
-        model = fit_fusion(reduced, config.fusion_dim, config.ridge)
+        model = fitted(fit_fusion(reduced, [f_dim], config.ridge)[f_dim])
     matrices, labels = [], []
     for origin, side in layer_inputs(config):
         matrix = reduced[side]
         if origin:
             projected = project(model, reduced, side)
-            matrix = projected if origin == "cca" else residual(reduced, side, projected)
+            if origin == "cca":
+                matrix = projected
+            else:
+                reducers = fallback_reducers(reduced[side], [f_dim])
+                matrix = residual(reduced, side, projected, reducers)
         base = textual.name if side == SIDE_TEXTUAL else visual.name
         base = f"pca{a_dim}({base})" if a_dim else base
         matrices.append(matrix)

@@ -7,11 +7,14 @@ the two cosines with weight ``alpha`` on the first. ``evaluate``,
 ``pair_score`` and ``cosine`` all score through the one batch kernel in
 ``_kernels``. Model quality is the Spearman rank correlation between
 model scores and the human gold scores, with ties receiving average
-ranks; a non-finite model score is a ``NumericalError``.
+ranks; a non-finite model score is a ``NumericalError``. A vector norm
+that overflows scores nan, so it fails rather than scoring 0.
 
 ``evaluate`` is ``covered_pairs``, then ``table_scores`` per table,
 ``interpolate`` for a pair model, then ``rank_result``. A sweep calls the
 same pieces, sharing each table's score vector between configurations.
+``covered_pairs`` ranks the gold scores once per benchmark; ``rank_result``
+and ``spearman`` share one rank-correlation helper.
 """
 
 import warnings
@@ -129,21 +132,19 @@ def filter_coverage(bench, vocab):
 
 
 def cosine(u, v):
-    """u.v / (|u||v|); zero for degenerate (near zero-norm) vectors."""
+    """u.v / (|u||v|); zero for degenerate (near zero-norm) vectors.
+
+    A vector norm that overflows is a ``NumericalError``.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise DimensionError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    scores, degenerate = _kernels.pair_cosine_scores(
-        np.stack([u, v]), np.array([0]), np.array([1])
-    )
-    if degenerate:
-        warnings.warn("zero-norm vector in cosine; scoring pair as 0", RuntimeWarning)
-    return float(scores[0])
+    return _finite_score(_cosines(np.stack([u, v]), np.array([0]), np.array([1])), "cosine")
 
 
 def pair_score(model, w1, w2):
-    """Score one word pair under a scoring model."""
+    """Score one word pair under a scoring model; an overflowing norm is a ``NumericalError``."""
     for w in (w1, w2):
         if w not in model.first:
             raise WordLookupError(f"word {w!r} not in model vocabulary")
@@ -152,7 +153,30 @@ def pair_score(model, w1, w2):
     score = _cosines(model.first.matrix, idx1, idx2)
     if model.is_pair:
         score = interpolate(model.alpha, score, _cosines(model.second.matrix, idx1, idx2))
-    return float(score[0])
+    return _finite_score(score, f"pair score of {w1!r}/{w2!r}")
+
+
+def _finite_score(scores, what):
+    if not np.isfinite(scores[0]):
+        raise NumericalError(f"{what} is not finite (a vector norm overflows)")
+    return float(scores[0])
+
+
+def _centred_ranks(values):
+    """Tie-averaged ranks minus their mean, and the sum of their squares."""
+    ranks = _kernels.average_ranks(values)
+    dev = ranks - ranks.mean()
+    return dev, float(dev @ dev)
+
+
+def _rank_correlation(scores, gold_dev, gold_ss):
+    """Pearson correlation of the ranks of ``scores`` with centred gold ranks."""
+    dev, ss = _centred_ranks(scores)
+    den = float(np.sqrt(ss * gold_ss))
+    if den == 0.0:
+        raise UndefinedCorrelationError("zero rank variance")
+    rho = float(dev @ gold_dev) / den
+    return min(1.0, max(-1.0, rho))
 
 
 def spearman(a, b):
@@ -165,38 +189,42 @@ def spearman(a, b):
         raise UndefinedCorrelationError("need at least 2 observations")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("inputs must be finite")
-    ra = _kernels.average_ranks(a)
-    rb = _kernels.average_ranks(b)
-    dx = ra - ra.mean()
-    dy = rb - rb.mean()
-    den = float(np.sqrt(float(dx @ dx) * float(dy @ dy)))
-    if den == 0.0:
-        raise UndefinedCorrelationError("zero rank variance")
-    rho = float(dx @ dy) / den
-    return min(1.0, max(-1.0, rho))
+    return _rank_correlation(a, *_centred_ranks(b))
 
 
 class CoveredPairs(NamedTuple):
-    """Row indices and gold scores of the benchmark pairs a table covers."""
+    """Row indices and gold scores of the benchmark pairs a table covers.
+
+    ``gold_dev`` holds the gold scores' tie-averaged ranks minus their
+    mean and ``gold_ss`` its sum of squares, ranked once per benchmark;
+    both are None with fewer than two pairs, which have no rank
+    correlation.
+    """
 
     idx1: np.ndarray
     idx2: np.ndarray
     gold: np.ndarray
+    gold_dev: np.ndarray
+    gold_ss: float
 
 
 def covered_pairs(bench, table):
     """The pairs of ``bench`` whose both words are rows of ``table``."""
     pairs = filter_coverage(bench, table.vocab).pairs
     index = table.index
+    gold = np.array([g for _, _, g in pairs], dtype=np.float64)
+    gold_dev, gold_ss = _centred_ranks(gold) if len(gold) >= 2 else (None, None)
     return CoveredPairs(
         np.array([index[w1] for w1, _, _ in pairs], dtype=np.int64),
         np.array([index[w2] for _, w2, _ in pairs], dtype=np.int64),
-        np.array([g for _, _, g in pairs], dtype=np.float64),
+        gold, gold_dev, gold_ss,
     )
 
 
 def _cosines(matrix, idx1, idx2):
-    scores, degenerate = _kernels.pair_cosine_scores(matrix, idx1, idx2)
+    """Pair cosines; an overflowing norm scores nan, which every caller rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores, degenerate = _kernels.pair_cosine_scores(matrix, idx1, idx2)
     if degenerate:
         warnings.warn(f"{degenerate} degenerate zero-norm pair scores set to 0", RuntimeWarning)
     return scores
@@ -204,8 +232,7 @@ def _cosines(matrix, idx1, idx2):
 
 def table_scores(matrix, covered):
     """Cosines of the covered pairs in one table; ``rank_result`` rejects overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _cosines(matrix, covered.idx1, covered.idx2)
+    return _cosines(matrix, covered.idx1, covered.idx2)
 
 
 def interpolate(alpha, first, second):
@@ -221,7 +248,7 @@ def rank_result(scores, covered, bench):
         if not np.all(np.isfinite(scores)):
             raise NumericalError(f"non-finite pair scores on {bench.name!r}")
         try:
-            rho = spearman(scores, covered.gold)
+            rho = _rank_correlation(scores, covered.gold_dev, covered.gold_ss)
         except UndefinedCorrelationError:
             pass
     return EvaluationResult(rho=rho, n_evaluated=n_eval, n_total=len(bench.pairs))

@@ -11,6 +11,14 @@ All fits are deterministic: no randomized initialization, and component
 signs are pinned (largest-magnitude entry positive; the CCA pair is
 flipped jointly so the pinned sign never negates a correlation).
 
+``pca_fits`` and ``cca_fits`` fit every requested dimension from one
+decomposition, because the leading k principal axes and the leading k
+canonical pairs do not depend on k (Hardoon, Szedmak & Shawe-Taylor
+2004). Each k's model is computed from that decomposition by the same
+per-k steps, so it is bitwise the model of ``pca_fit``/``cca_fit`` at
+that k; the singular forms are wrappers. A dimension that cannot be fit
+maps to the error its single fit raises, and ``fitted`` re-raises it.
+
 Numerical failures raise ``NumericalError``, which a sweep records as a
 failed configuration instead of stopping: a LAPACK routine that does not
 converge, a non-finite input, and a fit intermediate that overflows (a
@@ -95,6 +103,9 @@ class CcaModel:
         return self.proj_y.shape[0]
 
 
+_FIT_ERRORS = (AlignmentError, DimensionError, NumericalError)
+
+
 def _check_matrix(X, what):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -127,29 +138,75 @@ def _fix_signs(components):
     return components * flips, flips
 
 
-def pca_fit(X, k):
-    """Top-k principal directions of column-centered ``X``.
+def _fill(fits, decompose, model_at):
+    """Fit every k that ``fits`` maps to None from one ``decompose()``.
 
-    Rank-deficient input is not an error: trailing components span the
-    null space and carry zero explained variance.
+    A ``NumericalError`` of the decomposition becomes the value of every
+    such k, and one of ``model_at(parts, k)`` the value of that k.
+    ``decompose`` runs only when some k is left to fit.
     """
-    X = _check_matrix(X, "X")
-    n, d = X.shape
-    if n < 2:
-        raise DimensionError("PCA needs at least 2 rows")
-    if not 1 <= k <= min(n - 1, d):
-        raise DimensionError(
-            f"PCA dimension k={k} outside [1, min(n-1={n - 1}, d={d})]"
-        )
-    mean = X.mean(axis=0)
-    Xc = X - mean
-    _, s, vt = _decompose(np.linalg.svd, Xc, "centered PCA input", full_matrices=False)
-    components = vt[:k].T
-    with np.errstate(over="ignore"):  # an overflowing variance is rejected below
-        variance = np.maximum(s[:k] ** 2 / (n - 1), 0.0)
-    variance = _check_finite(variance, "PCA variance")
-    components, _ = _fix_signs(components)
-    return PcaModel(mean=mean, components=components, explained_variance=variance)
+    todo = [k for k, fit in fits.items() if fit is None]
+    if not todo:
+        return fits
+    try:
+        parts = decompose()
+    except NumericalError as exc:
+        return {**fits, **dict.fromkeys(todo, exc)}
+    for k in todo:
+        try:
+            fits[k] = model_at(parts, k)
+        except NumericalError as exc:
+            fits[k] = exc
+    return fits
+
+
+def fitted(fit):
+    """A model from ``pca_fits``/``cca_fits``, or raise the error stored in its place."""
+    if isinstance(fit, Exception):
+        raise fit.with_traceback(None)
+    return fit
+
+
+def pca_fits(X, ks):
+    """Top-k principal directions of column-centered ``X`` for every k in ``ks``.
+
+    One SVD serves every k: the leading k right singular vectors do not
+    depend on k. Returns ``{k: PcaModel}``, where a k that cannot be fit
+    maps to the ``DimensionError`` or ``NumericalError`` that
+    ``pca_fit(X, k)`` raises. Rank-deficient input is not an error:
+    trailing components span the null space and carry zero explained
+    variance.
+    """
+    try:
+        X = _check_matrix(X, "X")
+        n, d = X.shape
+        if n < 2:
+            raise DimensionError("PCA needs at least 2 rows")
+    except _FIT_ERRORS as exc:
+        return dict.fromkeys(ks, exc)
+    fits = {k: None if 1 <= k <= min(n - 1, d) else DimensionError(
+        f"PCA dimension k={k} outside [1, min(n-1={n - 1}, d={d})]") for k in ks}
+
+    def decompose():
+        mean = X.mean(axis=0)
+        _, s, vt = _decompose(np.linalg.svd, X - mean, "centered PCA input",
+                              full_matrices=False)
+        return mean, s, vt
+
+    def model_at(parts, k):
+        mean, s, vt = parts
+        with np.errstate(over="ignore"):  # an overflowing variance is rejected below
+            variance = np.maximum(s[:k] ** 2 / (n - 1), 0.0)
+        variance = _check_finite(variance, "PCA variance")
+        components, _ = _fix_signs(vt[:k].T)
+        return PcaModel(mean=mean, components=components, explained_variance=variance)
+
+    return _fill(fits, decompose, model_at)
+
+
+def pca_fit(X, k):
+    """Top-k principal directions of column-centered ``X`` (see ``pca_fits``)."""
+    return fitted(pca_fits(X, [k])[k])
 
 
 def pca_transform(model, X):
@@ -173,60 +230,78 @@ def _inv_sqrt_psd(C, ridge, what):
     return (evecs / np.sqrt(evals)) @ evecs.T
 
 
-def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE):
-    """Regularized CCA of co-indexed ``X`` (n x d1) and ``Y`` (n x d2).
+def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
+    """Regularized CCA of co-indexed ``X`` (n x d1) and ``Y`` (n x d2) for every k in ``ks``.
 
-    Components are ordered by non-increasing whitened singular value; the
-    stored correlations are the sample correlations of the projected fit
-    data, which coincide with those singular values as ridge -> 0.
+    One whitened decomposition serves every k: the leading k canonical
+    pairs do not depend on k. Components are ordered by non-increasing
+    whitened singular value; the stored correlations are the sample
+    correlations of the projected fit data, which coincide with those
+    singular values as ridge -> 0. Returns ``{k: CcaModel}``, where a k
+    that cannot be fit maps to the error ``cca_fit(X, Y, k, ridge)``
+    raises; a negative ridge raises ``ValueError``.
     """
-    X = _check_matrix(X, "X")
-    Y = _check_matrix(Y, "Y")
-    if X.shape[0] != Y.shape[0]:
-        raise AlignmentError(
-            f"row counts differ: X has {X.shape[0]}, Y has {Y.shape[0]}"
+    try:
+        X = _check_matrix(X, "X")
+        Y = _check_matrix(Y, "Y")
+        if X.shape[0] != Y.shape[0]:
+            raise AlignmentError(
+                f"row counts differ: X has {X.shape[0]}, Y has {Y.shape[0]}"
+            )
+        n, d1 = X.shape
+        d2 = Y.shape[1]
+        if n < 3:
+            raise DimensionError("CCA needs at least 3 rows")
+    except _FIT_ERRORS as exc:
+        return dict.fromkeys(ks, exc)
+    fits = {k: None if 1 <= k <= min(d1, d2, n - 1) else DimensionError(
+        f"CCA dimension k={k} outside [1, min(d1={d1}, d2={d2}, n-1={n - 1})]") for k in ks}
+
+    def decompose():
+        if ridge < 0:
+            raise ValueError("ridge must be >= 0")
+        mean_x = X.mean(axis=0)
+        mean_y = Y.mean(axis=0)
+        Xc = X - mean_x
+        Yc = Y - mean_y
+        # overflowing covariances are rejected by the finite checks of _decompose
+        with np.errstate(over="ignore", invalid="ignore"):
+            cxx = Xc.T @ Xc / (n - 1)
+            cyy = Yc.T @ Yc / (n - 1)
+            cxy = Xc.T @ Yc / (n - 1)
+        isqrt_x = _inv_sqrt_psd(cxx, ridge, "first-view")
+        isqrt_y = _inv_sqrt_psd(cyy, ridge, "second-view")
+        u, _, vt = _decompose(
+            np.linalg.svd, isqrt_x @ cxy @ isqrt_y, "whitened cross covariance",
+            full_matrices=False,
         )
-    n, d1 = X.shape
-    d2 = Y.shape[1]
-    if n < 3:
-        raise DimensionError("CCA needs at least 3 rows")
-    if not 1 <= k <= min(d1, d2, n - 1):
-        raise DimensionError(
-            f"CCA dimension k={k} outside [1, min(d1={d1}, d2={d2}, n-1={n - 1})]"
+        return mean_x, mean_y, Xc, Yc, isqrt_x, isqrt_y, u, vt
+
+    def model_at(parts, k):
+        mean_x, mean_y, Xc, Yc, isqrt_x, isqrt_y, u, vt = parts
+        proj_x = isqrt_x @ u[:, :k]
+        proj_y = isqrt_y @ vt[:k].T
+        # joint sign fix: the flip is decided on the stacked component so that
+        # swapping (X, Y) yields exactly swapped projections
+        _, flips = _fix_signs(np.vstack([proj_x, proj_y]))
+        proj_x = proj_x * flips
+        proj_y = proj_y * flips
+        correlations = _sample_correlations(Xc @ proj_x, Yc @ proj_y)
+        return CcaModel(
+            mean_x=mean_x,
+            mean_y=mean_y,
+            proj_x=proj_x,
+            proj_y=proj_y,
+            correlations=np.clip(correlations, 0.0, 1.0),
+            ridge=float(ridge),
         )
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
-    mean_x = X.mean(axis=0)
-    mean_y = Y.mean(axis=0)
-    Xc = X - mean_x
-    Yc = Y - mean_y
-    # overflowing covariances are rejected by the finite checks of _decompose
-    with np.errstate(over="ignore", invalid="ignore"):
-        cxx = Xc.T @ Xc / (n - 1)
-        cyy = Yc.T @ Yc / (n - 1)
-        cxy = Xc.T @ Yc / (n - 1)
-    isqrt_x = _inv_sqrt_psd(cxx, ridge, "first-view")
-    isqrt_y = _inv_sqrt_psd(cyy, ridge, "second-view")
-    u, _, vt = _decompose(
-        np.linalg.svd, isqrt_x @ cxy @ isqrt_y, "whitened cross covariance",
-        full_matrices=False,
-    )
-    proj_x = isqrt_x @ u[:, :k]
-    proj_y = isqrt_y @ vt[:k].T
-    # joint sign fix: the flip is decided on the stacked component so that
-    # swapping (X, Y) yields exactly swapped projections
-    stacked, flips = _fix_signs(np.vstack([proj_x, proj_y]))
-    proj_x = proj_x * flips
-    proj_y = proj_y * flips
-    correlations = _sample_correlations(Xc @ proj_x, Yc @ proj_y)
-    return CcaModel(
-        mean_x=mean_x,
-        mean_y=mean_y,
-        proj_x=proj_x,
-        proj_y=proj_y,
-        correlations=np.clip(correlations, 0.0, 1.0),
-        ridge=float(ridge),
-    )
+
+    return _fill(fits, decompose, model_at)
+
+
+def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE):
+    """Regularized CCA of ``X`` and ``Y`` at dimension ``k`` (see ``cca_fits``)."""
+    return fitted(cca_fits(X, Y, [k], ridge)[k])
 
 
 def _sample_correlations(A, B):

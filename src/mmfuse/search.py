@@ -7,12 +7,22 @@ independent of evaluation scheduling. Configurations that fail
 numerically are kept in the report, marked and ranked last, so a sweep is
 auditable end to end.
 
-A sweep runs each layer-a dim's configurations through the layer
-functions of ``composition`` and the scoring pieces of ``evaluation``,
-computing layer a, each CCA fit, and each (fusion dim, origin, side)
-table and score vector once. A failure is stored where it happened and
-given, with its text, to every configuration built on it. Groups share no
-state, so ``workers`` sweeps them in threads without locks.
+One ``sweep`` serves every benchmark of a search, through the layer
+functions of ``composition`` and the scoring pieces of ``evaluation``, so
+each decomposition runs once whatever the number of benchmarks or dims:
+
+* layer a: one ``pca_fits`` per side over every layer-a dim; on the raw
+  tables these fits are also the raw group's R-CCA fallback reducers;
+* per layer-a dim group: the reduced tables, one ``cca_fits`` over the
+  group's fusion dims, one fallback-reducer ``pca_fits`` per side, and
+  one matrix per (fusion dim, origin, side);
+* per benchmark: one score vector per table, LI and concatenation built
+  on them, and the rank correlation against gold scores ranked once.
+
+A failure is stored where it happened and given, with its text, to every
+configuration built on it. Groups share only the read-only layer-a fits,
+so ``workers`` sweeps them in threads without locks. ``grid_search`` is a
+one-benchmark ``sweep``.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -25,9 +35,11 @@ from .composition import (
     concatenate,
     describe_configuration,
     enumerate_configurations,
+    fallback_reducers,
     fit_fusion,
     format_configuration,
     layer_a,
+    layer_a_output,
     layer_inputs,
     output_dimension,
     project,
@@ -42,7 +54,7 @@ from .errors import (
     NumericalError,
 )
 from .evaluation import covered_pairs, evaluate, interpolate, rank_result, table_scores
-from .numerics import DEFAULT_RIDGE
+from .numerics import DEFAULT_RIDGE, SIDE_TEXTUAL, SIDE_VISUAL, fitted
 
 STATUS_OK = "ok"
 STATUS_UNDEFINED = "undefined"
@@ -144,9 +156,15 @@ def _entry_sort_key(entry):
 _FAILURES = (NumericalError, DimensionError, MissingReductionError)
 
 
-def _sweep_group(items, textual, visual, bench, covered, normalize_concat):
-    """Search entries of ``(order_index, config)`` items sharing one layer-a dim."""
+def _sweep_group(items, raw, a_fits, scored, normalize_concat):
+    """Per benchmark, the search entries of ``(order_index, config)`` items sharing one layer-a dim."""
     a_dim = items[0][1].pca_dim
+    ridge = items[0][1].ridge
+    # (fusion dim, origin, side) of each configuration's layer-c inputs
+    inputs = {i: [(c.fusion_dim, *pair) for pair in layer_inputs(c)] for i, c in items}
+    layer_b = {t for tables in inputs.values() for t in tables if t[1]}
+    f_dims = sorted({f for f, _, _ in layer_b})
+    rcca_dims = sorted({f for f, origin, _ in layer_b if origin == "rcca"})
     done = {}   # key -> computed value, or the failure computing it raised
 
     def once(key, compute):
@@ -155,79 +173,135 @@ def _sweep_group(items, textual, visual, bench, covered, normalize_concat):
                 done[key] = compute()
             except _FAILURES as exc:
                 done[key] = exc
-        if isinstance(done[key], Exception):
-            raise done[key].with_traceback(None)
-        return done[key]
+        return fitted(done[key])
 
-    def result(config):
-        reduced = once("layer_a", lambda: layer_a(textual.matrix, visual.matrix, a_dim))
-        f_dim = config.fusion_dim
+    def reduced():
+        if a_dim is None:
+            return raw
+        return once("layer_a", lambda: layer_a_output(raw, a_fits, a_dim))
 
-        def matrix(origin, side):
-            if not origin:
-                return reduced[side]
-            model = once(("fit", f_dim), lambda: fit_fusion(reduced, f_dim, config.ridge))
-            projected = once((f_dim, "cca", side), lambda: project(model, reduced, side))
-            if origin == "cca":
-                return projected
-            return once((f_dim, origin, side), lambda: residual(reduced, side, projected))
+    def reducers(side):
+        # a raw side's fallback reducers are its layer-a fits
+        if a_dim is None:
+            return a_fits[side]
+        return once(("reducers", side), lambda: fallback_reducers(reduced()[side], rcca_dims))
 
-        def scores(origin, side):
-            return once(("scores", f_dim, origin, side),
-                        lambda: table_scores(matrix(origin, side), covered))
+    def matrix(f_dim, origin, side):
+        if not origin:
+            return reduced()[side]
+        fits = once("fusion", lambda: fit_fusion(reduced(), f_dims, ridge))
+        model = fitted(fits[f_dim])
+        projected = once((f_dim, "cca", side), lambda: project(model, reduced(), side))
+        if origin == "cca":
+            return projected
+        return once((f_dim, origin, side),
+                    lambda: residual(reduced(), side, projected, reducers(side)))
 
-        inputs = layer_inputs(config)
+    def scores(table):
+        return once(("scores", *table),
+                    lambda: [table_scores(matrix(*table), covered) for _, covered in scored])
+
+    def vectors(config, tables):
+        """One score vector per benchmark."""
         if config.layer_c == "concat":
-            fused = concatenate(*(matrix(*i) for i in inputs), normalize=normalize_concat)
-            vector = table_scores(fused, covered)
-        elif config.layer_c == "li":
-            vector = interpolate(config.alpha, *(scores(*i) for i in inputs))
-        else:
-            vector = scores(*inputs[0])
-        return rank_result(vector, covered, bench)
+            fused = concatenate(*(matrix(*t) for t in tables), normalize=normalize_concat)
+            return [table_scores(fused, covered) for _, covered in scored]
+        if config.layer_c == "li":
+            return [interpolate(config.alpha, first, second)
+                    for first, second in zip(*(scores(t) for t in tables))]
+        return scores(tables[0])
 
-    entries = []
+    dims = [m.shape[1] for m in raw.values()]
+    entries = [[] for _ in scored]
     for order_index, config in items:
         try:
-            res, error = result(config), None
+            outcomes = vectors(config, inputs[order_index])
         except _FAILURES as exc:
-            res, error = None, str(exc)
-        status = STATUS_FAILED if res is None else STATUS_OK if res.defined else STATUS_UNDEFINED
-        entries.append(SearchEntry(
-            config=config, result=res, status=status,
-            output_dim=output_dimension(config, textual.dim, visual.dim),
-            order_index=order_index, error=error,
-        ))
+            outcomes = [exc] * len(scored)
+        for bench_entries, outcome, (bench, covered) in zip(entries, outcomes, scored):
+            bench_entries.append(_entry(config, order_index, output_dimension(config, *dims),
+                                        outcome, bench, covered))
     return entries
 
 
-def grid_search(textual, visual, bench, grid, workers=1, progress=None,
-                normalize_concat=False):
-    """Evaluate every configuration in the grid against one benchmark.
+def _entry(config, order_index, output_dim, vector, bench, covered):
+    """The entry of ``config`` on one benchmark, from its score vector or the failure computing it."""
+    result, error = None, None
+    if isinstance(vector, Exception):
+        error = str(vector)
+    else:
+        try:
+            result = rank_result(vector, covered, bench)
+        except NumericalError as exc:
+            error = str(exc)
+    status = STATUS_FAILED if result is None else STATUS_OK if result.defined else STATUS_UNDEFINED
+    return SearchEntry(config=config, result=result, status=status, output_dim=output_dim,
+                       order_index=order_index, error=error)
 
-    ``progress``, when given, is called from the calling thread as
-    ``progress(done, total)`` once per configuration. ``workers`` layer-a
-    groups are swept at once; results do not depend on it.
+
+def sweep(textual, visual, benches, grid, workers=1, progress=None,
+          normalize_concat=False):
+    """Evaluate every configuration in the grid against each benchmark.
+
+    Returns one :class:`SearchReport` per benchmark, in order. Every fit,
+    table and score vector is computed once for all benchmarks. ``progress``,
+    when given, is called from the calling thread as
+    ``progress(bench, done, total)`` once per configuration, benchmark after
+    benchmark: the first benchmark's calls follow each finished layer-a
+    group, the others' come at the end. ``workers`` layer-a groups are swept
+    at once; results do not depend on it.
     """
     if textual.vocab != visual.vocab:
         raise AlignmentError("tables must be vocabulary-aligned before searching")
     configs = enumerate_configurations(textual.dim, visual.dim, grid)
     if not configs:
         raise GridError("grid produced no configurations")
+    raw = {SIDE_TEXTUAL: textual.matrix, SIDE_VISUAL: visual.matrix}
+    a_dims = {c.pca_dim for c in configs if c.pca_dim}
+    # the raw group's R-CCA fallback reducers are layer-a fits of the raw tables
+    a_dims |= {c.fusion_dim for c in configs if not c.pca_dim and "rcca" in c.layer_b}
+    a_fits = layer_a(raw, sorted(a_dims))
+    scored = [(bench, covered_pairs(bench, textual)) for bench in benches]
     # canonical order keeps each layer-a dim contiguous
     groups = [list(g) for _, g in groupby(enumerate(configs), key=lambda i: i[1].pca_dim)]
-    sweep = partial(_sweep_group, textual=textual, visual=visual, bench=bench,
-                    covered=covered_pairs(bench, textual), normalize_concat=normalize_concat)
-    entries = []
+    run = partial(_sweep_group, raw=raw, a_fits=a_fits, scored=scored,
+                  normalize_concat=normalize_concat)
+    progress = progress or (lambda bench, done, total: None)
+    total = len(configs)
+    entries = [[] for _ in benches]
+    swept = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # a single worker sweeps in the calling thread
-        for group in pool.map(sweep, groups) if workers > 1 else map(sweep, groups):
-            for entry in group:
-                entries.append(entry)
-                if progress is not None:
-                    progress(len(entries), len(configs))
-    entries.sort(key=_entry_sort_key)
-    return SearchReport(benchmark_name=bench.name, grid=grid, entries=tuple(entries))
+        results = pool.map(run, groups) if workers > 1 else map(run, groups)
+        for items, group in zip(groups, results):
+            for bench_entries, new in zip(entries, group):
+                bench_entries.extend(new)
+            for done in range(swept + 1, swept + len(items) + 1):
+                for bench in benches[:1]:
+                    progress(bench, done, total)
+            swept += len(items)
+    for bench in benches[1:]:
+        for done in range(1, total + 1):
+            progress(bench, done, total)
+    return tuple(
+        SearchReport(benchmark_name=bench.name, grid=grid,
+                     entries=tuple(sorted(bench_entries, key=_entry_sort_key)))
+        for bench, bench_entries in zip(benches, entries)
+    )
+
+
+def grid_search(textual, visual, bench, grid, workers=1, progress=None,
+                normalize_concat=False):
+    """Evaluate every configuration in the grid against one benchmark.
+
+    A one-benchmark :func:`sweep`; ``progress``, when given, is called as
+    ``progress(done, total)``.
+    """
+    report, = sweep(
+        textual, visual, [bench], grid, workers=workers, normalize_concat=normalize_concat,
+        progress=None if progress is None else lambda _, done, total: progress(done, total),
+    )
+    return report
 
 
 def select_best(report):

@@ -7,6 +7,7 @@ from mmfuse import (
     ConfigurationError,
     EmbeddingTable,
     GridSpec,
+    NumericalError,
     apply_configuration,
     describe_configuration,
     enumerate_configurations,
@@ -113,6 +114,17 @@ class TestApply:
         right = normed.first.matrix[:, 4:]
         np.testing.assert_allclose(np.linalg.norm(left, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(right, axis=1), 1.0, atol=1e-12)
+
+    def test_normalized_concat_of_an_overflowing_row_is_a_numerical_error(self, small_tables):
+        # the row's norm overflows: it used to be divided down to a zero row
+        textual, visual = small_tables
+        big = visual.matrix.copy()
+        big[1, 0] = 1e200
+        visual = EmbeddingTable(visual.vocab, big, name="visual")
+        cfg = Configuration(layer_c="concat")
+        with pytest.raises(NumericalError, match="row norm overflows"):
+            apply_configuration(cfg, textual, visual, normalize_concat=True)
+        assert apply_configuration(cfg, textual, visual).first.matrix[1, 4] == 1e200
 
     def test_mixed_fusion_orders_textual_derived_first(self, small_tables):
         textual, visual = small_tables

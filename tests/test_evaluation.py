@@ -20,6 +20,7 @@ from mmfuse import (
     save_benchmark,
     spearman,
 )
+from mmfuse.evaluation import covered_pairs, rank_result
 
 # Frozen from the pre-build rank-enumeration oracle:
 # ranks [1, 2.5, 2.5, 4] vs [1, 3, 2, 4]  ->  Pearson 3/sqrt(10)
@@ -124,6 +125,11 @@ class TestCosine:
         with pytest.raises(DimensionError):
             cosine([1.0, 0.0], [1.0, 0.0, 0.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norm_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflows"):
+            cosine([1e200, 0.0], [1.0, 1.0])
+
 
 class TestPairScore:
     VOCAB = ("p", "q", "r")
@@ -155,6 +161,15 @@ class TestPairScore:
     def test_missing_word(self):
         with pytest.raises(WordLookupError):
             pair_score(ScoringModel(self.FIRST), "p", "zebra")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norm_is_a_numerical_error(self):
+        big = table(self.VOCAB, [[1e200, 0.0], [1.0, 1.0], [0.2, 1.0]])
+        for model in (ScoringModel(big), ScoringModel(self.FIRST, big, alpha=1.0)):
+            with pytest.raises(NumericalError, match="'p'/'q' is not finite"):
+                pair_score(model, "p", "q")
+        assert pair_score(ScoringModel(big), "q", "r") == pair_score(
+            ScoringModel(self.FIRST), "q", "r")
 
 
 class TestSpearman:
@@ -299,6 +314,30 @@ class TestEvaluate:
         bench = Benchmark("big", (("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 3.0)))
         with pytest.raises(NumericalError, match="non-finite"):
             evaluate(model, bench)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_overflowing_row_is_a_numerical_error(self):
+        # only the row's norm overflows; its cosines used to read 0
+        model = ScoringModel(table(("a", "b", "c"), [[1e200, 0.0], [1.0, 1.0], [1.0, 0.0]]))
+        bench = Benchmark("big", (("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 3.0)))
+        with pytest.raises(NumericalError, match="non-finite pair scores on 'big'"):
+            evaluate(model, bench)
+
+    def test_rho_matches_scipy_on_tied_scores(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(3)
+        vocab = tuple(f"w{i}" for i in range(25))
+        pairs = [(vocab[i], vocab[j]) for i in range(25) for j in range(i + 1, 25, 4)]
+        for trial in range(5):
+            # coarse grids force ties in both the scores and the gold scores
+            gold = np.round(rng.uniform(0, 4, len(pairs)))
+            bench = Benchmark("tied", tuple((w1, w2, g) for (w1, w2), g in zip(pairs, gold)))
+            covered = covered_pairs(bench, table(vocab, np.eye(25)))
+            scores = np.round(rng.normal(size=len(pairs)), 1)
+            expected, _ = stats.spearmanr(scores, gold)
+            rho = rank_result(scores, covered, bench).rho
+            assert rho == pytest.approx(expected, abs=1e-12)
+            assert spearman(scores, gold) == rho
 
     def test_degenerate_rows_warn_not_fail(self):
         vocab = ("a", "b", "c")

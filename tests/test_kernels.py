@@ -33,6 +33,19 @@ def test_degenerate_pairs_score_zero():
     assert degenerate == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_norm_scores_nan():
+    # the first row's squared norm overflows; its pairs used to score 0
+    matrix = np.array([[1e200, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    scores, degenerate = _kernels.pair_cosine_scores(
+        matrix, np.array([0, 0, 0, 1]), np.array([1, 2, 3, 2])
+    )
+    assert np.isnan(scores[:3]).all()
+    assert scores[3] == 0.0
+    assert degenerate == 1
+
+
 def test_empty_pair_list():
     matrix = np.eye(3)
     empty = np.array([], dtype=np.int64)

@@ -7,8 +7,10 @@ from mmfuse import (
     MissingReductionError,
     NumericalError,
     cca_fit,
+    cca_fits,
     cca_transform,
     pca_fit,
+    pca_fits,
     pca_transform,
     rcca_residual,
 )
@@ -275,6 +277,78 @@ class TestCca:
             b = Yp[:, j] - Yp[:, j].mean()
             corr = (a @ b) / np.sqrt((a @ a) * (b @ b))
             assert corr == pytest.approx(model.correlations[j], abs=1e-6)
+
+
+class TestPrefixFits:
+    """``pca_fits``/``cca_fits``: one decomposition, and per k the single fit exactly."""
+
+    @staticmethod
+    def assert_same_fit(fit, single):
+        if isinstance(fit, Exception):
+            assert isinstance(single, Exception)
+            assert (type(fit), str(fit)) == (type(single), str(single))
+            return
+        for name in fit.__dataclass_fields__:
+            assert np.array_equal(getattr(fit, name), getattr(single, name)), name
+
+    @staticmethod
+    def single(fit, *args):
+        try:
+            return fit(*args)
+        except (DimensionError, NumericalError) as exc:
+            return exc
+
+    @staticmethod
+    def decompositions(monkeypatch):
+        import mmfuse.numerics as numerics
+
+        calls = []
+        real = numerics._decompose
+
+        def counted(routine, matrix, what, **kwargs):
+            calls.append(routine.__name__)
+            return real(routine, matrix, what, **kwargs)
+
+        monkeypatch.setattr(numerics, "_decompose", counted)
+        return calls
+
+    @pytest.mark.parametrize("rank", [6, 3])
+    def test_pca_fits_are_the_single_fits(self, monkeypatch, rank):
+        rng = np.random.default_rng(rank)
+        X = rng.normal(size=(12, rank)) @ rng.normal(size=(rank, 6))
+        ks = [0, 1, 2, 4, 6, 7]
+        calls = self.decompositions(monkeypatch)
+        fits = pca_fits(X, ks)
+        assert calls == ["svd"] and list(fits) == ks
+        for k in ks:
+            self.assert_same_fit(fits[k], self.single(pca_fit, X, k))
+        assert isinstance(fits[0], DimensionError) and isinstance(fits[7], DimensionError)
+
+    @pytest.mark.parametrize("ridge", [1e-3, 0.0])
+    def test_cca_fits_are_the_single_fits(self, monkeypatch, ridge):
+        # rank-3 first view: at ridge 0 its covariance is singular and every
+        # in-range k carries that one failure
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(15, 3)) @ rng.normal(size=(3, 5))
+        Y = rng.normal(size=(15, 5))
+        ks = [1, 3, 5, 6]
+        calls = self.decompositions(monkeypatch)
+        fits = cca_fits(X, Y, ks, ridge)
+        assert calls == ["eigh", "eigh", "svd"] if ridge else ["eigh"]
+        for k in ks:
+            self.assert_same_fit(fits[k], self.single(cca_fit, X, Y, k, ridge))
+        assert isinstance(fits[6], DimensionError)
+        assert all(isinstance(fits[k], NumericalError) for k in ks[:3]) == (ridge == 0.0)
+
+    def test_shared_failures_map_every_k(self, monkeypatch):
+        X = np.array(PCA_X)
+        X[0, 0] = np.nan
+        calls = self.decompositions(monkeypatch)
+        for fits in (pca_fits(X, [1, 2]), cca_fits(X, PCA_X, [1, 2]), pca_fits(PCA_X, [0, 9])):
+            assert all(isinstance(fit, (NumericalError, DimensionError)) for fit in fits.values())
+        assert calls == []
+        with pytest.raises(ValueError):
+            cca_fits(PCA_X, PCA_X, [1], ridge=-1.0)
 
 
 class TestResidual:

@@ -20,6 +20,7 @@ from mmfuse import (
     render_report_machine,
     render_report_table,
     select_best,
+    sweep,
 )
 from mmfuse.errors import DimensionError, MissingReductionError, NumericalError
 from mmfuse.search import STATUS_FAILED, STATUS_OK, STATUS_UNDEFINED, _entry_sort_key
@@ -230,35 +231,128 @@ class TestFailureHandling:
             assert {e.result.n_evaluated for e in report.entries if e.result} == {10}
             assert_matches_oracle(report, oracle)
 
-    def test_each_distinct_fit_runs_once(self, monkeypatch):
-        # one overflowing visual value: every visual PCA fails, and so does
-        # every CCA fit on the raw tables
-        import mmfuse.composition as composition
 
-        rng = np.random.default_rng(5)
-        vocab = tuple(f"w{i:02d}" for i in range(12))
-        visual = rng.normal(size=(12, 4))
+def twelve_words(overflow):
+    """12-word 4x4 pair; with ``overflow`` one visual value is 1e200, so every
+    visual PCA fails, and so does every CCA fit on the raw tables."""
+    rng = np.random.default_rng(5)
+    vocab = tuple(f"w{i:02d}" for i in range(12))
+    visual = rng.normal(size=(12, 4))
+    if overflow:
         visual[1, 0] = 1e200
-        textual = EmbeddingTable(vocab, rng.normal(size=(12, 4)), name="textual")
-        visual = EmbeddingTable(vocab, visual, name="visual")
-        bench = Benchmark("big", tuple((vocab[i], vocab[j], float(i * j % 7))
-                                       for i in range(12) for j in range(i + 1, 12, 3)))
-        grid = GridSpec(dim_step=1, dim_min=1, alpha_step=0.1, ridge=1e-3)
-        calls = []
+    textual = EmbeddingTable(vocab, rng.normal(size=(12, 4)), name="textual")
+    visual = EmbeddingTable(vocab, visual, name="visual")
+    benches = [
+        Benchmark("big", tuple((vocab[i], vocab[j], float(i * j % 7))
+                               for i in range(12) for j in range(i + 1, 12, 3))),
+        Benchmark("part", tuple((vocab[i], w, float(i % 4)) for i in range(0, 12, 2)
+                                for w in (vocab[(i + 5) % 12], f"zz{i}"))),
+        Benchmark("none", (("xx", "yy", 1.0), ("yy", "zz", 2.0))),
+    ]
+    return textual, visual, benches
 
-        def counted(name, fit):
-            def wrapper(*args, **kwargs):
-                calls.append((name, args[0].tobytes(), args[1].tobytes() if name == "cca"
-                              else None, args[-1] if name == "pca" else args[2]))
-                return fit(*args, **kwargs)
-            return wrapper
 
-        monkeypatch.setattr(composition, "pca_fit", counted("pca", composition.pca_fit))
-        monkeypatch.setattr(composition, "cca_fit", counted("cca", composition.cca_fit))
-        report = grid_search(textual, visual, bench, grid)
-        assert len(calls) == len(set(calls)) == 12
-        assert report.counts()[STATUS_FAILED] > 0
-        assert_matches_oracle(report, exhaustive_oracle(textual, visual, bench, grid))
+class TestSharedFits:
+    GRID = GridSpec(dim_step=1, dim_min=1, alpha_step=0.5, ridge=1e-3)
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Record every decomposition as (routine, matrix bytes), and count rankings."""
+        import mmfuse._kernels as kernels
+        import mmfuse.numerics as numerics
+
+        calls, ranks = [], []
+
+        def decompose(routine, matrix, what, **kwargs):
+            calls.append((routine.__name__, np.asarray(matrix).tobytes()))
+            return real_decompose(routine, matrix, what, **kwargs)
+
+        def average_ranks(values):
+            ranks.append(len(values))
+            return real_ranks(values)
+
+        real_decompose, real_ranks = numerics._decompose, kernels.average_ranks
+        monkeypatch.setattr(numerics, "_decompose", decompose)
+        monkeypatch.setattr(kernels, "average_ranks", average_ranks)
+        return calls, ranks
+
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_each_decomposition_runs_once(self, monkeypatch, overflow):
+        textual, visual, benches = twelve_words(overflow)
+        calls, ranks = self.counted(monkeypatch)
+        single = grid_search(textual, visual, benches[0], self.GRID)
+        single_calls = sorted(calls)
+        calls.clear()
+        ranks.clear()
+        reports = sweep(textual, visual, benches, self.GRID)
+        assert len(calls) == len(set(calls))
+        # the other benchmarks add no decomposition
+        assert sorted(calls) == single_calls
+        # each ranked configuration ranks its scores once, each benchmark its gold once
+        ranked = [e for r in reports for e in r.entries
+                  if e.result is not None and e.result.n_evaluated >= 2]
+        assert len(ranks) == len(ranked) + 2
+        if overflow:
+            assert single.counts()[STATUS_FAILED] > 0
+        else:
+            # layer a: one SVD per side, which also gives the raw group's
+            # R-CCA fallback reducers; one whitened CCA (two eigh, one SVD)
+            # per layer-a dim; one reducer SVD per side for a-dims 2, 3, 4
+            routines = [routine for routine, _ in calls]
+            assert routines.count("eigh") == 2 * 5
+            assert routines.count("svd") == 2 + 5 + 2 * 3
+        oracle = exhaustive_oracle(textual, visual, benches[0], self.GRID)
+        assert_matches_oracle(single, oracle)
+        assert_matches_oracle(reports[0], oracle)
+
+    def test_overflowing_row_fails_its_tables(self):
+        textual, visual, benches = twelve_words(overflow=True)
+        report = grid_search(textual, visual, benches[0], self.GRID)
+        by_config = {e.config: e for e in report.entries}
+        raw_v = by_config[Configuration(output_side="visual", ridge=1e-3)]
+        assert raw_v.status == STATUS_FAILED
+        assert raw_v.error == "non-finite pair scores on 'big'"
+        assert by_config[Configuration(output_side="textual", ridge=1e-3)].status == STATUS_OK
+
+
+class TestMultiBenchmarkSweep:
+    @staticmethod
+    def benches(textual, bench):
+        """``bench`` plus benchmarks of full, partial and zero coverage."""
+        vocab = textual.vocab
+        full = Benchmark("full", tuple((vocab[i], vocab[j], float((i * 7 + j) % 5))
+                                       for i in range(len(vocab))
+                                       for j in range(i + 1, len(vocab), 2)))
+        partial = Benchmark("partial", tuple(
+            (vocab[i], vocab[-1 - i] if i % 2 else f"oov{i}", float(i % 3))
+            for i in range(len(vocab))))
+        zero = Benchmark("zero", (("xx", "yy", 1.0), ("yy", "zz", 2.0)))
+        return [bench, full, partial, zero]
+
+    @pytest.mark.parametrize("fixture", ["planted", "ragged"])
+    def test_each_report_matches_its_exhaustive_oracle(self, request, fixture):
+        textual, visual, bench, *grid = request.getfixturevalue(fixture)
+        grid = grid[0] if grid else TOY_GRID
+        benches = self.benches(textual, bench)
+        oracles = [exhaustive_oracle(textual, visual, b, grid) for b in benches]
+        coverage = {r.benchmark_name: {e.result.coverage for e in r.entries if e.result}
+                    for r in sweep(textual, visual, benches, grid)}
+        assert coverage["full"] == {1.0} and coverage["zero"] == {0.0}
+        assert 0.0 < min(coverage["partial"]) == max(coverage["partial"]) < 1.0
+        for workers in (1, 3):
+            reports = sweep(textual, visual, benches, grid, workers=workers)
+            assert [r.benchmark_name for r in reports] == [b.name for b in benches]
+            for report, oracle in zip(reports, oracles):
+                assert_matches_oracle(report, oracle)
+
+    def test_progress_runs_benchmark_after_benchmark(self, planted):
+        textual, visual, bench = planted
+        benches = self.benches(textual, bench)[:3]
+        seen = []
+        reports = sweep(textual, visual, benches, TOY_GRID,
+                        progress=lambda b, done, total: seen.append((b.name, done, total)))
+        total = len(reports[0].entries)
+        assert seen == [(b.name, done, total) for b in benches for done in range(1, total + 1)]
 
 
 class TestCrossEvaluate:
