@@ -41,12 +41,9 @@ from .errors import (
 )
 from .evaluation import load_benchmark
 from .numerics import DEFAULT_RIDGE
-# grid_search is not called here, but perfbench/traced.py wraps it at this
-# lookup site, so it stays importable from this module
-from .search import (  # noqa: F401
+from .search import (
     GridSpec,
     cross_evaluate,
-    grid_search,
     render_report_machine,
     render_report_table,
     select_best,

@@ -28,17 +28,13 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, read_utf8
 from .errors import AlignmentError, ConfigurationError, NumericalError, ParseError
-# pca_fit and cca_fit are not called here, but perfbench/traced.py wraps
-# them at this lookup site, so they stay importable from this module
-from .numerics import (  # noqa: F401
+from .numerics import (
     DEFAULT_RIDGE,
     SIDE_TEXTUAL,
     SIDE_VISUAL,
-    cca_fit,
     cca_fits,
     cca_transform,
     fitted,
-    pca_fit,
     pca_fits,
     pca_transform,
     rcca_residual,
