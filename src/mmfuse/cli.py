@@ -39,7 +39,7 @@ from .errors import (
     NoResultError,
     NumericalError,
 )
-from .evaluation import load_benchmark
+from .evaluation import benchmark_name, load_benchmark
 from .numerics import DEFAULT_RIDGE
 from .search import (
     GridSpec,
@@ -256,7 +256,21 @@ def cmd_evaluate(manifest, label):
     return EXIT_NUMERIC
 
 
+def _check_report_names(paths):
+    """Two benchmarks whose reports would overwrite each other are an InputError."""
+    owner = {}
+    for path in paths:
+        stem = _safe_name(benchmark_name(path))
+        if stem in owner:
+            raise InputError(
+                f"benchmarks {owner[stem]} and {path} would both write "
+                f"{stem}.report.txt/.tsv"
+            )
+        owner[stem] = path
+
+
 def cmd_search(manifest):
+    _check_report_names(manifest.benches)
     textual, visual, benches = _load_inputs(manifest)
     grid = GridSpec(
         dim_step=manifest.dim_step,

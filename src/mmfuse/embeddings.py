@@ -2,8 +2,9 @@
 
 File format is word2vec-style text: an optional first header line
 ``"<n_words> <dim>"`` followed by one line per word, the word first and
-then ``dim`` whitespace-separated decimal numbers. Encoding is UTF-8 and
-numbers are written with 6 decimal digits. Words are compared byte-exact;
+then ``dim`` whitespace-separated finite numbers in any form Python's
+``float()`` reads. Encoding is UTF-8 and numbers are written with 6
+decimal digits. Words are compared byte-exact;
 no case folding is applied anywhere.
 """
 
@@ -107,12 +108,19 @@ def load_embeddings(path, name=""):
     """Parse a text embedding file into a validated :class:`EmbeddingTable`.
 
     An optional ``"n dim"`` header is accepted and checked against the
-    content. Malformed lines, duplicate words and empty files raise.
+    content. A value is any token Python's ``float()`` accepts that is
+    finite, and it is stored exactly as ``float()`` reads it. Every row is
+    validated in file order: a blank line, a wrong value count, a
+    non-numeric or non-finite value and a duplicate word raise on the first
+    offending line; an empty file raises too.
+
+    Rows go straight into one matrix allocated when the first row fixes
+    the dimension; numpy converts each row's tokens with ``float()``.
     """
     lines = read_utf8(path).splitlines()
     words = []
     seen = set()
-    vectors = []
+    matrix = None
     declared = None
     dim = None
     start_line = 1
@@ -124,7 +132,8 @@ def load_embeddings(path, name=""):
                 start_line = 2
             except ValueError:
                 declared = None
-    for line_no, line in enumerate(lines[start_line - 1:], start=start_line):
+    for row, line in enumerate(lines[start_line - 1:]):
+        line_no = row + start_line
         tokens = line.split()
         if not tokens:
             raise ParseError(path, line_no, "blank line")
@@ -138,21 +147,23 @@ def load_embeddings(path, name=""):
                 )
             if dim < 1:
                 raise ParseError(path, line_no, "row has a word but no values")
+            matrix = np.empty((len(lines) - start_line + 1, dim), dtype=np.float64)
         if len(tokens) - 1 != dim:
             raise ParseError(
                 path, line_no, f"expected {dim} values, found {len(tokens) - 1}"
             )
         try:
-            vec = [float(t) for t in tokens[1:]]
-        except ValueError as exc:
-            raise ParseError(path, line_no, f"non-numeric value ({exc})") from None
-        if not all(np.isfinite(vec)):
+            matrix[row] = tokens[1:]
+        except ValueError:
+            raise ParseError(
+                path, line_no, f"non-numeric value ({_float_error(tokens[1:])})"
+            ) from None
+        if not np.isfinite(matrix[row]).all():
             raise ParseError(path, line_no, "non-finite value")
         if word in seen:
             raise DuplicateEntryError(f"{path}:{line_no}: duplicate word {word!r}")
         seen.add(word)
         words.append(word)
-        vectors.append(vec)
     if not words:
         raise EmptyInputError(f"{path}: no embedding rows")
     if declared is not None and declared[0] != len(words):
@@ -160,21 +171,35 @@ def load_embeddings(path, name=""):
             path, len(lines),
             f"header declares {declared[0]} words, file has {len(words)}",
         )
-    return EmbeddingTable(tuple(words), np.array(vectors, dtype=np.float64), name=name)
+    return EmbeddingTable(tuple(words), matrix, name=name)
+
+
+def _float_error(tokens):
+    """``float()``'s error for the first token it rejects.
+
+    numpy converts with ``float()`` too, so one is rejected; taking the
+    message from ``float()`` keeps it the same on every numpy version.
+    """
+    for token in tokens:
+        try:
+            float(token)
+        except ValueError as exc:
+            return exc
 
 
 def save_embeddings(table, path):
     """Write ``table`` as header plus one row per word, 6 decimal digits.
 
-    The file is replaced atomically: a failed write leaves any previous
-    file at ``path`` intact.
+    Each row is ``word`` and its values as ``"%.6f"``, space-separated,
+    formatted in one operation per row. The file is replaced atomically:
+    a failed write leaves any previous file at ``path`` intact.
     """
-    fmt = f"%.{SAVE_DECIMALS}f"
+    row_fmt = "%s " + " ".join([f"%.{SAVE_DECIMALS}f"] * table.dim) + "\n"
     try:
         with atomic_open(path) as fh:
             fh.write(f"{len(table)} {table.dim}\n")
             for word, row in zip(table.vocab, table.matrix):
-                fh.write(word + " " + " ".join(fmt % v for v in row) + "\n")
+                fh.write(row_fmt % (word, *row.tolist()))
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc}") from exc
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .embeddings import read_utf8
+from .embeddings import atomic_open, read_utf8
 from .errors import (
     DimensionError,
     DuplicateEntryError,
@@ -106,18 +106,24 @@ def load_benchmark(path, name=None):
             )
         seen.add(key)
         pairs.append((w1, w2, gold))
-    return Benchmark(name if name is not None else _stem(path), tuple(pairs))
+    if name is None:
+        name = benchmark_name(path)
+    return Benchmark(name, tuple(pairs))
 
 
-def _stem(path):
+def benchmark_name(path):
+    """Name ``load_benchmark`` gives the file at ``path``: its stem."""
     name = str(path).replace("\\", "/").rsplit("/", 1)[-1]
     return name.rsplit(".", 1)[0] if "." in name else name
 
 
 def save_benchmark(bench, path):
-    """Dump as TSV; ``load_benchmark`` reads it back identically."""
+    """Dump as TSV; ``load_benchmark`` reads it back identically.
+
+    The file is replaced atomically, as by ``save_embeddings``.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for w1, w2, gold in bench.pairs:
                 fh.write(f"{w1}\t{w2}\t{gold!r}\n")
     except OSError as exc:

@@ -139,6 +139,30 @@ class TestSearch:
         summary = (out / "summary.txt").read_text()
         assert "toy:" in summary and "toy2:" in summary
 
+    @pytest.mark.parametrize("first, second", [
+        ("a/toy.tsv", "b/toy.tsv"),
+        ("a b.tsv", "a_b.tsv"),
+    ])
+    def test_benchmarks_sharing_a_report_name_exit_2(
+        self, workspace, capsys, first, second
+    ):
+        benches = []
+        for name in (first, second):
+            path = workspace / "benches" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes((workspace / "toy.tsv").read_bytes())
+            benches += ["--bench", str(path)]
+        # a malformed vectors file: the clash is found before any vectors are read
+        (workspace / "text.vecs").write_text("a 1\nb\n")
+        out = workspace / "out"
+        code = main(["search", "--text-vecs", str(workspace / "text.vecs"),
+                     "--image-vecs", str(workspace / "image.vecs"), *benches,
+                     "--out", str(out), *self.ARGS])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert benches[1] in err and benches[3] in err
+        assert list(out.glob("*.report.*")) == []
+
 
 class TestCross:
     def test_rows_per_benchmark(self, workspace):
@@ -290,6 +314,35 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         # the report is still written, with the explicit empty outcome
         assert "n/a" in (tmp_path / "out" / "eval_report.txt").read_text()
+
+    def test_search_with_no_covered_pair_exits_3(self, workspace, capsys):
+        save_benchmark(Benchmark("afar", (("x", "y", 1.0), ("y", "z", 2.0))),
+                       workspace / "afar.tsv")
+        out = workspace / "out"
+        code = main([
+            "search", "--text-vecs", str(workspace / "text.vecs"),
+            "--image-vecs", str(workspace / "image.vecs"),
+            "--bench", str(workspace / "afar.tsv"), "--out", str(out),
+            *TestSearch.ARGS,
+        ])
+        assert code == EXIT_NUMERIC
+        assert "no successful configuration" in capsys.readouterr().err
+        rows = (out / "afar.report.tsv").read_text().splitlines()[1:]
+        assert rows and all(row.split("\t")[1] != "ok" for row in rows)
+        assert (out / "afar.report.txt").exists()
+        assert "afar: no successful configuration" in (out / "summary.txt").read_text()
+
+    def test_infinite_image_value_exits_2(self, workspace, capsys):
+        path = workspace / "image.vecs"
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].split()[0] + " 0 inf 0 0"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["search", *common(workspace), "--out", str(workspace / "out"),
+                     *TestSearch.ARGS])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}:4: non-finite value" in err
+        assert "Traceback" not in err
 
 
 class TestReportRho:

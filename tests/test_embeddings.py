@@ -73,6 +73,66 @@ class TestLoad:
         table = load_embeddings(path)
         assert table.vocab == ("Cat", "cat")
 
+    @pytest.mark.parametrize(
+        "text, error, line_no, message",
+        [
+            ("a 1 2\n\nb 3 4\n", ParseError, 2, "blank line"),
+            ("a 1 2\n \t\nb 3 4\n", ParseError, 2, "blank line"),
+            ("2 3\na 1 2 3 4\nb 1 2 3\n", ParseError, 2,
+             "row has 4 values but header declares dim 3"),
+            ("a\nb 1\n", ParseError, 1, "row has a word but no values"),
+            ("a 1 2\nb 3\n", ParseError, 2, "expected 2 values, found 1"),
+            ("a 1 2\nb 3 4 5\n", ParseError, 2, "expected 2 values, found 3"),
+            ("a 1 2\nb 1 x\n", ParseError, 2,
+             "non-numeric value (could not convert string to float: 'x')"),
+            ("a 0x10 2\n", ParseError, 1,
+             "non-numeric value (could not convert string to float: '0x10')"),
+            ("a x y\n", ParseError, 1,
+             "non-numeric value (could not convert string to float: 'x')"),
+            ("a inf x\n", ParseError, 1,
+             "non-numeric value (could not convert string to float: 'x')"),
+            ("a 1 nan\n", ParseError, 1, "non-finite value"),
+            ("a 1 2\nb -inf 1\n", ParseError, 2, "non-finite value"),
+            ("a 1 1e400\n", ParseError, 1, "non-finite value"),
+            ("a 1 2\nb 3 4\na 5 6\n", DuplicateEntryError, 3, "duplicate word 'a'"),
+            ("3 2\na 1 2\nb 3 4\n", ParseError, 3,
+             "header declares 3 words, file has 2"),
+            ("", EmptyInputError, None, "no embedding rows"),
+            ("2 3\n", EmptyInputError, None, "no embedding rows"),
+            # two faults: the earlier line wins, whatever its kind
+            ("a 1 2\nb inf 2\nc 1\n", ParseError, 2, "non-finite value"),
+            ("a 1 2\nb 1\nc x 2\n", ParseError, 2, "expected 2 values, found 1"),
+            ("a 1 2\na 3 4\nc x 2\n", DuplicateEntryError, 2,
+             "duplicate word 'a'"),
+        ],
+    )
+    def test_malformed_file_names_first_bad_line(
+        self, tmp_path, text, error, line_no, message
+    ):
+        path = write(tmp_path, text)
+        with pytest.raises(error) as exc:
+            load_embeddings(path)
+        assert type(exc.value) is error
+        where = f"{path}" if line_no is None else f"{path}:{line_no}"
+        assert str(exc.value) == f"{where}: {message}"
+        if error is ParseError:
+            assert exc.value.line_no == line_no
+
+    def test_values_are_those_of_float(self, tmp_path):
+        tokens = ["1_0", "+.5", "-0", "1E3", "\u0661\u0662", "1e-320"]
+        seps = ["\t", "   ", "\xa0", " \t ", "\xa0\xa0", "\t\t"]
+        rows = [tokens, tokens[::-1]]
+        text = "".join(
+            word + "".join(sep + tok for sep, tok in zip(seps, row)) + "\n"
+            for word, row in zip(("a", "b"), rows)
+        )
+        table = load_embeddings(write(tmp_path, text))
+        expected = np.array([[float(t) for t in row] for row in rows])
+        assert table.vocab == ("a", "b")
+        np.testing.assert_array_equal(
+            table.matrix.view(np.int64), expected.view(np.int64)
+        )
+
 
 class TestSaveRoundTrip:
     def test_file_shape(self, tmp_path):
@@ -97,6 +157,21 @@ class TestSaveRoundTrip:
         path2 = tmp_path / "big2.txt"
         save_embeddings(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_rows_match_per_value_formatting(self, tmp_path):
+        vocab = ("a", "50%", "\u00e9t\u00e9")
+        matrix = np.array([
+            [-0.0, 4e-7, -4e-7],
+            [5e-7, 1e15, -1e15],
+            [-5e-7, 0.1234565, 2.0],
+        ])
+        path = tmp_path / "out.vecs"
+        save_embeddings(EmbeddingTable(vocab, matrix), path)
+        expected = "3 3\n" + "".join(
+            word + " " + " ".join("%.6f" % v for v in row) + "\n"
+            for word, row in zip(vocab, matrix)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "out.vecs"

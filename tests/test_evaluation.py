@@ -83,6 +83,17 @@ class TestLoadBenchmark:
         loaded = load_benchmark(path, name="ten")
         assert loaded == bench
 
+    def test_failed_dump_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "dump.tsv"
+        save_benchmark(Benchmark("two", (("a", "b", 1.0), ("b", "c", 2.0))), path)
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded: the write fails at the second pair
+        bad = Benchmark("bad", (("a", "b", 1.0), ("b", "\ud800", 2.0)))
+        with pytest.raises(UnicodeEncodeError):
+            save_benchmark(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["dump.tsv"]
+
 
 class TestFilterCoverage:
     BENCH = Benchmark("b", (("cat", "dog", 1.0), ("dog", "owl", 2.0),
