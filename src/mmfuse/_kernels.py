@@ -1,7 +1,7 @@
 """Hot scoring kernels: batch pair cosines and tie-averaged ranks.
 
 In a sweep the cosine kernel runs once per table and per concatenation,
-and the rank kernel once per ranked configuration plus once per
+and the rank kernel once per block of score vectors plus once per
 benchmark's gold scores, which makes them the non-BLAS hot path. They are
 plain numpy; every pair score in the package, the scalar ``cosine``
 included, goes through ``pair_cosine_scores``. A pair with a vector norm
@@ -30,18 +30,24 @@ def pair_cosine_scores(matrix, idx1, idx2):
 
 
 def average_ranks(values):
-    """1-based ranks with ties assigned the mean of the ranks they span."""
-    n = values.shape[0]
-    order = np.argsort(values, kind="mergesort")
-    sorted_v = values[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_v[1:] != sorted_v[:-1]
-    group = np.cumsum(new_group) - 1
-    counts = np.bincount(group)
-    ends = np.cumsum(counts).astype(np.float64)
-    starts = ends - counts + 1.0
-    avg = 0.5 * (starts + ends)
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = avg[group]
+    """1-based ranks along the last axis, ties assigned the mean of the ranks they span.
+
+    ``values`` is one vector or a block of row vectors, without nan. A tie
+    run's mean rank does not depend on the order the sort leaves its
+    members in, so the default (unstable) sort serves.
+    """
+    n = values.shape[-1]
+    order = np.argsort(values, axis=-1)
+    sorted_v = np.take_along_axis(values, order, axis=-1)
+    position = np.arange(n)
+    tied = sorted_v[..., 1:] == sorted_v[..., :-1]  # sorted position j + 1 ties with j
+    # first and last sorted position of the tie run each sorted position is in
+    first = np.zeros(values.shape, dtype=np.intp)
+    first[..., 1:] = np.where(tied, 0, position[1:])
+    first = np.maximum.accumulate(first, axis=-1)
+    last = np.full(values.shape, n - 1, dtype=np.intp)
+    last[..., :-1] = np.where(tied, n - 1, position[:-1])
+    last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(values.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=-1)
     return ranks

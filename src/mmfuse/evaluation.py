@@ -13,10 +13,12 @@ that overflows scores nan, so it fails rather than scoring 0.
 ``evaluate`` is ``covered_pairs``, then ``table_scores`` per table,
 ``interpolate`` for a pair model, then ``rank_result``. A sweep calls the
 same pieces, sharing each table's score vector between configurations.
-``covered_pairs`` ranks the gold scores once per benchmark; ``rank_result``
-and ``spearman`` share one rank-correlation helper.
+``covered_pairs`` ranks the gold scores once per benchmark. Score vectors
+are ranked in blocks of rows by ``rank_results``; ``rank_result`` and
+``spearman`` rank a one-row block through it.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -169,20 +171,31 @@ def _finite_score(scores, what):
 
 
 def _centred_ranks(values):
-    """Tie-averaged ranks minus their mean, and the sum of their squares."""
-    ranks = _kernels.average_ranks(values)
-    dev = ranks - ranks.mean()
-    return dev, float(dev @ dev)
+    """Tie-averaged ranks minus their mean, along the last axis, and their sums of squares.
+
+    The ranks are half-integers and their mean is exactly (n + 1) / 2, so
+    every centred rank is a multiple of 0.5 and every product of two is a
+    multiple of 0.25. A sum of such products is exact in float64 while
+    its magnitude stays below 2**51; by Cauchy-Schwarz no partial sum of
+    ``dev @ dev`` or ``dev @ gold_dev`` exceeds (n**3 - n) / 12, so the
+    sums are exact, whatever their order, for n**3 / 3 < 2**53 (n up to
+    about 3e5 pairs). A block of rows therefore gets bit for bit the
+    values one row at a time would.
+    """
+    dev = _kernels.average_ranks(values) - 0.5 * (values.shape[-1] + 1)
+    return dev, np.einsum("...i,...i->...", dev, dev)
 
 
-def _rank_correlation(scores, gold_dev, gold_ss):
-    """Pearson correlation of the ranks of ``scores`` with centred gold ranks."""
+def _rank_correlations(scores, gold_dev, gold_ss):
+    """Per row of finite ``scores``: its rank correlation with the centred gold ranks.
+
+    A row of zero rank variance has none and reads nan.
+    """
     dev, ss = _centred_ranks(scores)
-    den = float(np.sqrt(ss * gold_ss))
-    if den == 0.0:
-        raise UndefinedCorrelationError("zero rank variance")
-    rho = float(dev @ gold_dev) / den
-    return min(1.0, max(-1.0, rho))
+    den = np.sqrt(ss * gold_ss)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.clip((dev @ gold_dev) / den, -1.0, 1.0)
+    return np.where(den == 0.0, np.nan, rho)
 
 
 def spearman(a, b):
@@ -195,7 +208,10 @@ def spearman(a, b):
         raise UndefinedCorrelationError("need at least 2 observations")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("inputs must be finite")
-    return _rank_correlation(a, *_centred_ranks(b))
+    rho, = _rank_correlations(a[None], *_centred_ranks(b)).tolist()
+    if math.isnan(rho):
+        raise UndefinedCorrelationError("zero rank variance")
+    return rho
 
 
 class CoveredPairs(NamedTuple):
@@ -246,18 +262,35 @@ def interpolate(alpha, first, second):
     return alpha * first + (1.0 - alpha) * second
 
 
+def rank_results(vectors, covered, bench):
+    """Spearman rho of each row of ``vectors`` against the covered gold scores of ``bench``.
+
+    Returns, per row, its ``EvaluationResult`` or, for a row with a
+    non-finite score, the ``NumericalError`` saying so. The finite rows
+    are ranked together, as one block.
+    """
+    n_eval, n_total = len(covered.gold), len(bench.pairs)
+    if n_eval < 2:
+        return [EvaluationResult(rho=None, n_evaluated=n_eval, n_total=n_total)] * len(vectors)
+    finite = np.isfinite(vectors).all(axis=-1)
+    rhos = np.full(len(vectors), np.nan)
+    rhos[finite] = _rank_correlations(vectors[finite], covered.gold_dev, covered.gold_ss)
+    return [
+        EvaluationResult(rho=None if math.isnan(rho) else rho, n_evaluated=n_eval, n_total=n_total)
+        if ok else NumericalError(f"non-finite pair scores on {bench.name!r}")
+        for ok, rho in zip(finite.tolist(), rhos.tolist())
+    ]
+
+
 def rank_result(scores, covered, bench):
-    """Spearman rho of ``scores`` against the covered gold scores of ``bench``."""
-    n_eval = len(covered.gold)
-    rho = None
-    if n_eval >= 2:
-        if not np.all(np.isfinite(scores)):
-            raise NumericalError(f"non-finite pair scores on {bench.name!r}")
-        try:
-            rho = _rank_correlation(scores, covered.gold_dev, covered.gold_ss)
-        except UndefinedCorrelationError:
-            pass
-    return EvaluationResult(rho=rho, n_evaluated=n_eval, n_total=len(bench.pairs))
+    """Spearman rho of ``scores`` against the covered gold scores of ``bench``.
+
+    A one-row ``rank_results``: a non-finite score raises its ``NumericalError``.
+    """
+    result, = rank_results(np.asarray(scores)[None], covered, bench)
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
 def evaluate(model, bench):

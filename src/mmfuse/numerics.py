@@ -129,12 +129,12 @@ def _decompose(routine, matrix, what, **kwargs):
 
 
 def _fix_signs(components):
-    """Flip columns so each component's largest-magnitude entry is positive."""
-    flips = np.ones(components.shape[1])
-    for j in range(components.shape[1]):
-        i = int(np.argmax(np.abs(components[:, j])))
-        if components[i, j] < 0:
-            flips[j] = -1.0
+    """Flip columns so each component's largest-magnitude entry is positive.
+
+    Of tied largest magnitudes the first counts, as ``argmax`` takes it.
+    """
+    lead = components[np.argmax(np.abs(components), axis=0), np.arange(components.shape[1])]
+    flips = np.where(lead < 0, -1.0, 1.0)
     return components * flips, flips
 
 

@@ -17,7 +17,10 @@ each decomposition runs once whatever the number of benchmarks or dims:
   group's fusion dims, one fallback-reducer ``pca_fits`` per side, and
   one matrix per (fusion dim, origin, side);
 * per benchmark: one score vector per table, LI and concatenation built
-  on them, and the rank correlation against gold scores ranked once.
+  on them, and the rank correlation against gold scores ranked once. The
+  group's score vectors are ranked in blocks of at most
+  ``RANK_BLOCK_VALUES`` values, through the same ``rank_results`` that
+  ``evaluate`` ranks its one vector with.
 
 A failure is stored where it happened and given, with its text, to every
 configuration built on it. Groups share only the read-only layer-a fits,
@@ -29,6 +32,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
+
+import numpy as np
 
 from .composition import (
     apply_configuration,
@@ -53,7 +58,7 @@ from .errors import (
     NoResultError,
     NumericalError,
 )
-from .evaluation import covered_pairs, evaluate, interpolate, rank_result, table_scores
+from .evaluation import covered_pairs, evaluate, interpolate, rank_results, table_scores
 from .numerics import DEFAULT_RIDGE, SIDE_TEXTUAL, SIDE_VISUAL, fitted
 
 STATUS_OK = "ok"
@@ -155,6 +160,9 @@ def _entry_sort_key(entry):
 
 _FAILURES = (NumericalError, DimensionError, MissingReductionError)
 
+# score values ranked in one call: bounds a rank block's memory, whatever a group's size
+RANK_BLOCK_VALUES = 2 ** 15
+
 
 def _sweep_group(items, raw, a_fits, scored, normalize_concat):
     """Per benchmark, the search entries of ``(order_index, config)`` items sharing one layer-a dim."""
@@ -212,31 +220,66 @@ def _sweep_group(items, raw, a_fits, scored, normalize_concat):
         return scores(tables[0])
 
     dims = [m.shape[1] for m in raw.values()]
-    entries = [[] for _ in scored]
-    for order_index, config in items:
+    blocks = [_RankBlock(bench, covered, len(items)) for bench, covered in scored]
+    for slot, (order_index, config) in enumerate(items):
         try:
             outcomes = vectors(config, inputs[order_index])
         except _FAILURES as exc:
             outcomes = [exc] * len(scored)
-        for bench_entries, outcome, (bench, covered) in zip(entries, outcomes, scored):
-            bench_entries.append(_entry(config, order_index, output_dimension(config, *dims),
-                                        outcome, bench, covered))
+        for block, outcome in zip(blocks, outcomes):
+            block.put(slot, outcome)
+    out_dims = [output_dimension(config, *dims) for _, config in items]
+    entries = []
+    for block in blocks:
+        block.rank()
+        entries.append([_entry(config, order_index, out_dim, outcome)
+                        for (order_index, config), out_dim, outcome
+                        in zip(items, out_dims, block.outcomes)])
     return entries
 
 
-def _entry(config, order_index, output_dim, vector, bench, covered):
-    """The entry of ``config`` on one benchmark, from its score vector or the failure computing it."""
-    result, error = None, None
-    if isinstance(vector, Exception):
-        error = str(vector)
-    else:
-        try:
-            result = rank_result(vector, covered, bench)
-        except NumericalError as exc:
-            error = str(exc)
-    status = STATUS_FAILED if result is None else STATUS_OK if result.defined else STATUS_UNDEFINED
-    return SearchEntry(config=config, result=result, status=status, output_dim=output_dim,
-                       order_index=order_index, error=error)
+class _RankBlock:
+    """One benchmark's score vectors of a layer-a group, ranked a block of rows at a time.
+
+    ``outcomes`` holds, per configuration of the group, its rank result or
+    the failure computing or ranking its scores; a block holds at most
+    ``RANK_BLOCK_VALUES`` score values (one vector, if it alone is longer).
+    """
+
+    def __init__(self, bench, covered, size):
+        self.bench, self.covered = bench, covered
+        self.rows = max(1, RANK_BLOCK_VALUES // max(1, len(covered.gold)))
+        self.outcomes = [None] * size
+        self.pending = []   # (slot, score vector) not ranked yet
+
+    def put(self, slot, outcome):
+        """Store a failure at once; queue a score vector, ranking the block when it is full."""
+        if isinstance(outcome, Exception):
+            self.outcomes[slot] = outcome
+            return
+        self.pending.append((slot, outcome))
+        if len(self.pending) == self.rows:
+            self.rank()
+
+    def rank(self):
+        """Rank the queued score vectors together."""
+        if not self.pending:
+            return
+        slots, vectors = zip(*self.pending)
+        self.pending = []
+        results = rank_results(np.stack(vectors), self.covered, self.bench)
+        for slot, result in zip(slots, results):
+            self.outcomes[slot] = result
+
+
+def _entry(config, order_index, output_dim, outcome):
+    """The entry of ``config`` on one benchmark, from its rank result or its failure."""
+    if isinstance(outcome, Exception):
+        return SearchEntry(config=config, result=None, status=STATUS_FAILED, output_dim=output_dim,
+                           order_index=order_index, error=str(outcome))
+    status = STATUS_OK if outcome.defined else STATUS_UNDEFINED
+    return SearchEntry(config=config, result=outcome, status=status, output_dim=output_dim,
+                       order_index=order_index)
 
 
 def sweep(textual, visual, benches, grid, workers=1, progress=None,

@@ -20,7 +20,7 @@ from mmfuse import (
     save_benchmark,
     spearman,
 )
-from mmfuse.evaluation import covered_pairs, rank_result
+from mmfuse.evaluation import covered_pairs, rank_result, rank_results
 
 # Frozen from the pre-build rank-enumeration oracle:
 # ranks [1, 2.5, 2.5, 4] vs [1, 3, 2, 4]  ->  Pearson 3/sqrt(10)
@@ -358,3 +358,78 @@ class TestEvaluate:
         with pytest.warns(RuntimeWarning):
             result = evaluate(model, bench)
         assert result.n_evaluated == 3
+
+
+class TestRankResults:
+    """A block ranked by ``rank_results`` gives each row what ``rank_result`` gives it alone."""
+
+    @staticmethod
+    def one_by_one(vectors, covered, bench):
+        out = []
+        for row in vectors:
+            try:
+                out.append(rank_result(row, covered, bench))
+            except NumericalError as exc:
+                out.append(exc)
+        return out
+
+    def assert_rowwise(self, vectors, covered, bench):
+        block = rank_results(vectors, covered, bench)
+        assert len(block) == len(vectors)
+        for got, alone in zip(block, self.one_by_one(vectors, covered, bench)):
+            assert type(got) is type(alone)
+            if isinstance(alone, NumericalError):
+                assert str(got) == str(alone) == f"non-finite pair scores on {bench.name!r}"
+            else:
+                # bitwise: == on rho, not approx
+                assert got == alone
+        return block
+
+    @staticmethod
+    def case(n_words=14, seed=2):
+        rng = np.random.default_rng(seed)
+        vocab = tuple(f"w{i}" for i in range(n_words))
+        pairs = tuple((vocab[i], vocab[j], float(rng.integers(0, 4)))
+                      for i in range(n_words) for j in range(i + 1, n_words, 3))
+        bench = Benchmark("blk", pairs + (("w0", "oov", 1.0),))
+        covered = covered_pairs(bench, table(vocab, np.eye(n_words)))
+        return bench, covered, rng
+
+    def test_mixed_block(self):
+        bench, covered, rng = self.case()
+        n = len(covered.gold)
+        tied = np.round(rng.normal(size=(6, n)), 1)
+        rows = [tied[0], np.full(n, 0.25), tied[1], covered.gold, -covered.gold, tied[2]]
+        with_nan = tied[3].copy()
+        with_nan[4] = np.nan
+        with_inf = tied[4].copy()
+        with_inf[0] = -np.inf
+        rows[2:2] = [with_nan, with_inf]
+        block = self.assert_rowwise(np.array(rows), covered, bench)
+        assert block[1].rho is None                       # constant row: undefined
+        assert isinstance(block[2], NumericalError)       # nan
+        assert isinstance(block[3], NumericalError)       # -inf
+        assert block[5].rho == 1.0 and block[6].rho == -1.0
+        assert block[0].n_evaluated == n and block[0].n_total == n + 1
+
+    @pytest.mark.parametrize("kind", ["finite", "constant", "non_finite"])
+    def test_uniform_blocks(self, kind):
+        bench, covered, rng = self.case(seed=5)
+        n = len(covered.gold)
+        vectors = {"finite": np.round(rng.normal(size=(4, n)), 1),
+                   "constant": np.full((3, n), -2.0),
+                   "non_finite": np.full((2, n), np.nan)}[kind]
+        self.assert_rowwise(vectors, covered, bench)
+
+    @pytest.mark.parametrize("n_covered", [0, 1])
+    def test_fewer_than_two_covered_pairs_are_undefined(self, n_covered):
+        vocab = ("a", "b", "c")
+        pairs = (("a", "b", 1.0), ("b", "c", 2.0), ("a", "x", 3.0))
+        bench = Benchmark("few", pairs[2 - n_covered:])
+        covered = covered_pairs(bench, table(vocab, np.eye(3)))
+        assert len(covered.gold) == n_covered
+        # not even a non-finite score fails without a correlation to compute
+        vectors = np.array([[0.5] * n_covered, [np.nan] * n_covered])
+        block = self.assert_rowwise(vectors, covered, bench)
+        assert [r.rho for r in block] == [None, None]
+        assert block[0].n_evaluated == n_covered and block[0].n_total == len(bench.pairs)

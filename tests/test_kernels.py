@@ -69,3 +69,42 @@ def test_average_ranks_against_enumeration():
 def test_average_ranks_all_tied():
     ranks = _kernels.average_ranks(np.full(5, 3.25))
     np.testing.assert_array_equal(ranks, np.full(5, 3.0))
+
+
+def _enumerated_ranks(values):
+    """Oracle: the mean of the 1-based ranks a value's ties span, found by counting."""
+    ranks = np.empty(len(values))
+    for i, v in enumerate(values):
+        less = int(np.sum(values < v))
+        equal = int(np.sum(values == v))
+        ranks[i] = sum(range(less + 1, less + equal + 1)) / equal
+    return ranks
+
+
+_rng = np.random.default_rng(17)
+RANK_BLOCKS = {
+    "heavy_ties": _rng.integers(0, 3, size=(6, 40)).astype(np.float64),
+    "coarse_grid": np.round(_rng.normal(size=(5, 31)), 1),
+    "signed_zeros": np.array([[-0.0, 0.0, 1.0, -0.0, -1.0, 0.0],
+                              [0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+                              [2.0, -0.0, -2.0, 0.0, 2.0, -2.0]]),
+    "all_tied_rows": np.array([[3.25] * 5, [-1.0] * 5, [0.0, -0.0, 0.0, 0.0, -0.0]]),
+    "single_column": _rng.normal(size=(4, 1)),
+    "single_row": np.round(_rng.normal(size=(1, 9)), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_BLOCKS))
+def test_vector_ranks_match_enumeration(name):
+    for row in RANK_BLOCKS[name]:
+        assert _kernels.average_ranks(row).tobytes() == _enumerated_ranks(row).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(RANK_BLOCKS))
+def test_block_ranks_each_row_as_a_vector(name):
+    block = RANK_BLOCKS[name]
+    ranks = _kernels.average_ranks(block)
+    assert ranks.shape == block.shape
+    for row, row_ranks in zip(block, ranks):
+        assert row_ranks.tobytes() == _kernels.average_ranks(row).tobytes()
+        assert row_ranks.tobytes() == _enumerated_ranks(row).tobytes()

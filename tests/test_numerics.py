@@ -279,6 +279,50 @@ class TestCca:
             assert corr == pytest.approx(model.correlations[j], abs=1e-6)
 
 
+def _loop_fix_signs(components):
+    """Reference: per column, flip when the first largest-magnitude entry is negative."""
+    flips = np.ones(components.shape[1])
+    for j in range(components.shape[1]):
+        i = int(np.argmax(np.abs(components[:, j])))
+        if components[i, j] < 0:
+            flips[j] = -1.0
+    return components * flips, flips
+
+
+class TestFixSigns:
+    CASES = {
+        # tied largest magnitudes of opposite sign: the first one decides
+        "tie_negative_first": [[-2.0, 1.0], [2.0, -1.0], [0.5, 1.0]],
+        "tie_positive_first": [[2.0, 3.0], [1.0, 0.0], [-2.0, -3.0]],
+        "zero_column": [[0.0, -1.0], [0.0, 0.5], [0.0, 0.25]],
+        "negative_zero_column": [[-0.0, 1.0], [-0.0, -2.0]],
+        "k_1": [[0.3], [-0.9], [0.9], [-0.1]],
+        "one_row": [[-1.0, 2.0, -0.0]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flips_match_the_per_column_loop(self, case):
+        from mmfuse.numerics import _fix_signs
+
+        components = np.array(self.CASES[case])
+        fixed, flips = _fix_signs(components)
+        ref_fixed, ref_flips = _loop_fix_signs(components)
+        assert np.array_equal(flips, ref_flips)
+        assert fixed.tobytes() == ref_fixed.tobytes()
+
+    def test_random_tied_blocks_match_the_loop(self):
+        from mmfuse.numerics import _fix_signs
+
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            components = rng.integers(-2, 3, size=(rng.integers(1, 6), rng.integers(1, 6)))
+            components = components.astype(np.float64)
+            fixed, flips = _fix_signs(components)
+            ref_fixed, ref_flips = _loop_fix_signs(components)
+            assert np.array_equal(flips, ref_flips)
+            assert fixed.tobytes() == ref_fixed.tobytes()
+
+
 class TestPrefixFits:
     """``pca_fits``/``cca_fits``: one decomposition, and per k the single fit exactly."""
 

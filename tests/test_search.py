@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,9 @@ from mmfuse import (
     select_best,
     sweep,
 )
+from mmfuse import search
 from mmfuse.errors import DimensionError, MissingReductionError, NumericalError
+from mmfuse.evaluation import filter_coverage
 from mmfuse.search import STATUS_FAILED, STATUS_OK, STATUS_UNDEFINED, _entry_sort_key
 
 TOY_GRID = GridSpec(dim_step=2, dim_min=2, alpha_step=0.1, ridge=1e-3)
@@ -257,7 +261,7 @@ class TestSharedFits:
 
     @staticmethod
     def counted(monkeypatch):
-        """Record every decomposition as (routine, matrix bytes), and count rankings."""
+        """Record every decomposition as (routine, matrix bytes), and the rows each call ranks."""
         import mmfuse._kernels as kernels
         import mmfuse.numerics as numerics
 
@@ -268,7 +272,7 @@ class TestSharedFits:
             return real_decompose(routine, matrix, what, **kwargs)
 
         def average_ranks(values):
-            ranks.append(len(values))
+            ranks.append(values.shape[0] if values.ndim == 2 else 1)
             return real_ranks(values)
 
         real_decompose, real_ranks = numerics._decompose, kernels.average_ranks
@@ -291,7 +295,18 @@ class TestSharedFits:
         # each ranked configuration ranks its scores once, each benchmark its gold once
         ranked = [e for r in reports for e in r.entries
                   if e.result is not None and e.result.n_evaluated >= 2]
-        assert len(ranks) == len(ranked) + 2
+        assert sum(ranks) == len(ranked) + 2
+        # score vectors are ranked a block at a time per (layer-a group, benchmark)
+        bound = len(benches)
+        for bench, report in zip(benches, reports):
+            n_eval = len(filter_coverage(bench, textual.vocab))
+            per_block = max(1, search.RANK_BLOCK_VALUES // max(1, n_eval))
+            # a non-finite score vector is queued too, and fails when its block is ranked
+            queued = Counter(e.config.pca_dim for e in report.entries
+                             if e.result is not None and e.result.n_evaluated >= 2
+                             or str(e.error).startswith("non-finite pair scores"))
+            bound += sum(-(-rows // per_block) for rows in queued.values())
+        assert len(ranks) <= bound
         if overflow:
             assert single.counts()[STATUS_FAILED] > 0
         else:
@@ -313,6 +328,61 @@ class TestSharedFits:
         assert raw_v.status == STATUS_FAILED
         assert raw_v.error == "non-finite pair scores on 'big'"
         assert by_config[Configuration(output_side="textual", ridge=1e-3)].status == STATUS_OK
+
+
+class TestRankBlocks:
+    """A group's score vectors are ranked in blocks of bounded size."""
+
+    GRID = GridSpec(dim_step=2, dim_min=1, alpha_step=0.5, ridge=1e-3)
+
+    @staticmethod
+    def many_pairs(overflow):
+        """150 words and every pair of them: 11175 pairs, so a block holds two vectors.
+
+        With ``overflow`` one visual value is 1e200: the raw visual scores
+        are non-finite and every layer-a fit fails, so the raw group's
+        blocks mix a ranked row with rows that fail when ranked, and the
+        other groups store their failures without ranking anything.
+        """
+        rng = np.random.default_rng(8)
+        vocab = tuple(f"w{i:03d}" for i in range(150))
+        visual = rng.normal(size=(150, 3))
+        if overflow:
+            visual[7, 1] = 1e200
+        textual = EmbeddingTable(vocab, rng.normal(size=(150, 4)), name="textual")
+        visual = EmbeddingTable(vocab, visual, name="visual")
+        bench = Benchmark("all", tuple((vocab[i], vocab[j], float(i * j % 11))
+                                       for i in range(150) for j in range(i + 1, 150)))
+        return textual, visual, bench
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_blocks_stay_within_the_budget(self, monkeypatch, overflow):
+        import mmfuse._kernels as kernels
+
+        textual, visual, bench = self.many_pairs(overflow)
+        assert 2 * len(bench) <= search.RANK_BLOCK_VALUES < 3 * len(bench)
+        shapes = []
+
+        def average_ranks(values):
+            shapes.append(values.shape)
+            return real_ranks(values)
+
+        real_ranks = kernels.average_ranks
+        monkeypatch.setattr(kernels, "average_ranks", average_ranks)
+        report = grid_search(textual, visual, bench, self.GRID)
+        assert max(np.prod(shape) for shape in shapes) <= search.RANK_BLOCK_VALUES
+        # one block per two queued vectors of a layer-a group, the last one maybe short
+        per_block = search.RANK_BLOCK_VALUES // len(bench)
+        queued = Counter(e.config.pca_dim for e in report.entries
+                         if e.result is not None or str(e.error).startswith("non-finite pair"))
+        blocks = [shape for shape in shapes if len(shape) == 2]
+        assert len(blocks) == sum(-(-rows // per_block) for rows in queued.values())
+        assert max(queued.values()) > per_block
+        monkeypatch.undo()
+        assert_matches_oracle(report, exhaustive_oracle(textual, visual, bench, self.GRID))
+        if overflow:
+            assert report.counts()[STATUS_FAILED] > 0
 
 
 class TestMultiBenchmarkSweep:
