@@ -1,12 +1,16 @@
-"""Hot scoring kernels: batch pair cosines and tie-averaged ranks.
+"""Hot scoring kernels: pair sums, cosines from sums, and tie-averaged ranks.
 
-In a sweep the cosine kernel runs once per table and per concatenation,
-and the rank kernel once per block of score vectors plus once per
-benchmark's gold scores, which makes them the non-BLAS hot path. They are
-plain numpy; every pair score in the package, the scalar ``cosine``
-included, goes through ``pair_cosine_scores``. A pair with a vector norm
-that overflows scores nan, so that callers reject it instead of scoring
-it 0.
+A pair's cosine ``u.v / (|u| |v|)`` is finished from its sums: the dot
+product and both squared norms. ``row_sq_norms`` computes every row's
+squared norm of a table once, ``pair_sums`` the dot product of each index
+pair plus both norms gathered by index, and ``sum_cosines`` the scores. A
+concatenation's sums are the sums of its blocks' sums, so in a sweep the
+dot-product kernel runs once per table and benchmark, never per
+concatenation. The rank kernel runs once per block of score vectors plus
+once per benchmark's gold scores. These are the non-BLAS hot path, in
+plain numpy; every pair score in the package is finished by
+``sum_cosines``. A pair with a vector norm that overflows scores nan, so
+that callers reject it instead of scoring it 0.
 """
 
 import numpy as np
@@ -14,19 +18,37 @@ import numpy as np
 ZERO_NORM_EPS = 1e-12  # below this a vector counts as degenerate and scores 0
 
 
-def pair_cosine_scores(matrix, idx1, idx2):
-    """Cosine per index pair; returns (scores, n_degenerate)."""
-    rows1 = matrix[idx1]
-    rows2 = matrix[idx2]
-    dots = np.einsum("ij,ij->i", rows1, rows2)
-    n1 = np.sqrt(np.einsum("ij,ij->i", rows1, rows1))
-    n2 = np.sqrt(np.einsum("ij,ij->i", rows2, rows2))
+def row_sq_norms(matrix):
+    """Squared norm of every row of ``matrix``."""
+    return np.einsum("ij,ij->i", matrix, matrix)
+
+
+def pair_sums(matrix, idx1, idx2, sq_norms):
+    """Per index pair: its dot product, and both rows' squared norms from ``sq_norms``."""
+    dots = np.einsum("ij,ij->i", matrix[idx1], matrix[idx2])
+    return dots, sq_norms[idx1], sq_norms[idx2]
+
+
+def sum_cosines(dots, sq1, sq2):
+    """Cosine per pair from its sums; returns (scores, n_degenerate).
+
+    A pair with a norm below ``ZERO_NORM_EPS`` is degenerate and scores
+    0; one with a norm that overflows scores nan.
+    """
+    n1 = np.sqrt(sq1)
+    n2 = np.sqrt(sq2)
     degenerate = (n1 < ZERO_NORM_EPS) | (n2 < ZERO_NORM_EPS)
-    denom = np.where(degenerate, 1.0, n1 * n2)
-    scores = np.where(degenerate, 0.0, dots / denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = np.where(degenerate, 1.0, n1 * n2)
+        scores = np.where(degenerate, 0.0, dots / denom)
     # a norm that overflows has no cosine: score it nan for callers to reject
     scores[~(np.isfinite(n1) & np.isfinite(n2))] = np.nan
     return scores, int(degenerate.sum())
+
+
+def pair_cosine_scores(matrix, idx1, idx2):
+    """Cosine per index pair of one matrix; returns (scores, n_degenerate)."""
+    return sum_cosines(*pair_sums(matrix, idx1, idx2, row_sq_norms(matrix)))
 
 
 def average_ranks(values):

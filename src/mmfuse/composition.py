@@ -19,13 +19,18 @@ baselines are first-class.
 so every PCA/CCA fit and projection in the package happens here. The
 fitting functions take a list of dims and fit them all from one
 decomposition; ``apply_configuration`` passes one dim, the sweep every
-dim it needs.
+dim it needs. A concatenation keeps its two blocks (``Concatenation``),
+so it is scored from their sums, by ``evaluate`` and the sweep alike;
+``unit_rows`` is the one ``normalize_concat`` rule that both the scores
+and the stacked vectors ``apply`` writes follow.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ._kernels import ZERO_NORM_EPS
 from .embeddings import EmbeddingTable, read_utf8
 from .errors import AlignmentError, ConfigurationError, NumericalError, ParseError
 from .numerics import (
@@ -69,12 +74,72 @@ class Configuration:
     ridge: float = DEFAULT_RIDGE
 
 
+def unit_rows(sq_norms):
+    """The per-row rule of ``normalize_concat``, from a block's squared row norms.
+
+    Returns ``(divisors, squared norms)`` per row after normalization. A
+    row whose norm exceeds ``ZERO_NORM_EPS`` is divided by its norm and
+    counts as a squared norm of exactly 1; a row at or below it is left as
+    it is. A row norm that overflows cannot be normalized: ``NumericalError``.
+    """
+    norms = np.sqrt(sq_norms)
+    if not np.all(np.isfinite(norms)):
+        raise NumericalError("a row norm overflows in normalized concatenation")
+    unit = norms > ZERO_NORM_EPS
+    return np.where(unit, norms, 1.0), np.where(unit, 1.0, sq_norms)
+
+
+class Concatenation:
+    """Layer-c concatenation of two aligned tables, kept as its two blocks.
+
+    It reads like the table of its stacked rows, but it is scored from the
+    sums of its blocks (``evaluation.concat_scores``). ``matrix`` stacks
+    the blocks, each row-normalized by ``unit_rows`` under ``normalize``,
+    only when it is first read; ``apply`` writes it.
+    """
+
+    def __init__(self, blocks, normalize=False, name=""):
+        self.blocks = tuple(blocks)
+        self.normalize = normalize
+        self.name = name
+        # each block's unit_rows, checked here: an overflowing row fails the model
+        self.units = tuple(unit_rows(b.sq_norms) for b in self.blocks) if normalize else None
+
+    @property
+    def vocab(self):
+        return self.blocks[0].vocab
+
+    @property
+    def index(self):
+        return self.blocks[0].index
+
+    @property
+    def dim(self):
+        return sum(b.dim for b in self.blocks)
+
+    def __len__(self):
+        return len(self.vocab)
+
+    def __contains__(self, word):
+        return word in self.index
+
+    @cached_property
+    def matrix(self):
+        blocks = [b.matrix for b in self.blocks]
+        if self.normalize:
+            blocks = [m / div[:, None] for m, (div, _) in zip(blocks, self.units)]
+        matrix = np.hstack(blocks)
+        matrix.flags.writeable = False
+        return matrix
+
+
 @dataclass(frozen=True)
 class ScoringModel:
     """Executable result of a configuration: one table, or two plus alpha.
 
     For a pair, ``alpha`` weights the first table's pair score and both
-    tables share one ordered vocabulary.
+    tables share one ordered vocabulary. A concatenation is one
+    :class:`Concatenation`, which keeps its two blocks.
     """
 
     first: EmbeddingTable
@@ -93,6 +158,10 @@ class ScoringModel:
     @property
     def is_pair(self):
         return self.second is not None
+
+    @property
+    def is_concat(self):
+        return isinstance(self.first, Concatenation)
 
     @property
     def vocab(self):
@@ -259,25 +328,11 @@ def residual(reduced, side, projected, reducers):
     return rcca_residual(matrix, projected, pca=reducer)
 
 
-def concatenate(first, second, normalize=False):
-    """Layer-c concatenation; ``normalize`` row-normalizes each block first.
-
-    A row whose norm overflows cannot be normalized: ``NumericalError``.
-    """
-    blocks = [first, second]
-    if normalize:
-        norms = [np.sqrt(np.einsum("ij,ij->i", b, b)) for b in blocks]
-        if not all(np.all(np.isfinite(n)) for n in norms):
-            raise NumericalError("a row norm overflows in normalized concatenation")
-        blocks = [b / np.where(n > 1e-12, n, 1.0)[:, None] for b, n in zip(blocks, norms)]
-    return np.hstack(blocks)
-
-
 def apply_configuration(config, textual, visual, normalize_concat=False):
     """Execute a configuration on an aligned table pair.
 
     Returns a :class:`ScoringModel`; deterministic for identical inputs.
-    ``normalize_concat`` row-normalizes each block before concatenation
+    ``normalize_concat`` row-normalizes each block of a concatenation
     (cosine scoring is scale-sensitive per block); it defaults to off and
     has no effect on the other combination modes.
     """
@@ -309,11 +364,10 @@ def apply_configuration(config, textual, visual, normalize_concat=False):
         matrices.append(matrix)
         labels.append(f"{origin}({base})" if origin else base)
 
-    vocab = textual.vocab
+    tables = [EmbeddingTable(textual.vocab, m, name=n) for m, n in zip(matrices, labels)]
     if config.layer_c == "concat":
-        fused = concatenate(*matrices, normalize=normalize_concat)
-        return ScoringModel(EmbeddingTable(vocab, fused, name=f"concat[{labels[0]};{labels[1]}]"))
-    tables = [EmbeddingTable(vocab, m, name=n) for m, n in zip(matrices, labels)]
+        name = f"concat[{labels[0]};{labels[1]}]"
+        return ScoringModel(Concatenation(tables, normalize=normalize_concat, name=name))
     return ScoringModel(*tables, alpha=config.alpha)
 
 

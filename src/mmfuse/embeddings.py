@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     AlignmentError,
     DuplicateEntryError,
@@ -68,6 +69,11 @@ class EmbeddingTable:
     def index(self):
         """word -> row number."""
         return {w: i for i, w in enumerate(self.vocab)}
+
+    @cached_property
+    def sq_norms(self):
+        """Squared norm of every row, the per-row term of every cosine on this table."""
+        return _kernels.row_sq_norms(self.matrix)
 
     def row(self, word):
         try:

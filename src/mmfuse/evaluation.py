@@ -3,16 +3,20 @@
 Benchmark files are one pair per line, ``word1 <sep> word2 <sep> score``
 with the separator (tab or comma) auto-detected per file. A model's pair
 score is the cosine of the two word vectors; a pair model interpolates
-the two cosines with weight ``alpha`` on the first. ``evaluate``,
-``pair_score`` and ``cosine`` all score through the one batch kernel in
-``_kernels``. Model quality is the Spearman rank correlation between
-model scores and the human gold scores, with ties receiving average
-ranks; a non-finite model score is a ``NumericalError``. A vector norm
-that overflows scores nan, so it fails rather than scoring 0.
+the two cosines with weight ``alpha`` on the first, and a concatenation
+scores the cosine of its stacked blocks. Every score is finished from
+pair sums (``PairSums``: the dot product and both squared norms), through
+the kernels in ``_kernels``. A concatenation's sums are the sums of its
+two blocks' sums, so the stacked vectors are never built to score it.
+Model quality is the Spearman rank correlation between model scores and
+the human gold scores, with ties receiving average ranks; a non-finite
+model score is a ``NumericalError``. A vector norm that overflows scores
+nan, so it fails rather than scoring 0.
 
-``evaluate`` is ``covered_pairs``, then ``table_scores`` per table,
-``interpolate`` for a pair model, then ``rank_result``. A sweep calls the
-same pieces, sharing each table's score vector between configurations.
+``evaluate`` is ``covered_pairs``, then ``model_scores`` (``table_sums``
+per table, then ``sum_scores``, ``interpolate`` or ``concat_scores``),
+then ``rank_result``. A sweep calls the same pieces, computing each
+table's sums once and sharing them between configurations.
 ``covered_pairs`` ranks the gold scores once per benchmark. Score vectors
 are ranked in blocks of rows by ``rank_results``; ``rank_result`` and
 ``spearman`` rank a one-row block through it.
@@ -148,7 +152,8 @@ def cosine(u, v):
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise DimensionError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    return _finite_score(_cosines(np.stack([u, v]), np.array([0]), np.array([1])), "cosine")
+    scores = _warned(*_kernels.pair_cosine_scores(np.stack([u, v]), [0], [1]))
+    return _finite_score(scores, "cosine")
 
 
 def pair_score(model, w1, w2):
@@ -157,11 +162,8 @@ def pair_score(model, w1, w2):
         if w not in model.first:
             raise WordLookupError(f"word {w!r} not in model vocabulary")
     index = model.first.index
-    idx1, idx2 = np.array([index[w1]]), np.array([index[w2]])
-    score = _cosines(model.first.matrix, idx1, idx2)
-    if model.is_pair:
-        score = interpolate(model.alpha, score, _cosines(model.second.matrix, idx1, idx2))
-    return _finite_score(score, f"pair score of {w1!r}/{w2!r}")
+    pair = CoveredPairs(np.array([index[w1]]), np.array([index[w2]]))
+    return _finite_score(model_scores(model, pair), f"pair score of {w1!r}/{w2!r}")
 
 
 def _finite_score(scores, what):
@@ -220,14 +222,22 @@ class CoveredPairs(NamedTuple):
     ``gold_dev`` holds the gold scores' tie-averaged ranks minus their
     mean and ``gold_ss`` its sum of squares, ranked once per benchmark;
     both are None with fewer than two pairs, which have no rank
-    correlation.
+    correlation. Pairs scored without a benchmark carry no gold scores.
     """
 
     idx1: np.ndarray
     idx2: np.ndarray
-    gold: np.ndarray
-    gold_dev: np.ndarray
-    gold_ss: float
+    gold: np.ndarray = None
+    gold_dev: np.ndarray = None
+    gold_ss: float = None
+
+
+class PairSums(NamedTuple):
+    """Per pair: its dot product and both squared norms, the terms of its cosine."""
+
+    dots: np.ndarray
+    sq1: np.ndarray
+    sq2: np.ndarray
 
 
 def covered_pairs(bench, table):
@@ -243,18 +253,40 @@ def covered_pairs(bench, table):
     )
 
 
-def _cosines(matrix, idx1, idx2):
-    """Pair cosines; an overflowing norm scores nan, which every caller rejects."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores, degenerate = _kernels.pair_cosine_scores(matrix, idx1, idx2)
+def _warned(scores, degenerate):
+    """``scores``, after warning that ``degenerate`` of them were set to 0."""
     if degenerate:
         warnings.warn(f"{degenerate} degenerate zero-norm pair scores set to 0", RuntimeWarning)
     return scores
 
 
-def table_scores(matrix, covered):
-    """Cosines of the covered pairs in one table; ``rank_result`` rejects overflow."""
-    return _cosines(matrix, covered.idx1, covered.idx2)
+def table_sums(matrix, sq_norms, covered):
+    """Sums of the covered pairs in one table whose rows have squared norms ``sq_norms``."""
+    return PairSums(*_kernels.pair_sums(matrix, covered.idx1, covered.idx2, sq_norms))
+
+
+def sum_scores(sums):
+    """Pair cosines from sums; an overflowing norm scores nan, which every caller rejects."""
+    return _warned(*_kernels.sum_cosines(*sums))
+
+
+def concat_scores(sums, units, covered):
+    """A concatenation's pair scores from the ``sums`` of its two blocks.
+
+    They equal the cosines of the stacked vectors up to rounding. Under
+    ``normalize_concat``, ``units`` holds each block's ``(divisors,
+    squared norms)`` per row, as ``composition.unit_rows`` gives them:
+    the block's dot products are divided by both rows' divisors and its
+    squared norms are gathered from there. A pair of non-degenerate rows
+    then scores the mean of the two block cosines.
+    """
+    idx1, idx2 = covered.idx1, covered.idx2
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums score nan
+        if units is not None:
+            sums = [PairSums(s.dots / (div[idx1] * div[idx2]), sq[idx1], sq[idx2])
+                    for s, (div, sq) in zip(sums, units)]
+        first, second = sums
+        return sum_scores(PairSums(*(a + b for a, b in zip(first, second))))
 
 
 def interpolate(alpha, first, second):
@@ -293,6 +325,20 @@ def rank_result(scores, covered, bench):
     return result
 
 
+def model_scores(model, covered):
+    """Scores of the covered pairs under ``model``, from the pieces a sweep runs."""
+    if model.is_concat:
+        concat = model.first
+        sums = [table_sums(b.matrix, b.sq_norms, covered) for b in concat.blocks]
+        return concat_scores(sums, concat.units, covered)
+    first, second = model.first, model.second
+    scores = sum_scores(table_sums(first.matrix, first.sq_norms, covered))
+    if model.is_pair:
+        second_scores = sum_scores(table_sums(second.matrix, second.sq_norms, covered))
+        scores = interpolate(model.alpha, scores, second_scores)
+    return scores
+
+
 def evaluate(model, bench):
     """Coverage-filter, score, and rank-correlate a model on a benchmark.
 
@@ -301,7 +347,4 @@ def evaluate(model, bench):
     norms that overflow) raise ``NumericalError``.
     """
     covered = covered_pairs(bench, model.first)
-    scores = table_scores(model.first.matrix, covered)
-    if model.is_pair:
-        scores = interpolate(model.alpha, scores, table_scores(model.second.matrix, covered))
-    return rank_result(scores, covered, bench)
+    return rank_result(model_scores(model, covered), covered, bench)

@@ -15,9 +15,12 @@ each decomposition runs once whatever the number of benchmarks or dims:
   tables these fits are also the raw group's R-CCA fallback reducers;
 * per layer-a dim group: the reduced tables, one ``cca_fits`` over the
   group's fusion dims, one fallback-reducer ``pca_fits`` per side, and
-  one matrix per (fusion dim, origin, side);
-* per benchmark: one score vector per table, LI and concatenation built
-  on them, and the rank correlation against gold scores ranked once. The
+  one matrix per (fusion dim, origin, side) and its rows' squared norms;
+* per benchmark: the cosine kernel once per table, for its pair sums (dot
+  products and gathered squared norms) and the score vector finished
+  from them; LI built on score vectors and a concatenation on the sums of
+  its blocks' sums, by the same ``concat_scores`` that ``evaluate`` uses;
+  and the rank correlation against gold scores ranked once. The
   group's score vectors are ranked in blocks of at most
   ``RANK_BLOCK_VALUES`` values, through the same ``rank_results`` that
   ``evaluate`` ranks its one vector with.
@@ -37,7 +40,6 @@ import numpy as np
 
 from .composition import (
     apply_configuration,
-    concatenate,
     describe_configuration,
     enumerate_configurations,
     fallback_reducers,
@@ -49,6 +51,7 @@ from .composition import (
     output_dimension,
     project,
     residual,
+    unit_rows,
 )
 from .errors import (
     AlignmentError,
@@ -58,7 +61,16 @@ from .errors import (
     NoResultError,
     NumericalError,
 )
-from .evaluation import covered_pairs, evaluate, interpolate, rank_results, table_scores
+from ._kernels import row_sq_norms
+from .evaluation import (
+    concat_scores,
+    covered_pairs,
+    evaluate,
+    interpolate,
+    rank_results,
+    sum_scores,
+    table_sums,
+)
 from .numerics import DEFAULT_RIDGE, SIDE_TEXTUAL, SIDE_VISUAL, fitted
 
 STATUS_OK = "ok"
@@ -205,15 +217,27 @@ def _sweep_group(items, raw, a_fits, scored, normalize_concat):
         return once((f_dim, origin, side),
                     lambda: residual(reduced(), side, projected, reducers(side)))
 
+    def sq_norms(table):
+        return once(("sq_norms", *table), lambda: row_sq_norms(matrix(*table)))
+
+    def sums(table):
+        """The table's pair sums per benchmark."""
+        return once(("sums", *table), lambda: [table_sums(matrix(*table), sq_norms(table), covered)
+                                               for _, covered in scored])
+
+    def units(table):
+        return once(("units", *table), lambda: unit_rows(sq_norms(table)))
+
     def scores(table):
-        return once(("scores", *table),
-                    lambda: [table_scores(matrix(*table), covered) for _, covered in scored])
+        return once(("scores", *table), lambda: [sum_scores(s) for s in sums(table)])
 
     def vectors(config, tables):
         """One score vector per benchmark."""
         if config.layer_c == "concat":
-            fused = concatenate(*(matrix(*t) for t in tables), normalize=normalize_concat)
-            return [table_scores(fused, covered) for _, covered in scored]
+            block_sums = [sums(t) for t in tables]
+            block_units = [units(t) for t in tables] if normalize_concat else None
+            return [concat_scores(pair, block_units, covered)
+                    for pair, (_, covered) in zip(zip(*block_sums), scored)]
         if config.layer_c == "li":
             return [interpolate(config.alpha, first, second)
                     for first, second in zip(*(scores(t) for t in tables))]

@@ -345,6 +345,57 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("layers", ["layer_b=none:side=T\nlayer_c=none",
+                                        "layer_b=none\nlayer_c=concat"])
+    def test_eval_on_constant_tables_exits_3(self, tmp_path, capsys, layers):
+        vocab = ("a", "b", "c", "d")
+        save_embeddings(EmbeddingTable(vocab, np.tile([1.0, 2.0], (4, 1))), tmp_path / "t.vecs")
+        save_embeddings(EmbeddingTable(vocab, np.tile([3.0, -1.0, 0.5], (4, 1))),
+                        tmp_path / "v.vecs")
+        save_benchmark(Benchmark("flat", (("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 3.0))),
+                       tmp_path / "flat.tsv")
+        (tmp_path / "cfg").write_text(f"layer_a=none\n{layers}\n")
+        code = main([
+            "eval", "--text-vecs", str(tmp_path / "t.vecs"),
+            "--image-vecs", str(tmp_path / "v.vecs"),
+            "--bench", str(tmp_path / "flat.tsv"),
+            "--out", str(tmp_path / "out"), "--config", str(tmp_path / "cfg"),
+        ])
+        assert code == EXIT_NUMERIC
+        # every pair scores the same cosine: no rank correlation
+        assert "n/a" in (tmp_path / "out" / "eval_report.txt").read_text()
+        assert "undefined correlation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("w02 0.5 0.5", "4: expected 4 values, found 2"),
+        ("w02 0.5 0.5 0.5 0.5 0.5", "4: expected 4 values, found 5"),
+    ])
+    def test_ragged_row_exits_2_with_its_line(self, workspace, capsys, line, message):
+        path = workspace / "image.vecs"
+        lines = path.read_text().splitlines()
+        lines[3] = line
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["search", *common(workspace), "--out", str(workspace / "out"),
+                     *TestSearch.ARGS])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}:{message}" in err
+        assert "Traceback" not in err
+
+    def test_header_dim_disagreeing_with_the_rows_exits_2(self, workspace, capsys):
+        path = workspace / "image.vecs"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "20 4"
+        lines[0] = "20 5"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["search", *common(workspace), "--out", str(workspace / "out"),
+                     *TestSearch.ARGS])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}:2: row has 4 values but header declares dim 5" in err
+        assert "Traceback" not in err
+
+
 class TestReportRho:
     def test_every_ok_rho_parses_as_a_plain_float(self, workspace):
         two = common(workspace, "--bench", str(workspace / "toy2.tsv"))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from conftest import plain_cosine
 
 from mmfuse import _kernels
+from mmfuse.composition import unit_rows
+from mmfuse.errors import NumericalError
+from mmfuse.evaluation import CoveredPairs, concat_scores, sum_scores, table_sums
 
 
 def _random_case(seed, n_words=40, dim=7, n_pairs=200):
@@ -108,3 +112,121 @@ def test_block_ranks_each_row_as_a_vector(name):
     for row, row_ranks in zip(block, ranks):
         assert row_ranks.tobytes() == _kernels.average_ranks(row).tobytes()
         assert row_ranks.tobytes() == _enumerated_ranks(row).tobytes()
+
+
+def _per_pair_cosines(matrix, idx1, idx2):
+    """The per-pair formula the kernel replaced: norms of the gathered rows, one pair at a time."""
+    rows1, rows2 = matrix[idx1], matrix[idx2]
+    dots = np.einsum("ij,ij->i", rows1, rows2)
+    n1 = np.sqrt(np.einsum("ij,ij->i", rows1, rows1))
+    n2 = np.sqrt(np.einsum("ij,ij->i", rows2, rows2))
+    degenerate = (n1 < _kernels.ZERO_NORM_EPS) | (n2 < _kernels.ZERO_NORM_EPS)
+    return np.where(degenerate, 0.0, dots / np.where(degenerate, 1.0, n1 * n2))
+
+
+def _sums(matrix, covered):
+    return table_sums(matrix, _kernels.row_sq_norms(matrix), covered)
+
+
+def _cases():
+    rng = np.random.default_rng(23)
+    for n_rows in (6, 200):
+        for width in (1, 2, 3, 7, 16, 33, 101):
+            matrix = rng.normal(size=(n_rows, width)) * rng.uniform(0.01, 100.0)
+            covered = CoveredPairs(rng.integers(0, n_rows, 300), rng.integers(0, n_rows, 300))
+            yield matrix, covered
+
+
+def _plain_cosines(matrix, covered):
+    return np.array([plain_cosine(matrix[i], matrix[j]) for i, j in zip(covered.idx1, covered.idx2)])
+
+
+def test_table_scores_from_sums_equal_the_per_pair_formula():
+    rng = np.random.default_rng(29)
+    for matrix, covered in _cases():
+        width = matrix.shape[1]
+        wider = np.hstack([rng.normal(size=(len(matrix), 5)), matrix, rng.normal(size=(len(matrix), 4))])
+        views = {"contiguous": matrix, "column view": wider[:, 5:5 + width],
+                 "single column": np.ascontiguousarray(matrix[:, :1]),
+                 "single column view": wider[:, 5:6]}
+        for name, view in views.items():
+            expected = _per_pair_cosines(np.ascontiguousarray(view), covered.idx1, covered.idx2)
+            scores = sum_scores(_sums(view, covered))
+            assert scores.tobytes() == expected.tobytes(), (name, matrix.shape)
+            np.testing.assert_allclose(scores, _plain_cosines(view, covered), rtol=0, atol=1e-14)
+
+
+def test_concat_from_sums_matches_the_stacked_cosine():
+    rng = np.random.default_rng(31)
+    for matrix, covered in _cases():
+        other = rng.normal(size=(len(matrix), 5))
+        scores = concat_scores([_sums(matrix, covered), _sums(other, covered)], None, covered)
+        stacked = np.hstack([matrix, other])
+        np.testing.assert_allclose(scores, _plain_cosines(stacked, covered), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            scores, _per_pair_cosines(stacked, covered.idx1, covered.idx2), rtol=0, atol=1e-15)
+
+
+ZERO_ROWS = (np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]),
+             np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+
+
+def test_concat_with_one_zero_norm_block_scores_the_stacked_cosine():
+    # the first block of row 0 and the second of row 1 are zero
+    covered = CoveredPairs(np.array([0, 1, 0]), np.array([3, 3, 1]))
+    scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], None, covered)
+    np.testing.assert_allclose(scores, _plain_cosines(np.hstack(ZERO_ROWS), covered),
+                               rtol=0, atol=1e-15)
+
+
+def test_concat_with_both_blocks_zero_scores_zero_with_warning():
+    covered = CoveredPairs(np.array([2, 2, 0]), np.array([3, 0, 1]))
+    with pytest.warns(RuntimeWarning, match="2 degenerate zero-norm pair scores"):
+        scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], None, covered)
+    stacked = np.hstack(ZERO_ROWS)
+    assert scores[:2].tolist() == [0.0, 0.0]
+    assert scores[2] == pytest.approx(plain_cosine(stacked[0], stacked[1]), abs=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_concat_with_an_overflowing_block_scores_nan():
+    first = np.array([[1e200, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    second = np.array([[1.0, 1.0], [-1e200, 1e200], [2.0, 0.0]])
+    covered = CoveredPairs(np.array([0, 1, 2, 2]), np.array([2, 2, 0, 1]))
+    scores = concat_scores([_sums(first, covered), _sums(second, covered)], None, covered)
+    assert np.isnan(scores[[0, 1, 2]]).all()
+    # row 0's second block is finite, but its first block's squared norm overflows
+    assert np.isnan(scores[3])
+
+
+def test_normalized_concat_is_the_mean_of_the_block_cosines():
+    rng = np.random.default_rng(37)
+    for matrix, covered in _cases():
+        other = rng.normal(size=(len(matrix), 4)) * 1e-3
+        blocks = (matrix, other)
+        sums = [_sums(m, covered) for m in blocks]
+        units = [unit_rows(_kernels.row_sq_norms(m)) for m in blocks]
+        scores = concat_scores(sums, units, covered)
+        block_cosines = [_plain_cosines(m, covered) for m in blocks]
+        np.testing.assert_allclose(scores, np.mean(block_cosines, axis=0), rtol=0, atol=1e-15)
+        # each block's normalized dot product is bitwise its cosine from sums
+        np.testing.assert_array_equal(
+            scores, (sum_scores(sums[0]) + sum_scores(sums[1])) / (np.sqrt(2.0) * np.sqrt(2.0)))
+
+
+def test_normalized_concat_leaves_a_zero_norm_row_as_it_is():
+    covered = CoveredPairs(np.array([0, 1, 2]), np.array([3, 3, 3]))
+    units = [unit_rows(_kernels.row_sq_norms(m)) for m in ZERO_ROWS]
+    with pytest.warns(RuntimeWarning, match="1 degenerate zero-norm pair scores"):
+        scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], units, covered)
+    # each block divided by its rows' norms, a zero row left as it is
+    normalized = np.hstack([m / np.maximum(np.linalg.norm(m, axis=1), 1.0e-300)[:, None]
+                            for m in ZERO_ROWS])
+    expected = _plain_cosines(normalized, CoveredPairs(covered.idx1[:2], covered.idx2[:2]))
+    np.testing.assert_allclose(scores[:2], expected, rtol=0, atol=1e-15)
+    assert scores[2] == 0.0  # both blocks of row 2 are zero: its norm stays 0
+
+
+def test_normalization_of_an_overflowing_row_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="row norm overflows in normalized concatenation"):
+        unit_rows(_kernels.row_sq_norms(np.array([[1.0, 0.0], [1e200, 0.0]])))
