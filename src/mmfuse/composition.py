@@ -19,10 +19,14 @@ baselines are first-class.
 so every PCA/CCA fit and projection in the package happens here. The
 fitting functions take a list of dims and fit them all from one
 decomposition; ``apply_configuration`` passes one dim, the sweep every
-dim it needs. A concatenation keeps its two blocks (``Concatenation``),
-so it is scored from their sums, by ``evaluate`` and the sweep alike;
-``unit_rows`` is the one ``normalize_concat`` rule that both the scores
-and the stacked vectors ``apply`` writes follow.
+dim it needs. R-CCA reduces a signal wider than its projection by the
+signal's PCA at the projection's dim: for a raw table, its layer-a fit
+at that dim; for a layer-a output, its leading coordinates, which need
+no decomposition (``leading_coordinates``). A concatenation keeps its
+two blocks (``Concatenation``), so it is scored from their sums, by
+``evaluate`` and the sweep alike; ``unit_rows`` is the one
+``normalize_concat`` rule that both the scores and the stacked vectors
+``apply`` writes follow.
 """
 
 from dataclasses import dataclass
@@ -273,7 +277,8 @@ def layer_a(matrices, dims):
 
     Returns ``{side: {dim: PcaModel or the error fitting it raised}}``,
     textual first, from one decomposition per side. On a raw side the fit
-    at dim k is also that side's R-CCA fallback reducer at fusion dim k.
+    at dim k is also that side's R-CCA reducer at fusion dim k; the
+    output's reducer at k is its leading k coordinates (``leading_coordinates``).
     """
     return {side: pca_fits(m, dims) for side, m in matrices.items()}
 
@@ -310,22 +315,43 @@ def project(model, reduced, side):
     return cca_transform(model, reduced[side], side)
 
 
-def fallback_reducers(matrix, dims):
-    """R-CCA fallback reducers of one layer-a output: its PCA fits at the dims narrower than it."""
-    return pca_fits(matrix, [k for k in dims if k < matrix.shape[1]])
+def leading_coordinates(matrix, k):
+    """The PCA at ``k`` of a layer-a output: its leading ``k`` coordinates, centred.
+
+    A layer-a output is ``U S`` of its input's centred SVD: its columns are
+    uncorrelated, in non-increasing variance, so its first k coordinate
+    axes are top-k principal axes. The reduction is a slice, with the
+    layer-a fit's ``explained_variance[:k]``, and agrees with a fresh SVD
+    of the output up to rounding. Where variances tie or are zero, any
+    basis of that subspace is a valid PCA and an SVD picks one
+    arbitrarily; the coordinate axes are valid too, and deterministic.
+
+    No failure path of that SVD is lost: R-CCA reduces only at
+    ``k < a <= min(n - 1, d)``, so ``k`` is in range; the output of a
+    successful, finite layer-a fit is finite; and ``rcca_residual`` still
+    raises ``MissingReductionError`` for a wider signal given no reducer.
+    """
+    lead = matrix[:, :k]
+    return lead - lead.mean(axis=0)
 
 
-def residual(reduced, side, projected, reducers):
-    """R-CCA: a layer-a output minus its CCA projection.
+def residual(reduced, side, projected, a_fits, a_dim):
+    """R-CCA: a signal minus its CCA projection.
 
-    A signal wider than its projection is first reduced by its fallback
-    reducer at the projection's dim, taken from ``reducers`` (``{dim: fit}``
-    of that signal, as ``fallback_reducers`` returns).
+    The signal is ``reduced[side]``: a raw table when ``a_dim`` is None,
+    else the layer-a output at ``a_dim``. A signal wider than its
+    projection is first reduced by its PCA at the projection's dim k:
+
+    * a raw table by its layer-a fit at k, ``a_fits[side][k]``;
+    * a layer-a output by ``leading_coordinates``, with no decomposition.
     """
     matrix = reduced[side]
     k = projected.shape[1]
-    reducer = fitted(reducers[k]) if matrix.shape[1] != k else None
-    return rcca_residual(matrix, projected, pca=reducer)
+    if matrix.shape[1] == k:
+        return rcca_residual(matrix, projected)
+    if a_dim is None:
+        return rcca_residual(matrix, projected, pca=fitted(a_fits[side][k]))
+    return rcca_residual(leading_coordinates(matrix, k), projected)
 
 
 def apply_configuration(config, textual, visual, normalize_concat=False):
@@ -344,21 +370,26 @@ def apply_configuration(config, textual, visual, normalize_concat=False):
 
     a_dim = config.pca_dim if config.layer_a == "pca" else None
     f_dim = config.fusion_dim
+    inputs = layer_inputs(config)
     reduced = {SIDE_TEXTUAL: textual.matrix, SIDE_VISUAL: visual.matrix}
     if a_dim is not None:
-        reduced = layer_a_output(reduced, layer_a(reduced, [a_dim]), a_dim)
+        a_fits = layer_a(reduced, [a_dim])
+        reduced = layer_a_output(reduced, a_fits, a_dim)
+    else:
+        # a raw residual side wider than the fusion dim is reduced by its layer-a fit there
+        a_fits = layer_a({side: reduced[side] for origin, side in inputs
+                          if origin == "rcca" and reduced[side].shape[1] > f_dim}, [f_dim])
     if config.layer_b != "none":
         model = fitted(fit_fusion(reduced, [f_dim], config.ridge)[f_dim])
     matrices, labels = [], []
-    for origin, side in layer_inputs(config):
+    for origin, side in inputs:
         matrix = reduced[side]
         if origin:
             projected = project(model, reduced, side)
             if origin == "cca":
                 matrix = projected
             else:
-                reducers = fallback_reducers(reduced[side], [f_dim])
-                matrix = residual(reduced, side, projected, reducers)
+                matrix = residual(reduced, side, projected, a_fits, a_dim)
         base = textual.name if side == SIDE_TEXTUAL else visual.name
         base = f"pca{a_dim}({base})" if a_dim else base
         matrices.append(matrix)

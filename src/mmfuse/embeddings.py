@@ -3,7 +3,9 @@
 File format is word2vec-style text: an optional first header line
 ``"<n_words> <dim>"`` followed by one line per word, the word first and
 then ``dim`` whitespace-separated finite numbers in any form Python's
-``float()`` reads. Encoding is UTF-8 and numbers are written with 6
+``float()`` reads. A first line of two integers is the header, unless
+the file is a 1-d table whose rows contradict it (see
+``load_embeddings``). Encoding is UTF-8 and numbers are written with 6
 decimal digits. Words are compared byte-exact;
 no case folding is applied anywhere.
 """
@@ -114,11 +116,15 @@ def load_embeddings(path, name=""):
     """Parse a text embedding file into a validated :class:`EmbeddingTable`.
 
     An optional ``"n dim"`` header is accepted and checked against the
-    content. A value is any token Python's ``float()`` accepts that is
-    finite, and it is stored exactly as ``float()`` reads it. Every row is
-    validated in file order: a blank line, a wrong value count, a
-    non-numeric or non-finite value and a duplicate word raise on the first
-    offending line; an empty file raises too.
+    content. A first line of two integer tokens ``n d`` is that header
+    unless line 2 has one value while ``d`` is not 1: line 1, read as a
+    row, has one value too, so it is the first row of a 1-d table. Where
+    line 2 has one value and ``d`` is 1, the header reading is kept, so
+    ``n`` must count the rows. A value is any token Python's ``float()``
+    accepts that is finite, and it is stored exactly as ``float()`` reads
+    it. Every row is validated in file order: a blank line, a wrong value
+    count, a non-numeric or non-finite value and a duplicate word raise on
+    the first offending line; an empty file raises too.
 
     Rows go straight into one matrix allocated when the first row fixes
     the dimension; numpy converts each row's tokens with ``float()``.
@@ -135,9 +141,13 @@ def load_embeddings(path, name=""):
         if len(tokens) == 2:
             try:
                 declared = (int(tokens[0]), int(tokens[1]))
-                start_line = 2
             except ValueError:
-                declared = None
+                pass
+        if (declared is not None and declared[1] != 1
+                and len(lines) > 1 and len(lines[1].split()) == 2):
+            declared = None  # line 2 is a 1-d row, and so is line 1 read as a row
+        if declared is not None:
+            start_line = 2
     for row, line in enumerate(lines[start_line - 1:]):
         line_no = row + start_line
         tokens = line.split()

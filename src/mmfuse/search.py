@@ -12,10 +12,13 @@ functions of ``composition`` and the scoring pieces of ``evaluation``, so
 each decomposition runs once whatever the number of benchmarks or dims:
 
 * layer a: one ``pca_fits`` per side over every layer-a dim; on the raw
-  tables these fits are also the raw group's R-CCA fallback reducers;
+  tables these fits are also the raw group's R-CCA reducers;
 * per layer-a dim group: the reduced tables, one ``cca_fits`` over the
-  group's fusion dims, one fallback-reducer ``pca_fits`` per side, and
-  one matrix per (fusion dim, origin, side) and its rows' squared norms;
+  group's fusion dims, and one matrix per (fusion dim, origin, side) and
+  its rows' squared norms. A PCA'd group's R-CCA reducers are the leading
+  coordinates of its layer-a output (``composition.leading_coordinates``),
+  so they need no decomposition: a signal's reducer at k is its PCA at k,
+  in the sweep and in ``apply_configuration`` alike;
 * per benchmark: the cosine kernel once per table, for its pair sums (dot
   products and gathered squared norms) and the score vector finished
   from them; LI built on score vectors and a concatenation on the sums of
@@ -42,7 +45,6 @@ from .composition import (
     apply_configuration,
     describe_configuration,
     enumerate_configurations,
-    fallback_reducers,
     fit_fusion,
     format_configuration,
     layer_a,
@@ -182,9 +184,7 @@ def _sweep_group(items, raw, a_fits, scored, normalize_concat):
     ridge = items[0][1].ridge
     # (fusion dim, origin, side) of each configuration's layer-c inputs
     inputs = {i: [(c.fusion_dim, *pair) for pair in layer_inputs(c)] for i, c in items}
-    layer_b = {t for tables in inputs.values() for t in tables if t[1]}
-    f_dims = sorted({f for f, _, _ in layer_b})
-    rcca_dims = sorted({f for f, origin, _ in layer_b if origin == "rcca"})
+    f_dims = sorted({f for tables in inputs.values() for f, origin, _ in tables if origin})
     done = {}   # key -> computed value, or the failure computing it raised
 
     def once(key, compute):
@@ -200,12 +200,6 @@ def _sweep_group(items, raw, a_fits, scored, normalize_concat):
             return raw
         return once("layer_a", lambda: layer_a_output(raw, a_fits, a_dim))
 
-    def reducers(side):
-        # a raw side's fallback reducers are its layer-a fits
-        if a_dim is None:
-            return a_fits[side]
-        return once(("reducers", side), lambda: fallback_reducers(reduced()[side], rcca_dims))
-
     def matrix(f_dim, origin, side):
         if not origin:
             return reduced()[side]
@@ -215,7 +209,7 @@ def _sweep_group(items, raw, a_fits, scored, normalize_concat):
         if origin == "cca":
             return projected
         return once((f_dim, origin, side),
-                    lambda: residual(reduced(), side, projected, reducers(side)))
+                    lambda: residual(reduced(), side, projected, a_fits, a_dim))
 
     def sq_norms(table):
         return once(("sq_norms", *table), lambda: row_sq_norms(matrix(*table)))
@@ -325,7 +319,7 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
         raise GridError("grid produced no configurations")
     raw = {SIDE_TEXTUAL: textual.matrix, SIDE_VISUAL: visual.matrix}
     a_dims = {c.pca_dim for c in configs if c.pca_dim}
-    # the raw group's R-CCA fallback reducers are layer-a fits of the raw tables
+    # the raw group's R-CCA reducers are layer-a fits of the raw tables
     a_dims |= {c.fusion_dim for c in configs if not c.pca_dim and "rcca" in c.layer_b}
     a_fits = layer_a(raw, sorted(a_dims))
     scored = [(bench, covered_pairs(bench, textual)) for bench in benches]

@@ -189,6 +189,64 @@ class TestApply:
             assert model.vocab == textual.vocab
 
 
+class TestLayerAReducer:
+    """A layer-a output's R-CCA reducer at k is its leading k coordinates, centred."""
+
+    @staticmethod
+    def layer_a_parts(textual, visual, a_dim, f_dim, ridge):
+        """Layer-a outputs and their CCA projections, fitted here step by step."""
+        from mmfuse import cca_fit, cca_transform, pca_fit, pca_transform
+
+        z = {side: pca_transform(pca_fit(t.matrix, a_dim), t.matrix)
+             for side, t in (("textual", textual), ("visual", visual))}
+        fit = cca_fit(z["textual"], z["visual"], f_dim, ridge=ridge)
+        return z, {side: cca_transform(fit, z[side], side) for side in z}
+
+    def test_residual_subtracts_the_leading_coordinates(self, planted):
+        from mmfuse import pca_fit, rcca_residual
+
+        textual, visual, _ = planted
+        cfg = parse_configuration("layer_a=pca:3 layer_b=rcca:2:out=both layer_c=li:0.5")
+        model = apply_configuration(cfg, textual, visual)
+        z, projected = self.layer_a_parts(textual, visual, 3, 2, cfg.ridge)
+        variances = pca_fit(textual.matrix, 3).explained_variance
+        assert np.all(np.diff(variances) < 0)   # distinct variances: one valid PCA
+        for table, side in ((model.first, "textual"), (model.second, "visual")):
+            lead = z[side][:, :2]
+            np.testing.assert_array_equal(table.matrix, lead - lead.mean(axis=0) - projected[side])
+            # the SVD of the output this replaces gives the same reduction up to rounding
+            svd = rcca_residual(z[side], projected[side], pca=pca_fit(z[side], 2))
+            np.testing.assert_allclose(table.matrix, svd, rtol=0, atol=1e-9)
+        # the leading coordinates carry the layer-a fit's leading variances
+        np.testing.assert_allclose(np.var(z["textual"][:, :2], axis=0, ddof=1),
+                                   variances[:2], rtol=1e-12)
+
+    def test_tied_variances_take_the_coordinate_axes(self):
+        from mmfuse.composition import leading_coordinates
+
+        # centred rows with singular values 3, 3, 2, 1: the top two variances tie
+        rng = np.random.default_rng(4)
+        n = 20
+        basis, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, 4))]))
+        rotation, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        vocab = tuple(f"w{i:02d}" for i in range(n))
+        textual = EmbeddingTable(vocab, basis[:, 1:] * [3.0, 3.0, 2.0, 1.0] @ rotation.T,
+                                 name="textual")
+        visual = EmbeddingTable(vocab, rng.normal(size=(n, 4)), name="visual")
+        cfg = parse_configuration("layer_a=pca:3 layer_b=rcca:1:out=T layer_c=none")
+        z, projected = self.layer_a_parts(textual, visual, 3, 1, cfg.ridge)
+        variances = np.var(z["textual"], axis=0, ddof=1)
+        np.testing.assert_allclose(variances, [9 / (n - 1), 9 / (n - 1), 4 / (n - 1)])
+        # any unit vector of the tied plane is a valid PCA at 1; the reducer takes axis 1
+        reduced = leading_coordinates(z["textual"], 1)
+        np.testing.assert_allclose(reduced, z["textual"][:, :1], rtol=0, atol=1e-12)
+        first = apply_configuration(cfg, textual, visual).first.matrix
+        np.testing.assert_array_equal(first, reduced - projected["textual"])
+        for _ in range(3):
+            again = apply_configuration(cfg, textual, visual).first.matrix
+            assert again.tobytes() == first.tobytes()
+
+
 def _independent_enumeration(dim_t, dim_v, dims, alphas, ridge):
     """Plain nested loops mirroring the layer rules, for cross-checking."""
     sides = ("textual", "visual")

@@ -99,6 +99,10 @@ class TestLoad:
              "header declares 3 words, file has 2"),
             ("", EmptyInputError, None, "no embedding rows"),
             ("2 3\n", EmptyInputError, None, "no embedding rows"),
+            ("7 3\n", EmptyInputError, None, "no embedding rows"),
+            # two integers then a 1-value row where the header would declare dim 1:
+            # the header reading stays (the case that remains ambiguous)
+            ("7 1\n8 2\n", ParseError, 2, "header declares 7 words, file has 1"),
             # two faults: the earlier line wins, whatever its kind
             ("a 1 2\nb inf 2\nc 1\n", ParseError, 2, "non-finite value"),
             ("a 1 2\nb 1\nc x 2\n", ParseError, 2, "expected 2 values, found 1"),
@@ -117,6 +121,13 @@ class TestLoad:
         assert str(exc.value) == f"{where}: {message}"
         if error is ParseError:
             assert exc.value.line_no == line_no
+
+    def test_two_integers_before_a_one_value_row_are_a_row(self, tmp_path):
+        # line 2 has one value where the header would declare 3, and line 1
+        # read as a row has one value too: it is the first row of a 1-d table
+        table = load_embeddings(write(tmp_path, "7 3\n8 2\n"))
+        assert table.vocab == ("7", "8")
+        np.testing.assert_array_equal(table.matrix, [[3.0], [2.0]])
 
     def test_values_are_those_of_float(self, tmp_path):
         tokens = ["1_0", "+.5", "-0", "1E3", "\u0661\u0662", "1e-320"]

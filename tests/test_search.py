@@ -19,6 +19,7 @@ from mmfuse import (
     evaluate,
     grid_search,
     output_dimension,
+    parse_configuration,
     render_report_machine,
     render_report_table,
     select_best,
@@ -72,7 +73,10 @@ def ragged():
     Six words: layer-a PCA to 6 dims exceeds n-1 and fails; the textual
     table has rank 3, so with ridge 0 its PCA outputs beyond 3 dims have
     singular covariances and every CCA fit on them fails. Fusion dims
-    below the layer-a dim run the R-CCA fallback reducer.
+    below the layer-a dim reduce the layer-a output to its leading
+    coordinates. Past rank 3 the textual output's variances are zero, so
+    any basis of those coordinates is a valid PCA (an SVD picks one
+    arbitrarily); the reducer takes the coordinate axes.
     """
     rng = np.random.default_rng(11)
     vocab = tuple(f"w{i}" for i in range(6))
@@ -311,14 +315,30 @@ class TestSharedFits:
             assert single.counts()[STATUS_FAILED] > 0
         else:
             # layer a: one SVD per side, which also gives the raw group's
-            # R-CCA fallback reducers; one whitened CCA (two eigh, one SVD)
-            # per layer-a dim; one reducer SVD per side for a-dims 2, 3, 4
+            # R-CCA reducers; one whitened CCA (two eigh, one SVD) per
+            # layer-a dim; a PCA'd group's reducers are leading coordinates
             routines = [routine for routine, _ in calls]
             assert routines.count("eigh") == 2 * 5
-            assert routines.count("svd") == 2 + 5 + 2 * 3
+            assert routines.count("svd") == 2 + 5
         oracle = exhaustive_oracle(textual, visual, benches[0], self.GRID)
         assert_matches_oracle(single, oracle)
         assert_matches_oracle(reports[0], oracle)
+
+    @pytest.mark.parametrize("layers, svd", [
+        # layer a: one SVD per side; one whitened CCA (two eigh, one SVD);
+        # a layer-a output's reducers are its leading coordinates
+        ("layer_a=pca:3 layer_b=rcca:2:out=both layer_c=li:0.5", 2 + 1),
+        ("layer_a=pca:3 layer_b=cca_plus_rcca:2:cca=T:rcca=V layer_c=concat", 2 + 1),
+        # a raw residual side is reduced by its own layer-a fit, and only where it is wider
+        ("layer_a=none layer_b=rcca:2:out=T layer_c=none", 1 + 1),
+        ("layer_a=none layer_b=rcca:2:out=both layer_c=concat", 2 + 1),
+        ("layer_a=none layer_b=rcca:4:out=both layer_c=concat", 0 + 1),
+    ])
+    def test_apply_decomposes_once_per_fit(self, monkeypatch, layers, svd):
+        textual, visual, _ = twelve_words(overflow=False)
+        calls, _ = self.counted(monkeypatch)
+        apply_configuration(parse_configuration(f"{layers} ridge=0.001"), textual, visual)
+        assert Counter(routine for routine, _ in calls) == {"svd": svd, "eigh": 2}
 
     def test_overflowing_row_fails_its_tables(self):
         textual, visual, benches = twelve_words(overflow=True)

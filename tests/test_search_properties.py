@@ -1,4 +1,10 @@
-"""Property: every sweep entry equals applying its configuration alone."""
+"""Properties of a search: every sweep entry equals applying its
+configuration alone, and the order of input lines does not reach the reports."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +19,10 @@ from mmfuse import (  # noqa: E402
     apply_configuration,
     evaluate,
     grid_search,
+    save_benchmark,
+    save_embeddings,
 )
+from mmfuse.cli import main  # noqa: E402
 from mmfuse.errors import DimensionError, MissingReductionError, NumericalError  # noqa: E402
 
 
@@ -58,3 +67,64 @@ def test_sweep_entries_equal_configurations_applied_alone(
         assert entry.error is None
         assert entry.result == alone
         assert entry.status == ("ok" if alone.defined else "undefined")
+
+
+def _search(folder, ridge):
+    """Exit code, stdout, stderr and every report of ``mmfuse search`` on ``folder``'s files."""
+    out = folder / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([
+            "search", "--text-vecs", str(folder / "text.vecs"),
+            "--image-vecs", str(folder / "image.vecs"),
+            "--bench", str(folder / "a.tsv"), "--bench", str(folder / "b.tsv"),
+            "--dim-step", "1", "--dim-min", "1", "--alpha-step", "0.5", "--ridge", ridge,
+            "--out", str(out),
+        ])
+    reports = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "run.log"}
+    return code, stdout.getvalue(), stderr.getvalue(), reports
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(
+    dim_t=st.integers(1, 4),
+    dim_v=st.integers(1, 4),
+    ridge=st.sampled_from(["0", "0.001"]),
+    permuted=st.sets(st.sampled_from(["text.vecs", "image.vecs", "a.tsv", "b.tsv"]),
+                     min_size=1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_permuting_input_lines_leaves_every_report_byte_identical(
+    dim_t, dim_v, ridge, permuted, seed
+):
+    # alignment sorts the shared words, a pair's score does not depend on the
+    # other pairs, and the rank sums are exact: no line order can move rho
+    rng = np.random.default_rng(seed)
+    shared = [f"w{i}" for i in range(9)]
+    text_words = shared + ["t0", "t1"]
+    textual = EmbeddingTable(text_words, rng.normal(size=(len(text_words), dim_t)))
+    visual = EmbeddingTable(shared, rng.normal(size=(len(shared), dim_v)))
+    words = text_words + ["oov"]
+    benches = {
+        name: Benchmark(name, tuple(
+            (words[i], words[j], float(rng.integers(0, 4)))
+            for i in range(len(words)) for j in range(i + 1, len(words))
+            if rng.uniform() < 0.4
+        ))
+        for name in ("a", "b")
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        given_order, shuffled = Path(tmp, "given"), Path(tmp, "shuffled")
+        for folder in (given_order, shuffled):
+            folder.mkdir()
+            save_embeddings(textual, folder / "text.vecs")
+            save_embeddings(visual, folder / "image.vecs")
+            for name, bench in benches.items():
+                save_benchmark(bench, folder / f"{name}.tsv")
+        for name in permuted:
+            lines = (shuffled / name).read_text().splitlines(keepends=True)
+            head = 1 if name.endswith(".vecs") else 0   # the vector header stays first
+            body = lines[head:]
+            (shuffled / name).write_text(
+                "".join(lines[:head] + [body[k] for k in rng.permutation(len(body))]))
+        assert _search(shuffled, ridge) == _search(given_order, ridge)
