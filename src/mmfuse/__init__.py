@@ -73,6 +73,7 @@ from .search import (
     grid_search,
     render_report_machine,
     render_report_table,
+    render_reports,
     select_best,
     sweep,
 )

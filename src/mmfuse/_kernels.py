@@ -5,12 +5,14 @@ product and both squared norms. ``row_sq_norms`` computes every row's
 squared norm of a table once, ``pair_sums`` the dot product of each index
 pair plus both norms gathered by index, and ``sum_cosines`` the scores. A
 concatenation's sums are the sums of its blocks' sums, so in a sweep the
-dot-product kernel runs once per table and benchmark, never per
-concatenation. The rank kernel runs once per block of score vectors plus
-once per benchmark's gold scores. These are the non-BLAS hot path, in
-plain numpy; every pair score in the package is finished by
-``sum_cosines``. A pair with a vector norm that overflows scores nan, so
-that callers reject it instead of scoring it 0.
+dot-product kernel runs once per table over every benchmark's pairs,
+never per concatenation or per benchmark. ``sorted_ranks`` ranks a block
+of score vectors in sort order, which is all a rank correlation needs;
+``average_ranks`` scatters its ranks back to value order, once per
+benchmark's gold scores. These are the non-BLAS hot path, in plain
+numpy; every pair score in the package is finished by ``sum_cosines``. A
+pair with a vector norm that overflows scores nan, so that callers reject
+it instead of scoring it 0.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ def pair_sums(matrix, idx1, idx2, sq_norms):
 
 
 def sum_cosines(dots, sq1, sq2):
-    """Cosine per pair from its sums; returns (scores, n_degenerate).
+    """Cosine per pair from its sums; returns (scores, degenerate mask).
 
     A pair with a norm below ``ZERO_NORM_EPS`` is degenerate and scores
     0; one with a norm that overflows scores nan.
@@ -43,33 +45,57 @@ def sum_cosines(dots, sq1, sq2):
         scores = np.where(degenerate, 0.0, dots / denom)
     # a norm that overflows has no cosine: score it nan for callers to reject
     scores[~(np.isfinite(n1) & np.isfinite(n2))] = np.nan
-    return scores, int(degenerate.sum())
+    return scores, degenerate
 
 
 def pair_cosine_scores(matrix, idx1, idx2):
     """Cosine per index pair of one matrix; returns (scores, n_degenerate)."""
-    return sum_cosines(*pair_sums(matrix, idx1, idx2, row_sq_norms(matrix)))
+    scores, degenerate = sum_cosines(*pair_sums(matrix, idx1, idx2, row_sq_norms(matrix)))
+    return scores, int(degenerate.sum())
+
+
+def sorted_ranks(values):
+    """Sort order along the last axis, and the centred tie-averaged rank of each sorted position.
+
+    ``values`` is one vector or a block of row vectors, without nan.
+    Returns ``(order, dev)``: ``order`` is ``argsort(values)``, and
+    ``dev[..., j]`` is the centred rank ``j - (n - 1) / 2`` of sorted
+    position ``j``, with each run of equal adjacent sorted values given
+    the mean of its run. Every ``dev`` is a multiple of 0.5, exact in
+    float64. The tie correction runs only on rows with equal adjacent
+    sorted values; without ties ``dev`` is one read-only row broadcast
+    to the block. A tie run's mean does not depend on the order the sort
+    leaves its members in, so the default (unstable) sort serves.
+    """
+    n = values.shape[-1]
+    order = np.argsort(values, axis=-1)
+    dev = np.broadcast_to(np.arange(n) - 0.5 * (n - 1), values.shape)
+    sorted_v = np.take_along_axis(values, order, axis=-1)
+    tied = sorted_v[..., 1:] == sorted_v[..., :-1]  # sorted position j + 1 ties with j
+    rows = tied.any(axis=-1)
+    if not rows.any():
+        return order, dev
+    dev = dev.copy()
+    tied = tied[rows]
+    position = np.arange(n)
+    # first and last sorted position of the tie run each sorted position is in
+    first = np.zeros(tied.shape[:-1] + (n,), dtype=np.intp)
+    first[..., 1:] = np.where(tied, 0, position[1:])
+    first = np.maximum.accumulate(first, axis=-1)
+    last = np.full(first.shape, n - 1, dtype=np.intp)
+    last[..., :-1] = np.where(tied, n - 1, position[:-1])
+    last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
+    dev[rows] = 0.5 * (first + last) - 0.5 * (n - 1)
+    return order, dev
 
 
 def average_ranks(values):
     """1-based ranks along the last axis, ties assigned the mean of the ranks they span.
 
-    ``values`` is one vector or a block of row vectors, without nan. A tie
-    run's mean rank does not depend on the order the sort leaves its
-    members in, so the default (unstable) sort serves.
+    The ranks of ``sorted_ranks``, scattered back from sorted to value
+    order; ``values`` is one vector or a block of row vectors, without nan.
     """
-    n = values.shape[-1]
-    order = np.argsort(values, axis=-1)
-    sorted_v = np.take_along_axis(values, order, axis=-1)
-    position = np.arange(n)
-    tied = sorted_v[..., 1:] == sorted_v[..., :-1]  # sorted position j + 1 ties with j
-    # first and last sorted position of the tie run each sorted position is in
-    first = np.zeros(values.shape, dtype=np.intp)
-    first[..., 1:] = np.where(tied, 0, position[1:])
-    first = np.maximum.accumulate(first, axis=-1)
-    last = np.full(values.shape, n - 1, dtype=np.intp)
-    last[..., :-1] = np.where(tied, n - 1, position[:-1])
-    last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
+    order, dev = sorted_ranks(values)
     ranks = np.empty(values.shape, dtype=np.float64)
-    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=-1)
+    np.put_along_axis(ranks, order, dev + 0.5 * (values.shape[-1] + 1), axis=-1)
     return ranks

@@ -44,8 +44,7 @@ from .numerics import DEFAULT_RIDGE
 from .search import (
     GridSpec,
     cross_evaluate,
-    render_report_machine,
-    render_report_table,
+    render_reports,
     select_best,
     sweep,
 )
@@ -291,10 +290,10 @@ def cmd_search(manifest):
     )
     summary = []
     missing_best = []
-    for bench, report in zip(benches, reports):
+    for bench, report, (table, machine) in zip(benches, reports, render_reports(reports)):
         stem = _safe_name(bench.name)
-        _write(manifest.out / f"{stem}.report.txt", render_report_table(report))
-        _write(manifest.out / f"{stem}.report.tsv", render_report_machine(report))
+        _write(manifest.out / f"{stem}.report.txt", table)
+        _write(manifest.out / f"{stem}.report.tsv", machine)
         _log(manifest, f"search: {bench.name}: {len(report.entries)} configurations")
         try:
             best_config, best_result = select_best(report)

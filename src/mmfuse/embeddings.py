@@ -5,11 +5,12 @@ File format is word2vec-style text: an optional first header line
 then ``dim`` whitespace-separated finite numbers in any form Python's
 ``float()`` reads. A first line of two integers is the header, unless
 the file is a 1-d table whose rows contradict it (see
-``load_embeddings``). Encoding is UTF-8 and numbers are written with 6
-decimal digits. Words are compared byte-exact;
-no case folding is applied anywhere.
+``load_embeddings``). Encoding is UTF-8, with or without a leading
+byte-order mark, and numbers are written with 6 decimal digits. Words
+are compared byte-exact; no case folding is applied anywhere.
 """
 
+import codecs
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -85,9 +86,13 @@ class EmbeddingTable:
 
 
 def read_utf8(path):
-    """Whole text file; a byte that is not UTF-8 raises ParseError at its line."""
+    """Whole text file, without one leading byte-order mark.
+
+    A byte that is not UTF-8 raises ParseError at its line.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

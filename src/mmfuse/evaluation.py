@@ -16,14 +16,19 @@ nan, so it fails rather than scoring 0.
 ``evaluate`` is ``covered_pairs``, then ``model_scores`` (``table_sums``
 per table, then ``sum_scores``, ``interpolate`` or ``concat_scores``),
 then ``rank_result``. A sweep calls the same pieces, computing each
-table's sums once and sharing them between configurations.
-``covered_pairs`` ranks the gold scores once per benchmark. Score vectors
-are ranked in blocks of rows by ``rank_results``; ``rank_result`` and
-``spearman`` rank a one-row block through it.
+table's sums once over the covered pairs of every benchmark, end to end
+(``joined_pairs``), and sharing them between configurations; each
+benchmark ranks its slice of every score vector. ``covered_pairs`` ranks
+the gold scores once per benchmark. Score vectors are ranked in blocks
+of rows by ``rank_results``, from their sort order alone: a rank
+correlation pairs each sorted position's rank with the gold rank of the
+pair sorted there, so no score's rank is put back in pair order.
+``rank_result`` and ``spearman`` rank a one-row block through it.
 """
 
 import math
 import warnings
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,7 +108,7 @@ def load_benchmark(path, name=None):
             gold = float(raw)
         except ValueError:
             raise ParseError(path, line_no, f"non-numeric score {raw!r}") from None
-        if not np.isfinite(gold):
+        if not math.isfinite(gold):
             raise ParseError(path, line_no, f"non-finite score {raw!r}")
         key = (w1, w2) if w1 <= w2 else (w2, w1)
         if key in seen:
@@ -173,16 +178,18 @@ def _finite_score(scores, what):
 
 
 def _centred_ranks(values):
-    """Tie-averaged ranks minus their mean, along the last axis, and their sums of squares.
+    """Tie-averaged ranks minus their mean, in value order, and their sum of squares.
 
     The ranks are half-integers and their mean is exactly (n + 1) / 2, so
     every centred rank is a multiple of 0.5 and every product of two is a
     multiple of 0.25. A sum of such products is exact in float64 while
     its magnitude stays below 2**51; by Cauchy-Schwarz no partial sum of
-    ``dev @ dev`` or ``dev @ gold_dev`` exceeds (n**3 - n) / 12, so the
-    sums are exact, whatever their order, for n**3 / 3 < 2**53 (n up to
-    about 3e5 pairs). A block of rows therefore gets bit for bit the
-    values one row at a time would.
+    a sum of squares or of a rank correlation's numerator exceeds
+    (n**3 - n) / 12, so the sums are exact, whatever their order or the
+    order of their terms, for n**3 / 3 < 2**53 (n up to about 3e5
+    pairs). A block of rows therefore gets bit for bit the values one
+    row at a time would. These are the gold scores' ranks, computed once
+    per benchmark.
     """
     dev = _kernels.average_ranks(values) - 0.5 * (values.shape[-1] + 1)
     return dev, np.einsum("...i,...i->...", dev, dev)
@@ -191,12 +198,20 @@ def _centred_ranks(values):
 def _rank_correlations(scores, gold_dev, gold_ss):
     """Per row of finite ``scores``: its rank correlation with the centred gold ranks.
 
-    A row of zero rank variance has none and reads nan.
+    Summed over sorted positions ``j`` of a row: the numerator is
+    ``dev[j] * gold_dev[order[j]]``, the centred rank of position ``j``
+    times the gold rank of the pair sorted there (a gather), and the sum
+    of squares is ``dev[j] ** 2``. Both hold the terms of the sums over
+    pairs in value order, in another order, and are exact (see
+    ``_centred_ranks``), so rho is bit for bit what ranks put back in
+    pair order give, without putting any back. A row of zero rank
+    variance has no rank correlation and reads nan.
     """
-    dev, ss = _centred_ranks(scores)
-    den = np.sqrt(ss * gold_ss)
+    order, dev = _kernels.sorted_ranks(scores)
+    num = np.einsum("...i,...i->...", dev, gold_dev[order])
+    den = np.sqrt(np.einsum("...i,...i->...", dev, dev) * gold_ss)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.clip((dev @ gold_dev) / den, -1.0, 1.0)
+        rho = np.clip(num / den, -1.0, 1.0)
     return np.where(den == 0.0, np.nan, rho)
 
 
@@ -223,6 +238,9 @@ class CoveredPairs(NamedTuple):
     mean and ``gold_ss`` its sum of squares, ranked once per benchmark;
     both are None with fewer than two pairs, which have no rank
     correlation. Pairs scored without a benchmark carry no gold scores.
+    ``spans`` holds the ``(start, stop)`` of each benchmark's pairs when
+    several benchmarks' pairs run end to end (``joined_pairs``); None is
+    one span of every pair.
     """
 
     idx1: np.ndarray
@@ -230,6 +248,7 @@ class CoveredPairs(NamedTuple):
     gold: np.ndarray = None
     gold_dev: np.ndarray = None
     gold_ss: float = None
+    spans: tuple = None
 
 
 class PairSums(NamedTuple):
@@ -253,6 +272,26 @@ def covered_pairs(bench, table):
     )
 
 
+def joined_pairs(covered):
+    """The pairs of several ``CoveredPairs``, end to end, with the span of each.
+
+    Scoring the joined pairs once scores every benchmark's pairs with the
+    arithmetic a pass over its own pairs runs, pair by pair; slice ``i``
+    of ``spans`` holds the scores of ``covered[i]``. One benchmark's
+    pairs are joined as they are, without a copy.
+    """
+    if len(covered) == 1:
+        only, = covered
+        return CoveredPairs(only.idx1, only.idx2, spans=((0, len(only.idx1)),))
+    stops = list(accumulate(len(c.idx1) for c in covered))
+    none = np.empty(0, dtype=np.int64)  # a search with no benchmark joins no pairs
+    return CoveredPairs(
+        np.concatenate([none, *(c.idx1 for c in covered)]),
+        np.concatenate([none, *(c.idx2 for c in covered)]),
+        spans=tuple(zip([0] + stops[:-1], stops)),
+    )
+
+
 def _warned(scores, degenerate):
     """``scores``, after warning that ``degenerate`` of them were set to 0."""
     if degenerate:
@@ -265,9 +304,16 @@ def table_sums(matrix, sq_norms, covered):
     return PairSums(*_kernels.pair_sums(matrix, covered.idx1, covered.idx2, sq_norms))
 
 
-def sum_scores(sums):
-    """Pair cosines from sums; an overflowing norm scores nan, which every caller rejects."""
-    return _warned(*_kernels.sum_cosines(*sums))
+def sum_scores(sums, spans=None):
+    """Pair cosines from sums; an overflowing norm scores nan, which every caller rejects.
+
+    Degenerate pairs score 0 with a ``RuntimeWarning`` of their count, one
+    per span of ``spans`` (see ``CoveredPairs``) that holds any, in order.
+    """
+    scores, degenerate = _kernels.sum_cosines(*sums)
+    for start, stop in spans or [(0, len(scores))]:
+        _warned(scores, int(np.count_nonzero(degenerate[start:stop])))
+    return scores
 
 
 def concat_scores(sums, units, covered):
@@ -286,7 +332,7 @@ def concat_scores(sums, units, covered):
             sums = [PairSums(s.dots / (div[idx1] * div[idx2]), sq[idx1], sq[idx2])
                     for s, (div, sq) in zip(sums, units)]
         first, second = sums
-        return sum_scores(PairSums(*(a + b for a, b in zip(first, second))))
+        return sum_scores(PairSums(*(a + b for a, b in zip(first, second))), covered.spans)
 
 
 def interpolate(alpha, first, second):

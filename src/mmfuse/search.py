@@ -19,19 +19,28 @@ each decomposition runs once whatever the number of benchmarks or dims:
   coordinates of its layer-a output (``composition.leading_coordinates``),
   so they need no decomposition: a signal's reducer at k is its PCA at k,
   in the sweep and in ``apply_configuration`` alike;
-* per benchmark: the cosine kernel once per table, for its pair sums (dot
-  products and gathered squared norms) and the score vector finished
-  from them; LI built on score vectors and a concatenation on the sums of
-  its blocks' sums, by the same ``concat_scores`` that ``evaluate`` uses;
-  and the rank correlation against gold scores ranked once. The
-  group's score vectors are ranked in blocks of at most
+* over the covered pairs of every benchmark, end to end
+  (``evaluation.joined_pairs``): the cosine kernel once per table, for
+  its pair sums (dot products and gathered squared norms) and the score
+  vector finished from them; LI built on score vectors and a
+  concatenation on the sums of its blocks' sums, by the same
+  ``concat_scores`` that ``evaluate`` uses. Each pair's arithmetic is
+  that of a pass over its own benchmark, so the scores are bit for bit
+  the same, and degenerate pairs are still warned about per table and
+  benchmark;
+* per benchmark: its slice of each score vector, ranked against gold
+  scores ranked once. The group's slices are ranked in blocks of at most
   ``RANK_BLOCK_VALUES`` values, through the same ``rank_results`` that
-  ``evaluate`` ranks its one vector with.
+  ``evaluate`` ranks its one vector with. A non-finite score fails only
+  the benchmarks whose slices hold it.
 
 A failure is stored where it happened and given, with its text, to every
 configuration built on it. Groups share only the read-only layer-a fits,
 so ``workers`` sweeps them in threads without locks. ``grid_search`` is a
-one-benchmark ``sweep``.
+one-benchmark ``sweep``. The reports of one search list the same
+configurations, so ``render_reports`` builds each configuration's text
+once for all of them; ``render_report_table`` and
+``render_report_machine`` render one report.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -69,6 +78,7 @@ from .evaluation import (
     covered_pairs,
     evaluate,
     interpolate,
+    joined_pairs,
     rank_results,
     sum_scores,
     table_sums,
@@ -178,8 +188,13 @@ _FAILURES = (NumericalError, DimensionError, MissingReductionError)
 RANK_BLOCK_VALUES = 2 ** 15
 
 
-def _sweep_group(items, raw, a_fits, scored, normalize_concat):
-    """Per benchmark, the search entries of ``(order_index, config)`` items sharing one layer-a dim."""
+def _sweep_group(items, raw, a_fits, scored, pairs, normalize_concat):
+    """Per benchmark, the search entries of ``(order_index, config)`` items sharing one layer-a dim.
+
+    ``pairs`` joins the covered pairs of every benchmark of ``scored``;
+    each score vector is computed once over them and each benchmark ranks
+    its span.
+    """
     a_dim = items[0][1].pca_dim
     ridge = items[0][1].ridge
     # (fusion dim, origin, side) of each configuration's layer-c inputs
@@ -215,33 +230,33 @@ def _sweep_group(items, raw, a_fits, scored, normalize_concat):
         return once(("sq_norms", *table), lambda: row_sq_norms(matrix(*table)))
 
     def sums(table):
-        """The table's pair sums per benchmark."""
-        return once(("sums", *table), lambda: [table_sums(matrix(*table), sq_norms(table), covered)
-                                               for _, covered in scored])
+        """The table's pair sums over every benchmark's pairs."""
+        return once(("sums", *table), lambda: table_sums(matrix(*table), sq_norms(table), pairs))
 
     def units(table):
         return once(("units", *table), lambda: unit_rows(sq_norms(table)))
 
     def scores(table):
-        return once(("scores", *table), lambda: [sum_scores(s) for s in sums(table)])
+        return once(("scores", *table), lambda: sum_scores(sums(table), pairs.spans))
 
-    def vectors(config, tables):
-        """One score vector per benchmark."""
+    def vector(config, tables):
+        """The configuration's score vector over every benchmark's pairs."""
         if config.layer_c == "concat":
             block_sums = [sums(t) for t in tables]
             block_units = [units(t) for t in tables] if normalize_concat else None
-            return [concat_scores(pair, block_units, covered)
-                    for pair, (_, covered) in zip(zip(*block_sums), scored)]
+            return concat_scores(block_sums, block_units, pairs)
         if config.layer_c == "li":
-            return [interpolate(config.alpha, first, second)
-                    for first, second in zip(*(scores(t) for t in tables))]
+            return interpolate(config.alpha, *(scores(t) for t in tables))
         return scores(tables[0])
 
     dims = [m.shape[1] for m in raw.values()]
     blocks = [_RankBlock(bench, covered, len(items)) for bench, covered in scored]
     for slot, (order_index, config) in enumerate(items):
         try:
-            outcomes = vectors(config, inputs[order_index])
+            all_scores = vector(config, inputs[order_index])
+            outcomes = [all_scores[start:stop] for start, stop in pairs.spans]
+            if len(outcomes) > 1:  # a queued slice must not keep every benchmark's scores
+                outcomes = [span.copy() for span in outcomes]
         except _FAILURES as exc:
             outcomes = [exc] * len(scored)
         for block, outcome in zip(blocks, outcomes):
@@ -323,9 +338,10 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
     a_dims |= {c.fusion_dim for c in configs if not c.pca_dim and "rcca" in c.layer_b}
     a_fits = layer_a(raw, sorted(a_dims))
     scored = [(bench, covered_pairs(bench, textual)) for bench in benches]
+    pairs = joined_pairs([covered for _, covered in scored])
     # canonical order keeps each layer-a dim contiguous
     groups = [list(g) for _, g in groupby(enumerate(configs), key=lambda i: i[1].pca_dim)]
-    run = partial(_sweep_group, raw=raw, a_fits=a_fits, scored=scored,
+    run = partial(_sweep_group, raw=raw, a_fits=a_fits, scored=scored, pairs=pairs,
                   normalize_concat=normalize_concat)
     progress = progress or (lambda bench, done, total: None)
     total = len(configs)
@@ -393,8 +409,21 @@ def _fmt_rho(entry):
     return "FAIL"
 
 
-def render_report_table(report, limit=None):
-    """Human-readable ranked table (rho shown to 2 decimals)."""
+def _texts(entries, render):
+    """``render(config)`` per order index of ``entries``, once for each configuration.
+
+    The reports of one search hold the same configurations, each under
+    the same ``order_index``, so one text serves each of them.
+    """
+    texts = {}
+    for e in entries:
+        if e.order_index not in texts:
+            texts[e.order_index] = render(e.config)
+    return texts
+
+
+def _table(report, descriptions, limit=None):
+    """The human table of ``report``, its configurations described by order index."""
     counts = report.counts()
     lines = [
         f"benchmark: {report.benchmark_name}",
@@ -407,7 +436,7 @@ def render_report_table(report, limit=None):
     shown = report.entries if limit is None else report.entries[:limit]
     for rank, e in enumerate(shown, start=1):
         pairs = f"{e.result.n_evaluated}/{e.result.n_total}" if e.result else "-"
-        desc = describe_configuration(e.config)
+        desc = descriptions[e.order_index]
         if e.status == STATUS_FAILED:
             desc += f"   [{e.error}]"
         lines.append(
@@ -416,8 +445,8 @@ def render_report_table(report, limit=None):
     return "\n".join(lines) + "\n"
 
 
-def render_report_machine(report):
-    """Line-per-entry TSV: status, rho, coverage, dims, flat configuration."""
+def _machine(report, flat):
+    """The machine TSV of ``report``, its flat configurations by order index."""
     lines = [
         "rank\tstatus\trho\tn_evaluated\tn_total\tcoverage\toutput_dim\tconfig"
     ]
@@ -428,8 +457,42 @@ def render_report_machine(report):
             cov = repr(e.result.coverage)
         else:
             rho, n_eval, n_tot, cov = "NA", 0, 0, "NA"
-        cfg = format_configuration(e.config, sep=" ")
         lines.append(
-            f"{rank}\t{e.status}\t{rho}\t{n_eval}\t{n_tot}\t{cov}\t{e.output_dim}\t{cfg}"
+            f"{rank}\t{e.status}\t{rho}\t{n_eval}\t{n_tot}\t{cov}\t{e.output_dim}"
+            f"\t{flat[e.order_index]}"
         )
     return "\n".join(lines) + "\n"
+
+
+def _flat_configuration(config):
+    """The one-line ``key=value`` form a machine report lists."""
+    return format_configuration(config, sep=" ")
+
+
+def render_reports(reports):
+    """The human table and machine TSV of each report of one search, in order.
+
+    Each configuration's two texts are built once for every report: the
+    reports of one search share each configuration's ``order_index``.
+    """
+    entries = [e for report in reports for e in report.entries]
+    descriptions = _texts(entries, describe_configuration)
+    flat = _texts(entries, _flat_configuration)
+    return [(_table(report, descriptions), _machine(report, flat)) for report in reports]
+
+
+def render_report_table(report, limit=None):
+    """Human-readable ranked table (rho shown to 2 decimals), as ``render_reports`` gives it.
+
+    Only the ``limit`` entries shown, when given, are described.
+    """
+    shown = report.entries if limit is None else report.entries[:limit]
+    return _table(report, _texts(shown, describe_configuration), limit)
+
+
+def render_report_machine(report):
+    """Line-per-entry TSV: status, rho, coverage, dims, flat configuration.
+
+    The machine report ``render_reports`` gives for one report.
+    """
+    return _machine(report, _texts(report.entries, _flat_configuration))

@@ -234,6 +234,16 @@ class TestManifest:
         assert code == EXIT_OK
         assert (workspace / "from_manifest" / "toy.report.tsv").exists()
 
+    def test_manifest_with_a_byte_order_mark(self, workspace):
+        manifest = workspace / "run.manifest"
+        manifest.write_text(
+            f"\ufeffout={workspace / 'from_manifest'}\n"
+            "dim_step=2\ndim_min=2\nalpha_step=0.5\n", encoding="utf-8",
+        )
+        code = main(["search", *common(workspace), "--manifest", str(manifest)])
+        assert code == EXIT_OK
+        assert (workspace / "from_manifest" / "toy.report.tsv").exists()
+
     def test_flags_override_manifest(self, workspace):
         manifest = workspace / "run.manifest"
         manifest.write_text(
@@ -436,6 +446,26 @@ class TestMalformedInput:
                      "--config", str(workspace / "good.cfg")])
         assert code == EXIT_INPUT
         assert f"{path}:2: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["embeddings", "benchmark", "config", "manifest"])
+    def test_byte_order_mark_changes_no_output(self, workspace, capsys, kind):
+        manifest = workspace / "run.manifest"
+        manifest.write_text("dim_step=2\n")
+        args = ["eval", *common(workspace), "--manifest", str(manifest),
+                "--config", str(workspace / "good.cfg")]
+        assert main([*args, "--out", str(workspace / "plain")]) == EXIT_OK
+        path = {
+            "embeddings": workspace / "text.vecs",
+            "benchmark": workspace / "toy.tsv",
+            "config": workspace / "good.cfg",
+            "manifest": manifest,
+        }[kind]
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main([*args, "--out", str(workspace / "bom")]) == EXIT_OK
+        for name in ("eval_report.txt", "eval_report.tsv"):
+            assert (workspace / "bom" / name).read_bytes() == \
+                (workspace / "plain" / name).read_bytes()
+        assert "28/28" in (workspace / "bom" / "eval_report.txt").read_text()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_value_fails_entries_not_the_sweep(self, workspace):

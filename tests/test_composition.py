@@ -13,6 +13,7 @@ from mmfuse import (
     enumerate_configurations,
     format_configuration,
     output_dimension,
+    load_configuration,
     parse_configuration,
     validate_configuration,
 )
@@ -398,6 +399,12 @@ class TestSerialization:
     def test_malformed_text_rejected(self, text):
         with pytest.raises(ValueError):
             parse_configuration(text)
+
+    def test_configuration_file_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "best.cfg"
+        text = "layer_a=pca:4\nlayer_b=cca:2:out=V\nlayer_c=none\nridge=0.001\n"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert load_configuration(path) == parse_configuration(text)
 
     def test_describe_examples(self):
         cfg = Configuration(

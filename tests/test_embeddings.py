@@ -108,6 +108,16 @@ class TestLoad:
             ("a 1 2\nb 1\nc x 2\n", ParseError, 2, "expected 2 values, found 1"),
             ("a 1 2\na 3 4\nc x 2\n", DuplicateEntryError, 2,
              "duplicate word 'a'"),
+            # a leading byte-order mark is not part of line 1: the header stays a header
+            ("\ufeff2 3\na 1 2 3 4\nb 1 2 3\n", ParseError, 2,
+             "row has 4 values but header declares dim 3"),
+            ("\ufeff3 2\na 1 2\nb 3 4\n", ParseError, 3,
+             "header declares 3 words, file has 2"),
+            ("\ufeffa 1 2\nb 3\n", ParseError, 2, "expected 2 values, found 1"),
+            ("\ufeff", EmptyInputError, None, "no embedding rows"),
+            # str.splitlines() ends a line at \x85 too: today's outcome, pinned
+            ("a 1.0 2.0\nb 3.0\x854.0\nc 5.0 6.0\n", ParseError, 2,
+             "expected 2 values, found 1"),
         ],
     )
     def test_malformed_file_names_first_bad_line(
@@ -121,6 +131,31 @@ class TestLoad:
         assert str(exc.value) == f"{where}: {message}"
         if error is ParseError:
             assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize("text", ["\ufeffa 1 2\nb 3 4\n", "\ufeff2 2\na 1 2\nb 3 4\n"])
+    def test_leading_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path, text):
+        table = load_embeddings(write(tmp_path, text))
+        assert table.vocab == ("a", "b")
+        np.testing.assert_array_equal(table.matrix, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_only_one_byte_order_mark_is_dropped(self, tmp_path):
+        table = load_embeddings(write(tmp_path, "\ufeff\ufeffa 1 2\n"))
+        assert table.vocab == ("\ufeffa",)
+
+    def test_bad_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"\xef\xbb\xbfa 1 2\nb \xff 4\n")
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(path)
+        assert exc.value.line_no == 2
+        assert "not valid UTF-8" in str(exc.value)
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_line_breaks_are_those_of_splitlines(self, tmp_path, char):
+        # str.splitlines() ends a line at each of these, not only at \n and \r
+        table = load_embeddings(write(tmp_path, f"a 1.0 2.0{char}b 3.0 4.0\n"))
+        assert table.vocab == ("a", "b")
+        np.testing.assert_array_equal(table.matrix, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_two_integers_before_a_one_value_row_are_a_row(self, tmp_path):
         # line 2 has one value where the header would declare 3, and line 1

@@ -71,6 +71,41 @@ class TestLoadBenchmark:
         with pytest.raises(EmptyInputError):
             load_benchmark(path)
 
+    @pytest.mark.parametrize("text, pairs", [
+        ("\ufeffcat\tdog\t7.8\nowl\then\t2\n", (("cat", "dog", 7.8), ("owl", "hen", 2.0))),
+        ("\ufeffcat,dog,7.8\nowl,hen,2\n", (("cat", "dog", 7.8), ("owl", "hen", 2.0))),
+        # only one byte-order mark is dropped
+        ("\ufeff\ufeffcat\tdog\t1\n", (("\ufeffcat", "dog", 1.0),)),
+        # str.splitlines() ends a line at each of these, not only at \n and \r
+        *((f"cat\tdog\t1{c}owl\then\t2\n", (("cat", "dog", 1.0), ("owl", "hen", 2.0)))
+          for c in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")),
+    ])
+    def test_pairs_of_the_file(self, tmp_path, text, pairs):
+        path = tmp_path / "b.tsv"
+        path.write_text(text, encoding="utf-8")
+        assert load_benchmark(path).pairs == pairs
+
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("\ufeffcat\tdog\n", 1, "expected 3 tab-separated fields, found 2"),
+        ("\ufeffcat,dog,1\ncat,dog,x\n", 2, "non-numeric score 'x'"),
+        ("cat\tdog\t1\nowl\x85hen\t2\n", 2, "expected 3 tab-separated fields, found 1"),
+        ("cat\tdog\tinf\n", 1, "non-finite score 'inf'"),
+        ("cat\tdog\t1\nowl\then\t-nan\n", 2, "non-finite score '-nan'"),
+    ])
+    def test_malformed_file_names_its_line(self, tmp_path, text, line_no, message):
+        path = tmp_path / "b.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_benchmark(path)
+        assert str(exc.value) == f"{path}:{line_no}: {message}"
+
+    def test_bad_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "b.tsv"
+        path.write_bytes(b"\xef\xbb\xbfcat\tdog\t1\nowl\t\xff\t2\n")
+        with pytest.raises(ParseError) as exc:
+            load_benchmark(path)
+        assert exc.value.line_no == 2
+
     def test_round_trip_through_dump(self, tmp_path):
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(12)]

@@ -5,7 +5,17 @@ from conftest import plain_cosine
 from mmfuse import _kernels
 from mmfuse.composition import unit_rows
 from mmfuse.errors import NumericalError
-from mmfuse.evaluation import CoveredPairs, concat_scores, sum_scores, table_sums
+from mmfuse.evaluation import (
+    Benchmark,
+    CoveredPairs,
+    EvaluationResult,
+    concat_scores,
+    interpolate,
+    joined_pairs,
+    rank_results,
+    sum_scores,
+    table_sums,
+)
 
 
 def _random_case(seed, n_words=40, dim=7, n_pairs=200):
@@ -94,6 +104,7 @@ RANK_BLOCKS = {
                               [2.0, -0.0, -2.0, 0.0, 2.0, -2.0]]),
     "all_tied_rows": np.array([[3.25] * 5, [-1.0] * 5, [0.0, -0.0, 0.0, 0.0, -0.0]]),
     "single_column": _rng.normal(size=(4, 1)),
+    "two_columns": np.array([[1.0, 1.0], [2.0, 1.0], [-0.0, 0.0], [3.0, 4.0]]),
     "single_row": np.round(_rng.normal(size=(1, 9)), 0),
 }
 
@@ -112,6 +123,77 @@ def test_block_ranks_each_row_as_a_vector(name):
     for row, row_ranks in zip(block, ranks):
         assert row_ranks.tobytes() == _kernels.average_ranks(row).tobytes()
         assert row_ranks.tobytes() == _enumerated_ranks(row).tobytes()
+
+
+def _check_sorted_ranks(row, order, dev):
+    n = len(row)
+    assert sorted(order.tolist()) == list(range(n))
+    assert np.all(row[order][1:] >= row[order][:-1])
+    # the centred rank of each sorted position is the enumerated rank of the value sorted there
+    assert (dev + 0.5 * (n + 1)).tobytes() == _enumerated_ranks(row)[order].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(RANK_BLOCKS))
+def test_sorted_position_ranks_match_enumeration(name):
+    block = RANK_BLOCKS[name]
+    order, dev = _kernels.sorted_ranks(block)
+    assert order.shape == dev.shape == block.shape
+    for row, row_order, row_dev in zip(block, order, dev):
+        _check_sorted_ranks(row, row_order, row_dev)
+        # a row ranked alone gets the ranks it gets in its block
+        alone_order, alone_dev = _kernels.sorted_ranks(row)
+        _check_sorted_ranks(row, alone_order, alone_dev)
+        assert alone_dev.tobytes() == row_dev.tobytes()
+
+
+def test_sorted_ranks_without_ties_are_the_centred_positions():
+    block = np.random.default_rng(3).normal(size=(3, 8))
+    order, dev = _kernels.sorted_ranks(block)
+    np.testing.assert_array_equal(order, np.argsort(block, axis=-1))
+    assert dev.tobytes() == np.tile(np.arange(8) - 3.5, (3, 1)).tobytes()
+
+
+def _scatter_correlations(block, gold):
+    """Oracle: Spearman rho as ranks in pair order give it, enumerated ranks scattered back per row.
+
+    This is the value-order formulation the sorted-order one replaced:
+    centred ranks, then ``dev @ gold_dev`` over the sum of squares.
+    """
+    n = block.shape[-1]
+    dev = np.array([_enumerated_ranks(row) for row in block]) - 0.5 * (n + 1)
+    gold_dev = _enumerated_ranks(gold) - 0.5 * (n + 1)
+    gold_ss = gold_dev @ gold_dev
+    den = np.sqrt(np.einsum("...i,...i->...", dev, dev) * gold_ss)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.clip((dev @ gold_dev) / den, -1.0, 1.0)
+    return np.where(den == 0.0, np.nan, rho), gold_dev, gold_ss
+
+
+def _rank_cases():
+    rng = np.random.default_rng(41)
+    for name in sorted(RANK_BLOCKS):
+        block = RANK_BLOCKS[name]
+        if block.shape[1] >= 2:
+            n = block.shape[1]
+            yield name, block, np.round(rng.normal(size=n), 0)
+            yield name + " untied gold", block, rng.permutation(n).astype(np.float64)
+    for n in (2, 3, 50, 997):
+        yield f"random {n}", np.round(rng.normal(size=(7, n)), 2), np.round(rng.normal(size=n), 1)
+
+
+def test_block_rho_is_bitwise_that_of_scattered_ranks():
+    for name, block, gold in _rank_cases():
+        n = block.shape[1]
+        expected, gold_dev, gold_ss = _scatter_correlations(block, gold)
+        covered = CoveredPairs(np.arange(n), np.arange(n), gold, gold_dev, gold_ss)
+        bench = Benchmark("b", tuple((f"a{i}", f"b{i}", g) for i, g in enumerate(gold.tolist())))
+        results = rank_results(block, covered, bench)
+        for result, rho in zip(results, expected.tolist()):
+            assert isinstance(result, EvaluationResult)
+            if np.isnan(rho):
+                assert result.rho is None, name
+            else:
+                assert np.float64(result.rho).tobytes() == np.float64(rho).tobytes(), name
 
 
 def _per_pair_cosines(matrix, idx1, idx2):
@@ -230,3 +312,44 @@ def test_normalized_concat_leaves_a_zero_norm_row_as_it_is():
 def test_normalization_of_an_overflowing_row_is_a_numerical_error():
     with pytest.raises(NumericalError, match="row norm overflows in normalized concatenation"):
         unit_rows(_kernels.row_sq_norms(np.array([[1.0, 0.0], [1e200, 0.0]])))
+
+
+def _benchmark_pairs(rng, n_rows):
+    """Three benchmarks' pairs: odd and even lengths, a pair shared by two, one with none."""
+    first = CoveredPairs(rng.integers(0, n_rows, 51), rng.integers(0, n_rows, 51))
+    second = CoveredPairs(np.append(rng.integers(0, n_rows, 36), first.idx1[7]),
+                          np.append(rng.integers(0, n_rows, 36), first.idx2[7]))
+    none = CoveredPairs(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    return [first, none, second, none]
+
+
+@pytest.mark.filterwarnings("ignore:.*degenerate zero-norm:RuntimeWarning")
+@pytest.mark.parametrize("width", range(1, 18))
+def test_one_pass_over_every_benchmark_scores_each_as_its_own_pass(width):
+    rng = np.random.default_rng(100 + width)
+    n_rows = 30
+    wide = rng.normal(size=(n_rows, width + 3)) * rng.uniform(0.01, 100.0)
+    tables = [np.ascontiguousarray(wide[:, :width]), wide[:, 2:2 + width],
+              rng.normal(size=(n_rows, 5))]
+    tables[0][4] = 0.0  # a zero-norm row
+    benches = _benchmark_pairs(rng, n_rows)
+    joined = joined_pairs(benches)
+    assert joined.spans == ((0, 51), (51, 51), (51, 88), (88, 88))
+    sums = [table_sums(m, _kernels.row_sq_norms(m), joined) for m in tables]
+    scores = [sum_scores(s, joined.spans) for s in sums]
+    units = [unit_rows(_kernels.row_sq_norms(m)) for m in tables]
+    joined_vectors = scores + [
+        interpolate(0.3, scores[0], scores[2]),
+        concat_scores([sums[0], sums[2]], None, joined),
+        concat_scores([sums[1], sums[2]], [units[1], units[2]], joined),
+    ]
+    for covered, (start, stop) in zip(benches, joined.spans):
+        own_sums = [table_sums(m, _kernels.row_sq_norms(m), covered) for m in tables]
+        own_scores = [sum_scores(s) for s in own_sums]
+        own_vectors = own_scores + [
+            interpolate(0.3, own_scores[0], own_scores[2]),
+            concat_scores([own_sums[0], own_sums[2]], None, covered),
+            concat_scores([own_sums[1], own_sums[2]], [units[1], units[2]], covered),
+        ]
+        for joined_vector, own in zip(joined_vectors, own_vectors):
+            assert joined_vector[start:stop].tobytes() == own.tobytes()

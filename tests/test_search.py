@@ -22,6 +22,7 @@ from mmfuse import (
     parse_configuration,
     render_report_machine,
     render_report_table,
+    render_reports,
     select_best,
     sweep,
 )
@@ -265,7 +266,10 @@ class TestSharedFits:
 
     @staticmethod
     def counted(monkeypatch):
-        """Record every decomposition as (routine, matrix bytes), and the rows each call ranks."""
+        """Record every decomposition as (routine, matrix bytes), and the shape each rank call ranks.
+
+        Score blocks and gold scores alike are ranked by ``sorted_ranks``.
+        """
         import mmfuse._kernels as kernels
         import mmfuse.numerics as numerics
 
@@ -275,13 +279,13 @@ class TestSharedFits:
             calls.append((routine.__name__, np.asarray(matrix).tobytes()))
             return real_decompose(routine, matrix, what, **kwargs)
 
-        def average_ranks(values):
-            ranks.append(values.shape[0] if values.ndim == 2 else 1)
+        def sorted_ranks(values):
+            ranks.append(values.shape)
             return real_ranks(values)
 
-        real_decompose, real_ranks = numerics._decompose, kernels.average_ranks
+        real_decompose, real_ranks = numerics._decompose, kernels.sorted_ranks
         monkeypatch.setattr(numerics, "_decompose", decompose)
-        monkeypatch.setattr(kernels, "average_ranks", average_ranks)
+        monkeypatch.setattr(kernels, "sorted_ranks", sorted_ranks)
         return calls, ranks
 
     @pytest.mark.parametrize("overflow", [False, True])
@@ -299,9 +303,10 @@ class TestSharedFits:
         # each ranked configuration ranks its scores once, each benchmark its gold once
         ranked = [e for r in reports for e in r.entries
                   if e.result is not None and e.result.n_evaluated >= 2]
-        assert sum(ranks) == len(ranked) + 2
+        assert sum(shape[0] if len(shape) == 2 else 1 for shape in ranks) == len(ranked) + 2
+        assert sum(len(shape) == 1 for shape in ranks) == 2
         # score vectors are ranked a block at a time per (layer-a group, benchmark)
-        bound = len(benches)
+        blocks = 0
         for bench, report in zip(benches, reports):
             n_eval = len(filter_coverage(bench, textual.vocab))
             per_block = max(1, search.RANK_BLOCK_VALUES // max(1, n_eval))
@@ -309,8 +314,8 @@ class TestSharedFits:
             queued = Counter(e.config.pca_dim for e in report.entries
                              if e.result is not None and e.result.n_evaluated >= 2
                              or str(e.error).startswith("non-finite pair scores"))
-            bound += sum(-(-rows // per_block) for rows in queued.values())
-        assert len(ranks) <= bound
+            blocks += sum(-(-rows // per_block) for rows in queued.values())
+        assert sum(len(shape) == 2 for shape in ranks) == blocks
         if overflow:
             assert single.counts()[STATUS_FAILED] > 0
         else:
@@ -384,12 +389,12 @@ class TestRankBlocks:
         assert 2 * len(bench) <= search.RANK_BLOCK_VALUES < 3 * len(bench)
         shapes = []
 
-        def average_ranks(values):
+        def sorted_ranks(values):
             shapes.append(values.shape)
             return real_ranks(values)
 
-        real_ranks = kernels.average_ranks
-        monkeypatch.setattr(kernels, "average_ranks", average_ranks)
+        real_ranks = kernels.sorted_ranks
+        monkeypatch.setattr(kernels, "sorted_ranks", sorted_ranks)
         report = grid_search(textual, visual, bench, self.GRID)
         assert max(np.prod(shape) for shape in shapes) <= search.RANK_BLOCK_VALUES
         # one block per two queued vectors of a layer-a group, the last one maybe short
@@ -398,6 +403,8 @@ class TestRankBlocks:
                          if e.result is not None or str(e.error).startswith("non-finite pair"))
         blocks = [shape for shape in shapes if len(shape) == 2]
         assert len(blocks) == sum(-(-rows // per_block) for rows in queued.values())
+        # the gold scores are ranked once, as one vector
+        assert [shape for shape in shapes if len(shape) != 2] == [(len(bench),)]
         assert max(queued.values()) > per_block
         monkeypatch.undo()
         assert_matches_oracle(report, exhaustive_oracle(textual, visual, bench, self.GRID))
@@ -434,6 +441,36 @@ class TestMultiBenchmarkSweep:
             assert [r.benchmark_name for r in reports] == [b.name for b in benches]
             for report, oracle in zip(reports, oracles):
                 assert_matches_oracle(report, oracle)
+
+    def test_degenerate_pairs_warn_per_table_and_benchmark(self):
+        """One score vector per table serves every benchmark; its warnings stay per benchmark."""
+        import warnings
+
+        rng = np.random.default_rng(9)
+        vocab = tuple(f"w{i:02d}" for i in range(10))
+        textual, visual = rng.normal(size=(10, 3)), rng.normal(size=(10, 2))
+        textual[3] = 0.0
+        visual[[3, 6]] = 0.0
+        textual = EmbeddingTable(vocab, textual, name="textual")
+        visual = EmbeddingTable(vocab, visual, name="visual")
+        benches = [
+            Benchmark("one", tuple((vocab[i], vocab[j], float((i + 2 * j) % 5))
+                                   for i in range(10) for j in range(i + 1, 10, 3))),
+            Benchmark("two", tuple((vocab[i], vocab[(i + 3) % 10], float(i % 3))
+                                   for i in range(10))),
+            Benchmark("uncovered", (("w03", "zz", 1.0),)),
+        ]
+        grid = GridSpec(dim_step=1, dim_min=1, alpha_step=0.5, ridge=1e-3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep(textual, visual, benches, grid)
+        # raw textual, raw visual, then their concatenation (pairs whose
+        # both blocks are zero), each on "one" then "two"; PCA'd and
+        # projected tables have no zero row
+        counts = [3, 2, 6, 3, 3, 2]
+        assert [str(w.message) for w in caught] == [
+            f"{n} degenerate zero-norm pair scores set to 0" for n in counts]
+        assert {w.category for w in caught} == {RuntimeWarning}
 
     def test_progress_runs_benchmark_after_benchmark(self, planted):
         textual, visual, bench = planted
@@ -494,6 +531,26 @@ class TestRendering:
             assert fields[1] in ("ok", "undefined", "failed")
             parse_configuration(fields[7])  # flat form round-trips
         assert ranks == list(range(1, len(lines)))
+
+    def test_each_configuration_text_is_built_once_per_search(self, monkeypatch):
+        textual, visual, benches = twelve_words(overflow=True)
+        reports = sweep(textual, visual, benches, TestSharedFits.GRID)
+        n_configs = len(reports[0].entries)
+        calls = Counter()
+
+        def counting(name, render):
+            def counted(config, *args, **kwargs):
+                calls[name] += 1
+                return render(config, *args, **kwargs)
+            return counted
+
+        for name in ("describe_configuration", "format_configuration"):
+            monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
+        rendered = render_reports(reports)
+        assert len(reports) == 3
+        assert calls == {"describe_configuration": n_configs, "format_configuration": n_configs}
+        # the one-report renderers give the same text
+        assert rendered == [(render_report_table(r), render_report_machine(r)) for r in reports]
 
     def test_human_table_shows_two_decimal_rho(self, planted):
         textual, visual, bench = planted
