@@ -140,7 +140,8 @@ def _build_manifest(args, need_config, need_bench=True):
     image_vecs = pick(args.image_vecs, "image_vecs")
     benches = args.bench if args.bench else None
     if benches is None and "bench" in values:
-        benches = [b.strip() for b in values["bench"].split(",") if b.strip()]
+        # a manifest line naming no benchmark leaves --bench missing
+        benches = [b.strip() for b in values["bench"].split(",") if b.strip()] or None
     out = pick(args.out, "out")
     config = pick(getattr(args, "config", None), "config")
 
@@ -270,7 +271,6 @@ def _check_report_names(paths):
 
 def cmd_search(manifest):
     _check_report_names(manifest.benches)
-    textual, visual, benches = _load_inputs(manifest)
     grid = GridSpec(
         dim_step=manifest.dim_step,
         dim_min=manifest.dim_min,
@@ -278,6 +278,7 @@ def cmd_search(manifest):
         ridge=manifest.ridge,
         motif_filter=manifest.motifs,
     )
+    textual, visual, benches = _load_inputs(manifest)
 
     def progress(bench, done, total):
         if done == total or done % 200 == 0:

@@ -29,6 +29,7 @@ two blocks (``Concatenation``), so it is scored from their sums, by
 ``apply`` writes follow.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -267,8 +268,8 @@ def validate_configuration(config, dim_t, dim_v):
         elif c.alpha is not None:
             v.append("alpha is only meaningful for li")
 
-    if c.ridge < 0:
-        v.append("ridge must be >= 0")
+    if not (math.isfinite(c.ridge) and c.ridge >= 0):
+        v.append("ridge must be finite and >= 0")
     return v
 
 
@@ -308,6 +309,26 @@ def layer_inputs(config):
             sides = [SIDE_TEXTUAL, SIDE_VISUAL]
         inputs = [(origin, side) for side in sides]
     return sorted(inputs, key=lambda item: (item[1] != SIDE_TEXTUAL, item[0] == "rcca"))
+
+
+def input_label(names, a_dim, f_dim, origin, side):
+    """The name of a layer-c input table: its side's name in ``names``, wrapped in its motifs.
+
+    ``cca(pca50(textual),20)`` is the CCA projection at fusion dim 20 of
+    the textual table's layer-a output at 50. Distinct (layer-a dim,
+    fusion dim, origin, side) inputs of distinctly named sides get
+    distinct names, which degenerate-pair warnings give.
+    """
+    label = names[side]
+    if a_dim:
+        label = f"pca{a_dim}({label})"
+    return f"{origin}({label},{f_dim})" if origin else label
+
+
+def concat_label(labels):
+    """The name of the concatenation of two input tables named ``labels``."""
+    first, second = labels
+    return f"concat[{first};{second}]"
 
 
 def project(model, reduced, side):
@@ -381,6 +402,7 @@ def apply_configuration(config, textual, visual, normalize_concat=False):
                           if origin == "rcca" and reduced[side].shape[1] > f_dim}, [f_dim])
     if config.layer_b != "none":
         model = fitted(fit_fusion(reduced, [f_dim], config.ridge)[f_dim])
+    names = {SIDE_TEXTUAL: textual.name, SIDE_VISUAL: visual.name}
     matrices, labels = [], []
     for origin, side in inputs:
         matrix = reduced[side]
@@ -390,15 +412,13 @@ def apply_configuration(config, textual, visual, normalize_concat=False):
                 matrix = projected
             else:
                 matrix = residual(reduced, side, projected, a_fits, a_dim)
-        base = textual.name if side == SIDE_TEXTUAL else visual.name
-        base = f"pca{a_dim}({base})" if a_dim else base
         matrices.append(matrix)
-        labels.append(f"{origin}({base})" if origin else base)
+        labels.append(input_label(names, a_dim, f_dim, origin, side))
 
     tables = [EmbeddingTable(textual.vocab, m, name=n) for m, n in zip(matrices, labels)]
     if config.layer_c == "concat":
-        name = f"concat[{labels[0]};{labels[1]}]"
-        return ScoringModel(Concatenation(tables, normalize=normalize_concat, name=name))
+        return ScoringModel(Concatenation(tables, normalize=normalize_concat,
+                                          name=concat_label(labels)))
     return ScoringModel(*tables, alpha=config.alpha)
 
 

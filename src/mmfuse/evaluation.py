@@ -240,7 +240,8 @@ class CoveredPairs(NamedTuple):
     correlation. Pairs scored without a benchmark carry no gold scores.
     ``spans`` holds the ``(start, stop)`` of each benchmark's pairs when
     several benchmarks' pairs run end to end (``joined_pairs``); None is
-    one span of every pair.
+    one span of every pair. ``names`` holds the name of each span's
+    benchmark, which degenerate-pair warnings give.
     """
 
     idx1: np.ndarray
@@ -249,6 +250,7 @@ class CoveredPairs(NamedTuple):
     gold_dev: np.ndarray = None
     gold_ss: float = None
     spans: tuple = None
+    names: tuple = None
 
 
 class PairSums(NamedTuple):
@@ -268,7 +270,7 @@ def covered_pairs(bench, table):
     return CoveredPairs(
         np.array([index[w1] for w1, _, _ in pairs], dtype=np.int64),
         np.array([index[w2] for _, w2, _ in pairs], dtype=np.int64),
-        gold, gold_dev, gold_ss,
+        gold, gold_dev, gold_ss, names=(bench.name,),
     )
 
 
@@ -282,20 +284,26 @@ def joined_pairs(covered):
     """
     if len(covered) == 1:
         only, = covered
-        return CoveredPairs(only.idx1, only.idx2, spans=((0, len(only.idx1)),))
+        return CoveredPairs(only.idx1, only.idx2, spans=((0, len(only.idx1)),), names=only.names)
     stops = list(accumulate(len(c.idx1) for c in covered))
     none = np.empty(0, dtype=np.int64)  # a search with no benchmark joins no pairs
     return CoveredPairs(
         np.concatenate([none, *(c.idx1 for c in covered)]),
         np.concatenate([none, *(c.idx2 for c in covered)]),
         spans=tuple(zip([0] + stops[:-1], stops)),
+        names=tuple(name for c in covered for name in c.names or [None]),
     )
 
 
-def _warned(scores, degenerate):
-    """``scores``, after warning that ``degenerate`` of them were set to 0."""
+def _warned(scores, degenerate, table="", bench=None):
+    """``scores``, after warning that ``degenerate`` of them were set to 0.
+
+    The text names ``table`` when it has a name, and ``bench`` when given.
+    """
     if degenerate:
-        warnings.warn(f"{degenerate} degenerate zero-norm pair scores set to 0", RuntimeWarning)
+        where = (f" in {table!r}" if table else "") + (f" on {bench!r}" if bench is not None else "")
+        warnings.warn(f"{degenerate} degenerate zero-norm pair scores set to 0{where}",
+                      RuntimeWarning)
     return scores
 
 
@@ -304,19 +312,23 @@ def table_sums(matrix, sq_norms, covered):
     return PairSums(*_kernels.pair_sums(matrix, covered.idx1, covered.idx2, sq_norms))
 
 
-def sum_scores(sums, spans=None):
+def sum_scores(sums, spans=None, table="", names=None):
     """Pair cosines from sums; an overflowing norm scores nan, which every caller rejects.
 
     Degenerate pairs score 0 with a ``RuntimeWarning`` of their count, one
     per span of ``spans`` (see ``CoveredPairs``) that holds any, in order.
+    The warning names the ``table`` scored, when it has a name, and the
+    span's benchmark of ``names``, when given, so that Python's default
+    filter, which shows each text once, shows one per table and benchmark.
     """
     scores, degenerate = _kernels.sum_cosines(*sums)
-    for start, stop in spans or [(0, len(scores))]:
-        _warned(scores, int(np.count_nonzero(degenerate[start:stop])))
+    spans = spans or [(0, len(scores))]
+    for (start, stop), bench in zip(spans, names or [None] * len(spans)):
+        _warned(scores, int(np.count_nonzero(degenerate[start:stop])), table, bench)
     return scores
 
 
-def concat_scores(sums, units, covered):
+def concat_scores(sums, units, covered, table=""):
     """A concatenation's pair scores from the ``sums`` of its two blocks.
 
     They equal the cosines of the stacked vectors up to rounding. Under
@@ -324,7 +336,8 @@ def concat_scores(sums, units, covered):
     squared norms)`` per row, as ``composition.unit_rows`` gives them:
     the block's dot products are divided by both rows' divisors and its
     squared norms are gathered from there. A pair of non-degenerate rows
-    then scores the mean of the two block cosines.
+    then scores the mean of the two block cosines. ``table`` names the
+    concatenation in degenerate-pair warnings (see ``sum_scores``).
     """
     idx1, idx2 = covered.idx1, covered.idx2
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums score nan
@@ -332,7 +345,8 @@ def concat_scores(sums, units, covered):
             sums = [PairSums(s.dots / (div[idx1] * div[idx2]), sq[idx1], sq[idx2])
                     for s, (div, sq) in zip(sums, units)]
         first, second = sums
-        return sum_scores(PairSums(*(a + b for a, b in zip(first, second))), covered.spans)
+        return sum_scores(PairSums(*(a + b for a, b in zip(first, second))), covered.spans,
+                          table, covered.names)
 
 
 def interpolate(alpha, first, second):
@@ -376,11 +390,13 @@ def model_scores(model, covered):
     if model.is_concat:
         concat = model.first
         sums = [table_sums(b.matrix, b.sq_norms, covered) for b in concat.blocks]
-        return concat_scores(sums, concat.units, covered)
+        return concat_scores(sums, concat.units, covered, concat.name)
     first, second = model.first, model.second
-    scores = sum_scores(table_sums(first.matrix, first.sq_norms, covered))
+    scores = sum_scores(table_sums(first.matrix, first.sq_norms, covered), covered.spans,
+                        first.name, covered.names)
     if model.is_pair:
-        second_scores = sum_scores(table_sums(second.matrix, second.sq_norms, covered))
+        second_scores = sum_scores(table_sums(second.matrix, second.sq_norms, covered),
+                                   covered.spans, second.name, covered.names)
         scores = interpolate(model.alpha, scores, second_scores)
     return scores
 

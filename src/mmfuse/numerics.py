@@ -18,6 +18,11 @@ canonical pairs do not depend on k (Hardoon, Szedmak & Shawe-Taylor
 per-k steps, so it is bitwise the model of ``pca_fit``/``cca_fit`` at
 that k; the singular forms are wrappers. A dimension that cannot be fit
 maps to the error its single fit raises, and ``fitted`` re-raises it.
+A PCA input with at least twice as many rows as columns is decomposed
+through the R factor of its QR factorization, as LAPACK's own SVD of a
+tall matrix does, so no n x d factor is formed; the model is bitwise
+that of the direct SVD except where LAPACK rescales an input with
+magnitudes above about 1e137 or below about 1e-138 (see ``pca_fits``).
 
 Numerical failures raise ``NumericalError``, which a sweep records as a
 failed configuration instead of stopping: a LAPACK routine that does not
@@ -28,6 +33,7 @@ Projecting the data a model was fitted on needs no such check, because
 the checked fit bounds its scale.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +177,18 @@ def pca_fits(X, ks):
     """Top-k principal directions of column-centered ``X`` for every k in ``ks``.
 
     One SVD serves every k: the leading k right singular vectors do not
-    depend on k. Returns ``{k: PcaModel}``, where a k that cannot be fit
+    depend on k. A tall input (``n >= 2 * d``) is decomposed through the
+    triangular factor R of its QR factorization: the SVD of the d x d R has
+    the singular values and right singular vectors of the centred input,
+    and neither Q nor an n x d U is formed. Past its own crossover
+    (``n >= 11 * d / 6``) LAPACK's ``gesdd`` runs that same QR and then
+    decomposes R, so the model is bitwise the one of a direct SVD; below
+    ``2 * d`` the input is decomposed directly. The exception is where
+    ``gesdd`` rescales the centred input or R, at a largest magnitude above
+    about 1e137 or below about 1e-138: there the two differ by rounding,
+    and a centred column whose norm overflows fails as a non-finite PCA
+    input rather than as an overflowing variance. Returns
+    ``{k: PcaModel}``, where a k that cannot be fit
     maps to the ``DimensionError`` or ``NumericalError`` that
     ``pca_fit(X, k)`` raises. Rank-deficient input is not an error:
     trailing components span the null space and carry zero explained
@@ -189,7 +206,11 @@ def pca_fits(X, ks):
 
     def decompose():
         mean = X.mean(axis=0)
-        _, s, vt = _decompose(np.linalg.svd, X - mean, "centered PCA input",
+        centred = X - mean
+        if n >= 2 * d:
+            # the SVD of R gives what the SVD of QR = centred gives, without Q or an n x d U
+            centred = np.linalg.qr(centred, mode="r")
+        _, s, vt = _decompose(np.linalg.svd, centred, "centered PCA input",
                               full_matrices=False)
         return mean, s, vt
 
@@ -239,7 +260,7 @@ def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
     correlations of the projected fit data, which coincide with those
     singular values as ridge -> 0. Returns ``{k: CcaModel}``, where a k
     that cannot be fit maps to the error ``cca_fit(X, Y, k, ridge)``
-    raises; a negative ridge raises ``ValueError``.
+    raises; a negative or non-finite ridge raises ``ValueError``.
     """
     try:
         X = _check_matrix(X, "X")
@@ -258,8 +279,8 @@ def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
         f"CCA dimension k={k} outside [1, min(d1={d1}, d2={d2}, n-1={n - 1})]") for k in ks}
 
     def decompose():
-        if ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if not (math.isfinite(ridge) and ridge >= 0):
+            raise ValueError("ridge must be finite and >= 0")
         mean_x = X.mean(axis=0)
         mean_y = Y.mean(axis=0)
         Xc = X - mean_x

@@ -43,6 +43,7 @@ once for all of them; ``render_report_table`` and
 ``render_report_machine`` render one report.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -52,10 +53,12 @@ import numpy as np
 
 from .composition import (
     apply_configuration,
+    concat_label,
     describe_configuration,
     enumerate_configurations,
     fit_fusion,
     format_configuration,
+    input_label,
     layer_a,
     layer_a_output,
     layer_inputs,
@@ -117,8 +120,8 @@ class GridSpec:
             raise GridError(f"dim_min must be >= 1, got {self.dim_min}")
         if not 0.0 < self.alpha_step <= 1.0:
             raise GridError(f"alpha_step must be in (0, 1], got {self.alpha_step}")
-        if self.ridge < 0:
-            raise GridError(f"ridge must be >= 0, got {self.ridge}")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise GridError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.motif_filter is not None:
             object.__setattr__(self, "motif_filter", frozenset(self.motif_filter))
 
@@ -188,12 +191,12 @@ _FAILURES = (NumericalError, DimensionError, MissingReductionError)
 RANK_BLOCK_VALUES = 2 ** 15
 
 
-def _sweep_group(items, raw, a_fits, scored, pairs, normalize_concat):
+def _sweep_group(items, raw, names, a_fits, scored, pairs, normalize_concat):
     """Per benchmark, the search entries of ``(order_index, config)`` items sharing one layer-a dim.
 
     ``pairs`` joins the covered pairs of every benchmark of ``scored``;
     each score vector is computed once over them and each benchmark ranks
-    its span.
+    its span. ``names`` names the two sides in degenerate-pair warnings.
     """
     a_dim = items[0][1].pca_dim
     ridge = items[0][1].ridge
@@ -236,15 +239,20 @@ def _sweep_group(items, raw, a_fits, scored, pairs, normalize_concat):
     def units(table):
         return once(("units", *table), lambda: unit_rows(sq_norms(table)))
 
+    def label(table):
+        return input_label(names, a_dim, *table)
+
     def scores(table):
-        return once(("scores", *table), lambda: sum_scores(sums(table), pairs.spans))
+        return once(("scores", *table),
+                    lambda: sum_scores(sums(table), pairs.spans, label(table), pairs.names))
 
     def vector(config, tables):
         """The configuration's score vector over every benchmark's pairs."""
         if config.layer_c == "concat":
             block_sums = [sums(t) for t in tables]
             block_units = [units(t) for t in tables] if normalize_concat else None
-            return concat_scores(block_sums, block_units, pairs)
+            return concat_scores(block_sums, block_units, pairs,
+                                 concat_label([label(t) for t in tables]))
         if config.layer_c == "li":
             return interpolate(config.alpha, *(scores(t) for t in tables))
         return scores(tables[0])
@@ -341,7 +349,8 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
     pairs = joined_pairs([covered for _, covered in scored])
     # canonical order keeps each layer-a dim contiguous
     groups = [list(g) for _, g in groupby(enumerate(configs), key=lambda i: i[1].pca_dim)]
-    run = partial(_sweep_group, raw=raw, a_fits=a_fits, scored=scored, pairs=pairs,
+    names = {SIDE_TEXTUAL: textual.name, SIDE_VISUAL: visual.name}
+    run = partial(_sweep_group, raw=raw, names=names, a_fits=a_fits, scored=scored, pairs=pairs,
                   normalize_concat=normalize_concat)
     progress = progress or (lambda bench, done, total: None)
     total = len(configs)

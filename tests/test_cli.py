@@ -285,6 +285,41 @@ class TestManifest:
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("source, ridge", [("flag", "nan"), ("flag", "inf"),
+                                               ("manifest", "nan"), ("manifest", "-inf")])
+    def test_non_finite_ridge_exits_2(self, workspace, capsys, source, ridge):
+        manifest = workspace / "run.manifest"
+        manifest.write_text(f"ridge={ridge}\n" if source == "manifest" else "")
+        extra = ["--ridge", ridge] if source == "flag" else []
+        out = workspace / "out"
+        code = main(["search", *common(workspace), "--out", str(out),
+                     "--manifest", str(manifest), *TestSearch.ARGS, *extra])
+        assert code == EXIT_INPUT
+        assert f"ridge must be finite and >= 0, got {float(ridge)}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("ridge", ["inf", "nan"])
+    def test_non_finite_config_ridge_exits_2(self, workspace, capsys, ridge):
+        config = workspace / "ridge.cfg"
+        config.write_text(f"layer_a=pca:2\nlayer_b=cca:2:out=V\nlayer_c=none\nridge={ridge}\n")
+        code = main(["eval", *common(workspace), "--out", str(workspace / "out"),
+                     "--config", str(config)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "ridge must be finite and >= 0" in err and "invalid value" not in err
+
+    @pytest.mark.parametrize("line", ["bench=", "bench= , "])
+    def test_manifest_naming_no_benchmark_is_a_missing_bench(self, workspace, capsys, line):
+        manifest = workspace / "run.manifest"
+        manifest.write_text(f"{line}\n")
+        out = workspace / "out"
+        code = main(["search", "--text-vecs", str(workspace / "text.vecs"),
+                     "--image-vecs", str(workspace / "image.vecs"), "--out", str(out),
+                     "--manifest", str(manifest), *TestSearch.ARGS])
+        assert code == EXIT_INPUT
+        assert "missing required inputs: --bench" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_file(self, workspace, capsys):
         code = main(["search", "--manifest", str(workspace / "nope.manifest")])
         assert code == EXIT_INPUT

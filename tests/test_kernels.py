@@ -210,6 +210,50 @@ def _sums(matrix, covered):
     return table_sums(matrix, _kernels.row_sq_norms(matrix), covered)
 
 
+def _one_pass_dots(matrix, idx1, idx2):
+    """The dot products of one ``einsum`` over every gathered pair: the pass the blocks replaced."""
+    return np.einsum("ij,ij->i", matrix[idx1], matrix[idx2])
+
+
+@pytest.mark.parametrize("width", [*range(1, 18), 150, 4096])
+def test_pair_sums_in_blocks_are_one_pass_bitwise(monkeypatch, width):
+    rng = np.random.default_rng(200 + width)
+    n_rows, n_pairs = 24, 77
+    wide = rng.normal(size=(n_rows, width + 3)) * rng.uniform(0.01, 100.0)
+    views = {"contiguous": np.ascontiguousarray(wide[:, :width]),
+             "column view": wide[:, 2:2 + width]}
+    idx1, idx2 = rng.integers(0, n_rows, n_pairs), rng.integers(0, n_rows, n_pairs)
+    # one row per block (a block budget below one row), 5 rows per block
+    # (77 pairs leave a remainder of 2), and the module's own budget
+    for block_values in (1, 5 * width, _kernels.PAIR_BLOCK_VALUES):
+        monkeypatch.setattr(_kernels, "PAIR_BLOCK_VALUES", block_values)
+        for name, view in views.items():
+            sq_norms = _kernels.row_sq_norms(view)
+            dots, sq1, sq2 = _kernels.pair_sums(view, idx1, idx2, sq_norms)
+            assert dots.tobytes() == _one_pass_dots(view, idx1, idx2).tobytes(), (name, block_values)
+            assert sq1.tobytes() == sq_norms[idx1].tobytes()
+            assert sq2.tobytes() == sq_norms[idx2].tobytes()
+
+
+def test_pair_sums_gather_one_block_at_a_time():
+    import tracemalloc
+
+    rng = np.random.default_rng(211)
+    matrix = rng.normal(size=(16, 4096))
+    n_pairs = 300  # unblocked, each gathered operand would take 300 x 4096 x 8 B = 9.8 MB
+    idx1, idx2 = rng.integers(0, 16, n_pairs), rng.integers(0, 16, n_pairs)
+    sq_norms = _kernels.row_sq_norms(matrix)
+    tracemalloc.start()
+    try:
+        dots, _, _ = _kernels.pair_sums(matrix, idx1, idx2, sq_norms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two block operands, the three outputs, and small change
+    assert peak <= 2 * _kernels.PAIR_BLOCK_VALUES * 8 + 3 * n_pairs * 8 + 64 * 1024
+    assert dots.tobytes() == _one_pass_dots(matrix, idx1, idx2).tobytes()
+
+
 def _cases():
     rng = np.random.default_rng(23)
     for n_rows in (6, 200):

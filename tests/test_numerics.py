@@ -391,8 +391,83 @@ class TestPrefixFits:
         for fits in (pca_fits(X, [1, 2]), cca_fits(X, PCA_X, [1, 2]), pca_fits(PCA_X, [0, 9])):
             assert all(isinstance(fit, (NumericalError, DimensionError)) for fit in fits.values())
         assert calls == []
-        with pytest.raises(ValueError):
-            cca_fits(PCA_X, PCA_X, [1], ridge=-1.0)
+        for ridge in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+                cca_fits(PCA_X, PCA_X, [1], ridge=ridge)
+
+
+def _direct_pca(X, k):
+    """Mean, components and variances at k from a direct SVD of the centred input."""
+    mean = X.mean(axis=0)
+    _, s, vt = np.linalg.svd(X - mean, full_matrices=False)
+    components, _ = _loop_fix_signs(vt[:k].T)
+    return mean, components, np.maximum(s[:k] ** 2 / (len(X) - 1), 0.0)
+
+
+class TestTallPca:
+    """An input with ``n >= 2 * d`` rows is decomposed through its QR factor R, bitwise."""
+
+    @staticmethod
+    def shapes(monkeypatch):
+        """The shape of each QR and each decomposition ``pca_fits`` runs."""
+        import mmfuse.numerics as numerics
+
+        qrs, svds = [], []
+        real_qr, real_decompose = np.linalg.qr, numerics._decompose
+
+        def qr(matrix, mode):
+            qrs.append(matrix.shape)
+            return real_qr(matrix, mode=mode)
+
+        def decompose(routine, matrix, what, **kwargs):
+            svds.append(matrix.shape)
+            return real_decompose(routine, matrix, what, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(numerics, "_decompose", decompose)
+        return qrs, svds
+
+    @staticmethod
+    def tall():
+        rng = np.random.default_rng(41)
+        d = 7
+        yield "n = 2d", rng.normal(size=(2 * d, d))
+        yield "n = 2d + 1", rng.normal(size=(2 * d + 1, d))
+        yield "rank-deficient", rng.normal(size=(40, 3)) @ rng.normal(size=(3, d))
+        yield "duplicate column", rng.normal(size=(30, d))[:, [0, 1, 2, 3, 4, 5, 1]]
+        yield "constant", np.full((30, d), 2.5)
+        yield "tied", np.repeat(rng.integers(-2, 3, size=(5, d)).astype(float), 6, axis=0)
+        yield "600 x 100", rng.normal(size=(600, 100))
+
+    def test_tall_inputs_fit_as_a_direct_svd_bitwise(self, monkeypatch):
+        qrs, svds = self.shapes(monkeypatch)
+        for name, X in self.tall():
+            n, d = X.shape
+            qrs.clear()
+            svds.clear()
+            ks = list(range(1, d + 1))
+            fits = pca_fits(X, ks)
+            assert (qrs, svds) == ([(n, d)], [(d, d)]), name
+            for k in ks:
+                fit = fits[k]
+                for got, want in zip((fit.mean, fit.components, fit.explained_variance),
+                                     _direct_pca(X, k)):
+                    assert got.tobytes() == want.tobytes(), (name, k)
+
+    def test_inputs_below_twice_their_width_are_decomposed_directly(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        d = 7
+        qrs, svds = self.shapes(monkeypatch)
+        for n in (2 * d - 1, d + 1, d, 3):
+            X = rng.normal(size=(n, d))
+            qrs.clear()
+            svds.clear()
+            fits = pca_fits(X, [1, 2])
+            assert (qrs, svds) == ([], [(n, d)]), n
+            for k in (1, 2):
+                for got, want in zip((fits[k].mean, fits[k].components,
+                                      fits[k].explained_variance), _direct_pca(X, k)):
+                    assert got.tobytes() == want.tobytes(), (n, k)
 
 
 class TestResidual:

@@ -99,6 +99,9 @@ class TestGridSpec:
             GridSpec(alpha_step=0.0)
         with pytest.raises(GridError):
             GridSpec(alpha_step=1.5)
+        for ridge in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(GridError, match="ridge must be finite and >= 0"):
+                GridSpec(ridge=ridge)
 
     def test_dims_reach_the_input_limit(self):
         assert GridSpec().dims_up_to(500) == list(range(50, 501, 50))
@@ -443,7 +446,11 @@ class TestMultiBenchmarkSweep:
                 assert_matches_oracle(report, oracle)
 
     def test_degenerate_pairs_warn_per_table_and_benchmark(self):
-        """One score vector per table serves every benchmark; its warnings stay per benchmark."""
+        """One score vector per table serves every benchmark; its warnings stay per benchmark.
+
+        Each names its table and benchmark, so Python's default filter,
+        which shows a text once, shows every one of them.
+        """
         import warnings
 
         rng = np.random.default_rng(9)
@@ -461,16 +468,38 @@ class TestMultiBenchmarkSweep:
             Benchmark("uncovered", (("w03", "zz", 1.0),)),
         ]
         grid = GridSpec(dim_step=1, dim_min=1, alpha_step=0.5, ridge=1e-3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sweep(textual, visual, benches, grid)
         # raw textual, raw visual, then their concatenation (pairs whose
         # both blocks are zero), each on "one" then "two"; PCA'd and
         # projected tables have no zero row
         counts = [3, 2, 6, 3, 3, 2]
-        assert [str(w.message) for w in caught] == [
-            f"{n} degenerate zero-norm pair scores set to 0" for n in counts]
-        assert {w.category for w in caught} == {RuntimeWarning}
+        tables = ["textual"] * 2 + ["visual"] * 2 + ["concat[textual;visual]"] * 2
+        expected = [f"{n} degenerate zero-norm pair scores set to 0 in {table!r} on {bench!r}"
+                    for n, table, bench in zip(counts, tables, ["one", "two"] * 3)]
+        for action in ("always", "default"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                sweep(textual, visual, benches, grid)
+            assert [str(w.message) for w in caught] == expected, action
+            assert {w.category for w in caught} == {RuntimeWarning}
+        # evaluating one configuration names its tables as the sweep does
+        concat = apply_configuration(Configuration(layer_c="concat"), textual, visual)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate(concat, benches[1])
+        assert [str(w.message) for w in caught] == expected[-1:]
+
+    def test_every_table_of_a_search_has_a_name_of_its_own(self):
+        from mmfuse.composition import concat_label, input_label, layer_inputs
+
+        names = {"textual": "textual", "visual": "visual"}
+        configs = enumerate_configurations(6, 6, GridSpec(dim_step=1, dim_min=1, alpha_step=0.5))
+        inputs = {c: [(c.pca_dim, c.fusion_dim if origin else None, origin, side)
+                      for origin, side in layer_inputs(c)] for c in configs}
+        tables = {table for c in configs for table in inputs[c]}
+        assert len({input_label(names, *table) for table in tables}) == len(tables)
+        concats = [c for c in configs if c.layer_c == "concat"]
+        labels = {concat_label([input_label(names, *t) for t in inputs[c]]) for c in concats}
+        assert len(labels) == len(concats)
 
     def test_progress_runs_benchmark_after_benchmark(self, planted):
         textual, visual, bench = planted
