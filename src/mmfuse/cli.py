@@ -126,8 +126,14 @@ def _parse_motifs(raw):
     return names or None
 
 
-def _build_manifest(args, need_config, need_bench=True):
+def _build_manifest(args, need_config, unused=()):
+    """The command's inputs; a flag ``unused`` names is rejected, its manifest key ignored."""
+    for key in unused:
+        if getattr(args, key) is not None:
+            raise InputError(f"{args.command} does not take --{key.replace('_', '-')}")
     values = _read_manifest_file(args.manifest) if args.manifest else {}
+    # one manifest may serve several commands: a key this command does not use is ignored
+    values = {key: value for key, value in values.items() if key not in unused}
 
     def pick(flag, key, default=None):
         if flag is not None:
@@ -153,7 +159,7 @@ def _build_manifest(args, need_config, need_bench=True):
         ]
         if value is None
     ]
-    if need_bench and benches is None:
+    if "bench" not in unused and benches is None:
         missing.append("--bench")
     if need_config and config is None:
         missing.append("--config")
@@ -377,20 +383,23 @@ def build_parser():
     return parser
 
 
+# flags (and manifest keys) only a sweep reads
+_SWEEP_ONLY = ("dim_step", "dim_min", "alpha_step", "ridge", "motifs", "workers")
+
 _COMMANDS = {
-    "eval": (partial(cmd_evaluate, label="eval"), True, True),
-    "search": (cmd_search, False, True),
-    "cross": (partial(cmd_evaluate, label="cross"), True, True),
-    "apply": (cmd_apply, True, False),
+    "eval": (partial(cmd_evaluate, label="eval"), True, _SWEEP_ONLY),
+    "search": (cmd_search, False, ()),
+    "cross": (partial(cmd_evaluate, label="cross"), True, _SWEEP_ONLY),
+    "apply": (cmd_apply, True, _SWEEP_ONLY + ("bench",)),
 }
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    command, need_config, need_bench = _COMMANDS[args.command]
+    command, need_config, unused = _COMMANDS[args.command]
     try:
-        manifest = _build_manifest(args, need_config, need_bench)
+        manifest = _build_manifest(args, need_config, unused)
         return command(manifest)
     except ConfigurationError as exc:
         print("error: configuration is invalid:", file=sys.stderr)

@@ -220,6 +220,11 @@ class TestApply:
         assert "alpha=0.4" in (out / "scoring.txt").read_text()
 
 
+# the flags only search reads
+SWEEP_ONLY = [("--ridge", "nan"), ("--dim-step", "3"), ("--dim-min", "2"),
+              ("--alpha-step", "0.5"), ("--motifs", "pca"), ("--workers", "7")]
+
+
 class TestManifest:
     def test_manifest_file_supplies_flags(self, workspace):
         manifest = workspace / "run.manifest"
@@ -319,6 +324,42 @@ class TestManifest:
         assert code == EXIT_INPUT
         assert "missing required inputs: --bench" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        *((command, flag, value) for command in ("eval", "cross", "apply")
+          for flag, value in SWEEP_ONLY),
+        ("apply", "--bench", "toy.tsv"),
+    ])
+    def test_flags_a_command_does_not_use_exit_2(self, workspace, capsys, command, flag,
+                                                 value):
+        out = workspace / "out"
+        code = main([command, "--text-vecs", str(workspace / "text.vecs"),
+                     "--image-vecs", str(workspace / "image.vecs"), "--out", str(out),
+                     "--config", str(workspace / "good.cfg"),
+                     *(["--bench", str(workspace / "toy.tsv")] if command != "apply" else []),
+                     flag, str(workspace / value) if flag == "--bench" else value])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {command} does not take {flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "cross", "apply"])
+    def test_manifest_keys_a_command_does_not_use_are_ignored(self, workspace, command):
+        # invalid for a search, and a malformed benchmark file apply never reads
+        (workspace / "broken.tsv").write_text("not a benchmark\n")
+        manifest = workspace / "run.manifest"
+        manifest.write_text("ridge=nan\ndim_step=0\ndim_min=-1\nalpha_step=2\n"
+                            "motifs=svd\nworkers=0\n"
+                            + (f"bench={workspace / 'broken.tsv'}\n" if command == "apply" else ""))
+        args = ["--text-vecs", str(workspace / "text.vecs"),
+                "--image-vecs", str(workspace / "image.vecs"),
+                "--config", str(workspace / "good.cfg"),
+                *(["--bench", str(workspace / "toy.tsv")] if command != "apply" else [])]
+        assert main([command, *args, "--out", str(workspace / "plain")]) == EXIT_OK
+        assert main([command, *args, "--out", str(workspace / "manifest"),
+                     "--manifest", str(manifest)]) == EXIT_OK
+        for path in sorted((workspace / "plain").iterdir()):
+            if path.name != "run.log":
+                assert (workspace / "manifest" / path.name).read_bytes() == path.read_bytes()
 
     def test_missing_manifest_file(self, workspace, capsys):
         code = main(["search", "--manifest", str(workspace / "nope.manifest")])

@@ -14,6 +14,7 @@ from mmfuse import (
     pca_transform,
     rcca_residual,
 )
+from mmfuse.numerics import GRAM_BOUND, GRAM_MIN_SIDE
 
 # Fixed 4x3 instance; expected values frozen from an independent
 # eigendecomposition-of-covariance oracle computed before the build.
@@ -454,20 +455,198 @@ class TestTallPca:
                                      _direct_pca(X, k)):
                     assert got.tobytes() == want.tobytes(), (name, k)
 
-    def test_inputs_below_twice_their_width_are_decomposed_directly(self, monkeypatch):
+
+def _with_spectrum(rng, n, d, s):
+    """A centred n x d input whose nonzero singular values are ``s``."""
+    u = rng.normal(size=(n, len(s)))
+    u, _ = np.linalg.qr(u - u.mean(axis=0))
+    v, _ = np.linalg.qr(rng.normal(size=(d, len(s))))
+    return (u * s) @ v.T
+
+
+class TestGramPca:
+    """An input with ``n < 2 * d`` is decomposed through the ``eigh`` of its smaller Gram matrix.
+
+    Where a side is below ``GRAM_MIN_SIDE``, that Gram is too
+    ill-conditioned, or its ``eigh`` fails, the input is decomposed by the
+    direct SVD, bitwise.
+    """
+
+    @staticmethod
+    def routines(monkeypatch):
+        """The routine and the matrix shape of each decomposition ``pca_fits`` runs."""
+        import mmfuse.numerics as numerics
+
+        calls = []
+        real = numerics._decompose
+
+        def decompose(routine, matrix, what, **kwargs):
+            calls.append((routine.__name__, matrix.shape))
+            return real(routine, matrix, what, **kwargs)
+
+        monkeypatch.setattr(numerics, "_decompose", decompose)
+        return calls
+
+    @staticmethod
+    def assert_near_svd(fits, X, tol):
+        for k, fit in fits.items():
+            mean, components, variance = _direct_pca(X, k)
+            assert fit.mean.tobytes() == mean.tobytes(), k
+            np.testing.assert_allclose(fit.components, components, rtol=0, atol=tol)
+            # an eigenvalue's error is relative to the largest one
+            np.testing.assert_allclose(fit.explained_variance, variance,
+                                       rtol=0, atol=tol * variance[0])
+
+    @staticmethod
+    def assert_direct_svd(fits, X):
+        for k, fit in fits.items():
+            for got, want in zip((fit.mean, fit.components, fit.explained_variance),
+                                 _direct_pca(X, k)):
+                assert got.tobytes() == want.tobytes(), k
+
+    @staticmethod
+    def all_ks(X):
+        return list(range(1, min(X.shape[0] - 1, X.shape[1]) + 1))
+
+    def test_inputs_below_twice_their_width_take_the_smaller_gram(self, monkeypatch):
         rng = np.random.default_rng(43)
-        d = 7
-        qrs, svds = self.shapes(monkeypatch)
-        for n in (2 * d - 1, d + 1, d, 3):
+        d = 20
+        calls = self.routines(monkeypatch)
+        for n, gram in ((2 * d - 1, d), (d + 1, d), (d, d), (GRAM_MIN_SIDE, GRAM_MIN_SIDE)):
             X = rng.normal(size=(n, d))
-            qrs.clear()
-            svds.clear()
+            calls.clear()
             fits = pca_fits(X, [1, 2])
-            assert (qrs, svds) == ([], [(n, d)]), n
-            for k in (1, 2):
-                for got, want in zip((fits[k].mean, fits[k].components,
-                                      fits[k].explained_variance), _direct_pca(X, k)):
-                    assert got.tobytes() == want.tobytes(), (n, k)
+            assert calls == [("eigh", (gram, gram))], n
+            self.assert_near_svd(fits, X, 1e-12)
+        # a side below GRAM_MIN_SIDE is decomposed directly
+        for shape in ((GRAM_MIN_SIDE - 1, d), (2 * GRAM_MIN_SIDE - 3, GRAM_MIN_SIDE - 1), (4, 3)):
+            X = rng.normal(size=shape)
+            calls.clear()
+            fits = pca_fits(X, [1, 2])
+            assert calls == [("svd", shape)], shape
+            self.assert_direct_svd(fits, X)
+
+    @staticmethod
+    def wide():
+        rng = np.random.default_rng(44)
+        for n, d in ((40, 100), (16, 17), (30, 31), (60, 60), (61, 60), (119, 60)):
+            yield (n, d), 3.0 + rng.normal(size=(n, d))
+            latent = rng.normal(size=(n, 10))
+            yield (n, d), np.tanh(latent @ rng.normal(size=(10, d)) / 3
+                                  + 0.5 * rng.normal(size=(n, d)))
+
+    def test_matches_an_svd_oracle(self, monkeypatch):
+        calls = self.routines(monkeypatch)
+        for (n, d), X in self.wide():
+            calls.clear()
+            fits = pca_fits(X, self.all_ks(X))
+            side = min(n, d)
+            assert calls == [("eigh", (side, side))], (n, d)
+            self.assert_near_svd(fits, X, 1e-11)
+
+    def test_prefix_fits_are_the_single_fits_bitwise(self):
+        rng = np.random.default_rng(45)
+        rank_deficient = rng.normal(size=(20, 3)) @ rng.normal(size=(3, 30))
+        for _, X in [*self.wide(), ("fallback", rank_deficient)]:
+            m = min(X.shape[0] - 1, X.shape[1])
+            ks = [0, 1, m // 2, m, m + 1]
+            fits = pca_fits(X, ks)
+            for k in ks:
+                TestPrefixFits.assert_same_fit(fits[k], TestPrefixFits.single(pca_fit, X, k))
+
+    @staticmethod
+    def ill_conditioned():
+        rng = np.random.default_rng(46)
+        yield "rank-deficient, n < d", rng.normal(size=(20, 3)) @ rng.normal(size=(3, 30))
+        yield "rank-deficient, d <= n", rng.normal(size=(30, 3)) @ rng.normal(size=(3, 20))
+        yield "duplicate rows", rng.normal(size=(12, 30))[[*range(12), 0, 1, 2, 3, 4, 5]]
+        yield "constant", np.full((20, 30), 2.5)
+        # the smallest eigenvalue any k reads just below the bound
+        smallest = (0.9 * GRAM_BOUND) ** 0.5
+        yield "below the bound, n < d", _with_spectrum(rng, 20, 50, np.geomspace(1, smallest, 19))
+        yield "below the bound, d <= n", _with_spectrum(rng, 50, 30, np.geomspace(1, smallest, 30))
+
+    def test_ill_conditioned_inputs_fall_back_to_the_direct_svd_bitwise(self, monkeypatch):
+        calls = self.routines(monkeypatch)
+        for name, X in self.ill_conditioned():
+            n, d = X.shape
+            calls.clear()
+            fits = pca_fits(X, self.all_ks(X))
+            side = min(n, d)
+            assert calls == [("eigh", (side, side)), ("svd", (n, d))], name
+            self.assert_direct_svd(fits, X)
+
+    def test_a_spectrum_just_above_the_bound_takes_the_gram(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        smallest = (1.1 * GRAM_BOUND) ** 0.5
+        calls = self.routines(monkeypatch)
+        for n, d in ((20, 50), (50, 30)):
+            X = _with_spectrum(rng, n, d, np.geomspace(1, smallest, min(n - 1, d)))
+            calls.clear()
+            fits = pca_fits(X, self.all_ks(X))
+            assert calls == [("eigh", (min(n, d),) * 2)], (n, d)
+            self.assert_near_svd(fits, X, 1e-8)
+
+    @pytest.mark.parametrize("shape", [(17, 30), (30, 20)])
+    def test_extreme_magnitudes_keep_their_status(self, monkeypatch, shape):
+        X = np.random.default_rng(48).normal(size=shape)
+        calls = self.routines(monkeypatch)
+        ks = self.all_ks(X)
+        overflowing = pca_fits(X * 1e200, ks)
+        assert {k: repr(fit) for k, fit in overflowing.items()} == dict.fromkeys(
+            ks, repr(NumericalError("PCA variance contains non-finite values")))
+        tiny = X * 1e-160
+        fits = pca_fits(tiny, ks)
+        assert calls == [("eigh", (min(shape),) * 2)] * 2
+        for k, fit in fits.items():
+            mean, components, variance = _direct_pca(tiny, k)
+            assert fit.mean.tobytes() == mean.tobytes()
+            np.testing.assert_allclose(fit.components, components, rtol=0, atol=1e-11)
+            # the variances are subnormal: a few units of 5e-324 apart
+            assert np.max(np.abs(fit.explained_variance - variance)) <= 8 * 5e-324
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_centred_input(self, monkeypatch):
+        X = np.full((20, 30), 1.7e308)
+        X[0] = -1.7e308
+        calls = self.routines(monkeypatch)
+        fits = pca_fits(X, [1, 2])
+        assert calls == []
+        assert {k: repr(fit) for k, fit in fits.items()} == dict.fromkeys(
+            [1, 2], repr(NumericalError("centered PCA input contains non-finite values")))
+
+    def test_a_failing_svd_leaves_the_gram_route(self, monkeypatch):
+        X = next(self.wide())[1]
+        gram_fits = pca_fits(X, [1, 5])
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        for k, fit in pca_fits(X, [1, 5]).items():
+            TestPrefixFits.assert_same_fit(fit, gram_fits[k])
+        rank_deficient = next(self.ill_conditioned())[1]
+        with pytest.raises(NumericalError, match="centered PCA input: SVD did not converge"):
+            pca_fit(rank_deficient, 2)
+
+    @pytest.mark.parametrize("failure", ["no convergence", "non-finite"])
+    def test_a_failing_eigh_falls_back_to_the_direct_svd(self, monkeypatch, failure):
+        real_eigh = np.linalg.eigh
+
+        def eigh(matrix):
+            if failure == "no convergence":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            lam, vecs = real_eigh(matrix)
+            lam[0] = np.nan
+            return lam, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        calls = self.routines(monkeypatch)
+        for _, X in self.wide():
+            calls.clear()
+            fits = pca_fits(X, self.all_ks(X))
+            assert [routine for routine, _ in calls] == ["eigh", "svd"]
+            self.assert_direct_svd(fits, X)
 
 
 class TestResidual:
