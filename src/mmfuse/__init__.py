@@ -57,10 +57,8 @@ from .numerics import (
     DEFAULT_RIDGE,
     CcaModel,
     PcaModel,
-    cca_fit,
     cca_fits,
     cca_transform,
-    pca_fit,
     pca_fits,
     pca_transform,
     rcca_residual,
@@ -70,9 +68,6 @@ from .search import (
     SearchEntry,
     SearchReport,
     cross_evaluate,
-    grid_search,
-    render_report_machine,
-    render_report_table,
     render_reports,
     select_best,
     sweep,

@@ -67,12 +67,6 @@ def sum_cosines(dots, sq1, sq2):
     return scores, degenerate
 
 
-def pair_cosine_scores(matrix, idx1, idx2):
-    """Cosine per index pair of one matrix; returns (scores, n_degenerate)."""
-    scores, degenerate = sum_cosines(*pair_sums(matrix, idx1, idx2, row_sq_norms(matrix)))
-    return scores, int(degenerate.sum())
-
-
 def sorted_ranks(values):
     """Sort order along the last axis, and the centred tie-averaged rank of each sorted position.
 

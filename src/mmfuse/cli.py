@@ -81,7 +81,10 @@ class RunManifest:
 
 
 def _parse_bool(raw):
-    return raw.strip().lower() in {"1", "true", "yes"}
+    value = raw.strip().lower()
+    if value not in {"1", "true", "yes", "0", "false", "no"}:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return value in {"1", "true", "yes"}
 
 
 _MANIFEST_KEYS = {

@@ -15,15 +15,16 @@ nan, so it fails rather than scoring 0.
 
 ``evaluate`` is ``covered_pairs``, then ``model_scores`` (``table_sums``
 per table, then ``sum_scores``, ``interpolate`` or ``concat_scores``),
-then ``rank_result``. A sweep calls the same pieces, computing each
-table's sums once over the covered pairs of every benchmark, end to end
-(``joined_pairs``), and sharing them between configurations; each
-benchmark ranks its slice of every score vector. ``covered_pairs`` ranks
-the gold scores once per benchmark. Score vectors are ranked in blocks
-of rows by ``rank_results``, from their sort order alone: a rank
-correlation pairs each sorted position's rank with the gold rank of the
-pair sorted there, so no score's rank is put back in pair order.
-``rank_result`` and ``spearman`` rank a one-row block through it.
+then ``rank_results`` of its one score vector. ``cosine`` and
+``pair_score`` score one pair through the same pieces. A sweep calls
+them too, computing each table's sums once over the covered pairs of
+every benchmark, end to end (``joined_pairs``), and sharing them
+between configurations; each benchmark ranks its slice of every score
+vector. ``covered_pairs`` ranks the gold scores once per benchmark.
+Score vectors are ranked in blocks of rows by ``rank_results``, from
+their sort order alone: a rank correlation pairs each sorted position's
+rank with the gold rank of the pair sorted there, so no score's rank is
+put back in pair order. ``spearman`` ranks a one-row block the same way.
 """
 
 import math
@@ -155,10 +156,13 @@ def cosine(u, v):
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
+    if u.shape != v.shape:
         raise DimensionError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    scores = _warned(*_kernels.pair_cosine_scores(np.stack([u, v]), [0], [1]))
-    return _finite_score(scores, "cosine")
+    if u.ndim != 1:
+        raise DimensionError(f"cosine needs 1-d vectors, got shape {u.shape}")
+    m = np.stack([u, v])
+    pair = CoveredPairs(np.array([0]), np.array([1]))
+    return _finite_score(sum_scores(table_sums(m, _kernels.row_sq_norms(m), pair)), "cosine")
 
 
 def pair_score(model, w1, w2):
@@ -374,17 +378,6 @@ def rank_results(vectors, covered, bench):
     ]
 
 
-def rank_result(scores, covered, bench):
-    """Spearman rho of ``scores`` against the covered gold scores of ``bench``.
-
-    A one-row ``rank_results``: a non-finite score raises its ``NumericalError``.
-    """
-    result, = rank_results(np.asarray(scores)[None], covered, bench)
-    if isinstance(result, NumericalError):
-        raise result
-    return result
-
-
 def model_scores(model, covered):
     """Scores of the covered pairs under ``model``, from the pieces a sweep runs."""
     if model.is_concat:
@@ -409,4 +402,7 @@ def evaluate(model, bench):
     norms that overflow) raise ``NumericalError``.
     """
     covered = covered_pairs(bench, model.first)
-    return rank_result(model_scores(model, covered), covered, bench)
+    result, = rank_results(model_scores(model, covered)[None], covered, bench)
+    if isinstance(result, NumericalError):
+        raise result
+    return result

@@ -15,9 +15,9 @@ flipped jointly so the pinned sign never negates a correlation).
 decomposition, because the leading k principal axes and the leading k
 canonical pairs do not depend on k (Hardoon, Szedmak & Shawe-Taylor
 2004). Each k's model is computed from that decomposition by the same
-per-k steps, so it is bitwise the model of ``pca_fit``/``cca_fit`` at
-that k; the singular forms are wrappers. A dimension that cannot be fit
-maps to the error its single fit raises, and ``fitted`` re-raises it.
+per-k steps, so ``pca_fits(X, ks)[k]`` is bitwise ``pca_fits(X, [k])[k]``,
+and likewise for ``cca_fits``. A dimension that cannot be fit maps to
+the error its fit raises, and ``fitted`` re-raises it.
 A PCA input takes one of three routes, chosen from the input alone. One
 with at least twice as many rows as columns is decomposed through the R
 factor of its QR factorization, as LAPACK's own SVD of a tall matrix
@@ -234,7 +234,7 @@ def pca_fits(X, ks):
     One decomposition serves every k: the leading k right singular vectors
     do not depend on k. Which of three routes decomposes the centred n x d
     input depends on ``X`` alone, never on ``ks``, so ``pca_fits(X, ks)[k]``
-    is bitwise ``pca_fit(X, k)``:
+    is bitwise ``pca_fits(X, [k])[k]``:
 
     - Tall (``n >= 2 * d``): the SVD of the d x d triangular factor R of
       its QR factorization has the singular values and right singular
@@ -270,7 +270,7 @@ def pca_fits(X, ks):
     inputs; variances differ by about as much, relative to the largest.
 
     Returns ``{k: PcaModel}``, where a k that cannot be fit maps to the
-    ``DimensionError`` or ``NumericalError`` that ``pca_fit(X, k)`` raises.
+    ``DimensionError`` or ``NumericalError`` that fitting it raised.
     Rank-deficient input is not an error: trailing components span the
     null space and carry zero explained variance.
     """
@@ -310,11 +310,6 @@ def pca_fits(X, ks):
     return _fill(fits, decompose, model_at)
 
 
-def pca_fit(X, k):
-    """Top-k principal directions of column-centered ``X`` (see ``pca_fits``)."""
-    return fitted(pca_fits(X, [k])[k])
-
-
 def pca_transform(model, X):
     """Project rows of ``X``: ``(X - mean) @ components``."""
     X = _check_matrix(X, "X")
@@ -344,8 +339,9 @@ def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
     whitened singular value; the stored correlations are the sample
     correlations of the projected fit data, which coincide with those
     singular values as ridge -> 0. Returns ``{k: CcaModel}``, where a k
-    that cannot be fit maps to the error ``cca_fit(X, Y, k, ridge)``
-    raises; a negative or non-finite ridge raises ``ValueError``.
+    that cannot be fit maps to the error fitting it raised, and
+    ``cca_fits(X, Y, ks, ridge)[k]`` is bitwise ``cca_fits(X, Y, [k], ridge)[k]``;
+    a negative or non-finite ridge raises ``ValueError``.
     """
     try:
         X = _check_matrix(X, "X")
@@ -403,11 +399,6 @@ def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
         )
 
     return _fill(fits, decompose, model_at)
-
-
-def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE):
-    """Regularized CCA of ``X`` and ``Y`` at dimension ``k`` (see ``cca_fits``)."""
-    return fitted(cca_fits(X, Y, [k], ridge)[k])
 
 
 def _sample_correlations(A, B):

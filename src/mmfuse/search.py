@@ -36,11 +36,9 @@ each decomposition runs once whatever the number of benchmarks or dims:
 
 A failure is stored where it happened and given, with its text, to every
 configuration built on it. Groups share only the read-only layer-a fits,
-so ``workers`` sweeps them in threads without locks. ``grid_search`` is a
-one-benchmark ``sweep``. The reports of one search list the same
-configurations, so ``render_reports`` builds each configuration's text
-once for all of them; ``render_report_table`` and
-``render_report_machine`` render one report.
+so ``workers`` sweeps them in threads without locks. The reports of one
+search list the same configurations, so ``render_reports`` builds each
+configuration's text once for all of them.
 """
 
 import math
@@ -376,20 +374,6 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
     )
 
 
-def grid_search(textual, visual, bench, grid, workers=1, progress=None,
-                normalize_concat=False):
-    """Evaluate every configuration in the grid against one benchmark.
-
-    A one-benchmark :func:`sweep`; ``progress``, when given, is called as
-    ``progress(done, total)``.
-    """
-    report, = sweep(
-        textual, visual, [bench], grid, workers=workers, normalize_concat=normalize_concat,
-        progress=None if progress is None else lambda _, done, total: progress(done, total),
-    )
-    return report
-
-
 def select_best(report):
     """Top-ranked successful entry; ties already broken by lowest dim."""
     if report.entries and report.entries[0].status == STATUS_OK:
@@ -431,7 +415,7 @@ def _texts(entries, render):
     return texts
 
 
-def _table(report, descriptions, limit=None):
+def _table(report, descriptions):
     """The human table of ``report``, its configurations described by order index."""
     counts = report.counts()
     lines = [
@@ -442,8 +426,7 @@ def _table(report, descriptions, limit=None):
         "",
         f"{'rank':>5}  {'rho':>5}  {'dim':>5}  {'pairs':>11}  config",
     ]
-    shown = report.entries if limit is None else report.entries[:limit]
-    for rank, e in enumerate(shown, start=1):
+    for rank, e in enumerate(report.entries, start=1):
         pairs = f"{e.result.n_evaluated}/{e.result.n_total}" if e.result else "-"
         desc = descriptions[e.order_index]
         if e.status == STATUS_FAILED:
@@ -481,27 +464,13 @@ def _flat_configuration(config):
 def render_reports(reports):
     """The human table and machine TSV of each report of one search, in order.
 
-    Each configuration's two texts are built once for every report: the
+    The table shows rho to 2 decimals. The TSV has one line per entry:
+    rank, status, rho, pairs evaluated, pairs in all, coverage, output
+    dim and flat configuration. Each
+    configuration's two texts are built once for every report: the
     reports of one search share each configuration's ``order_index``.
     """
     entries = [e for report in reports for e in report.entries]
     descriptions = _texts(entries, describe_configuration)
     flat = _texts(entries, _flat_configuration)
     return [(_table(report, descriptions), _machine(report, flat)) for report in reports]
-
-
-def render_report_table(report, limit=None):
-    """Human-readable ranked table (rho shown to 2 decimals), as ``render_reports`` gives it.
-
-    Only the ``limit`` entries shown, when given, are described.
-    """
-    shown = report.entries if limit is None else report.entries[:limit]
-    return _table(report, _texts(shown, describe_configuration), limit)
-
-
-def render_report_machine(report):
-    """Line-per-entry TSV: status, rho, coverage, dims, flat configuration.
-
-    The machine report ``render_reports`` gives for one report.
-    """
-    return _machine(report, _texts(report.entries, _flat_configuration))

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from mmfuse import Benchmark, EmbeddingTable
+from mmfuse import DEFAULT_RIDGE, Benchmark, EmbeddingTable, cca_fits, pca_fits
+from mmfuse.numerics import fitted
+
+
+def fit_pca(X, k):
+    """The PCA model of ``X`` at dimension ``k``, or raise the error fitting it raised."""
+    return fitted(pca_fits(X, [k])[k])
+
+
+def fit_cca(X, Y, k, ridge=DEFAULT_RIDGE):
+    """The CCA model of ``X`` and ``Y`` at dimension ``k``, or raise the error fitting it raised."""
+    return fitted(cca_fits(X, Y, [k], ridge)[k])
 
 
 def plain_cosine(u, v):

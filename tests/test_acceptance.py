@@ -20,24 +20,22 @@ from mmfuse import (
     SearchReport,
     align_vocabularies,
     apply_configuration,
-    cca_fit,
     enumerate_configurations,
     evaluate,
-    grid_search,
     load_benchmark,
     load_embeddings,
     output_dimension,
-    pca_fit,
     pca_transform,
     rcca_residual,
-    render_report_machine,
-    render_report_table,
+    render_reports,
     select_best,
     spearman,
+    sweep,
 )
 from mmfuse.errors import DimensionError, MissingReductionError, NumericalError
 from mmfuse.search import STATUS_OK, _entry_sort_key
 
+from conftest import fit_cca, fit_pca
 from test_numerics import (
     CCA_INSTANCES,
     PCA_COMPONENTS,
@@ -55,7 +53,7 @@ def _ok(n, text):
 def test_criterion_1_cca_grid_oracle_equivalence():
     start = time.perf_counter()
     for X, Y, expected in CCA_INSTANCES:
-        model = cca_fit(np.array(X), np.array(Y), 1, ridge=1e-6)
+        model = fit_cca(np.array(X), np.array(Y), 1, ridge=1e-6)
         assert abs(model.correlations[0] - expected) < 1e-3
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -64,7 +62,7 @@ def test_criterion_1_cca_grid_oracle_equivalence():
 
 
 def test_criterion_2_pca_eigendecomposition_oracle():
-    model = pca_fit(PCA_X, 2)
+    model = fit_pca(PCA_X, 2)
     assert np.abs(model.components - PCA_COMPONENTS).max() < 1e-8
     assert np.abs(model.explained_variance - PCA_VARIANCES).max() < 1e-8
     _ok(2, "4x3 PCA matches the covariance-eigendecomposition oracle within 1e-8")
@@ -83,7 +81,7 @@ def test_criterion_3_residual_definitional_suite():
 
     wide = rng.normal(size=(10, 4))
     low = rng.normal(size=(10, 2))
-    reducer = pca_fit(wide, 2)
+    reducer = fit_pca(wide, 2)
     out = rcca_residual(wide, low, pca=reducer)
     expected = pca_transform(reducer, wide) - low
     assert np.abs(out - expected).max() < 1e-12
@@ -152,7 +150,7 @@ def _exhaustive_script(textual, visual, bench, grid):
 
 def test_criterion_6_planted_structure_sweep(planted):
     textual, visual, bench = planted
-    report = grid_search(textual, visual, bench, TOY_GRID)
+    report, = sweep(textual, visual, [bench], TOY_GRID)
     config, result = select_best(report)
     assert config == Configuration(output_side="textual", ridge=1e-3)
     assert result.rho == 1.0
@@ -183,10 +181,9 @@ def test_criterion_7_lowest_dimension_tie_break():
 
 def test_criterion_8_worker_count_determinism(planted):
     textual, visual, bench = planted
-    r1 = grid_search(textual, visual, bench, TOY_GRID, workers=1)
-    r8 = grid_search(textual, visual, bench, TOY_GRID, workers=8)
-    assert render_report_machine(r1) == render_report_machine(r8)
-    assert render_report_table(r1) == render_report_table(r8)
+    r1 = sweep(textual, visual, [bench], TOY_GRID, workers=1)
+    r8 = sweep(textual, visual, [bench], TOY_GRID, workers=8)
+    assert render_reports(r1) == render_reports(r8)
     _ok(8, "1-worker and 8-worker sweeps serialize byte-identically")
 
 

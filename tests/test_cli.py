@@ -279,6 +279,34 @@ class TestManifest:
         assert code == EXIT_INPUT
         assert f"{manifest}:2: bad value 'many' for workers" in capsys.readouterr().err
 
+    def test_manifest_flag_spellings(self, workspace):
+        def report(name, *extra, line=None):
+            manifest = workspace / f"{name}.manifest"
+            manifest.write_text(f"normalize_concat={line}\n" if line is not None else "")
+            out = workspace / name
+            assert main(["search", *common(workspace), "--out", str(out), *TestSearch.ARGS,
+                         "--motifs", "concat", "--manifest", str(manifest), *extra]) == EXIT_OK
+            return (out / "toy.report.tsv").read_bytes()
+
+        off, on = report("off"), report("on", "--normalize-concat")
+        assert off != on
+        for i, line in enumerate(["0", "false", "No", " FALSE "]):
+            assert report(f"false{i}", line=line) == off
+        for i, line in enumerate(["1", "true", "YES", "True"]):
+            assert report(f"true{i}", line=line) == on
+
+    @pytest.mark.parametrize("value", ["ture", "", "2", "on"])
+    def test_bad_manifest_flag_exits_2(self, workspace, capsys, value):
+        manifest = workspace / "run.manifest"
+        manifest.write_text(f"dim_step=2\nnormalize_concat={value}\n")
+        out = workspace / "out"
+        code = main(["search", *common(workspace), "--out", str(out),
+                     "--manifest", str(manifest)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{manifest}:2: bad value {value!r} for normalize_concat" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source, workers", [("flag", "0"), ("manifest", "-3")])
     def test_workers_below_one_exit_2(self, workspace, capsys, source, workers):
         manifest = workspace / "run.manifest"

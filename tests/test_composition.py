@@ -19,6 +19,8 @@ from mmfuse import (
 )
 from mmfuse.composition import canonical_key, used_motifs
 
+from conftest import fit_cca, fit_pca
+
 
 class TestValidate:
     def test_unequal_dims_block_fusion_without_pca(self):
@@ -89,12 +91,12 @@ class TestApply:
         assert np.array_equal(model.second.matrix, visual.matrix)
 
     def test_pca_only_textual(self, small_tables):
-        from mmfuse import pca_fit, pca_transform
+        from mmfuse import pca_transform
 
         textual, visual = small_tables
         cfg = Configuration(layer_a="pca", pca_dim=2, output_side="textual")
         model = apply_configuration(cfg, textual, visual)
-        expected = pca_transform(pca_fit(textual.matrix, 2), textual.matrix)
+        expected = pca_transform(fit_pca(textual.matrix, 2), textual.matrix)
         np.testing.assert_array_equal(model.first.matrix, expected)
 
     def test_concat_dim_is_sum(self, small_tables):
@@ -150,14 +152,14 @@ class TestApply:
         assert model.second.name.startswith("rcca(")
 
     def test_rcca_uses_pca_fallback_when_dims_differ(self, small_tables):
-        from mmfuse import cca_fit, cca_transform, pca_fit, pca_transform, rcca_residual
+        from mmfuse import cca_transform, pca_transform, rcca_residual
 
         textual, visual = small_tables
         cfg = Configuration(layer_b="rcca", fusion_dim=2, output_side="textual")
         model = apply_configuration(cfg, textual, visual)
-        fit = cca_fit(textual.matrix, visual.matrix, 2, ridge=cfg.ridge)
+        fit = fit_cca(textual.matrix, visual.matrix, 2, ridge=cfg.ridge)
         projected = cca_transform(fit, textual.matrix, "textual")
-        reducer = pca_fit(textual.matrix, 2)
+        reducer = fit_pca(textual.matrix, 2)
         expected = rcca_residual(textual.matrix, projected, pca=reducer)
         np.testing.assert_array_equal(model.first.matrix, expected)
 
@@ -196,27 +198,27 @@ class TestLayerAReducer:
     @staticmethod
     def layer_a_parts(textual, visual, a_dim, f_dim, ridge):
         """Layer-a outputs and their CCA projections, fitted here step by step."""
-        from mmfuse import cca_fit, cca_transform, pca_fit, pca_transform
+        from mmfuse import cca_transform, pca_transform
 
-        z = {side: pca_transform(pca_fit(t.matrix, a_dim), t.matrix)
+        z = {side: pca_transform(fit_pca(t.matrix, a_dim), t.matrix)
              for side, t in (("textual", textual), ("visual", visual))}
-        fit = cca_fit(z["textual"], z["visual"], f_dim, ridge=ridge)
+        fit = fit_cca(z["textual"], z["visual"], f_dim, ridge=ridge)
         return z, {side: cca_transform(fit, z[side], side) for side in z}
 
     def test_residual_subtracts_the_leading_coordinates(self, planted):
-        from mmfuse import pca_fit, rcca_residual
+        from mmfuse import rcca_residual
 
         textual, visual, _ = planted
         cfg = parse_configuration("layer_a=pca:3 layer_b=rcca:2:out=both layer_c=li:0.5")
         model = apply_configuration(cfg, textual, visual)
         z, projected = self.layer_a_parts(textual, visual, 3, 2, cfg.ridge)
-        variances = pca_fit(textual.matrix, 3).explained_variance
+        variances = fit_pca(textual.matrix, 3).explained_variance
         assert np.all(np.diff(variances) < 0)   # distinct variances: one valid PCA
         for table, side in ((model.first, "textual"), (model.second, "visual")):
             lead = z[side][:, :2]
             np.testing.assert_array_equal(table.matrix, lead - lead.mean(axis=0) - projected[side])
             # the SVD of the output this replaces gives the same reduction up to rounding
-            svd = rcca_residual(z[side], projected[side], pca=pca_fit(z[side], 2))
+            svd = rcca_residual(z[side], projected[side], pca=fit_pca(z[side], 2))
             np.testing.assert_allclose(table.matrix, svd, rtol=0, atol=1e-9)
         # the leading coordinates carry the layer-a fit's leading variances
         np.testing.assert_allclose(np.var(z["textual"][:, :2], axis=0, ddof=1),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from mmfuse import (
     save_benchmark,
     spearman,
 )
-from mmfuse.evaluation import covered_pairs, rank_result, rank_results
+from mmfuse.evaluation import covered_pairs, rank_results
 
 # Frozen from the pre-build rank-enumeration oracle:
 # ranks [1, 2.5, 2.5, 4] vs [1, 3, 2, 4]  ->  Pearson 3/sqrt(10)
@@ -164,12 +166,18 @@ class TestCosine:
         assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.707107, abs=1e-6)
 
     def test_zero_norm_scores_zero_with_warning(self):
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="^1 degenerate zero-norm pair scores set to 0$"):
             assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"vector shapes differ: \(2,\) vs \(3,\)"):
             cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("u", [np.ones((2, 2)), 1.0])
+    def test_non_vector_input(self, u):
+        message = f"cosine needs 1-d vectors, got shape {np.shape(u)}"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            cosine(u, u)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_norm_is_a_numerical_error(self):
@@ -381,7 +389,8 @@ class TestEvaluate:
             covered = covered_pairs(bench, table(vocab, np.eye(25)))
             scores = np.round(rng.normal(size=len(pairs)), 1)
             expected, _ = stats.spearmanr(scores, gold)
-            rho = rank_result(scores, covered, bench).rho
+            result, = rank_results(scores[None], covered, bench)
+            rho = result.rho
             assert rho == pytest.approx(expected, abs=1e-12)
             assert spearman(scores, gold) == rho
 
@@ -396,17 +405,11 @@ class TestEvaluate:
 
 
 class TestRankResults:
-    """A block ranked by ``rank_results`` gives each row what ``rank_result`` gives it alone."""
+    """A block ranked by ``rank_results`` gives each row what it gives that row alone."""
 
     @staticmethod
     def one_by_one(vectors, covered, bench):
-        out = []
-        for row in vectors:
-            try:
-                out.append(rank_result(row, covered, bench))
-            except NumericalError as exc:
-                out.append(exc)
-        return out
+        return [result for row in vectors for result in rank_results(row[None], covered, bench)]
 
     def assert_rowwise(self, vectors, covered, bench):
         block = rank_results(vectors, covered, bench)

@@ -26,9 +26,16 @@ def _random_case(seed, n_words=40, dim=7, n_pairs=200):
     return matrix, idx1.astype(np.int64), idx2.astype(np.int64)
 
 
+def _pair_cosines(matrix, idx1, idx2):
+    """Cosine per index pair of one matrix, and the number of degenerate pairs."""
+    sums = _kernels.pair_sums(matrix, idx1, idx2, _kernels.row_sq_norms(matrix))
+    scores, degenerate = _kernels.sum_cosines(*sums)
+    return scores, int(degenerate.sum())
+
+
 def test_pair_cosines_match_plain_formula():
     matrix, idx1, idx2 = _random_case(0)
-    scores, degenerate = _kernels.pair_cosine_scores(matrix, idx1, idx2)
+    scores, degenerate = _pair_cosines(matrix, idx1, idx2)
     assert degenerate == 0
     for p in range(len(idx1)):
         u, v = matrix[idx1[p]], matrix[idx2[p]]
@@ -38,7 +45,7 @@ def test_pair_cosines_match_plain_formula():
 
 def test_degenerate_pairs_score_zero():
     matrix = np.array([[0.0, 0.0], [1.0, 0.0], [1e-13, 0.0]])
-    scores, degenerate = _kernels.pair_cosine_scores(
+    scores, degenerate = _pair_cosines(
         matrix, np.array([0, 1, 2]), np.array([1, 1, 1])
     )
     assert scores[0] == 0.0
@@ -52,7 +59,7 @@ def test_degenerate_pairs_score_zero():
 def test_overflowing_norm_scores_nan():
     # the first row's squared norm overflows; its pairs used to score 0
     matrix = np.array([[1e200, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    scores, degenerate = _kernels.pair_cosine_scores(
+    scores, degenerate = _pair_cosines(
         matrix, np.array([0, 0, 0, 1]), np.array([1, 2, 3, 2])
     )
     assert np.isnan(scores[:3]).all()
@@ -63,7 +70,7 @@ def test_overflowing_norm_scores_nan():
 def test_empty_pair_list():
     matrix = np.eye(3)
     empty = np.array([], dtype=np.int64)
-    scores, degenerate = _kernels.pair_cosine_scores(matrix, empty, empty)
+    scores, degenerate = _pair_cosines(matrix, empty, empty)
     assert scores.shape == (0,)
     assert degenerate == 0
 

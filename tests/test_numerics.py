@@ -6,15 +6,15 @@ from mmfuse import (
     DimensionError,
     MissingReductionError,
     NumericalError,
-    cca_fit,
     cca_fits,
     cca_transform,
-    pca_fit,
     pca_fits,
     pca_transform,
     rcca_residual,
 )
 from mmfuse.numerics import GRAM_BOUND, GRAM_MIN_SIDE
+
+from conftest import fit_cca, fit_pca
 
 # Fixed 4x3 instance; expected values frozen from an independent
 # eigendecomposition-of-covariance oracle computed before the build.
@@ -82,18 +82,18 @@ CCA_INSTANCES = [
 
 class TestPca:
     def test_matches_eigendecomposition_oracle(self):
-        model = pca_fit(PCA_X, 2)
+        model = fit_pca(PCA_X, 2)
         np.testing.assert_allclose(model.components, PCA_COMPONENTS, atol=1e-8)
         np.testing.assert_allclose(model.explained_variance, PCA_VARIANCES, atol=1e-8)
 
     def test_transform_matches_oracle_scores(self):
-        model = pca_fit(PCA_X, 2)
+        model = fit_pca(PCA_X, 2)
         np.testing.assert_allclose(pca_transform(model, PCA_X), PCA_SCORES, atol=1e-8)
 
     def test_rank_one_data_k1_captures_everything(self):
         direction = np.array([1.0, -2.0, 0.5])
         X = np.outer(np.arange(1.0, 6.0), direction)
-        model = pca_fit(X, 1)
+        model = fit_pca(X, 1)
         total = np.sum((X - X.mean(axis=0)) ** 2) / (X.shape[0] - 1)
         assert model.explained_variance[0] == pytest.approx(total, rel=1e-12)
         reconstructed = pca_transform(model, X) @ model.components.T + model.mean
@@ -102,7 +102,7 @@ class TestPca:
     def test_full_k_preserves_pairwise_distances(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(10, 3))
-        model = pca_fit(X, 3)
+        model = fit_pca(X, 3)
         Z = pca_transform(model, X)
         for i in range(10):
             for j in range(10):
@@ -111,19 +111,19 @@ class TestPca:
                 assert proj == pytest.approx(orig, abs=1e-8)
 
     def test_mean_row_maps_to_zero(self):
-        model = pca_fit(PCA_X, 2)
+        model = fit_pca(PCA_X, 2)
         out = pca_transform(model, model.mean.reshape(1, -1))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_k_out_of_range(self):
         with pytest.raises(DimensionError):
-            pca_fit(PCA_X, 0)
+            fit_pca(PCA_X, 0)
         with pytest.raises(DimensionError):
-            pca_fit(PCA_X, 4)  # exceeds both n-1 and d
+            fit_pca(PCA_X, 4)  # exceeds both n-1 and d
 
     def test_rank_deficient_trailing_zero_variance(self):
         X = np.outer(np.arange(1.0, 7.0), np.array([1.0, 2.0]))
-        model = pca_fit(X, 2)
+        model = fit_pca(X, 2)
         assert model.explained_variance[1] == pytest.approx(0.0, abs=1e-12)
         # components stay orthonormal even past the rank
         np.testing.assert_allclose(
@@ -131,13 +131,13 @@ class TestPca:
         )
 
     def test_transform_dim_mismatch(self):
-        model = pca_fit(PCA_X, 2)
+        model = fit_pca(PCA_X, 2)
         with pytest.raises(DimensionError):
             pca_transform(model, np.ones((2, 4)))
 
     def test_deterministic_bit_identical(self):
-        a = pca_fit(PCA_X, 2)
-        b = pca_fit(PCA_X, 2)
+        a = fit_pca(PCA_X, 2)
+        b = fit_pca(PCA_X, 2)
         assert np.array_equal(a.components, b.components)
         assert np.array_equal(a.explained_variance, b.explained_variance)
 
@@ -147,13 +147,13 @@ class TestPca:
             X = rng.normal(size=(12, 5))
             total = np.sum((X - X.mean(axis=0)) ** 2) / (X.shape[0] - 1)
             for k in (1, 3, 5):
-                model = pca_fit(X, k)
+                model = fit_pca(X, k)
                 explained = model.explained_variance.sum()
                 assert explained <= total + 1e-9
                 np.testing.assert_allclose(
                     model.components.T @ model.components, np.eye(k), atol=1e-8
                 )
-            assert pca_fit(X, 5).explained_variance.sum() == pytest.approx(
+            assert fit_pca(X, 5).explained_variance.sum() == pytest.approx(
                 total, rel=1e-10
             )
 
@@ -162,24 +162,24 @@ class TestCca:
     def test_self_correlation_is_one(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(10, 3))
-        model = cca_fit(X, X, 3, ridge=0.0)
+        model = fit_cca(X, X, 3, ridge=0.0)
         np.testing.assert_allclose(model.correlations, 1.0, atol=1e-6)
 
     def test_column_permutation_keeps_correlation_one(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(9, 3))
-        model = cca_fit(X, X[:, [2, 0, 1]], 3, ridge=0.0)
+        model = fit_cca(X, X[:, [2, 0, 1]], 3, ridge=0.0)
         np.testing.assert_allclose(model.correlations, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("X,Y,expected", CCA_INSTANCES)
     def test_first_correlation_matches_grid_oracle(self, X, Y, expected):
-        model = cca_fit(np.array(X), np.array(Y), 1, ridge=1e-6)
+        model = fit_cca(np.array(X), np.array(Y), 1, ridge=1e-6)
         assert model.correlations[0] == pytest.approx(expected, abs=1e-3)
 
     @pytest.mark.parametrize("X,Y,expected", CCA_INSTANCES)
     def test_projection_reproduces_oracle_scores(self, X, Y, expected):
         X, Y = np.array(X), np.array(Y)
-        model = cca_fit(X, Y, 1, ridge=1e-6)
+        model = fit_cca(X, Y, 1, ridge=1e-6)
         a = cca_transform(model, X, "textual")[:, 0]
         b = cca_transform(model, Y, "visual")[:, 0]
         a = a - a.mean()
@@ -191,7 +191,7 @@ class TestCca:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(20, 4))
         Y = X @ rng.normal(size=(4, 3)) + 0.3 * rng.normal(size=(20, 3))
-        model = cca_fit(X, Y, 3, ridge=1e-3)
+        model = fit_cca(X, Y, 3, ridge=1e-3)
         Xp = cca_transform(model, X, "textual")
         Yp = cca_transform(model, Y, "visual")
         for j in range(3):
@@ -202,15 +202,15 @@ class TestCca:
 
     def test_mean_row_maps_to_zero(self):
         X, Y, _ = CCA_INSTANCES[0]
-        model = cca_fit(np.array(X), np.array(Y), 1, ridge=1e-6)
+        model = fit_cca(np.array(X), np.array(Y), 1, ridge=1e-6)
         out = cca_transform(model, model.mean_x.reshape(1, -1), "textual")
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_swap_symmetry(self):
         X = np.array(CCA_INSTANCES[1][0])
         Y = np.array(CCA_INSTANCES[1][1])
-        ab = cca_fit(X, Y, 2, ridge=1e-6)
-        ba = cca_fit(Y, X, 2, ridge=1e-6)
+        ab = fit_cca(X, Y, 2, ridge=1e-6)
+        ba = fit_cca(Y, X, 2, ridge=1e-6)
         np.testing.assert_allclose(ab.correlations, ba.correlations, atol=1e-8)
         np.testing.assert_allclose(ab.proj_x, ba.proj_y, atol=1e-8)
         np.testing.assert_allclose(ab.proj_y, ba.proj_x, atol=1e-8)
@@ -224,42 +224,42 @@ class TestCca:
                 A = rng.normal(size=(2, 2))
                 if abs(np.linalg.det(A)) > 0.3:
                     break
-            base = cca_fit(X, Y, 2, ridge=0.0)
-            warped = cca_fit(X @ A, Y, 2, ridge=0.0)
+            base = fit_cca(X, Y, 2, ridge=0.0)
+            warped = fit_cca(X @ A, Y, 2, ridge=0.0)
             np.testing.assert_allclose(
                 base.correlations, warped.correlations, atol=1e-6
             )
 
     def test_row_count_mismatch(self):
         with pytest.raises(AlignmentError):
-            cca_fit(np.ones((4, 2)), np.ones((5, 2)), 1)
+            fit_cca(np.ones((4, 2)), np.ones((5, 2)), 1)
 
     def test_k_out_of_range(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(6, 2))
         Y = rng.normal(size=(6, 3))
         with pytest.raises(DimensionError):
-            cca_fit(X, Y, 3)  # k > min(d1, d2)
+            fit_cca(X, Y, 3)  # k > min(d1, d2)
 
     def test_singular_needs_ridge(self):
         X = np.ones((6, 2)) * np.arange(6.0).reshape(-1, 1)  # rank 1
         Y = np.random.default_rng(10).normal(size=(6, 2))
         with pytest.raises(NumericalError, match="ridge"):
-            cca_fit(X, Y, 1, ridge=0.0)
-        cca_fit(X, Y, 1, ridge=1e-3)  # same data succeeds with loading
+            fit_cca(X, Y, 1, ridge=0.0)
+        fit_cca(X, Y, 1, ridge=1e-3)  # same data succeeds with loading
 
     def test_deterministic_bit_identical(self):
         X = np.array(CCA_INSTANCES[2][0])
         Y = np.array(CCA_INSTANCES[2][1])
-        a = cca_fit(X, Y, 2, ridge=1e-4)
-        b = cca_fit(X, Y, 2, ridge=1e-4)
+        a = fit_cca(X, Y, 2, ridge=1e-4)
+        b = fit_cca(X, Y, 2, ridge=1e-4)
         assert np.array_equal(a.proj_x, b.proj_x)
         assert np.array_equal(a.proj_y, b.proj_y)
         assert np.array_equal(a.correlations, b.correlations)
 
     def test_transform_side_validation(self):
         X, Y, _ = CCA_INSTANCES[0]
-        model = cca_fit(np.array(X), np.array(Y), 1)
+        model = fit_cca(np.array(X), np.array(Y), 1)
         with pytest.raises(ValueError):
             cca_transform(model, np.array(X), "either")
         with pytest.raises(DimensionError):
@@ -270,7 +270,7 @@ class TestCca:
         # sides equals the stored correlations
         X = np.array(CCA_INSTANCES[3][0])
         Y = np.array(CCA_INSTANCES[3][1])
-        model = cca_fit(X, Y, 2, ridge=1e-6)
+        model = fit_cca(X, Y, 2, ridge=1e-6)
         Xp = cca_transform(model, X, "textual")
         Yp = cca_transform(model, Y, "visual")
         for j in range(2):
@@ -325,7 +325,7 @@ class TestFixSigns:
 
 
 class TestPrefixFits:
-    """``pca_fits``/``cca_fits``: one decomposition, and per k the single fit exactly."""
+    """``pca_fits``/``cca_fits``: one decomposition, and per k the one-k fit exactly."""
 
     @staticmethod
     def assert_same_fit(fit, single):
@@ -335,13 +335,6 @@ class TestPrefixFits:
             return
         for name in fit.__dataclass_fields__:
             assert np.array_equal(getattr(fit, name), getattr(single, name)), name
-
-    @staticmethod
-    def single(fit, *args):
-        try:
-            return fit(*args)
-        except (DimensionError, NumericalError) as exc:
-            return exc
 
     @staticmethod
     def decompositions(monkeypatch):
@@ -366,7 +359,7 @@ class TestPrefixFits:
         fits = pca_fits(X, ks)
         assert calls == ["svd"] and list(fits) == ks
         for k in ks:
-            self.assert_same_fit(fits[k], self.single(pca_fit, X, k))
+            self.assert_same_fit(fits[k], pca_fits(X, [k])[k])
         assert isinstance(fits[0], DimensionError) and isinstance(fits[7], DimensionError)
 
     @pytest.mark.parametrize("ridge", [1e-3, 0.0])
@@ -381,7 +374,7 @@ class TestPrefixFits:
         fits = cca_fits(X, Y, ks, ridge)
         assert calls == ["eigh", "eigh", "svd"] if ridge else ["eigh"]
         for k in ks:
-            self.assert_same_fit(fits[k], self.single(cca_fit, X, Y, k, ridge))
+            self.assert_same_fit(fits[k], cca_fits(X, Y, [k], ridge)[k])
         assert isinstance(fits[6], DimensionError)
         assert all(isinstance(fits[k], NumericalError) for k in ks[:3]) == (ridge == 0.0)
 
@@ -552,7 +545,7 @@ class TestGramPca:
             ks = [0, 1, m // 2, m, m + 1]
             fits = pca_fits(X, ks)
             for k in ks:
-                TestPrefixFits.assert_same_fit(fits[k], TestPrefixFits.single(pca_fit, X, k))
+                TestPrefixFits.assert_same_fit(fits[k], pca_fits(X, [k])[k])
 
     @staticmethod
     def ill_conditioned():
@@ -627,7 +620,7 @@ class TestGramPca:
             TestPrefixFits.assert_same_fit(fit, gram_fits[k])
         rank_deficient = next(self.ill_conditioned())[1]
         with pytest.raises(NumericalError, match="centered PCA input: SVD did not converge"):
-            pca_fit(rank_deficient, 2)
+            fit_pca(rank_deficient, 2)
 
     @pytest.mark.parametrize("failure", ["no convergence", "non-finite"])
     def test_a_failing_eigh_falls_back_to_the_direct_svd(self, monkeypatch, failure):
@@ -669,12 +662,12 @@ class TestResidual:
         assert np.array_equal(residual + projected, original)
 
     def test_dim_fallback_composes_pca_then_subtracts(self):
-        from mmfuse import pca_fit, pca_transform
+        from mmfuse import pca_transform
 
         rng = np.random.default_rng(13)
         original = rng.normal(size=(10, 3))
         projected = rng.normal(size=(10, 2))
-        reducer = pca_fit(original, 2)
+        reducer = fit_pca(original, 2)
         out = rcca_residual(original, projected, pca=reducer)
         expected = pca_transform(reducer, original) - projected
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -684,7 +677,7 @@ class TestResidual:
             rcca_residual(np.ones((4, 3)), np.ones((4, 2)))
 
     def test_reducer_shape_mismatch(self):
-        reducer = pca_fit(np.random.default_rng(14).normal(size=(8, 4)), 2)
+        reducer = fit_pca(np.random.default_rng(14).normal(size=(8, 4)), 2)
         with pytest.raises(DimensionError):
             rcca_residual(np.ones((4, 3)), np.ones((4, 2)), pca=reducer)
 
@@ -697,14 +690,14 @@ class TestNumericalFailures:
         X = np.array(PCA_X)
         X[0, 0] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
-            pca_fit(X, 2)
+            fit_pca(X, 2)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_pca_fit(self):
         X = np.array(PCA_X)
         X[0, 0] = 1e200
         with pytest.raises(NumericalError, match="non-finite"):
-            pca_fit(X, 2)
+            fit_pca(X, 2)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_cca_fit(self):
@@ -712,7 +705,7 @@ class TestNumericalFailures:
         X = np.array(X)
         X[0, 0] = 1e200
         with pytest.raises(NumericalError, match="covariance"):
-            cca_fit(X, np.array(Y), 1)
+            fit_cca(X, np.array(Y), 1)
 
     def test_lapack_non_convergence(self, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -720,4 +713,4 @@ class TestNumericalFailures:
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         with pytest.raises(NumericalError, match="did not converge"):
-            pca_fit(PCA_X, 2)
+            fit_pca(PCA_X, 2)

@@ -17,11 +17,8 @@ from mmfuse import (
     cross_evaluate,
     enumerate_configurations,
     evaluate,
-    grid_search,
     output_dimension,
     parse_configuration,
-    render_report_machine,
-    render_report_table,
     render_reports,
     select_best,
     sweep,
@@ -111,7 +108,7 @@ class TestGridSpec:
 class TestPlantedSweep:
     def test_best_is_textual_identity_with_rho_one(self, planted):
         textual, visual, bench = planted
-        report = grid_search(textual, visual, bench, TOY_GRID)
+        report, = sweep(textual, visual, [bench], TOY_GRID)
         config, result = select_best(report)
         assert config == Configuration(output_side="textual", ridge=1e-3)
         assert result.rho == 1.0
@@ -120,12 +117,12 @@ class TestPlantedSweep:
         textual, visual, bench = planted
         oracle = exhaustive_oracle(textual, visual, bench, TOY_GRID)
         for workers in (1, 3):
-            report = grid_search(textual, visual, bench, TOY_GRID, workers=workers)
+            report, = sweep(textual, visual, [bench], TOY_GRID, workers=workers)
             assert_matches_oracle(report, oracle)
 
     def test_best_dominates_every_entry(self, planted):
         textual, visual, bench = planted
-        report = grid_search(textual, visual, bench, TOY_GRID)
+        report, = sweep(textual, visual, [bench], TOY_GRID)
         best_rho = report.best.rho
         for entry in report.entries:
             if entry.status == STATUS_OK:
@@ -134,30 +131,31 @@ class TestPlantedSweep:
     def test_superset_grid_never_loses(self, planted):
         textual, visual, bench = planted
         small = GridSpec(dim_step=4, dim_min=4, alpha_step=0.5, ridge=1e-3)
-        _, small_best = select_best(grid_search(textual, visual, bench, small))
-        _, big_best = select_best(grid_search(textual, visual, bench, TOY_GRID))
+        small_report, = sweep(textual, visual, [bench], small)
+        big_report, = sweep(textual, visual, [bench], TOY_GRID)
+        _, small_best = select_best(small_report)
+        _, big_best = select_best(big_report)
         assert big_best.rho >= small_best.rho
 
     def test_workers_do_not_change_the_report(self, planted):
         textual, visual, bench = planted
-        r1 = grid_search(textual, visual, bench, TOY_GRID, workers=1)
-        r8 = grid_search(textual, visual, bench, TOY_GRID, workers=8)
-        assert render_report_machine(r1) == render_report_machine(r8)
-        assert render_report_table(r1) == render_report_table(r8)
+        r1 = sweep(textual, visual, [bench], TOY_GRID, workers=1)
+        r8 = sweep(textual, visual, [bench], TOY_GRID, workers=8)
+        assert render_reports(r1) == render_reports(r8)
 
     def test_progress_reaches_total(self, planted):
         textual, visual, bench = planted
         seen = []
         grid = GridSpec(dim_step=4, dim_min=4, alpha_step=0.5, ridge=1e-3)
-        report = grid_search(textual, visual, bench, grid,
-                             progress=lambda done, total: seen.append((done, total)))
-        assert seen[-1] == (len(report.entries), len(report.entries))
+        report, = sweep(textual, visual, [bench], grid,
+                        progress=lambda *call: seen.append(call))
+        assert seen[-1] == (bench, len(report.entries), len(report.entries))
 
     def test_li_motif_filter_reproduces_interpolation_only_sweep(self, planted):
         textual, visual, bench = planted
         grid = GridSpec(dim_step=2, dim_min=2, alpha_step=0.1, ridge=1e-3,
                         motif_filter=frozenset({"li"}))
-        report = grid_search(textual, visual, bench, grid)
+        report, = sweep(textual, visual, [bench], grid)
         for entry in report.entries:
             assert entry.config.layer_a == "none"
             assert entry.config.layer_b == "none"
@@ -212,7 +210,7 @@ class TestFailureHandling:
         pairs = tuple((vocab[i], vocab[j], float(rng.uniform(0, 1)))
                       for i in range(4) for j in range(i + 1, 4))
         bench = Benchmark("tiny", pairs)
-        report = grid_search(textual, visual, bench, TOY_GRID)
+        report, = sweep(textual, visual, [bench], TOY_GRID)
         counts = report.counts()
         assert counts[STATUS_FAILED] > 0
         assert counts[STATUS_OK] > 0
@@ -226,7 +224,7 @@ class TestFailureHandling:
     def test_memoized_and_fresh_fits_agree(self, planted):
         textual, visual, bench = planted
         grid = GridSpec(dim_step=2, dim_min=2, alpha_step=0.5, ridge=1e-3)
-        report = grid_search(textual, visual, bench, grid)
+        report, = sweep(textual, visual, [bench], grid)
         for entry in report.entries[:40]:
             fresh = evaluate(
                 apply_configuration(entry.config, textual, visual), bench
@@ -237,7 +235,7 @@ class TestFailureHandling:
         textual, visual, bench, grid = ragged
         oracle = exhaustive_oracle(textual, visual, bench, grid)
         for workers in (1, 3):
-            report = grid_search(textual, visual, bench, grid, workers=workers)
+            report, = sweep(textual, visual, [bench], grid, workers=workers)
             counts = report.counts()
             assert counts[STATUS_OK] and counts[STATUS_FAILED]
             assert {e.result.n_evaluated for e in report.entries if e.result} == {10}
@@ -295,7 +293,7 @@ class TestSharedFits:
     def test_each_decomposition_runs_once(self, monkeypatch, overflow):
         textual, visual, benches = twelve_words(overflow)
         calls, ranks = self.counted(monkeypatch)
-        single = grid_search(textual, visual, benches[0], self.GRID)
+        single, = sweep(textual, visual, [benches[0]], self.GRID)
         single_calls = sorted(calls)
         calls.clear()
         ranks.clear()
@@ -350,7 +348,7 @@ class TestSharedFits:
 
     def test_overflowing_row_fails_its_tables(self):
         textual, visual, benches = twelve_words(overflow=True)
-        report = grid_search(textual, visual, benches[0], self.GRID)
+        report, = sweep(textual, visual, [benches[0]], self.GRID)
         by_config = {e.config: e for e in report.entries}
         raw_v = by_config[Configuration(output_side="visual", ridge=1e-3)]
         assert raw_v.status == STATUS_FAILED
@@ -398,7 +396,7 @@ class TestRankBlocks:
 
         real_ranks = kernels.sorted_ranks
         monkeypatch.setattr(kernels, "sorted_ranks", sorted_ranks)
-        report = grid_search(textual, visual, bench, self.GRID)
+        report, = sweep(textual, visual, [bench], self.GRID)
         assert max(np.prod(shape) for shape in shapes) <= search.RANK_BLOCK_VALUES
         # one block per two queued vectors of a layer-a group, the last one maybe short
         per_block = search.RANK_BLOCK_VALUES // len(bench)
@@ -514,7 +512,7 @@ class TestMultiBenchmarkSweep:
 class TestCrossEvaluate:
     def test_self_benchmark_reproduces_search_best(self, planted):
         textual, visual, bench = planted
-        report = grid_search(textual, visual, bench, TOY_GRID)
+        report, = sweep(textual, visual, [bench], TOY_GRID)
         config, best = select_best(report)
         rows = cross_evaluate(config, textual, visual, [bench])
         assert rows[0][0] == bench.name
@@ -547,8 +545,9 @@ class TestRendering:
     def test_machine_report_is_parseable_and_ranked(self, planted):
         textual, visual, bench = planted
         grid = GridSpec(dim_step=4, dim_min=4, alpha_step=0.5, ridge=1e-3)
-        report = grid_search(textual, visual, bench, grid)
-        lines = render_report_machine(report).splitlines()
+        report, = sweep(textual, visual, [bench], grid)
+        (_, machine), = render_reports([report])
+        lines = machine.splitlines()
         header = lines[0].split("\t")
         assert header == ["rank", "status", "rho", "n_evaluated", "n_total",
                           "coverage", "output_dim", "config"]
@@ -578,13 +577,13 @@ class TestRendering:
         rendered = render_reports(reports)
         assert len(reports) == 3
         assert calls == {"describe_configuration": n_configs, "format_configuration": n_configs}
-        # the one-report renderers give the same text
-        assert rendered == [(render_report_table(r), render_report_machine(r)) for r in reports]
+        # each report rendered alone gives the same text
+        assert rendered == [text for r in reports for text in render_reports([r])]
 
     def test_human_table_shows_two_decimal_rho(self, planted):
         textual, visual, bench = planted
         grid = GridSpec(dim_step=4, dim_min=4, alpha_step=0.5, ridge=1e-3)
-        report = grid_search(textual, visual, bench, grid)
-        table = render_report_table(report, limit=3)
+        report, = sweep(textual, visual, [bench], grid)
+        (table, _), = render_reports([report])
         assert "1.00" in table
         assert "benchmark: planted" in table

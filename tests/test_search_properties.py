@@ -18,9 +18,9 @@ from mmfuse import (  # noqa: E402
     GridSpec,
     apply_configuration,
     evaluate,
-    grid_search,
     save_benchmark,
     save_embeddings,
+    sweep,
 )
 from mmfuse.cli import main  # noqa: E402
 from mmfuse.errors import DimensionError, MissingReductionError, NumericalError  # noqa: E402
@@ -55,7 +55,7 @@ def test_sweep_entries_equal_configurations_applied_alone(
     )
     bench = Benchmark("prop", pairs)
     grid = GridSpec(dim_step=1, dim_min=1, alpha_step=0.5, ridge=ridge)
-    report = grid_search(textual, visual, bench, grid, normalize_concat=normalize_concat)
+    report, = sweep(textual, visual, [bench], grid, normalize_concat=normalize_concat)
     for entry in report.entries:
         try:
             model = apply_configuration(entry.config, textual, visual,
