@@ -13,9 +13,10 @@ never leaves one half-written.
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 from .composition import (
     MOTIFS,
@@ -40,7 +41,6 @@ from .errors import (
     NumericalError,
 )
 from .evaluation import benchmark_name, load_benchmark
-from .numerics import DEFAULT_RIDGE
 from .search import (
     GridSpec,
     cross_evaluate,
@@ -62,24 +62,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class RunManifest:
-    """Validated inputs of one command invocation."""
-
-    text_vecs: Path
-    image_vecs: Path
-    benches: list
-    out: Path
-    dim_step: int = 50
-    dim_min: int = 50
-    alpha_step: float = 0.1
-    ridge: float = DEFAULT_RIDGE
-    motifs: frozenset = None
-    workers: int = 1
-    config: Path = None
-    normalize_concat: bool = False
-
-
 def _parse_bool(raw):
     value = raw.strip().lower()
     if value not in {"1", "true", "yes", "0", "false", "no"}:
@@ -87,12 +69,49 @@ def _parse_bool(raw):
     return value in {"1", "true", "yes"}
 
 
+def _parse_benches(raw):
+    # a manifest line naming no benchmark leaves --bench missing
+    return [b.strip() for b in raw.split(",") if b.strip()] or None
+
+
+_Input = namedtuple("_Input", "key flag parse default sweep_only",
+                    defaults=(None, None, False))
+
+# Every command input, in flag order: its key (the flag is the key with "-"
+# for "_"), the flag's argparse keywords, how a manifest value of the key is
+# read (None: as the flag's type, or as text), its default, and whether only a
+# sweep reads it. A flag wins over its manifest value, which wins over the default.
+_INPUTS = (
+    _Input("text_vecs", {"help": "textual embedding text file"}),
+    _Input("image_vecs", {"help": "visual embedding text file"}),
+    _Input("bench", {"action": "append", "help": "benchmark file (repeatable)"},
+           parse=_parse_benches),
+    _Input("out", {"help": "output directory"}),
+    _Input("manifest", {"help": "key=value file supplying any flag"}),
+    _Input("dim_step", {"type": int}, default=GridSpec.dim_step, sweep_only=True),
+    _Input("dim_min", {"type": int}, default=GridSpec.dim_min, sweep_only=True),
+    _Input("alpha_step", {"type": float}, default=GridSpec.alpha_step, sweep_only=True),
+    _Input("ridge", {"type": float}, default=GridSpec.ridge, sweep_only=True),
+    _Input("motifs", {"help": f"comma-separated subset of: {', '.join(MOTIFS)}"},
+           sweep_only=True),
+    _Input("workers", {"type": int}, default=1, sweep_only=True),
+    _Input("normalize_concat",
+           {"action": "store_const", "const": True,
+            "help": "row-normalize each block before concatenation"},
+           parse=_parse_bool, default=False),
+    _Input("config", {"help": "configuration file (key=value lines)"}),
+)
+
+# a manifest cannot name another manifest
 _MANIFEST_KEYS = {
-    "text_vecs": str, "image_vecs": str, "bench": str, "out": str,
-    "dim_step": int, "dim_min": int, "alpha_step": float, "ridge": float,
-    "motifs": str, "workers": int, "config": str,
-    "normalize_concat": _parse_bool,
+    row.key: row.parse or row.flag.get("type", str)
+    for row in _INPUTS if row.key != "manifest"
 }
+_SWEEP_ONLY = tuple(row.key for row in _INPUTS if row.sweep_only)
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def _read_manifest_file(path):
@@ -110,6 +129,8 @@ def _read_manifest_file(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _MANIFEST_KEYS:
             raise InputError(f"{path}:{line_no}: unknown manifest key {key!r}")
+        if key in values:
+            raise InputError(f"{path}:{line_no}: duplicate manifest key {key!r}")
         try:
             values[key] = _MANIFEST_KEYS[key](value)
         except ValueError:
@@ -129,76 +150,56 @@ def _parse_motifs(raw):
     return names or None
 
 
-def _build_manifest(args, need_config, unused=()):
-    """The command's inputs; a flag ``unused`` names is rejected, its manifest key ignored."""
-    for key in unused:
+def _build_manifest(args, command):
+    """The command's inputs, merged from its flags, its manifest and the defaults.
+
+    A flag the command refuses is rejected; its manifest key is ignored, since
+    one manifest may serve several commands.
+    """
+    refuses = command.refuses
+    for key in refuses:
         if getattr(args, key) is not None:
-            raise InputError(f"{args.command} does not take --{key.replace('_', '-')}")
-    values = _read_manifest_file(args.manifest) if args.manifest else {}
-    # one manifest may serve several commands: a key this command does not use is ignored
-    values = {key: value for key, value in values.items() if key not in unused}
+            raise InputError(f"{args.command} does not take {_flag(key)}")
+    values = {row.key: row.default for row in _INPUTS}
+    if args.manifest:
+        values.update((key, value) for key, value in _read_manifest_file(args.manifest).items()
+                      if key not in refuses)
+    values.update((row.key, flag) for row in _INPUTS
+                  if (flag := getattr(args, row.key, None)) is not None)
+    inputs = SimpleNamespace(**values)
 
-    def pick(flag, key, default=None):
-        if flag is not None:
-            return flag
-        if key in values:
-            return values[key]
-        return default
-
-    text_vecs = pick(args.text_vecs, "text_vecs")
-    image_vecs = pick(args.image_vecs, "image_vecs")
-    benches = args.bench if args.bench else None
-    if benches is None and "bench" in values:
-        # a manifest line naming no benchmark leaves --bench missing
-        benches = [b.strip() for b in values["bench"].split(",") if b.strip()] or None
-    out = pick(args.out, "out")
-    config = pick(getattr(args, "config", None), "config")
-
-    missing = [
-        name
-        for name, value in [
-            ("--text-vecs", text_vecs), ("--image-vecs", image_vecs),
-            ("--out", out),
-        ]
-        if value is None
-    ]
-    if "bench" not in unused and benches is None:
-        missing.append("--bench")
-    if need_config and config is None:
-        missing.append("--config")
+    required = ["text_vecs", "image_vecs", "out", "bench"]  # in the order the error names them
+    if command.need_config:
+        required.append("config")
+    missing = [_flag(key) for key in required
+               if getattr(inputs, key) is None and key not in refuses]
     if missing:
         raise InputError(f"missing required inputs: {', '.join(missing)}")
-
-    manifest = RunManifest(
-        text_vecs=Path(text_vecs),
-        image_vecs=Path(image_vecs),
-        benches=[Path(b) for b in benches] if benches else [],
-        out=Path(out),
-        dim_step=pick(args.dim_step, "dim_step", 50),
-        dim_min=pick(args.dim_min, "dim_min", 50),
-        alpha_step=pick(args.alpha_step, "alpha_step", 0.1),
-        ridge=pick(args.ridge, "ridge", DEFAULT_RIDGE),
-        motifs=_parse_motifs(pick(args.motifs, "motifs")),
-        workers=pick(args.workers, "workers", 1),
-        config=Path(config) if config else None,
-        normalize_concat=pick(args.normalize_concat, "normalize_concat", False),
-    )
-    if manifest.workers < 1:
-        raise InputError(f"workers must be >= 1, got {manifest.workers}")
-    for path in [manifest.text_vecs, manifest.image_vecs, *manifest.benches] + (
-        [manifest.config] if manifest.config else []
-    ):
-        if not path.exists():
+    inputs.motifs = _parse_motifs(inputs.motifs)
+    if inputs.workers < 1:
+        raise InputError(f"workers must be >= 1, got {inputs.workers}")
+    inputs.text_vecs = Path(inputs.text_vecs)
+    inputs.image_vecs = Path(inputs.image_vecs)
+    inputs.out = Path(inputs.out)
+    inputs.bench = [Path(b) for b in inputs.bench or ()]
+    inputs.config = Path(inputs.config) if inputs.config is not None else None
+    for path in [inputs.text_vecs, inputs.image_vecs, *inputs.bench, inputs.config]:
+        if path is not None and not path.exists():
             raise InputError(f"input path does not exist: {path}")
-    manifest.out.mkdir(parents=True, exist_ok=True)
-    return manifest
+    return inputs
 
 
 def _load_inputs(manifest):
+    """Create the output directory and read the inputs.
+
+    Called once every check that needs no file content has passed, so a
+    rejected flag, grid or report name leaves no directory behind.
+    """
+    manifest.out.mkdir(parents=True, exist_ok=True)
     textual = load_embeddings(manifest.text_vecs, name="textual")
     visual = load_embeddings(manifest.image_vecs, name="visual")
     textual, visual = align_vocabularies(textual, visual)
-    benches = [load_benchmark(path) for path in manifest.benches]
+    benches = [load_benchmark(path) for path in manifest.bench]
     return textual, visual, benches
 
 
@@ -279,7 +280,7 @@ def _check_report_names(paths):
 
 
 def cmd_search(manifest):
-    _check_report_names(manifest.benches)
+    _check_report_names(manifest.bench)
     grid = GridSpec(
         dim_step=manifest.dim_step,
         dim_min=manifest.dim_min,
@@ -347,25 +348,20 @@ def cmd_apply(manifest):
     return EXIT_OK
 
 
-def _add_common(sub, need_config):
-    sub.add_argument("--text-vecs", help="textual embedding text file")
-    sub.add_argument("--image-vecs", help="visual embedding text file")
-    sub.add_argument("--bench", action="append",
-                     help="benchmark file (repeatable)")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--manifest", help="key=value file supplying any flag")
-    sub.add_argument("--dim-step", type=int, dest="dim_step")
-    sub.add_argument("--dim-min", type=int, dest="dim_min")
-    sub.add_argument("--alpha-step", type=float, dest="alpha_step")
-    sub.add_argument("--ridge", type=float)
-    sub.add_argument("--motifs",
-                     help=f"comma-separated subset of: {', '.join(MOTIFS)}")
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--normalize-concat", dest="normalize_concat",
-                     action="store_const", const=True,
-                     help="row-normalize each block before concatenation")
-    if need_config:
-        sub.add_argument("--config", help="configuration file (key=value lines)")
+_Command = namedtuple("_Command", "help run need_config refuses")
+
+# every command: its help, its handler, whether it needs --config, and the
+# inputs it refuses as flags and ignores as manifest keys
+_COMMANDS = {
+    "eval": _Command("evaluate one configuration on each benchmark",
+                     partial(cmd_evaluate, label="eval"), True, _SWEEP_ONLY),
+    "search": _Command("exhaustive configuration sweep per benchmark",
+                       cmd_search, False, ()),
+    "cross": _Command("evaluate one configuration across all benchmarks",
+                      partial(cmd_evaluate, label="cross"), True, _SWEEP_ONLY),
+    "apply": _Command("apply a configuration and save the fused vectors",
+                      cmd_apply, True, _SWEEP_ONLY + ("bench",)),
+}
 
 
 def build_parser():
@@ -375,35 +371,19 @@ def build_parser():
                     "them against word-similarity benchmarks.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, need_config, help_text in [
-        ("eval", True, "evaluate one configuration on each benchmark"),
-        ("search", False, "exhaustive configuration sweep per benchmark"),
-        ("cross", True, "evaluate one configuration across all benchmarks"),
-        ("apply", True, "apply a configuration and save the fused vectors"),
-    ]:
-        sub = subs.add_parser(name, help=help_text)
-        _add_common(sub, need_config)
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for row in _INPUTS:
+            if row.key != "config" or command.need_config:
+                sub.add_argument(_flag(row.key), **row.flag)
     return parser
 
 
-# flags (and manifest keys) only a sweep reads
-_SWEEP_ONLY = ("dim_step", "dim_min", "alpha_step", "ridge", "motifs", "workers")
-
-_COMMANDS = {
-    "eval": (partial(cmd_evaluate, label="eval"), True, _SWEEP_ONLY),
-    "search": (cmd_search, False, ()),
-    "cross": (partial(cmd_evaluate, label="cross"), True, _SWEEP_ONLY),
-    "apply": (cmd_apply, True, _SWEEP_ONLY + ("bench",)),
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command, need_config, unused = _COMMANDS[args.command]
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        manifest = _build_manifest(args, need_config, unused)
-        return command(manifest)
+        return command.run(_build_manifest(args, command))
     except ConfigurationError as exc:
         print("error: configuration is invalid:", file=sys.stderr)
         for violation in exc.violations:

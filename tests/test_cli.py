@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,7 @@ class TestSearch:
         err = capsys.readouterr().err
         assert benches[1] in err and benches[3] in err
         assert list(out.glob("*.report.*")) == []
+        assert not out.exists()
 
 
 class TestCross:
@@ -271,6 +274,25 @@ class TestManifest:
         assert code == EXIT_INPUT
         assert "unknown manifest key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, first, second", [
+        ("bench", "toy.tsv", "toy2.tsv"),
+        ("dim_step", "2", "3"),
+    ])
+    def test_repeated_manifest_key_exits_2(self, workspace, capsys, key, first, second):
+        if key == "bench":
+            first, second = workspace / first, workspace / second
+        manifest = workspace / "run.manifest"
+        manifest.write_text(f"# one key twice\n{key}={first}\n\n{key}={second}\n")
+        out = workspace / "out"
+        code = main(["search", "--text-vecs", str(workspace / "text.vecs"),
+                     "--image-vecs", str(workspace / "image.vecs"), "--out", str(out),
+                     "--manifest", str(manifest)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {manifest}:4: duplicate manifest key {key!r}\n"
+        )
+        assert not out.exists()
+
     def test_non_numeric_manifest_value_exits_2(self, workspace, capsys):
         manifest = workspace / "run.manifest"
         manifest.write_text("dim_step=2\nworkers=many\n")
@@ -329,7 +351,19 @@ class TestManifest:
                      "--manifest", str(manifest), *TestSearch.ARGS, *extra])
         assert code == EXIT_INPUT
         assert f"ridge must be finite and >= 0, got {float(ridge)}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dim-step", "0", "dim_step must be >= 1, got 0"),
+        ("--dim-min", "0", "dim_min must be >= 1, got 0"),
+        ("--alpha-step", "1.5", "alpha_step must be in (0, 1], got 1.5"),
+    ])
+    def test_rejected_grid_creates_no_out(self, workspace, capsys, flag, value, message):
+        out = workspace / "new" / "out"
+        code = main(["search", *common(workspace), "--out", str(out), flag, value])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workspace / "new").exists()
 
     @pytest.mark.parametrize("ridge", ["inf", "nan"])
     def test_non_finite_config_ridge_exits_2(self, workspace, capsys, ridge):
@@ -403,6 +437,58 @@ class TestManifest:
             "--config", str(workspace / "good.cfg"),
         ])
         assert code == EXIT_INPUT
+
+
+# every subcommand's options, in order, as (option strings, dest, type, action, const, help)
+_COMMON_OPTIONS = [
+    (["-h", "--help"], "help", None, "_HelpAction", None, "show this help message and exit"),
+    (["--text-vecs"], "text_vecs", None, "_StoreAction", None, "textual embedding text file"),
+    (["--image-vecs"], "image_vecs", None, "_StoreAction", None, "visual embedding text file"),
+    (["--bench"], "bench", None, "_AppendAction", None, "benchmark file (repeatable)"),
+    (["--out"], "out", None, "_StoreAction", None, "output directory"),
+    (["--manifest"], "manifest", None, "_StoreAction", None,
+     "key=value file supplying any flag"),
+    (["--dim-step"], "dim_step", int, "_StoreAction", None, None),
+    (["--dim-min"], "dim_min", int, "_StoreAction", None, None),
+    (["--alpha-step"], "alpha_step", float, "_StoreAction", None, None),
+    (["--ridge"], "ridge", float, "_StoreAction", None, None),
+    (["--motifs"], "motifs", None, "_StoreAction", None,
+     "comma-separated subset of: pca, cca, rcca, concat, li"),
+    (["--workers"], "workers", int, "_StoreAction", None, None),
+    (["--normalize-concat"], "normalize_concat", None, "_StoreConstAction", True,
+     "row-normalize each block before concatenation"),
+]
+_CONFIG_OPTION = (["--config"], "config", None, "_StoreAction", None,
+                  "configuration file (key=value lines)")
+
+
+class TestParserSurface:
+    """The flags each subcommand takes, pinned without argparse's help layout."""
+
+    @staticmethod
+    def subcommands():
+        from mmfuse.cli import build_parser
+        parser = build_parser()
+        subs, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return subs
+
+    def test_commands_and_their_help(self):
+        subs = self.subcommands()
+        assert [(a.dest, a.help) for a in subs._choices_actions] == [
+            ("eval", "evaluate one configuration on each benchmark"),
+            ("search", "exhaustive configuration sweep per benchmark"),
+            ("cross", "evaluate one configuration across all benchmarks"),
+            ("apply", "apply a configuration and save the fused vectors"),
+        ]
+
+    @pytest.mark.parametrize("command", ["eval", "search", "cross", "apply"])
+    def test_options_of_each_command(self, command):
+        options = [
+            (a.option_strings, a.dest, a.type, type(a).__name__, a.const, a.help)
+            for a in self.subcommands().choices[command]._actions
+        ]
+        expected = _COMMON_OPTIONS + ([] if command == "search" else [_CONFIG_OPTION])
+        assert options == expected
 
 
 class TestExitCodes:
