@@ -189,26 +189,27 @@ def _build_manifest(args, command):
     return inputs
 
 
-def _load_inputs(manifest):
-    """Create the output directory and read the inputs.
+def _load_inputs(manifest, with_config=True):
+    """Read the inputs and, ``with_config``, the checked configuration, then create the output directory.
 
-    Called once every check that needs no file content has passed, so a
-    rejected flag, grid or report name leaves no directory behind.
+    Called once every check that needs no file content has passed, and
+    creates ``--out`` only once every input is read and checked, so a
+    rejected flag, grid, report name, file or configuration leaves no
+    directory behind. Returns the aligned tables, the benchmarks and the
+    configuration (None without ``with_config``).
     """
-    manifest.out.mkdir(parents=True, exist_ok=True)
     textual = load_embeddings(manifest.text_vecs, name="textual")
     visual = load_embeddings(manifest.image_vecs, name="visual")
     textual, visual = align_vocabularies(textual, visual)
     benches = [load_benchmark(path) for path in manifest.bench]
-    return textual, visual, benches
-
-
-def _load_config_checked(manifest, dim_t, dim_v):
-    config = load_configuration(manifest.config)
-    violations = validate_configuration(config, dim_t, dim_v)
-    if violations:
-        raise ConfigurationError(violations)
-    return config
+    config = None
+    if with_config:
+        config = load_configuration(manifest.config)
+        violations = validate_configuration(config, textual.dim, visual.dim)
+        if violations:
+            raise ConfigurationError(violations)
+    manifest.out.mkdir(parents=True, exist_ok=True)
+    return textual, visual, benches, config
 
 
 def _write(path, text):
@@ -251,8 +252,7 @@ def _safe_name(name):
 
 def cmd_evaluate(manifest, label):
     """Body of ``eval`` and ``cross``: one configuration on every benchmark."""
-    textual, visual, benches = _load_inputs(manifest)
-    config = _load_config_checked(manifest, textual.dim, visual.dim)
+    textual, visual, benches, config = _load_inputs(manifest)
     named = cross_evaluate(config, textual, visual, benches,
                            normalize_concat=manifest.normalize_concat)
     text = f"configuration: {describe_configuration(config)}\n\n" + _result_rows(named)
@@ -288,15 +288,10 @@ def cmd_search(manifest):
         ridge=manifest.ridge,
         motif_filter=manifest.motifs,
     )
-    textual, visual, benches = _load_inputs(manifest)
-
-    def progress(bench, done, total):
-        if done == total or done % 200 == 0:
-            print(f"[{bench.name}] {done}/{total} configurations", file=sys.stderr)
-
+    textual, visual, benches, _ = _load_inputs(manifest, with_config=False)
     reports = sweep(
-        textual, visual, benches, grid,
-        workers=manifest.workers, progress=progress,
+        textual, visual, benches, grid, workers=manifest.workers,
+        progress=lambda done, total: print(f"{done}/{total} configurations", file=sys.stderr),
         normalize_concat=manifest.normalize_concat,
     )
     summary = []
@@ -327,8 +322,7 @@ def cmd_search(manifest):
 
 
 def cmd_apply(manifest):
-    textual, visual, _ = _load_inputs(manifest)
-    config = _load_config_checked(manifest, textual.dim, visual.dim)
+    textual, visual, _, config = _load_inputs(manifest)
     model = apply_configuration(
         config, textual, visual, normalize_concat=manifest.normalize_concat
     )

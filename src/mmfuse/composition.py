@@ -636,11 +636,11 @@ def load_configuration(path):
     try:
         text = read_utf8(path)
     except OSError as exc:
-        raise ParseError(path, 0, str(exc)) from exc
+        raise ParseError(path, None, str(exc)) from exc
     try:
         return parse_configuration(text)
     except ValueError as exc:
-        raise ParseError(path, 0, str(exc)) from None
+        raise ParseError(path, None, str(exc)) from None
 
 
 def describe_configuration(config):

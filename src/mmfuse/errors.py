@@ -15,10 +15,11 @@ class InputError(MMFuseError):
 
 
 class ParseError(InputError):
-    """Malformed file content; carries the offending path and line number."""
+    """Malformed file content; carries the offending path and line number (None: the whole file)."""
 
     def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
+        where = path if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
         self.path = str(path)
         self.line_no = line_no
 

@@ -28,11 +28,11 @@ each decomposition runs once whatever the number of benchmarks or dims:
   that of a pass over its own benchmark, so the scores are bit for bit
   the same, and degenerate pairs are still warned about per table and
   benchmark;
-* per benchmark: its slice of each score vector, ranked against gold
-  scores ranked once. The group's slices are ranked in blocks of at most
-  ``RANK_BLOCK_VALUES`` values, through the same ``rank_results`` that
-  ``evaluate`` ranks its one vector with. A non-finite score fails only
-  the benchmarks whose slices hold it.
+* per layer-a group, in blocks of at most ``RANK_BLOCK_VALUES`` values:
+  its score vectors over the joined pairs, stacked, and each benchmark's
+  span of the block ranked against gold scores ranked once, through the
+  same ``rank_results`` that ``evaluate`` ranks its one vector with. A
+  non-finite score fails only the benchmarks whose spans hold it.
 
 A failure is stored where it happened and given, with its text, to every
 configuration built on it. Groups share only the read-only layer-a fits,
@@ -192,9 +192,12 @@ RANK_BLOCK_VALUES = 2 ** 15
 def _sweep_group(items, raw, names, a_fits, scored, pairs, normalize_concat):
     """Per benchmark, the search entries of ``(order_index, config)`` items sharing one layer-a dim.
 
-    ``pairs`` joins the covered pairs of every benchmark of ``scored``;
-    each score vector is computed once over them and each benchmark ranks
-    its span. ``names`` names the two sides in degenerate-pair warnings.
+    ``pairs`` joins the covered pairs of every benchmark of ``scored``.
+    Each score vector is computed once over them and queued; a block of
+    queued vectors, at most ``RANK_BLOCK_VALUES`` values (one vector, if
+    it alone is longer), is ranked on each benchmark's span of its
+    columns. A failure computing a vector fails it on every benchmark.
+    ``names`` names the two sides in degenerate-pair warnings.
     """
     a_dim = items[0][1].pca_dim
     ridge = items[0][1].ridge
@@ -255,60 +258,32 @@ def _sweep_group(items, raw, names, a_fits, scored, pairs, normalize_concat):
             return interpolate(config.alpha, *(scores(t) for t in tables))
         return scores(tables[0])
 
-    dims = [m.shape[1] for m in raw.values()]
-    blocks = [_RankBlock(bench, covered, len(items)) for bench, covered in scored]
+    outcomes = [None] * len(items)   # per configuration, its outcome on each benchmark
+
+    def rank(queued):
+        """Rank a block of ``(slot, score vector)``, each benchmark on its span of the pairs."""
+        slots, vectors = zip(*queued)
+        block = np.stack(vectors)
+        ranked = [rank_results(block[:, start:stop], covered, bench)
+                  for (bench, covered), (start, stop) in zip(scored, pairs.spans)]
+        for slot, *results in zip(slots, *ranked):
+            outcomes[slot] = results
+
+    rows = max(1, RANK_BLOCK_VALUES // max(1, len(pairs.idx1)))
+    queued = []
     for slot, (order_index, config) in enumerate(items):
         try:
-            all_scores = vector(config, inputs[order_index])
-            outcomes = [all_scores[start:stop] for start, stop in pairs.spans]
-            if len(outcomes) > 1:  # a queued slice must not keep every benchmark's scores
-                outcomes = [span.copy() for span in outcomes]
+            queued.append((slot, vector(config, inputs[order_index])))
         except _FAILURES as exc:
-            outcomes = [exc] * len(scored)
-        for block, outcome in zip(blocks, outcomes):
-            block.put(slot, outcome)
+            outcomes[slot] = [exc] * len(scored)
+        if queued and (len(queued) == rows or slot == len(items) - 1):
+            rank(queued)
+            queued = []
+    dims = [m.shape[1] for m in raw.values()]
     out_dims = [output_dimension(config, *dims) for _, config in items]
-    entries = []
-    for block in blocks:
-        block.rank()
-        entries.append([_entry(config, order_index, out_dim, outcome)
-                        for (order_index, config), out_dim, outcome
-                        in zip(items, out_dims, block.outcomes)])
-    return entries
-
-
-class _RankBlock:
-    """One benchmark's score vectors of a layer-a group, ranked a block of rows at a time.
-
-    ``outcomes`` holds, per configuration of the group, its rank result or
-    the failure computing or ranking its scores; a block holds at most
-    ``RANK_BLOCK_VALUES`` score values (one vector, if it alone is longer).
-    """
-
-    def __init__(self, bench, covered, size):
-        self.bench, self.covered = bench, covered
-        self.rows = max(1, RANK_BLOCK_VALUES // max(1, len(covered.gold)))
-        self.outcomes = [None] * size
-        self.pending = []   # (slot, score vector) not ranked yet
-
-    def put(self, slot, outcome):
-        """Store a failure at once; queue a score vector, ranking the block when it is full."""
-        if isinstance(outcome, Exception):
-            self.outcomes[slot] = outcome
-            return
-        self.pending.append((slot, outcome))
-        if len(self.pending) == self.rows:
-            self.rank()
-
-    def rank(self):
-        """Rank the queued score vectors together."""
-        if not self.pending:
-            return
-        slots, vectors = zip(*self.pending)
-        self.pending = []
-        results = rank_results(np.stack(vectors), self.covered, self.bench)
-        for slot, result in zip(slots, results):
-            self.outcomes[slot] = result
+    return [[_entry(config, order_index, out_dim, outcome)
+             for (order_index, config), out_dim, outcome in zip(items, out_dims, bench_outcomes)]
+            for bench_outcomes in zip(*outcomes)]
 
 
 def _entry(config, order_index, output_dim, outcome):
@@ -327,11 +302,11 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
 
     Returns one :class:`SearchReport` per benchmark, in order. Every fit,
     table and score vector is computed once for all benchmarks. ``progress``,
-    when given, is called from the calling thread as
-    ``progress(bench, done, total)`` once per configuration, benchmark after
-    benchmark: the first benchmark's calls follow each finished layer-a
-    group, the others' come at the end. ``workers`` layer-a groups are swept
-    at once; results do not depend on it.
+    when given, is called from the calling thread as ``progress(done, total)``
+    once per finished layer-a group, in group order: ``done`` configurations
+    of ``total`` have been swept, on every benchmark. ``workers`` layer-a
+    groups are swept at once; neither the results nor the progress calls
+    depend on it.
     """
     if textual.vocab != visual.vocab:
         raise AlignmentError("tables must be vocabulary-aligned before searching")
@@ -350,23 +325,17 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
     names = {SIDE_TEXTUAL: textual.name, SIDE_VISUAL: visual.name}
     run = partial(_sweep_group, raw=raw, names=names, a_fits=a_fits, scored=scored, pairs=pairs,
                   normalize_concat=normalize_concat)
-    progress = progress or (lambda bench, done, total: None)
-    total = len(configs)
     entries = [[] for _ in benches]
-    swept = 0
+    done = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # a single worker sweeps in the calling thread
         results = pool.map(run, groups) if workers > 1 else map(run, groups)
         for items, group in zip(groups, results):
             for bench_entries, new in zip(entries, group):
                 bench_entries.extend(new)
-            for done in range(swept + 1, swept + len(items) + 1):
-                for bench in benches[:1]:
-                    progress(bench, done, total)
-            swept += len(items)
-    for bench in benches[1:]:
-        for done in range(1, total + 1):
-            progress(bench, done, total)
+            done += len(items)
+            if progress is not None:
+                progress(done, len(configs))
     return tuple(
         SearchReport(benchmark_name=bench.name, grid=grid,
                      entries=tuple(sorted(bench_entries, key=_entry_sort_key)))

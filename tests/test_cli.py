@@ -104,15 +104,19 @@ class TestSearch:
         assert "best configuration per benchmark" in (out / "summary.txt").read_text()
         assert (out / "run.log").exists()
 
-    def test_worker_counts_give_byte_identical_reports(self, workspace):
+    def test_worker_counts_give_byte_identical_reports(self, workspace, capsys):
         out1 = workspace / "w1"
         out8 = workspace / "w8"
         assert main(["search", *common(workspace), "--out", str(out1),
                      *self.ARGS, "--workers", "1"]) == EXIT_OK
+        printed1 = capsys.readouterr()
         assert main(["search", *common(workspace), "--out", str(out8),
                      *self.ARGS, "--workers", "8"]) == EXIT_OK
         for name in ("toy.report.txt", "toy.report.tsv", "summary.txt"):
             assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
+        # the summary and the progress lines are printed alike too
+        assert capsys.readouterr() == printed1
+        assert printed1.err.endswith("configurations\n")
 
     def test_motif_restriction(self, workspace):
         out = workspace / "li_only"
@@ -594,6 +598,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}:2: row has 4 values but header declares dim 5" in err
         assert "Traceback" not in err
+
+
+class TestRejectedInputLeavesNoOut:
+    """A file rejected once it is read leaves no output directory behind."""
+
+    @staticmethod
+    def run(workspace, command, config):
+        args = [command, "--text-vecs", str(workspace / "text.vecs"),
+                "--image-vecs", str(workspace / "image.vecs"),
+                "--config", str(config), "--out", str(workspace / "out")]
+        if command == "eval":
+            args += ["--bench", str(workspace / "toy.tsv")]
+        return main(args)
+
+    @pytest.mark.parametrize("command", ["eval", "apply"])
+    def test_unparsable_configuration_names_its_file(self, workspace, capsys, command):
+        config = workspace / "bogus.cfg"
+        config.write_text("layer_a=bogus\nlayer_b=none\nlayer_c=none\n")
+        assert self.run(workspace, command, config) == EXIT_INPUT
+        # the file as a whole is at fault, not one of its lines
+        assert capsys.readouterr().err == f"error: {config}: bad layer_a 'bogus'\n"
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "apply"])
+    def test_invalid_configuration(self, workspace, capsys, command):
+        assert self.run(workspace, command, workspace / "bad.cfg") == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: configuration is invalid:\n  - ")
+        assert not (workspace / "out").exists()
+
+    def test_malformed_vectors_file_on_search(self, workspace, capsys):
+        path = workspace / "text.vecs"
+        lines = path.read_text().splitlines()
+        lines[3] = "w02 0.5"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["search", *common(workspace), "--out", str(workspace / "out"),
+                     *TestSearch.ARGS])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}:4: expected 6 values, found 1\n"
+        assert not (workspace / "out").exists()
 
 
 class TestReportRho:

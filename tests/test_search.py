@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import accumulate, groupby
 
 import numpy as np
 import pytest
@@ -49,6 +50,21 @@ def exhaustive_oracle(textual, visual, bench, grid):
             rows.append((0, -result.rho, out_dim, i, cfg, result, None))
     rows.sort(key=lambda r: r[:4])
     return rows
+
+
+def group_progress(textual, visual, grid):
+    """The progress calls of a sweep: one per layer-a group, in canonical order."""
+    configs = enumerate_configurations(textual.dim, visual.dim, grid)
+    sizes = [len(list(group)) for _, group in groupby(configs, key=lambda c: c.pca_dim)]
+    return [(done, len(configs)) for done in accumulate(sizes)]
+
+
+def progress_calls(textual, visual, benches, grid, workers):
+    """The reports of a sweep and the ``(done, total)`` of each progress call it made."""
+    calls = []
+    reports = sweep(textual, visual, benches, grid, workers=workers,
+                    progress=lambda *call: calls.append(call))
+    return reports, calls
 
 
 def assert_matches_oracle(report, oracle):
@@ -144,12 +160,17 @@ class TestPlantedSweep:
         assert render_reports(r1) == render_reports(r8)
 
     def test_progress_reaches_total(self, planted):
+        """One call per layer-a group, ``done`` rising to the total, whatever the workers."""
         textual, visual, bench = planted
-        seen = []
         grid = GridSpec(dim_step=4, dim_min=4, alpha_step=0.5, ridge=1e-3)
-        report, = sweep(textual, visual, [bench], grid,
-                        progress=lambda *call: seen.append(call))
-        assert seen[-1] == (bench, len(report.entries), len(report.entries))
+        (report,), calls = progress_calls(textual, visual, [bench], grid, workers=1)
+        total = len(report.entries)
+        dones = [done for done, _ in calls]
+        assert len(calls) == len({e.config.pca_dim for e in report.entries}) > 1
+        assert all(a < b for a, b in zip(dones, dones[1:]))
+        assert calls[-1] == (total, total)
+        assert calls == group_progress(textual, visual, grid)
+        assert progress_calls(textual, visual, [bench], grid, workers=3)[1] == calls
 
     def test_li_motif_filter_reproduces_interpolation_only_sweep(self, planted):
         textual, visual, bench = planted
@@ -306,17 +327,17 @@ class TestSharedFits:
                   if e.result is not None and e.result.n_evaluated >= 2]
         assert sum(shape[0] if len(shape) == 2 else 1 for shape in ranks) == len(ranked) + 2
         assert sum(len(shape) == 1 for shape in ranks) == 2
-        # score vectors are ranked a block at a time per (layer-a group, benchmark)
-        blocks = 0
-        for bench, report in zip(benches, reports):
-            n_eval = len(filter_coverage(bench, textual.vocab))
-            per_block = max(1, search.RANK_BLOCK_VALUES // max(1, n_eval))
-            # a non-finite score vector is queued too, and fails when its block is ranked
-            queued = Counter(e.config.pca_dim for e in report.entries
-                             if e.result is not None and e.result.n_evaluated >= 2
-                             or str(e.error).startswith("non-finite pair scores"))
-            blocks += sum(-(-rows // per_block) for rows in queued.values())
-        assert sum(len(shape) == 2 for shape in ranks) == blocks
+        # score vectors over the joined pairs of every benchmark are ranked a
+        # block at a time per layer-a group, each block on the span of every
+        # benchmark with two pairs or more ("big" is one)
+        n_evals = [len(filter_coverage(bench, textual.vocab)) for bench in benches]
+        per_block = max(1, search.RANK_BLOCK_VALUES // max(1, sum(n_evals)))
+        # a non-finite score vector is queued too, and fails when its block is ranked
+        queued = Counter(e.config.pca_dim for e in reports[0].entries
+                         if e.result is not None
+                         or str(e.error).startswith("non-finite pair scores"))
+        blocks = sum(-(-rows // per_block) for rows in queued.values())
+        assert sum(len(shape) == 2 for shape in ranks) == blocks * sum(n >= 2 for n in n_evals)
         if overflow:
             assert single.counts()[STATUS_FAILED] > 0
         else:
@@ -384,10 +405,15 @@ class TestRankBlocks:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("overflow", [False, True])
     def test_blocks_stay_within_the_budget(self, monkeypatch, overflow):
+        """The bound holds for a block over the joined pairs of one benchmark or two."""
         import mmfuse._kernels as kernels
 
         textual, visual, bench = self.many_pairs(overflow)
+        # the pairs of 110 of the words: alone, five of its vectors fit a
+        # block; joined with ``bench``'s pairs, one vector fills a block
+        some = Benchmark("some", tuple(p for p in bench.pairs if p[1] < "w110"))
         assert 2 * len(bench) <= search.RANK_BLOCK_VALUES < 3 * len(bench)
+        assert 5 * len(some) <= search.RANK_BLOCK_VALUES < 2 * (len(bench) + len(some))
         shapes = []
 
         def sorted_ranks(values):
@@ -396,21 +422,31 @@ class TestRankBlocks:
 
         real_ranks = kernels.sorted_ranks
         monkeypatch.setattr(kernels, "sorted_ranks", sorted_ranks)
-        report, = sweep(textual, visual, [bench], self.GRID)
-        assert max(np.prod(shape) for shape in shapes) <= search.RANK_BLOCK_VALUES
-        # one block per two queued vectors of a layer-a group, the last one maybe short
-        per_block = search.RANK_BLOCK_VALUES // len(bench)
-        queued = Counter(e.config.pca_dim for e in report.entries
-                         if e.result is not None or str(e.error).startswith("non-finite pair"))
-        blocks = [shape for shape in shapes if len(shape) == 2]
-        assert len(blocks) == sum(-(-rows // per_block) for rows in queued.values())
-        # the gold scores are ranked once, as one vector
-        assert [shape for shape in shapes if len(shape) != 2] == [(len(bench),)]
-        assert max(queued.values()) > per_block
+        swept = []
+        for benches in ([bench], [bench, some]):
+            shapes.clear()
+            reports = sweep(textual, visual, benches, self.GRID)
+            swept.append((benches, reports))
+            # every pair is covered, so a block's row holds every benchmark's pairs
+            joined = sum(len(b) for b in benches)
+            per_block = search.RANK_BLOCK_VALUES // joined
+            blocks = [shape for shape in shapes if len(shape) == 2]
+            assert max(rows for rows, _ in blocks) * joined <= search.RANK_BLOCK_VALUES
+            # per layer-a group, one block per ``per_block`` queued vectors, the last
+            # one maybe short, each ranked on every benchmark's span
+            queued = Counter(e.config.pca_dim for e in reports[0].entries
+                             if e.result is not None or str(e.error).startswith("non-finite pair"))
+            assert max(queued.values()) > per_block
+            assert len(blocks) == len(benches) * sum(-(-rows // per_block)
+                                                     for rows in queued.values())
+            # the gold scores of each benchmark are ranked once, as one vector
+            assert [shape for shape in shapes if len(shape) != 2] == [(len(b),) for b in benches]
         monkeypatch.undo()
-        assert_matches_oracle(report, exhaustive_oracle(textual, visual, bench, self.GRID))
-        if overflow:
-            assert report.counts()[STATUS_FAILED] > 0
+        for benches, reports in swept:
+            for b, report in zip(benches, reports):
+                assert_matches_oracle(report, exhaustive_oracle(textual, visual, b, self.GRID))
+                if overflow:
+                    assert report.counts()[STATUS_FAILED] > 0
 
 
 class TestMultiBenchmarkSweep:
@@ -499,14 +535,14 @@ class TestMultiBenchmarkSweep:
         labels = {concat_label([input_label(names, *t) for t in inputs[c]]) for c in concats}
         assert len(labels) == len(concats)
 
-    def test_progress_runs_benchmark_after_benchmark(self, planted):
+    def test_progress_counts_every_benchmark_at_once(self, planted):
+        """One call per layer-a group for all benchmarks together, whatever the workers."""
         textual, visual, bench = planted
         benches = self.benches(textual, bench)[:3]
-        seen = []
-        reports = sweep(textual, visual, benches, TOY_GRID,
-                        progress=lambda b, done, total: seen.append((b.name, done, total)))
-        total = len(reports[0].entries)
-        assert seen == [(b.name, done, total) for b in benches for done in range(1, total + 1)]
+        reports, calls = progress_calls(textual, visual, benches, TOY_GRID, workers=1)
+        assert calls[-1] == (len(reports[0].entries),) * 2
+        assert calls == group_progress(textual, visual, TOY_GRID)
+        assert progress_calls(textual, visual, benches, TOY_GRID, workers=3)[1] == calls
 
 
 class TestCrossEvaluate:
