@@ -4,12 +4,18 @@ Build textual and visual vector tables separately, post-process them
 through up to three layers (PCA, then CCA / residual CCA, then
 concatenation or score interpolation), and search the configuration space
 for the composition that best matches human word-similarity judgments.
+
+``apply_configuration`` returns a ``ScoringModel``: its one or two tables
+(``first``, ``second``), its layer-c motif (``layer_c``) and, for score
+interpolation, ``alpha``. ``evaluate`` scores it on one benchmark, and
+``concat_table`` stacks a concatenation's two blocks into one table.
 """
 
 from .composition import (
     Configuration,
     ScoringModel,
     apply_configuration,
+    concat_table,
     describe_configuration,
     enumerate_configurations,
     format_configuration,
@@ -67,7 +73,6 @@ from .search import (
     GridSpec,
     SearchEntry,
     SearchReport,
-    cross_evaluate,
     render_reports,
     select_best,
     sweep,

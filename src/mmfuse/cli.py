@@ -21,6 +21,7 @@ from types import SimpleNamespace
 from .composition import (
     MOTIFS,
     apply_configuration,
+    concat_table,
     describe_configuration,
     format_configuration,
     load_configuration,
@@ -40,10 +41,9 @@ from .errors import (
     NoResultError,
     NumericalError,
 )
-from .evaluation import benchmark_name, load_benchmark
+from .evaluation import benchmark_name, evaluate, load_benchmark
 from .search import (
     GridSpec,
-    cross_evaluate,
     render_reports,
     select_best,
     sweep,
@@ -158,7 +158,7 @@ def _build_manifest(args, command):
     """
     refuses = command.refuses
     for key in refuses:
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:  # search has no --config flag
             raise InputError(f"{args.command} does not take {_flag(key)}")
     values = {row.key: row.default for row in _INPUTS}
     if args.manifest:
@@ -168,9 +168,8 @@ def _build_manifest(args, command):
                   if (flag := getattr(args, row.key, None)) is not None)
     inputs = SimpleNamespace(**values)
 
-    required = ["text_vecs", "image_vecs", "out", "bench"]  # in the order the error names them
-    if command.need_config:
-        required.append("config")
+    # in the order the error names them
+    required = ["text_vecs", "image_vecs", "out", "bench", "config"]
     missing = [_flag(key) for key in required
                if getattr(inputs, key) is None and key not in refuses]
     if missing:
@@ -189,21 +188,21 @@ def _build_manifest(args, command):
     return inputs
 
 
-def _load_inputs(manifest, with_config=True):
-    """Read the inputs and, ``with_config``, the checked configuration, then create the output directory.
+def _load_inputs(manifest):
+    """Read the inputs and the checked configuration, if any, then create the output directory.
 
     Called once every check that needs no file content has passed, and
     creates ``--out`` only once every input is read and checked, so a
     rejected flag, grid, report name, file or configuration leaves no
     directory behind. Returns the aligned tables, the benchmarks and the
-    configuration (None without ``with_config``).
+    configuration (None for ``search``, which ignores one).
     """
     textual = load_embeddings(manifest.text_vecs, name="textual")
     visual = load_embeddings(manifest.image_vecs, name="visual")
     textual, visual = align_vocabularies(textual, visual)
     benches = [load_benchmark(path) for path in manifest.bench]
     config = None
-    if with_config:
+    if manifest.config is not None:
         config = load_configuration(manifest.config)
         violations = validate_configuration(config, textual.dim, visual.dim)
         if violations:
@@ -253,8 +252,9 @@ def _safe_name(name):
 def cmd_evaluate(manifest, label):
     """Body of ``eval`` and ``cross``: one configuration on every benchmark."""
     textual, visual, benches, config = _load_inputs(manifest)
-    named = cross_evaluate(config, textual, visual, benches,
-                           normalize_concat=manifest.normalize_concat)
+    model = apply_configuration(config, textual, visual,
+                                normalize_concat=manifest.normalize_concat)
+    named = [(bench.name, evaluate(model, bench)) for bench in benches]
     text = f"configuration: {describe_configuration(config)}\n\n" + _result_rows(named)
     _write(manifest.out / f"{label}_report.txt", text)
     _write(manifest.out / f"{label}_report.tsv", _result_machine(config, named))
@@ -288,7 +288,7 @@ def cmd_search(manifest):
         ridge=manifest.ridge,
         motif_filter=manifest.motifs,
     )
-    textual, visual, benches, _ = _load_inputs(manifest, with_config=False)
+    textual, visual, benches, _ = _load_inputs(manifest)
     reports = sweep(
         textual, visual, benches, grid, workers=manifest.workers,
         progress=lambda done, total: print(f"{done}/{total} configurations", file=sys.stderr),
@@ -326,7 +326,7 @@ def cmd_apply(manifest):
     model = apply_configuration(
         config, textual, visual, normalize_concat=manifest.normalize_concat
     )
-    if model.is_pair:
+    if model.layer_c == "li":
         save_embeddings(model.first, manifest.out / "fused_first.vecs")
         save_embeddings(model.second, manifest.out / "fused_second.vecs")
         _write(
@@ -335,26 +335,27 @@ def cmd_apply(manifest):
             "second=fused_second.vecs\n",
         )
     else:
-        save_embeddings(model.first, manifest.out / "fused.vecs")
+        fused = concat_table(model) if model.layer_c == "concat" else model.first
+        save_embeddings(fused, manifest.out / "fused.vecs")
         _write(manifest.out / "scoring.txt", "single table=fused.vecs\n")
     _log(manifest, "apply: wrote fused tables")
     print(f"wrote fused vectors to {manifest.out}")
     return EXIT_OK
 
 
-_Command = namedtuple("_Command", "help run need_config refuses")
+_Command = namedtuple("_Command", "help run refuses")
 
-# every command: its help, its handler, whether it needs --config, and the
-# inputs it refuses as flags and ignores as manifest keys
+# every command: its help, its handler, and the inputs it refuses as flags and
+# ignores as manifest keys; a command that does not refuse --config needs one
 _COMMANDS = {
     "eval": _Command("evaluate one configuration on each benchmark",
-                     partial(cmd_evaluate, label="eval"), True, _SWEEP_ONLY),
+                     partial(cmd_evaluate, label="eval"), _SWEEP_ONLY),
     "search": _Command("exhaustive configuration sweep per benchmark",
-                       cmd_search, False, ()),
+                       cmd_search, ("config",)),
     "cross": _Command("evaluate one configuration across all benchmarks",
-                      partial(cmd_evaluate, label="cross"), True, _SWEEP_ONLY),
+                      partial(cmd_evaluate, label="cross"), _SWEEP_ONLY),
     "apply": _Command("apply a configuration and save the fused vectors",
-                      cmd_apply, True, _SWEEP_ONLY + ("bench",)),
+                      cmd_apply, _SWEEP_ONLY + ("bench",)),
 }
 
 
@@ -368,7 +369,7 @@ def build_parser():
     for name, command in _COMMANDS.items():
         sub = subs.add_parser(name, help=command.help)
         for row in _INPUTS:
-            if row.key != "config" or command.need_config:
+            if row.key != "config" or "config" not in command.refuses:
                 sub.add_argument(_flag(row.key), **row.flag)
     return parser
 

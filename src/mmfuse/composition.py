@@ -22,16 +22,17 @@ decomposition; ``apply_configuration`` passes one dim, the sweep every
 dim it needs. R-CCA reduces a signal wider than its projection by the
 signal's PCA at the projection's dim: for a raw table, its layer-a fit
 at that dim; for a layer-a output, its leading coordinates, which need
-no decomposition (``leading_coordinates``). A concatenation keeps its
-two blocks (``Concatenation``), so it is scored from their sums, by
-``evaluate`` and the sweep alike; ``unit_rows`` is the one
+no decomposition (``leading_coordinates``). A ``ScoringModel`` names
+its layer-c motif beside its one or two tables, as a ``Configuration``
+does: a concatenation keeps its two blocks, so it is scored from their
+sums, by ``evaluate`` and the sweep alike, and ``concat_table`` stacks
+them only where ``apply`` writes them. ``unit_rows`` is the one
 ``normalize_concat`` rule that both the scores and the stacked vectors
-``apply`` writes follow.
+follow.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -94,83 +95,56 @@ def unit_rows(sq_norms):
     return np.where(unit, norms, 1.0), np.where(unit, 1.0, sq_norms)
 
 
-class Concatenation:
-    """Layer-c concatenation of two aligned tables, kept as its two blocks.
-
-    It reads like the table of its stacked rows, but it is scored from the
-    sums of its blocks (``evaluation.concat_scores``). ``matrix`` stacks
-    the blocks, each row-normalized by ``unit_rows`` under ``normalize``,
-    only when it is first read; ``apply`` writes it.
-    """
-
-    def __init__(self, blocks, normalize=False, name=""):
-        self.blocks = tuple(blocks)
-        self.normalize = normalize
-        self.name = name
-        # each block's unit_rows, checked here: an overflowing row fails the model
-        self.units = tuple(unit_rows(b.sq_norms) for b in self.blocks) if normalize else None
-
-    @property
-    def vocab(self):
-        return self.blocks[0].vocab
-
-    @property
-    def index(self):
-        return self.blocks[0].index
-
-    @property
-    def dim(self):
-        return sum(b.dim for b in self.blocks)
-
-    def __len__(self):
-        return len(self.vocab)
-
-    def __contains__(self, word):
-        return word in self.index
-
-    @cached_property
-    def matrix(self):
-        blocks = [b.matrix for b in self.blocks]
-        if self.normalize:
-            blocks = [m / div[:, None] for m, (div, _) in zip(blocks, self.units)]
-        matrix = np.hstack(blocks)
-        matrix.flags.writeable = False
-        return matrix
-
-
 @dataclass(frozen=True)
 class ScoringModel:
-    """Executable result of a configuration: one table, or two plus alpha.
+    """Executable result of a configuration: its one or two tables and its layer-c motif.
 
-    For a pair, ``alpha`` weights the first table's pair score and both
-    tables share one ordered vocabulary. A concatenation is one
-    :class:`Concatenation`, which keeps its two blocks.
+    ``layer_c`` is ``"none"`` for one table, or ``"concat"`` or ``"li"``
+    for two that share one ordered vocabulary. ``alpha`` weights the first
+    table's pair score under ``li``. ``normalize`` row-normalizes each
+    block of a concatenation; its ``unit_rows`` are computed here, so a
+    row norm that overflows fails the model.
     """
 
     first: EmbeddingTable
     second: EmbeddingTable = None
     alpha: float = None
+    layer_c: str = "none"
+    normalize: bool = False
+
+    units = None  # each block's unit_rows, under normalize and concat
 
     def __post_init__(self):
-        if self.second is not None:
-            if self.second.vocab != self.first.vocab:
-                raise AlignmentError("paired tables must share a vocabulary")
+        if self.layer_c not in _C_ORDER:
+            raise ValueError(f"unknown layer-c motif {self.layer_c!r}")
+        if (self.second is None) != (self.layer_c == "none"):
+            raise ValueError("a model has a second table exactly when layer c combines")
+        if self.second is not None and self.second.vocab != self.first.vocab:
+            raise AlignmentError("paired tables must share a vocabulary")
+        if self.layer_c == "li":
             if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
-                raise ValueError("pair models need alpha in [0, 1]")
+                raise ValueError("li models need alpha in [0, 1]")
         elif self.alpha is not None:
-            raise ValueError("alpha is only meaningful for pair models")
-
-    @property
-    def is_pair(self):
-        return self.second is not None
-
-    @property
-    def is_concat(self):
-        return isinstance(self.first, Concatenation)
+            raise ValueError("alpha is only meaningful for li models")
+        if self.normalize and self.layer_c == "concat":
+            object.__setattr__(self, "units", (unit_rows(self.first.sq_norms),
+                                               unit_rows(self.second.sq_norms)))
 
     @property
     def vocab(self):
         return self.first.vocab
+
+
+def concat_table(model):
+    """The table of a concatenation's stacked rows, as ``apply`` writes it.
+
+    Each block is divided by its ``unit_rows`` divisors under ``normalize``.
+    """
+    blocks = [model.first.matrix, model.second.matrix]
+    if model.units is not None:
+        blocks = [m / div[:, None] for m, (div, _) in zip(blocks, model.units)]
+    return EmbeddingTable(model.vocab, np.hstack(blocks),
+                          name=concat_label([model.first.name, model.second.name]))
 
 
 def validate_configuration(config, dim_t, dim_v):
@@ -416,10 +390,8 @@ def apply_configuration(config, textual, visual, normalize_concat=False):
         labels.append(input_label(names, a_dim, f_dim, origin, side))
 
     tables = [EmbeddingTable(textual.vocab, m, name=n) for m, n in zip(matrices, labels)]
-    if config.layer_c == "concat":
-        return ScoringModel(Concatenation(tables, normalize=normalize_concat,
-                                          name=concat_label(labels)))
-    return ScoringModel(*tables, alpha=config.alpha)
+    return ScoringModel(*tables, alpha=config.alpha, layer_c=config.layer_c,
+                        normalize=normalize_concat)
 
 
 def used_motifs(config):

@@ -2,19 +2,21 @@
 
 Benchmark files are one pair per line, ``word1 <sep> word2 <sep> score``
 with the separator (tab or comma) auto-detected per file. A model's pair
-score is the cosine of the two word vectors; a pair model interpolates
-the two cosines with weight ``alpha`` on the first, and a concatenation
-scores the cosine of its stacked blocks. Every score is finished from
-pair sums (``PairSums``: the dot product and both squared norms), through
-the kernels in ``_kernels``. A concatenation's sums are the sums of its
-two blocks' sums, so the stacked vectors are never built to score it.
+score is the cosine of the two word vectors. A model's layer-c motif
+says how its two tables combine: ``li`` interpolates their two cosines
+with weight ``alpha`` on the first, and ``concat`` scores the cosine of
+the two blocks side by side. Every score is finished from pair sums
+(``PairSums``: the dot product and both squared norms), through the
+kernels in ``_kernels``. A concatenation's sums are the sums of its two
+blocks' sums, so the stacked vectors are never built to score it.
 Model quality is the Spearman rank correlation between model scores and
 the human gold scores, with ties receiving average ranks; a non-finite
 model score is a ``NumericalError``. A vector norm that overflows scores
 nan, so it fails rather than scoring 0.
 
 ``evaluate`` is ``covered_pairs``, then ``model_scores`` (``table_sums``
-per table, then ``sum_scores``, ``interpolate`` or ``concat_scores``),
+per table, then by the model's ``layer_c``: ``concat_scores``,
+``interpolate`` of two ``sum_scores``, or one table's ``sum_scores``),
 then ``rank_results`` of its one score vector. ``cosine`` and
 ``pair_score`` score one pair through the same pieces. A sweep calls
 them too, computing each table's sums once over the covered pairs of
@@ -36,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
+from .composition import concat_label
 from .embeddings import atomic_open, read_utf8
 from .errors import (
     DimensionError,
@@ -380,18 +383,14 @@ def rank_results(vectors, covered, bench):
 
 def model_scores(model, covered):
     """Scores of the covered pairs under ``model``, from the pieces a sweep runs."""
-    if model.is_concat:
-        concat = model.first
-        sums = [table_sums(b.matrix, b.sq_norms, covered) for b in concat.blocks]
-        return concat_scores(sums, concat.units, covered, concat.name)
-    first, second = model.first, model.second
-    scores = sum_scores(table_sums(first.matrix, first.sq_norms, covered), covered.spans,
-                        first.name, covered.names)
-    if model.is_pair:
-        second_scores = sum_scores(table_sums(second.matrix, second.sq_norms, covered),
-                                   covered.spans, second.name, covered.names)
-        scores = interpolate(model.alpha, scores, second_scores)
-    return scores
+    tables = [t for t in (model.first, model.second) if t is not None]
+    sums = [table_sums(t.matrix, t.sq_norms, covered) for t in tables]
+    if model.layer_c == "concat":
+        return concat_scores(sums, model.units, covered, concat_label([t.name for t in tables]))
+    scores = [sum_scores(s, covered.spans, t.name, covered.names) for s, t in zip(sums, tables)]
+    if model.layer_c == "li":
+        return interpolate(model.alpha, *scores)
+    return scores[0]
 
 
 def evaluate(model, bench):

@@ -1,4 +1,4 @@
-"""Exhaustive configuration sweeps and cross-benchmark evaluation.
+"""Exhaustive configuration sweeps, their ranking and their reports.
 
 Entries are ranked by rho descending, then output dimensionality
 ascending (the lowest-dimension winner is preferred among ties), then
@@ -22,9 +22,10 @@ each decomposition runs once whatever the number of benchmarks or dims:
 * over the covered pairs of every benchmark, end to end
   (``evaluation.joined_pairs``): the cosine kernel once per table, for
   its pair sums (dot products and gathered squared norms) and the score
-  vector finished from them; LI built on score vectors and a
-  concatenation on the sums of its blocks' sums, by the same
-  ``concat_scores`` that ``evaluate`` uses. Each pair's arithmetic is
+  vector finished from them; each configuration's vector is chosen by
+  its ``layer_c``, as ``evaluation.model_scores`` chooses a model's: LI
+  built on score vectors and a concatenation on the sums of its blocks'
+  sums, by the same ``concat_scores`` that ``evaluate`` uses. Each pair's arithmetic is
   that of a pass over its own benchmark, so the scores are bit for bit
   the same, and degenerate pairs are still warned about per table and
   benchmark;
@@ -38,7 +39,9 @@ A failure is stored where it happened and given, with its text, to every
 configuration built on it. Groups share only the read-only layer-a fits,
 so ``workers`` sweeps them in threads without locks. The reports of one
 search list the same configurations, so ``render_reports`` builds each
-configuration's text once for all of them.
+configuration's text once for all of them. One configuration is
+evaluated on several benchmarks without a sweep: ``apply_configuration``
+once, then ``evaluate`` per benchmark.
 """
 
 import math
@@ -50,7 +53,6 @@ from itertools import groupby
 import numpy as np
 
 from .composition import (
-    apply_configuration,
     concat_label,
     describe_configuration,
     enumerate_configurations,
@@ -77,7 +79,6 @@ from ._kernels import row_sq_norms
 from .evaluation import (
     concat_scores,
     covered_pairs,
-    evaluate,
     interpolate,
     joined_pairs,
     rank_results,
@@ -351,14 +352,6 @@ def select_best(report):
     raise NoResultError(
         f"sweep on {report.benchmark_name!r} has no successful configuration"
     )
-
-
-def cross_evaluate(config, textual, visual, benches, normalize_concat=False):
-    """Apply one configuration once, evaluate it on several benchmarks."""
-    model = apply_configuration(
-        config, textual, visual, normalize_concat=normalize_concat
-    )
-    return [(bench.name, evaluate(model, bench)) for bench in benches]
 
 
 # --- report rendering -------------------------------------------------------

@@ -226,6 +226,53 @@ class TestApply:
         assert (out / "fused_second.vecs").exists()
         assert "alpha=0.4" in (out / "scoring.txt").read_text()
 
+    @staticmethod
+    def apply_concat(ws, out, *extra):
+        cfg = ws / "concat.cfg"
+        cfg.write_text("layer_a=none\nlayer_b=none\nlayer_c=concat\nridge=0.001\n")
+        return main(["apply", "--text-vecs", str(ws / "text.vecs"),
+                     "--image-vecs", str(ws / "image.vecs"),
+                     "--out", str(out), "--config", str(cfg), *extra])
+
+    def test_concat_rows_are_the_tables_side_by_side(self, workspace):
+        from mmfuse import load_embeddings
+
+        out = workspace / "concat"
+        assert self.apply_concat(workspace, out) == EXIT_OK
+        textual = load_embeddings(workspace / "text.vecs")
+        visual = load_embeddings(workspace / "image.vecs")
+        fused = load_embeddings(out / "fused.vecs")
+        assert fused.vocab == textual.vocab
+        np.testing.assert_array_almost_equal(
+            fused.matrix, np.hstack([textual.matrix, visual.matrix]), decimal=6)
+
+    def test_normalized_concat_blocks_have_unit_norm(self, workspace):
+        from mmfuse import load_embeddings
+
+        out = workspace / "concat"
+        assert self.apply_concat(workspace, out, "--normalize-concat") == EXIT_OK
+        fused = load_embeddings(out / "fused.vecs")
+        assert fused.dim == 6 + 4
+        for block in (fused.matrix[:, :6], fused.matrix[:, 6:]):
+            np.testing.assert_allclose(np.linalg.norm(block, axis=1), 1.0, atol=1e-5)
+
+    def test_concat_scoring_names_one_table(self, workspace):
+        out = workspace / "concat"
+        assert self.apply_concat(workspace, out) == EXIT_OK
+        assert (out / "scoring.txt").read_text() == "single table=fused.vecs\n"
+
+    def test_normalized_concat_of_an_overflowing_row_exits_3(self, workspace, capsys):
+        from mmfuse import load_embeddings
+
+        visual = load_embeddings(workspace / "image.vecs")
+        big = visual.matrix.copy()
+        big[3, 0] = 1e200
+        save_embeddings(EmbeddingTable(visual.vocab, big), workspace / "image.vecs")
+        out = workspace / "concat"
+        assert self.apply_concat(workspace, out, "--normalize-concat") == EXIT_NUMERIC
+        assert "row norm overflows" in capsys.readouterr().err
+        assert not (out / "fused.vecs").exists()
+
 
 # the flags only search reads
 SWEEP_ONLY = [("--ridge", "nan"), ("--dim-step", "3"), ("--dim-min", "2"),
@@ -426,6 +473,23 @@ class TestManifest:
         for path in sorted((workspace / "plain").iterdir()):
             if path.name != "run.log":
                 assert (workspace / "manifest" / path.name).read_bytes() == path.read_bytes()
+
+    def test_search_ignores_a_manifest_config(self, workspace):
+        # one manifest may serve eval and search: search never reads its config
+        grid = ["--dim-step", "2", "--dim-min", "2", "--alpha-step", "0.5"]
+        outs = []
+        for name, config in (("missing", workspace / "nope.cfg"),
+                             ("existing", workspace / "good.cfg")):
+            manifest = workspace / f"{name}.manifest"
+            manifest.write_text(f"config={config}\n")
+            outs.append(workspace / name)
+            assert main(["search", *common(workspace), *grid, "--out", str(outs[-1]),
+                         "--manifest", str(manifest)]) == EXIT_OK
+        first, second = outs
+        names = sorted(p.name for p in first.iterdir() if p.name != "run.log")
+        assert names == ["summary.txt", "toy.report.tsv", "toy.report.txt"]
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
 
     def test_missing_manifest_file(self, workspace, capsys):
         code = main(["search", "--manifest", str(workspace / "nope.manifest")])

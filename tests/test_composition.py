@@ -8,7 +8,9 @@ from mmfuse import (
     EmbeddingTable,
     GridSpec,
     NumericalError,
+    ScoringModel,
     apply_configuration,
+    concat_table,
     describe_configuration,
     enumerate_configurations,
     format_configuration,
@@ -78,7 +80,7 @@ class TestApply:
     def test_identity_config_returns_input_table(self, small_tables):
         textual, visual = small_tables
         model = apply_configuration(Configuration(output_side="visual"), textual, visual)
-        assert not model.is_pair
+        assert model.layer_c == "none" and model.second is None
         assert np.array_equal(model.first.matrix, visual.matrix)
         assert model.first.vocab == visual.vocab
 
@@ -86,7 +88,7 @@ class TestApply:
         textual, visual = small_tables
         cfg = Configuration(layer_c="li", alpha=0.3)
         model = apply_configuration(cfg, textual, visual)
-        assert model.is_pair and model.alpha == 0.3
+        assert model.layer_c == "li" and model.alpha == 0.3
         assert np.array_equal(model.first.matrix, textual.matrix)
         assert np.array_equal(model.second.matrix, visual.matrix)
 
@@ -102,19 +104,20 @@ class TestApply:
     def test_concat_dim_is_sum(self, small_tables):
         textual, visual = small_tables
         model = apply_configuration(Configuration(layer_c="concat"), textual, visual)
-        assert model.first.dim == textual.dim + visual.dim
+        fused = concat_table(model)
+        assert fused.dim == textual.dim + visual.dim
         np.testing.assert_array_equal(
-            model.first.matrix, np.hstack([textual.matrix, visual.matrix])
+            fused.matrix, np.hstack([textual.matrix, visual.matrix])
         )
 
     def test_concat_normalization_is_off_by_default_and_per_block(self, small_tables):
         textual, visual = small_tables
         cfg = Configuration(layer_c="concat")
         plain = apply_configuration(cfg, textual, visual)
-        assert np.array_equal(plain.first.matrix[:, :4], textual.matrix)
-        normed = apply_configuration(cfg, textual, visual, normalize_concat=True)
-        left = normed.first.matrix[:, :4]
-        right = normed.first.matrix[:, 4:]
+        assert np.array_equal(concat_table(plain).matrix[:, :4], textual.matrix)
+        normed = concat_table(apply_configuration(cfg, textual, visual, normalize_concat=True))
+        left = normed.matrix[:, :4]
+        right = normed.matrix[:, 4:]
         np.testing.assert_allclose(np.linalg.norm(left, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(right, axis=1), 1.0, atol=1e-12)
 
@@ -127,7 +130,7 @@ class TestApply:
         cfg = Configuration(layer_c="concat")
         with pytest.raises(NumericalError, match="row norm overflows"):
             apply_configuration(cfg, textual, visual, normalize_concat=True)
-        assert apply_configuration(cfg, textual, visual).first.matrix[1, 4] == 1e200
+        assert concat_table(apply_configuration(cfg, textual, visual)).matrix[1, 4] == 1e200
 
     def test_mixed_fusion_orders_textual_derived_first(self, small_tables):
         textual, visual = small_tables
@@ -190,6 +193,38 @@ class TestApply:
         for cfg in enumerate_configurations(textual.dim, visual.dim, grid):
             model = apply_configuration(cfg, textual, visual)
             assert model.vocab == textual.vocab
+
+
+class TestScoringModel:
+    VOCAB = ("a", "b")
+    FIRST = EmbeddingTable(VOCAB, [[1.0, 0.0], [0.0, 1.0]], name="first")
+    SECOND = EmbeddingTable(VOCAB, [[1.0, 1.0], [0.0, 1.0]], name="second")
+    OTHER = EmbeddingTable(("a", "c"), [[1.0, 1.0], [0.0, 1.0]], name="other")
+
+    @pytest.mark.parametrize("second, kwargs, error", [
+        (SECOND, {}, ValueError),                                   # none with a second table
+        (None, {"layer_c": "concat"}, ValueError),                  # concat of one table
+        (None, {"layer_c": "li", "alpha": 0.5}, ValueError),        # li of one table
+        (SECOND, {"layer_c": "li"}, ValueError),                    # li without alpha
+        (SECOND, {"layer_c": "li", "alpha": 1.5}, ValueError),      # alpha out of [0, 1]
+        (SECOND, {"layer_c": "concat", "alpha": 0.5}, ValueError),  # alpha on concat
+        (None, {"alpha": 0.5}, ValueError),                         # alpha on one table
+        (SECOND, {"layer_c": "bogus"}, ValueError),                 # unknown motif
+        (OTHER, {"layer_c": "li", "alpha": 0.5}, AlignmentError),
+        (OTHER, {"layer_c": "concat"}, AlignmentError),
+    ])
+    def test_constructor_checks(self, second, kwargs, error):
+        with pytest.raises(error):
+            ScoringModel(self.FIRST, second, **kwargs)
+
+    @pytest.mark.parametrize("second, kwargs", [
+        (None, {}),
+        (SECOND, {"layer_c": "concat", "normalize": True}),
+        (SECOND, {"layer_c": "li", "alpha": 0.0}),
+        (SECOND, {"layer_c": "li", "alpha": 1.0}),
+    ])
+    def test_valid_models_build(self, second, kwargs):
+        assert ScoringModel(self.FIRST, second, **kwargs).vocab == self.VOCAB
 
 
 class TestLayerAReducer:

@@ -195,7 +195,7 @@ class TestPairScore:
         assert pair_score(model, "p", "q") == pytest.approx(0.7071067811865475)
 
     def test_alpha_one_equals_first(self):
-        pair = ScoringModel(self.FIRST, self.SECOND, alpha=1.0)
+        pair = ScoringModel(self.FIRST, self.SECOND, alpha=1.0, layer_c="li")
         single = ScoringModel(self.FIRST)
         assert pair_score(pair, "p", "q") == pair_score(single, "p", "q")
 
@@ -203,11 +203,11 @@ class TestPairScore:
         # first cosine 0.5, second cosine 1.0, alpha 0.4  ->  0.8
         first = table(("a", "b"), [[1.0, 0.0], [0.5, np.sqrt(0.75)]])
         second = table(("a", "b"), [[1.0, 0.0], [1.0, 0.0]])
-        model = ScoringModel(first, second, alpha=0.4)
+        model = ScoringModel(first, second, alpha=0.4, layer_c="li")
         assert pair_score(model, "a", "b") == pytest.approx(0.8)
 
     def test_alpha_half_is_mean(self):
-        model = ScoringModel(self.FIRST, self.SECOND, alpha=0.5)
+        model = ScoringModel(self.FIRST, self.SECOND, alpha=0.5, layer_c="li")
         s1 = pair_score(ScoringModel(self.FIRST), "q", "r")
         s2 = pair_score(ScoringModel(self.SECOND), "q", "r")
         assert pair_score(model, "q", "r") == pytest.approx((s1 + s2) / 2)
@@ -219,7 +219,7 @@ class TestPairScore:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_norm_is_a_numerical_error(self):
         big = table(self.VOCAB, [[1e200, 0.0], [1.0, 1.0], [0.2, 1.0]])
-        for model in (ScoringModel(big), ScoringModel(self.FIRST, big, alpha=1.0)):
+        for model in (ScoringModel(big), ScoringModel(self.FIRST, big, alpha=1.0, layer_c="li")):
             with pytest.raises(NumericalError, match="'p'/'q' is not finite"):
                 pair_score(model, "p", "q")
         assert pair_score(ScoringModel(big), "q", "r") == pair_score(
@@ -353,7 +353,7 @@ class TestEvaluate:
         rng = np.random.default_rng(7)
         first = table(vocab, rng.normal(size=(3, 4)))
         second = table(vocab, rng.normal(size=(3, 4)))
-        model = ScoringModel(first, second, alpha=0.3)
+        model = ScoringModel(first, second, alpha=0.3, layer_c="li")
         bench = Benchmark("blend", (("a", "b", 1.0), ("b", "c", 3.0), ("a", "c", 2.0)))
         result = evaluate(model, bench)
         scores = [pair_score(model, w1, w2) for w1, w2, _ in bench.pairs]

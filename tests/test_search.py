@@ -15,7 +15,6 @@ from mmfuse import (
     SearchEntry,
     SearchReport,
     apply_configuration,
-    cross_evaluate,
     enumerate_configurations,
     evaluate,
     output_dimension,
@@ -550,9 +549,7 @@ class TestCrossEvaluate:
         textual, visual, bench = planted
         report, = sweep(textual, visual, [bench], TOY_GRID)
         config, best = select_best(report)
-        rows = cross_evaluate(config, textual, visual, [bench])
-        assert rows[0][0] == bench.name
-        assert rows[0][1].rho == best.rho
+        assert evaluate(apply_configuration(config, textual, visual), bench).rho == best.rho
 
     def test_independent_coverage_per_benchmark(self, planted):
         textual, visual, bench = planted
@@ -561,7 +558,8 @@ class TestCrossEvaluate:
             p for p in bench.pairs if p[0] <= "w14" and p[1] <= "w14"
         ))
         config = Configuration(layer_c="li", alpha=0.5, ridge=1e-3)
-        rows = dict(cross_evaluate(config, textual, visual, [bench, half]))
+        model = apply_configuration(config, textual, visual)
+        rows = {b.name: evaluate(model, b) for b in (bench, half)}
         assert rows["planted"].n_total == len(bench.pairs)
         assert rows["half"].n_total == len(half.pairs)
         assert rows["half"].n_evaluated == len(half.pairs)
@@ -569,12 +567,11 @@ class TestCrossEvaluate:
     def test_disjoint_vocabulary_benchmark_reports_zero_coverage(self, planted):
         textual, visual, bench = planted
         stranger = Benchmark("stranger", (("xx", "yy", 1.0), ("yy", "zz", 2.0)))
-        rows = dict(cross_evaluate(
-            Configuration(output_side="textual", ridge=1e-3),
-            textual, visual, [stranger],
-        ))
-        assert rows["stranger"].coverage == 0.0
-        assert rows["stranger"].rho is None
+        model = apply_configuration(Configuration(output_side="textual", ridge=1e-3),
+                                    textual, visual)
+        result = evaluate(model, stranger)
+        assert result.coverage == 0.0
+        assert result.rho is None
 
 
 class TestRendering:
