@@ -143,11 +143,10 @@ def _parse_motifs(raw):
         return None
     names = frozenset(m.strip() for m in raw.split(",") if m.strip())
     unknown = names - set(MOTIFS)
-    if unknown:
-        raise InputError(
-            f"unknown motifs: {sorted(unknown)} (choose from {', '.join(MOTIFS)})"
-        )
-    return names or None
+    if unknown or not names:
+        problem = f"unknown motifs: {sorted(unknown)}" if unknown else f"no motif in {raw!r}"
+        raise InputError(f"{problem} (choose from {', '.join(MOTIFS)})")
+    return names
 
 
 def _build_manifest(args, command):

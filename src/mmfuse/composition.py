@@ -13,7 +13,9 @@ Fusion motifs require their two inputs to share a dimensionality, and the
 two inputs of layer c always come from the same layer-b method except for
 the explicit CCA-plus-residual mix. A configuration with no motifs at all
 must name the modality it scores with (``output_side``), so unimodal
-baselines are first-class.
+baselines are first-class. ``validate_configuration`` is the one statement
+of these rules: the grid a sweep runs is the valid configurations of the
+per-layer choices, in ``canonical_key`` order.
 
 ``apply_configuration`` and the sweep both run the layer functions below,
 so every PCA/CCA fit and projection in the package happens here. The
@@ -33,6 +35,7 @@ follow.
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -427,76 +430,40 @@ def canonical_key(config):
 def enumerate_configurations(dim_t, dim_v, grid):
     """Every valid configuration for the given input dims under ``grid``.
 
-    Deterministic, duplicate-free, emitted in canonical order: layer-a
-    dim ascending, then layer-b variant, layer-b dim, sides, layer-c
-    variant, alpha. ``grid.motif_filter``, when set, keeps only
-    configurations whose motifs all belong to the filter.
+    The grid is the product of the per-layer choices below, filtered and
+    sorted by ``canonical_key``: a configuration is kept when
+    ``validate_configuration`` accepts it and, when ``grid.motif_filter``
+    is set, its motifs all belong to the filter.
     """
     dims = grid.dims_up_to(min(dim_t, dim_v))
-    alphas = grid.alphas()
-    ridge = grid.ridge
-    out = []
-
-    def emit(**kw):
-        cfg = Configuration(ridge=ridge, **kw)
-        if grid.motif_filter is None or used_motifs(cfg) <= grid.motif_filter:
-            out.append(cfg)
-
-    for a_dim in [None] + dims:
-        a = {} if a_dim is None else {"layer_a": "pca", "pca_dim": a_dim}
-        ta = a_dim if a_dim is not None else dim_t
-        va = a_dim if a_dim is not None else dim_v
-        # no fusion: unimodal picks, then raw-pair combinations
-        emit(**a, output_side=SIDE_TEXTUAL)
-        emit(**a, output_side=SIDE_VISUAL)
-        emit(**a, layer_c="concat")
-        for alpha in alphas:
-            emit(**a, layer_c="li", alpha=alpha)
-        if ta != va:
-            continue
-        f_dims = grid.dims_up_to(min(ta, va))
-        for variant in ("cca", "rcca"):
-            for f_dim in f_dims:
-                b = {"layer_b": variant, "fusion_dim": f_dim}
-                emit(**a, **b, output_side=SIDE_TEXTUAL)
-                emit(**a, **b, output_side=SIDE_VISUAL)
-                emit(**a, **b, output_side=SIDE_BOTH, layer_c="concat")
-                for alpha in alphas:
-                    emit(**a, **b, output_side=SIDE_BOTH, layer_c="li", alpha=alpha)
-        for f_dim in f_dims:
-            for s_c in (SIDE_TEXTUAL, SIDE_VISUAL):
-                for s_r in (SIDE_TEXTUAL, SIDE_VISUAL):
-                    b = {
-                        "layer_b": "cca_plus_rcca",
-                        "fusion_dim": f_dim,
-                        "cca_side": s_c,
-                        "rcca_side": s_r,
-                    }
-                    emit(**a, **b, layer_c="concat")
-                    for alpha in alphas:
-                        emit(**a, **b, layer_c="li", alpha=alpha)
-    return out
+    sides = (SIDE_TEXTUAL, SIDE_VISUAL)
+    a_choices = [{}] + [{"layer_a": "pca", "pca_dim": dim} for dim in dims]
+    b_choices = [{"output_side": side} for side in (*sides, None)]
+    b_choices += [{"layer_b": variant, "fusion_dim": dim, "output_side": side}
+                  for variant in ("cca", "rcca") for dim in dims for side in (*sides, SIDE_BOTH)]
+    b_choices += [{"layer_b": "cca_plus_rcca", "fusion_dim": dim, "cca_side": s_c, "rcca_side": s_r}
+                  for dim in dims for s_c in sides for s_r in sides]
+    c_choices = [{}, {"layer_c": "concat"}] + [{"layer_c": "li", "alpha": a} for a in grid.alphas()]
+    configs = (Configuration(**a, **b, **c, ridge=grid.ridge)
+               for a, b, c in product(a_choices, b_choices, c_choices))
+    return sorted((config for config in configs
+                   if not validate_configuration(config, dim_t, dim_v)
+                   and (grid.motif_filter is None or used_motifs(config) <= grid.motif_filter)),
+                  key=canonical_key)
 
 
 def output_dimension(config, dim_t, dim_v):
     """Dimensionality measure used for lowest-dimension tie-breaking.
 
-    Single table: its dim. Concatenation: sum of the two input dims.
-    Score interpolation keeps two tables, measured as the larger dim.
+    Each of the configuration's ``layer_inputs`` is ``fusion_dim`` wide when
+    layer b made it, else the layer-a dim or its side's raw dim. A
+    concatenation measures the sum of its two inputs; one table or a score
+    interpolation, the widest.
     """
-    ta = config.pca_dim if config.layer_a == "pca" else dim_t
-    va = config.pca_dim if config.layer_a == "pca" else dim_v
-    if config.layer_b == "none":
-        in_t, in_v = ta, va
-    else:
-        in_t = in_v = config.fusion_dim
-    if config.layer_c == "none":
-        if config.layer_b == "none":
-            return in_t if config.output_side == SIDE_TEXTUAL else in_v
-        return config.fusion_dim
-    if config.layer_c == "concat":
-        return in_t + in_v
-    return max(in_t, in_v)
+    raw = {SIDE_TEXTUAL: dim_t, SIDE_VISUAL: dim_v}
+    widths = [config.fusion_dim if origin else config.pca_dim or raw[side]
+              for origin, side in layer_inputs(config)]
+    return sum(widths) if config.layer_c == "concat" else max(widths)
 
 
 # --- flat text serialization ----------------------------------------------
@@ -545,6 +512,14 @@ def _parse_kv(token, key, what):
     return token[len(prefix):]
 
 
+def _parse_number(parse, token, fields, key):
+    """``parse(token)``, where ``token`` is part of ``fields[key]``; a bad token names the key."""
+    try:
+        return parse(token)
+    except ValueError:
+        raise ValueError(f"bad {key} {fields[key]!r}") from None
+
+
 def parse_configuration(text):
     """Parse the flat ``key=value`` form (newline- or space-separated)."""
     fields = {}
@@ -560,46 +535,35 @@ def parse_configuration(text):
         raise ValueError(f"missing configuration keys: {sorted(missing)}")
     kw = {}
     a = fields["layer_a"].split(":")
-    if a[0] == "pca":
-        if len(a) != 2:
-            raise ValueError(f"bad layer_a {fields['layer_a']!r}")
+    if a[0] == "pca" and len(a) == 2:
         kw["layer_a"] = "pca"
-        kw["pca_dim"] = int(a[1])
+        kw["pca_dim"] = _parse_number(int, a[1], fields, "layer_a")
     elif a != ["none"]:
         raise ValueError(f"bad layer_a {fields['layer_a']!r}")
     b = fields["layer_b"].split(":")
-    if b[0] == "none":
-        if len(b) == 2:
-            kw["output_side"] = _parse_side(_parse_kv(b[1], "side", "layer_b"), "side")
-        elif len(b) != 1:
-            raise ValueError(f"bad layer_b {fields['layer_b']!r}")
-    elif b[0] in ("cca", "rcca"):
-        if len(b) != 3:
-            raise ValueError(f"bad layer_b {fields['layer_b']!r}")
+    if b[0] == "none" and len(b) == 2:
+        kw["output_side"] = _parse_side(_parse_kv(b[1], "side", "layer_b"), "side")
+    elif b[0] in ("cca", "rcca") and len(b) == 3:
         kw["layer_b"] = b[0]
-        kw["fusion_dim"] = int(b[1])
+        kw["fusion_dim"] = _parse_number(int, b[1], fields, "layer_b")
         kw["output_side"] = _parse_side(_parse_kv(b[2], "out", "layer_b"), "out")
-    elif b[0] == "cca_plus_rcca":
-        if len(b) != 4:
-            raise ValueError(f"bad layer_b {fields['layer_b']!r}")
+    elif b[0] == "cca_plus_rcca" and len(b) == 4:
         kw["layer_b"] = b[0]
-        kw["fusion_dim"] = int(b[1])
+        kw["fusion_dim"] = _parse_number(int, b[1], fields, "layer_b")
         kw["cca_side"] = _parse_side(_parse_kv(b[2], "cca", "layer_b"), "cca side")
         kw["rcca_side"] = _parse_side(_parse_kv(b[3], "rcca", "layer_b"), "rcca side")
-    else:
+    elif b != ["none"]:
         raise ValueError(f"bad layer_b {fields['layer_b']!r}")
     cc = fields["layer_c"].split(":")
-    if cc[0] == "li":
-        if len(cc) != 2:
-            raise ValueError(f"bad layer_c {fields['layer_c']!r}")
+    if cc[0] == "li" and len(cc) == 2:
         kw["layer_c"] = "li"
-        kw["alpha"] = float(cc[1])
+        kw["alpha"] = _parse_number(float, cc[1], fields, "layer_c")
     elif cc == ["concat"]:
         kw["layer_c"] = "concat"
     elif cc != ["none"]:
         raise ValueError(f"bad layer_c {fields['layer_c']!r}")
     if "ridge" in fields:
-        kw["ridge"] = float(fields["ridge"])
+        kw["ridge"] = _parse_number(float, fields["ridge"], fields, "ridge")
     return Configuration(**kw)
 
 

@@ -341,8 +341,11 @@ def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
     singular values as ridge -> 0. Returns ``{k: CcaModel}``, where a k
     that cannot be fit maps to the error fitting it raised, and
     ``cca_fits(X, Y, ks, ridge)[k]`` is bitwise ``cca_fits(X, Y, [k], ridge)[k]``;
-    a negative or non-finite ridge raises ``ValueError``.
+    a negative or non-finite ridge raises ``ValueError``, whatever ``ks``
+    and the inputs are.
     """
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError("ridge must be finite and >= 0")
     try:
         X = _check_matrix(X, "X")
         Y = _check_matrix(Y, "Y")
@@ -360,8 +363,6 @@ def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
         f"CCA dimension k={k} outside [1, min(d1={d1}, d2={d2}, n-1={n - 1})]") for k in ks}
 
     def decompose():
-        if not (math.isfinite(ridge) and ridge >= 0):
-            raise ValueError("ridge must be finite and >= 0")
         mean_x = X.mean(axis=0)
         mean_y = Y.mean(axis=0)
         Xc = X - mean_x

@@ -99,11 +99,13 @@ class GridSpec:
     """Search-space parameters.
 
     Dimensions run from ``dim_min`` in steps of ``dim_step`` up to the
-    smallest relevant input dimensionality; alphas run over
-    ``{0, alpha_step, ..., 1}``. ``motif_filter`` restricts the sweep to
-    configurations built only from the named motifs (subset of
-    ``{"pca", "cca", "rcca", "concat", "li"}``), which is how the
-    single-motif baseline sweeps are expressed.
+    smallest relevant input dimensionality; alphas run over the multiples
+    of ``alpha_step`` from 0 up to 1, which is included only when the step
+    divides it (0.3 gives 0, 0.3, 0.6 and 0.9). ``motif_filter`` restricts
+    the sweep to configurations built only from the named motifs (subset
+    of ``{"pca", "cca", "rcca", "concat", "li"}``), which is how the
+    single-motif baseline sweeps are expressed; an empty one keeps only
+    the two unimodal baselines.
     """
 
     dim_step: int = 50

@@ -135,6 +135,24 @@ class TestSearch:
         assert code == EXIT_INPUT
         assert "unknown motifs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("motifs", ["", ",", " , "])
+    @pytest.mark.parametrize("in_manifest", [False, True])
+    def test_motifs_naming_no_motif_exit_2(self, workspace, capsys, motifs, in_manifest):
+        # an empty filter would sweep every configuration, not the motif-free ones
+        out = workspace / "out"
+        if in_manifest:
+            manifest = workspace / "run.manifest"
+            manifest.write_text(f"motifs={motifs}\n")
+            extra = ["--manifest", str(manifest)]
+        else:
+            extra = ["--motifs", motifs]
+        code = main(["search", *common(workspace), "--out", str(out), *self.ARGS, *extra])
+        assert code == EXIT_INPUT
+        given = motifs.strip() if in_manifest else motifs  # a manifest value is stripped
+        assert capsys.readouterr().err == (
+            f"error: no motif in {given!r} (choose from pca, cca, rcca, concat, li)\n")
+        assert not out.exists()
+
     def test_multiple_benchmarks(self, workspace):
         out = workspace / "multi"
         code = main(["search", *common(workspace, "--bench", str(workspace / "toy2.tsv")),
@@ -683,6 +701,19 @@ class TestRejectedInputLeavesNoOut:
         assert self.run(workspace, command, config) == EXIT_INPUT
         # the file as a whole is at fault, not one of its lines
         assert capsys.readouterr().err == f"error: {config}: bad layer_a 'bogus'\n"
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "apply"])
+    @pytest.mark.parametrize("text, message", [
+        ("layer_a=pca:1.5\nlayer_b=none:side=T\nlayer_c=none\n", "bad layer_a 'pca:1.5'"),
+        ("layer_a=none\nlayer_b=none\nlayer_c=li:abc\n", "bad layer_c 'li:abc'"),
+        ("layer_a=none\nlayer_b=none:side=T\nlayer_c=none\nridge=abc\n", "bad ridge 'abc'"),
+    ])
+    def test_unparsable_number_names_its_key(self, workspace, capsys, command, text, message):
+        config = workspace / "best.cfg"
+        config.write_text(text)
+        assert self.run(workspace, command, config) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("command", ["eval", "apply"])

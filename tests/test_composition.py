@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from mmfuse import (
     parse_configuration,
     validate_configuration,
 )
-from mmfuse.composition import canonical_key, used_motifs
+from mmfuse.composition import MOTIFS, canonical_key, used_motifs
 
 from conftest import fit_cca, fit_pca
 
@@ -286,7 +288,11 @@ class TestLayerAReducer:
 
 
 def _independent_enumeration(dim_t, dim_v, dims, alphas, ridge):
-    """Plain nested loops mirroring the layer rules, for cross-checking."""
+    """Plain nested loops mirroring the layer rules, for cross-checking.
+
+    Emits in the sweep's order: layer-a dim ascending, then layer-b
+    variant, layer-b dim, sides, layer-c variant, alpha.
+    """
     sides = ("textual", "visual")
     out = []
     for a_dim in [None] + [d for d in dims if d <= min(dim_t, dim_v)]:
@@ -327,7 +333,42 @@ def _independent_enumeration(dim_t, dim_v, dims, alphas, ridge):
     return out
 
 
+def _motifs(config):
+    """The motifs a configuration applies, read off its layer fields."""
+    return {config.layer_a, config.layer_c, *config.layer_b.split("_plus_")} - {"none"}
+
+
 class TestEnumerate:
+    @pytest.mark.parametrize("dim_t, dim_v, grid, dims, alphas", [
+        (100, 100, GridSpec(alpha_step=0.5), [50, 100], [0.0, 0.5, 1.0]),
+        (4, 6, GridSpec(dim_step=2, dim_min=2, alpha_step=0.5), [2, 4], [0.0, 0.5, 1.0]),
+        (6, 4, GridSpec(dim_step=2, dim_min=2, alpha_step=0.5), [2, 4], [0.0, 0.5, 1.0]),
+        (6, 6, GridSpec(dim_step=2, dim_min=1, alpha_step=0.5), [1, 3, 5], [0.0, 0.5, 1.0]),
+        # a step that does not divide 1 stops short of it
+        (4, 4, GridSpec(dim_step=1, dim_min=1, alpha_step=0.3), [1, 2, 3, 4],
+         [0.0, 0.3, 0.6, 0.9]),
+        (500, 4096, GridSpec(), list(range(50, 501, 50)), [i / 10 for i in range(11)]),
+    ])
+    def test_matches_independent_enumeration(self, dim_t, dim_v, grid, dims, alphas):
+        oracle = _independent_enumeration(dim_t, dim_v, dims, alphas, grid.ridge)
+        assert enumerate_configurations(dim_t, dim_v, grid) == oracle
+
+    @pytest.mark.parametrize("dim_t, dim_v", [(4, 4), (6, 4)])
+    def test_every_motif_filter_keeps_the_configurations_it_names(self, dim_t, dim_v):
+        grid = GridSpec(dim_step=2, dim_min=2, alpha_step=0.5)
+        oracle = _independent_enumeration(dim_t, dim_v, [2, 4], [0.0, 0.5, 1.0], grid.ridge)
+        kept = {}
+        for size in range(len(MOTIFS) + 1):
+            for motifs in itertools.combinations(MOTIFS, size):
+                filtered = GridSpec(dim_step=2, dim_min=2, alpha_step=0.5, motif_filter=motifs)
+                expected = [cfg for cfg in oracle if _motifs(cfg) <= set(motifs)]
+                assert enumerate_configurations(dim_t, dim_v, filtered) == expected, motifs
+                kept[motifs] = expected
+        # the empty filter keeps the two unimodal baselines; all five motifs, everything
+        assert kept[()] == [Configuration(output_side="textual"),
+                            Configuration(output_side="visual")]
+        assert kept[MOTIFS] == oracle
+
     def test_count_matches_hand_enumerated_oracle(self):
         grid = GridSpec(dim_step=50, dim_min=50, alpha_step=0.5)
         configs = enumerate_configurations(100, 100, grid)
@@ -378,6 +419,21 @@ class TestEnumerate:
 
 
 class TestOutputDimension:
+    @pytest.mark.parametrize("dim_t, dim_v", [(4, 4), (4, 6), (6, 4)])
+    def test_measures_the_applied_tables(self, dim_t, dim_v):
+        rng = np.random.default_rng(11)
+        vocab = tuple(f"w{i:02d}" for i in range(12))
+        textual = EmbeddingTable(vocab, rng.normal(size=(12, dim_t)), name="textual")
+        visual = EmbeddingTable(vocab, rng.normal(size=(12, dim_v)), name="visual")
+        grid = GridSpec(dim_step=1, dim_min=1, alpha_step=0.5)
+        for cfg in enumerate_configurations(dim_t, dim_v, grid):
+            model = apply_configuration(cfg, textual, visual)
+            widths = [model.first.dim] + ([model.second.dim] if model.second else [])
+            expected = {"concat": sum(widths), "li": max(widths)}.get(cfg.layer_c)
+            if expected is None:
+                expected, = widths
+            assert output_dimension(cfg, dim_t, dim_v) == expected, cfg
+
     @pytest.mark.parametrize("cfg,expected", [
         (Configuration(output_side="textual"), 10),
         (Configuration(output_side="visual"), 20),
@@ -436,6 +492,20 @@ class TestSerialization:
     def test_malformed_text_rejected(self, text):
         with pytest.raises(ValueError):
             parse_configuration(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("layer_a=pca:1.5 layer_b=none:side=T layer_c=none", "bad layer_a 'pca:1.5'"),
+        ("layer_a=none layer_b=cca:x:out=T layer_c=none", "bad layer_b 'cca:x:out=T'"),
+        ("layer_a=none layer_b=cca_plus_rcca:2.0:cca=T:rcca=V layer_c=concat",
+         "bad layer_b 'cca_plus_rcca:2.0:cca=T:rcca=V'"),
+        ("layer_a=none layer_b=none layer_c=li:abc", "bad layer_c 'li:abc'"),
+        ("layer_a=none layer_b=none:side=T layer_c=none ridge=abc", "bad ridge 'abc'"),
+        ("layer_a=none layer_b=none:side=T:V layer_c=none", "bad layer_b 'none:side=T:V'"),
+    ])
+    def test_bad_field_names_its_key(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_configuration(text)
+        assert str(info.value) == message
 
     def test_configuration_file_with_a_byte_order_mark(self, tmp_path):
         path = tmp_path / "best.cfg"

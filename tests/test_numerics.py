@@ -389,6 +389,17 @@ class TestPrefixFits:
             with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
                 cca_fits(PCA_X, PCA_X, [1], ridge=ridge)
 
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("X, ks", [
+        (PCA_X, [100]),             # no k in range: nothing left to decompose
+        (PCA_X, []),
+        (PCA_X[:2], [1]),           # too few rows to fit
+        (np.full((4, 2), np.nan), [1]),
+    ])
+    def test_bad_ridge_is_rejected_before_the_inputs(self, X, ks, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            cca_fits(X, X, ks, ridge=ridge)
+
 
 def _direct_pca(X, k):
     """Mean, components and variances at k from a direct SVD of the centred input."""
