@@ -520,13 +520,22 @@ def _parse_number(parse, token, fields, key):
         raise ValueError(f"bad {key} {fields[key]!r}") from None
 
 
+_CONFIG_KEYS = ("layer_a", "layer_b", "layer_c", "ridge")
+
+
 def parse_configuration(text):
-    """Parse the flat ``key=value`` form (newline- or space-separated)."""
+    """Parse the flat ``key=value`` form (newline- or space-separated).
+
+    A key other than ``layer_a``, ``layer_b``, ``layer_c`` and ``ridge`` is
+    an error, so a misspelt ``ridge`` is not silently the default.
+    """
     fields = {}
     for token in text.split():
         if "=" not in token:
             raise ValueError(f"malformed configuration token {token!r}")
         key, value = token.split("=", 1)
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown configuration key {key!r}")
         if key in fields:
             raise ValueError(f"duplicate configuration key {key!r}")
         fields[key] = value

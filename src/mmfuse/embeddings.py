@@ -131,28 +131,61 @@ def load_embeddings(path, name=""):
     count, a non-numeric or non-finite value and a duplicate word raise on
     the first offending line; an empty file raises too.
 
+    Each line is split once into its word and the rest, and numpy's C
+    text reader parses every rest in one call. Whatever that path
+    refuses, be it a fault or a token only ``float()`` reads (``1_0``,
+    non-ASCII digits), goes to the per-line parser ``_parse_lines``,
+    which returns the table or raises the error of the first bad line.
+    """
+    lines = read_utf8(path).splitlines()
+    declared = _header(lines)
+    body = lines if declared is None else lines[1:]
+    if body:
+        try:
+            split = [line.split(None, 1) for line in body]
+            words = [tokens[0] for tokens in split]  # IndexError: a blank line
+            rests = [tokens[1] for tokens in split]  # IndexError: a word with no values
+            matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+            table = EmbeddingTable(words, matrix, name=name)
+        except (ValueError, IndexError, DuplicateEntryError):
+            pass
+        else:
+            if declared in (None, (len(table), table.dim)):
+                return table
+    return _parse_lines(path, lines, name)
+
+
+def _header(lines):
+    """The ``(n, d)`` a first line of two integers declares, or None if it is a row."""
+    if not lines:
+        return None
+    tokens = lines[0].split()
+    if len(tokens) != 2:
+        return None
+    try:
+        declared = (int(tokens[0]), int(tokens[1]))
+    except ValueError:
+        return None
+    if declared[1] != 1 and len(lines) > 1 and len(lines[1].split()) == 2:
+        return None  # line 2 is a 1-d row, and so is line 1 read as a row
+    return declared
+
+
+def _parse_lines(path, lines, name):
+    """``load_embeddings`` of the file's ``lines``, one line at a time.
+
+    It raises the error of the first bad line, naming ``path`` and the
+    line's number.
+
     Rows go straight into one matrix allocated when the first row fixes
     the dimension; numpy converts each row's tokens with ``float()``.
     """
-    lines = read_utf8(path).splitlines()
+    declared = _header(lines)
+    start_line = 1 if declared is None else 2
     words = []
     seen = set()
     matrix = None
-    declared = None
     dim = None
-    start_line = 1
-    if lines:
-        tokens = lines[0].split()
-        if len(tokens) == 2:
-            try:
-                declared = (int(tokens[0]), int(tokens[1]))
-            except ValueError:
-                pass
-        if (declared is not None and declared[1] != 1
-                and len(lines) > 1 and len(lines[1].split()) == 2):
-            declared = None  # line 2 is a 1-d row, and so is line 1 read as a row
-        if declared is not None:
-            start_line = 2
     for row, line in enumerate(lines[start_line - 1:]):
         line_no = row + start_line
         tokens = line.split()

@@ -53,6 +53,7 @@ from itertools import groupby
 import numpy as np
 
 from .composition import (
+    MOTIFS,
     concat_label,
     describe_configuration,
     enumerate_configurations,
@@ -103,9 +104,9 @@ class GridSpec:
     of ``alpha_step`` from 0 up to 1, which is included only when the step
     divides it (0.3 gives 0, 0.3, 0.6 and 0.9). ``motif_filter`` restricts
     the sweep to configurations built only from the named motifs (subset
-    of ``{"pca", "cca", "rcca", "concat", "li"}``), which is how the
-    single-motif baseline sweeps are expressed; an empty one keeps only
-    the two unimodal baselines.
+    of ``{"pca", "cca", "rcca", "concat", "li"}``; another name raises
+    GridError), which is how the single-motif baseline sweeps are
+    expressed; an empty one keeps only the two unimodal baselines.
     """
 
     dim_step: int = 50
@@ -124,7 +125,11 @@ class GridSpec:
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise GridError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.motif_filter is not None:
-            object.__setattr__(self, "motif_filter", frozenset(self.motif_filter))
+            motifs = frozenset(self.motif_filter)
+            unknown = motifs - set(MOTIFS)
+            if unknown:
+                raise GridError(f"unknown motifs in motif_filter: {sorted(unknown)}")
+            object.__setattr__(self, "motif_filter", motifs)
 
     def dims_up_to(self, limit):
         return list(range(self.dim_min, limit + 1, self.dim_step))

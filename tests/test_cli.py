@@ -135,6 +135,22 @@ class TestSearch:
         assert code == EXIT_INPUT
         assert "unknown motifs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("in_manifest", [False, True])
+    def test_unknown_motif_message_names_the_cli_choices(self, workspace, capsys, in_manifest):
+        # the CLI rejects the names before GridSpec sees them, with its own message
+        out = workspace / "out"
+        if in_manifest:
+            manifest = workspace / "run.manifest"
+            manifest.write_text("motifs=PCA,li,svd\n")
+            extra = ["--manifest", str(manifest)]
+        else:
+            extra = ["--motifs", "PCA,li,svd"]
+        code = main(["search", *common(workspace), "--out", str(out), *self.ARGS, *extra])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: unknown motifs: ['PCA', 'svd'] (choose from pca, cca, rcca, concat, li)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("motifs", ["", ",", " , "])
     @pytest.mark.parametrize("in_manifest", [False, True])
     def test_motifs_naming_no_motif_exit_2(self, workspace, capsys, motifs, in_manifest):
@@ -714,6 +730,14 @@ class TestRejectedInputLeavesNoOut:
         config.write_text(text)
         assert self.run(workspace, command, config) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "apply"])
+    def test_unknown_configuration_key_names_its_file(self, workspace, capsys, command):
+        config = workspace / "best.cfg"
+        config.write_text("layer_a=none\nlayer_b=none:side=T\nlayer_c=none\nrigde=0.5\n")
+        assert self.run(workspace, command, config) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {config}: unknown configuration key 'rigde'\n"
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("command", ["eval", "apply"])

@@ -507,6 +507,18 @@ class TestSerialization:
             parse_configuration(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text, key", [
+        ("layer_a=none layer_b=none:side=T layer_c=none rigde=0.5", "rigde"),
+        ("layer_a=none layer_b=none:side=T layer_c=none Ridge=0.5", "Ridge"),
+        ("layer_a=none layer_b=none:side=T layer_c=none alpha=0.5", "alpha"),
+        ("layer_a=none layer_b=none:side=T layer_c=none =0.5", ""),
+        ("layer_a=none layer_b=none:side=T layer_d=none", "layer_d"),
+    ])
+    def test_unknown_key_is_an_error(self, text, key):
+        with pytest.raises(ValueError) as info:
+            parse_configuration(text)
+        assert str(info.value) == f"unknown configuration key {key!r}"
+
     def test_configuration_file_with_a_byte_order_mark(self, tmp_path):
         path = tmp_path / "best.cfg"
         text = "layer_a=pca:4\nlayer_b=cca:2:out=V\nlayer_c=none\nridge=0.001\n"

@@ -6,12 +6,14 @@ from mmfuse import (
     DuplicateEntryError,
     EmbeddingTable,
     EmptyInputError,
+    InputError,
     ParseError,
     WriteError,
     align_vocabularies,
     load_embeddings,
     save_embeddings,
 )
+from mmfuse import embeddings
 
 
 def write(tmp_path, text, name="vecs.txt"):
@@ -178,6 +180,53 @@ class TestLoad:
         np.testing.assert_array_equal(
             table.matrix.view(np.int64), expected.view(np.int64)
         )
+
+
+class TestFastPath:
+    """numpy's reader parses a plain file alone; what it refuses goes to the per-line parser."""
+
+    @pytest.fixture
+    def per_line_calls(self, monkeypatch):
+        calls = []
+        parse_lines = embeddings._parse_lines
+
+        def spy(*args):
+            calls.append(args)
+            return parse_lines(*args)
+
+        monkeypatch.setattr(embeddings, "_parse_lines", spy)
+        return calls
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("header", ["", "2 3\n"])
+    def test_plain_file_never_reaches_the_per_line_parser(
+        self, tmp_path, per_line_calls, bom, header
+    ):
+        table = load_embeddings(write(tmp_path, f"{bom}{header}a 1 2 3\nb 4.5 -0 1e-3\n"))
+        assert table.vocab == ("a", "b")
+        np.testing.assert_array_equal(table.matrix, [[1, 2, 3], [4.5, 0, 1e-3]])
+        assert per_line_calls == []
+
+    @pytest.mark.parametrize("text", [
+        "a 1_0 2\nb 3 4\n",
+        "a \u0661\u0662 2\nb 3 4\n",
+        "a 1 2\n\nb 3 4\n",
+        "a 1 2\nb\n",
+        "a 1 2\nb 3 4 5\n",
+        "a 1 2\nb 3\n",
+        "a 1 nan\nb 3 4\n",
+        "a 1 1e400\nb 3 4\n",
+        "a 1 2\na 3 4\n",
+        "3 2\na 1 2\nb 3 4\n",
+        "2 3\na 1 2\nb 3 4\n",
+    ])
+    def test_each_refusal_reaches_the_per_line_parser(self, tmp_path, per_line_calls, text):
+        path = write(tmp_path, text)
+        try:
+            load_embeddings(path)
+        except InputError:
+            pass
+        assert [args[:2] for args in per_line_calls] == [(path, text.splitlines())]
 
 
 class TestSaveRoundTrip:

@@ -115,6 +115,12 @@ class TestGridSpec:
             with pytest.raises(GridError, match="ridge must be finite and >= 0"):
                 GridSpec(ridge=ridge)
 
+    def test_unknown_motif_names_are_rejected(self):
+        with pytest.raises(GridError) as info:
+            GridSpec(motif_filter={"PCA", "li", "svd"})
+        assert str(info.value) == "unknown motifs in motif_filter: ['PCA', 'svd']"
+        assert GridSpec(motif_filter=["li", "pca"]).motif_filter == frozenset({"li", "pca"})
+
     def test_dims_reach_the_input_limit(self):
         assert GridSpec().dims_up_to(500) == list(range(50, 501, 50))
         assert GridSpec(dim_step=2, dim_min=2).dims_up_to(4) == [2, 4]
