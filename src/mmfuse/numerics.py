@@ -403,8 +403,9 @@ def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
 
 
 def _sample_correlations(A, B):
-    A = A - A.mean(axis=0)
-    B = B - B.mean(axis=0)
+    """Per column pair of ``A`` and ``B``, its sample correlation; centres both in place."""
+    A -= A.mean(axis=0)
+    B -= B.mean(axis=0)
     num = np.einsum("ij,ij->j", A, B)
     den = np.sqrt(np.einsum("ij,ij->j", A, A) * np.einsum("ij,ij->j", B, B))
     out = np.zeros(A.shape[1])

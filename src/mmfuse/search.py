@@ -13,22 +13,28 @@ each decomposition runs once whatever the number of benchmarks or dims:
 
 * layer a: one ``pca_fits`` per side over every layer-a dim; on the raw
   tables these fits are also the raw group's R-CCA reducers;
-* per layer-a dim group: the reduced tables, one ``cca_fits`` over the
-  group's fusion dims, and one matrix per (fusion dim, origin, side) and
-  its rows' squared norms. A PCA'd group's R-CCA reducers are the leading
-  coordinates of its layer-a output (``composition.leading_coordinates``),
-  so they need no decomposition: a signal's reducer at k is its PCA at k,
-  in the sweep and in ``apply_configuration`` alike;
+* per layer-a dim group: its layer-a output and one ``cca_fits`` over
+  the group's fusion dims; then one pass over its (fusion dim, origin,
+  side) tables, each (fusion dim, side)'s CCA table just before its
+  R-CCA table, which reuses its projection. Each table's matrix is
+  built, its rows' squared norms and pair sums are taken, and it is
+  dropped, so a group holds its layer-a output, one projection and one
+  table at a time, and its tables only as pair sums. A PCA'd group's
+  R-CCA reducers are the leading coordinates of its layer-a output
+  (``composition.leading_coordinates``), so they need no decomposition:
+  a signal's reducer at k is its PCA at k, in the sweep and in
+  ``apply_configuration`` alike;
 * over the covered pairs of every benchmark, end to end
   (``evaluation.joined_pairs``): the cosine kernel once per table, for
-  its pair sums (dot products and gathered squared norms) and the score
-  vector finished from them; each configuration's vector is chosen by
-  its ``layer_c``, as ``evaluation.model_scores`` chooses a model's: LI
-  built on score vectors and a concatenation on the sums of its blocks'
-  sums, by the same ``concat_scores`` that ``evaluate`` uses. Each pair's arithmetic is
-  that of a pass over its own benchmark, so the scores are bit for bit
-  the same, and degenerate pairs are still warned about per table and
-  benchmark;
+  its pair sums (dot products and gathered squared norms), and the score
+  vector finished from them at the table's first use in canonical
+  order; each configuration's vector is chosen by its ``layer_c``, as
+  ``evaluation.model_scores`` chooses a model's: LI built on score
+  vectors and a concatenation on the sums of its blocks' sums, by the
+  same ``concat_scores`` that ``evaluate`` uses. Each pair's arithmetic
+  is that of a pass over its own benchmark, so the scores are bit for
+  bit the same, and degenerate pairs are still warned about per table
+  and benchmark;
 * per layer-a group, in blocks of at most ``RANK_BLOCK_VALUES`` values:
   its score vectors over the joined pairs, stacked, and each benchmark's
   span of the block ranked against gold scores ranked once, through the
@@ -197,74 +203,105 @@ _FAILURES = (NumericalError, DimensionError, MissingReductionError)
 RANK_BLOCK_VALUES = 2 ** 15
 
 
+def _caught(compute, *args):
+    """``compute(*args)``, or the failure it raised, kept for whatever is built on it."""
+    try:
+        return compute(*args)
+    except _FAILURES as exc:
+        return exc
+
+
+def _sums(matrix, pairs, with_units):
+    """A table's pair sums over ``pairs`` and, if ``with_units``, its ``unit_rows`` or their failure."""
+    sq_norms = row_sq_norms(matrix)
+    units = _caught(unit_rows, sq_norms) if with_units else None
+    return table_sums(matrix, sq_norms, pairs), units
+
+
+def _group_sums(raw, a_fits, a_dim, ridge, tables, pairs, blocks):
+    """Per ``(fusion dim, origin, side)`` table of one layer-a group: its pair sums and unit rows.
+
+    First the group's layer-a output (``raw`` itself when ``a_dim`` is
+    None) and its one ``fit_fusion`` over the fusion dims of ``tables``.
+    Then one table at a time, a ``(fusion dim, side)``'s CCA table just
+    before its R-CCA table: its matrix is built, its pair sums over
+    ``pairs`` are taken and, for a concatenation block of ``blocks``, its
+    ``unit_rows``, and the matrix is dropped. One projection serves both
+    tables of its ``(fusion dim, side)`` and is dropped before the next
+    is made. Returns ``({table: PairSums}, {table: unit rows})``, each
+    value or the failure computing it; a failed layer-a output, fit or
+    projection fails every table built on it.
+    """
+    reduced = raw if a_dim is None else _caught(layer_a_output, raw, a_fits, a_dim)
+    f_dims = sorted({f_dim for f_dim, origin, _ in tables if origin})
+    fits = _caught(lambda: fit_fusion(fitted(reduced), f_dims, ridge)) if f_dims else {}
+
+    def projection(f_dim, side):
+        return project(fitted(fitted(fits)[f_dim]), fitted(reduced), side)
+
+    def matrix(origin, side, projected):
+        if not origin:
+            return fitted(reduced)[side]
+        if origin == "cca":
+            return fitted(projected)
+        return residual(fitted(reduced), side, fitted(projected), a_fits, a_dim)
+
+    sums, units = {}, {}
+    # each (fusion dim, side) in a run, its CCA table before its R-CCA table
+    ordered = sorted(tables, key=lambda t: (t[0] or 0, t[2], t[1]))
+    for (f_dim, side), same in groupby(ordered, key=lambda t: (t[0], t[2])):
+        projected = _caught(projection, f_dim, side) if f_dim else None
+        for table in same:
+            try:
+                sums[table], units[table] = _sums(matrix(table[1], side, projected), pairs,
+                                                  table in blocks)
+            except _FAILURES as exc:
+                sums[table] = exc
+        del projected   # before the next (fusion dim, side) is projected
+    return sums, units
+
+
 def _sweep_group(items, raw, names, a_fits, scored, pairs, normalize_concat):
     """Per benchmark, the search entries of ``(order_index, config)`` items sharing one layer-a dim.
 
     ``pairs`` joins the covered pairs of every benchmark of ``scored``.
-    Each score vector is computed once over them and queued; a block of
-    queued vectors, at most ``RANK_BLOCK_VALUES`` values (one vector, if
-    it alone is longer), is ranked on each benchmark's span of its
-    columns. A failure computing a vector fails it on every benchmark.
-    ``names`` names the two sides in degenerate-pair warnings.
+    The group's tables are built one at a time and kept only as their
+    pair sums (``_group_sums``). Then, in canonical order, each
+    configuration's score vector is finished from the sums and queued; a
+    table's own score vector is finished at its first use and serves
+    every later one. A block of queued vectors, at most
+    ``RANK_BLOCK_VALUES`` values (one vector, if it alone is longer), is
+    ranked on each benchmark's span of its columns. A failure computing a
+    vector fails it on every benchmark. ``names`` names the two sides in
+    degenerate-pair warnings.
     """
     a_dim = items[0][1].pca_dim
-    ridge = items[0][1].ridge
     # (fusion dim, origin, side) of each configuration's layer-c inputs
     inputs = {i: [(c.fusion_dim, *pair) for pair in layer_inputs(c)] for i, c in items}
-    f_dims = sorted({f for tables in inputs.values() for f, origin, _ in tables if origin})
-    done = {}   # key -> computed value, or the failure computing it raised
-
-    def once(key, compute):
-        if key not in done:
-            try:
-                done[key] = compute()
-            except _FAILURES as exc:
-                done[key] = exc
-        return fitted(done[key])
-
-    def reduced():
-        if a_dim is None:
-            return raw
-        return once("layer_a", lambda: layer_a_output(raw, a_fits, a_dim))
-
-    def matrix(f_dim, origin, side):
-        if not origin:
-            return reduced()[side]
-        fits = once("fusion", lambda: fit_fusion(reduced(), f_dims, ridge))
-        model = fitted(fits[f_dim])
-        projected = once((f_dim, "cca", side), lambda: project(model, reduced(), side))
-        if origin == "cca":
-            return projected
-        return once((f_dim, origin, side),
-                    lambda: residual(reduced(), side, projected, a_fits, a_dim))
-
-    def sq_norms(table):
-        return once(("sq_norms", *table), lambda: row_sq_norms(matrix(*table)))
-
-    def sums(table):
-        """The table's pair sums over every benchmark's pairs."""
-        return once(("sums", *table), lambda: table_sums(matrix(*table), sq_norms(table), pairs))
-
-    def units(table):
-        return once(("units", *table), lambda: unit_rows(sq_norms(table)))
+    blocks = {t for i, c in items if normalize_concat and c.layer_c == "concat" for t in inputs[i]}
+    sums, units = _group_sums(raw, a_fits, a_dim, items[0][1].ridge,
+                              {t for tables in inputs.values() for t in tables}, pairs, blocks)
 
     def label(table):
         return input_label(names, a_dim, *table)
 
-    def scores(table):
-        return once(("scores", *table),
-                    lambda: sum_scores(sums(table), pairs.spans, label(table), pairs.names))
+    scores = {}   # table -> its score vector, finished at its first use
+
+    def table_scores(table):
+        if table not in scores:
+            scores[table] = sum_scores(fitted(sums[table]), pairs.spans, label(table), pairs.names)
+        return scores[table]
 
     def vector(config, tables):
         """The configuration's score vector over every benchmark's pairs."""
         if config.layer_c == "concat":
-            block_sums = [sums(t) for t in tables]
-            block_units = [units(t) for t in tables] if normalize_concat else None
+            block_sums = [fitted(sums[t]) for t in tables]
+            block_units = [fitted(units[t]) for t in tables] if normalize_concat else None
             return concat_scores(block_sums, block_units, pairs,
                                  concat_label([label(t) for t in tables]))
         if config.layer_c == "li":
-            return interpolate(config.alpha, *(scores(t) for t in tables))
-        return scores(tables[0])
+            return interpolate(config.alpha, *(table_scores(t) for t in tables))
+        return table_scores(tables[0])
 
     outcomes = [None] * len(items)   # per configuration, its outcome on each benchmark
 

@@ -372,6 +372,32 @@ class TestSharedFits:
         apply_configuration(parse_configuration(f"{layers} ridge=0.001"), textual, visual)
         assert Counter(routine for routine, _ in calls) == {"svd": svd, "eigh": 2}
 
+    def test_each_projection_and_table_is_computed_once(self, monkeypatch):
+        """One projection per (pca dim, fusion dim, side) and one pair-sum pass per table."""
+        from mmfuse.composition import layer_inputs
+
+        textual, visual, benches = twelve_words(overflow=False)
+        projected, summed = [], []
+
+        def project(model, reduced, side):
+            projected.append((model.k, side))
+            return real_project(model, reduced, side)
+
+        def table_sums(matrix, sq_norms, covered):
+            summed.append(matrix.shape)
+            return real_sums(matrix, sq_norms, covered)
+
+        real_project, real_sums = search.project, search.table_sums
+        monkeypatch.setattr(search, "project", project)
+        monkeypatch.setattr(search, "table_sums", table_sums)
+        sweep(textual, visual, benches, self.GRID)
+        configs = enumerate_configurations(textual.dim, visual.dim, self.GRID)
+        tables = {(c.pca_dim, c.fusion_dim if origin else None, origin, side)
+                  for c in configs for origin, side in layer_inputs(c)}
+        projections = {(a_dim, f_dim, side) for a_dim, f_dim, origin, side in tables if origin}
+        assert Counter(projected) == Counter((f_dim, side) for _, f_dim, side in projections)
+        assert len(summed) == len(tables)
+
     def test_overflowing_row_fails_its_tables(self):
         textual, visual, benches = twelve_words(overflow=True)
         report, = sweep(textual, visual, [benches[0]], self.GRID)
@@ -380,6 +406,37 @@ class TestSharedFits:
         assert raw_v.status == STATUS_FAILED
         assert raw_v.error == "non-finite pair scores on 'big'"
         assert by_config[Configuration(output_side="textual", ridge=1e-3)].status == STATUS_OK
+
+
+class TestGroupMemory:
+    def test_a_group_keeps_its_tables_only_as_pair_sums(self):
+        """A group holds one projection and one table at a time, not all of its tables.
+
+        The bound is 16 n x d tables of float64: the fits' workspaces, one
+        group's layer-a output, one projection and the table built from
+        it. The widest group's projections and residuals alone, held
+        together, fill more columns than that.
+        """
+        import tracemalloc
+
+        n, d = 1200, 40
+        rng = np.random.default_rng(3)
+        vocab = tuple(f"w{i:04d}" for i in range(n))
+        textual = EmbeddingTable(vocab, rng.normal(size=(n, d)), name="textual")
+        visual = EmbeddingTable(vocab, rng.normal(size=(n, d)), name="visual")
+        bench = Benchmark("some", tuple((vocab[i], vocab[j], float(i * j % 7))
+                                        for i, j in rng.integers(0, n, size=(400, 2)) if i != j))
+        grid = GridSpec(dim_step=5, dim_min=5, alpha_step=0.5)
+        bound = 16 * n * d * 8
+        # CCA and R-CCA, each side, each fusion dim of the widest group
+        assert 2 * 2 * sum(grid.dims_up_to(d)) * n * 8 > bound
+        tracemalloc.start()
+        try:
+            sweep(textual, visual, [bench], grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestRankBlocks:
