@@ -20,8 +20,8 @@ per table, then by the model's ``layer_c``: ``concat_scores``,
 then ``rank_results`` of its one score vector. ``cosine`` and
 ``pair_score`` score one pair through the same pieces. A sweep calls
 them too, computing each table's sums once over the covered pairs of
-every benchmark, end to end (``joined_pairs``), and sharing them
-between configurations; each benchmark ranks its slice of every score
+every benchmark, end to end (one ``covered_pairs``), and sharing them
+between configurations; each benchmark ranks its span of every score
 vector. ``covered_pairs`` ranks the gold scores once per benchmark.
 Score vectors are ranked in blocks of rows by ``rank_results``, from
 their sort order alone: a rank correlation pairs each sorted position's
@@ -31,7 +31,6 @@ put back in pair order. ``spearman`` ranks a one-row block the same way.
 
 import math
 import warnings
-from itertools import accumulate
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -164,8 +163,8 @@ def cosine(u, v):
     if u.ndim != 1:
         raise DimensionError(f"cosine needs 1-d vectors, got shape {u.shape}")
     m = np.stack([u, v])
-    pair = CoveredPairs(np.array([0]), np.array([1]))
-    return _finite_score(sum_scores(table_sums(m, _kernels.row_sq_norms(m), pair)), "cosine")
+    pair = CoveredPairs(np.array([0]), np.array([1]), (Span(0, 1, None, None),))
+    return _finite_score(sum_scores(table_sums(m, _kernels.row_sq_norms(m), pair), pair), "cosine")
 
 
 def pair_score(model, w1, w2):
@@ -174,7 +173,7 @@ def pair_score(model, w1, w2):
         if w not in model.first:
             raise WordLookupError(f"word {w!r} not in model vocabulary")
     index = model.first.index
-    pair = CoveredPairs(np.array([index[w1]]), np.array([index[w2]]))
+    pair = CoveredPairs(np.array([index[w1]]), np.array([index[w2]]), (Span(0, 1, None, None),))
     return _finite_score(model_scores(model, pair), f"pair score of {w1!r}/{w2!r}")
 
 
@@ -238,26 +237,28 @@ def spearman(a, b):
     return rho
 
 
-class CoveredPairs(NamedTuple):
-    """Row indices and gold scores of the benchmark pairs a table covers.
+class Span(NamedTuple):
+    """One benchmark's pairs in a ``CoveredPairs``: those from ``start`` up to ``stop``.
 
-    ``gold_dev`` holds the gold scores' tie-averaged ranks minus their
-    mean and ``gold_ss`` its sum of squares, ranked once per benchmark;
-    both are None with fewer than two pairs, which have no rank
-    correlation. Pairs scored without a benchmark carry no gold scores.
-    ``spans`` holds the ``(start, stop)`` of each benchmark's pairs when
-    several benchmarks' pairs run end to end (``joined_pairs``); None is
-    one span of every pair. ``names`` holds the name of each span's
-    benchmark, which degenerate-pair warnings give.
+    ``name`` is the benchmark's, which degenerate-pair warnings give, or
+    None for pairs scored without a benchmark. ``ranks`` holds the gold
+    scores' tie-averaged ranks minus their mean and its sum of squares,
+    ``(gold_dev, gold_ss)``, ranked once per benchmark; it is None with
+    fewer than two pairs, which have no rank correlation.
     """
+
+    start: int
+    stop: int
+    name: str
+    ranks: tuple
+
+
+class CoveredPairs(NamedTuple):
+    """Row indices of the benchmark pairs a table covers, one ``Span`` per benchmark, end to end."""
 
     idx1: np.ndarray
     idx2: np.ndarray
-    gold: np.ndarray = None
-    gold_dev: np.ndarray = None
-    gold_ss: float = None
-    spans: tuple = None
-    names: tuple = None
+    spans: tuple
 
 
 class PairSums(NamedTuple):
@@ -268,50 +269,24 @@ class PairSums(NamedTuple):
     sq2: np.ndarray
 
 
-def covered_pairs(bench, table):
-    """The pairs of ``bench`` whose both words are rows of ``table``."""
-    pairs = filter_coverage(bench, table.vocab).pairs
+def covered_pairs(benches, table):
+    """The pairs of each of ``benches`` whose both words are rows of ``table``, end to end.
+
+    Scoring them once scores every benchmark's pairs with the arithmetic
+    a pass over its own pairs runs, pair by pair.
+    """
     index = table.index
-    gold = np.array([g for _, _, g in pairs], dtype=np.float64)
-    gold_dev, gold_ss = _centred_ranks(gold) if len(gold) >= 2 else (None, None)
-    return CoveredPairs(
-        np.array([index[w1] for w1, _, _ in pairs], dtype=np.int64),
-        np.array([index[w2] for _, w2, _ in pairs], dtype=np.int64),
-        gold, gold_dev, gold_ss, names=(bench.name,),
-    )
-
-
-def joined_pairs(covered):
-    """The pairs of several ``CoveredPairs``, end to end, with the span of each.
-
-    Scoring the joined pairs once scores every benchmark's pairs with the
-    arithmetic a pass over its own pairs runs, pair by pair; slice ``i``
-    of ``spans`` holds the scores of ``covered[i]``. One benchmark's
-    pairs are joined as they are, without a copy.
-    """
-    if len(covered) == 1:
-        only, = covered
-        return CoveredPairs(only.idx1, only.idx2, spans=((0, len(only.idx1)),), names=only.names)
-    stops = list(accumulate(len(c.idx1) for c in covered))
-    none = np.empty(0, dtype=np.int64)  # a search with no benchmark joins no pairs
-    return CoveredPairs(
-        np.concatenate([none, *(c.idx1 for c in covered)]),
-        np.concatenate([none, *(c.idx2 for c in covered)]),
-        spans=tuple(zip([0] + stops[:-1], stops)),
-        names=tuple(name for c in covered for name in c.names or [None]),
-    )
-
-
-def _warned(scores, degenerate, table="", bench=None):
-    """``scores``, after warning that ``degenerate`` of them were set to 0.
-
-    The text names ``table`` when it has a name, and ``bench`` when given.
-    """
-    if degenerate:
-        where = (f" in {table!r}" if table else "") + (f" on {bench!r}" if bench is not None else "")
-        warnings.warn(f"{degenerate} degenerate zero-norm pair scores set to 0{where}",
-                      RuntimeWarning)
-    return scores
+    idx1, idx2, spans = [], [], []
+    for bench in benches:
+        pairs = filter_coverage(bench, table.vocab).pairs
+        gold = np.array([g for _, _, g in pairs], dtype=np.float64)
+        start = len(idx1)
+        idx1 += [index[w1] for w1, _, _ in pairs]
+        idx2 += [index[w2] for _, w2, _ in pairs]
+        ranks = _centred_ranks(gold) if len(gold) >= 2 else None
+        spans.append(Span(start, len(idx1), bench.name, ranks))
+    return CoveredPairs(np.array(idx1, dtype=np.int64), np.array(idx2, dtype=np.int64),
+                        tuple(spans))
 
 
 def table_sums(matrix, sq_norms, covered):
@@ -319,19 +294,23 @@ def table_sums(matrix, sq_norms, covered):
     return PairSums(*_kernels.pair_sums(matrix, covered.idx1, covered.idx2, sq_norms))
 
 
-def sum_scores(sums, spans=None, table="", names=None):
+def sum_scores(sums, covered, table=""):
     """Pair cosines from sums; an overflowing norm scores nan, which every caller rejects.
 
     Degenerate pairs score 0 with a ``RuntimeWarning`` of their count, one
-    per span of ``spans`` (see ``CoveredPairs``) that holds any, in order.
-    The warning names the ``table`` scored, when it has a name, and the
-    span's benchmark of ``names``, when given, so that Python's default
-    filter, which shows each text once, shows one per table and benchmark.
+    per span of ``covered`` that holds any, in order. The warning names
+    the ``table`` scored, when it has a name, and the span's benchmark,
+    when it has one, so that Python's default filter, which shows each
+    text once, shows one per table and benchmark.
     """
     scores, degenerate = _kernels.sum_cosines(*sums)
-    spans = spans or [(0, len(scores))]
-    for (start, stop), bench in zip(spans, names or [None] * len(spans)):
-        _warned(scores, int(np.count_nonzero(degenerate[start:stop])), table, bench)
+    for start, stop, bench, _ in covered.spans:
+        count = int(np.count_nonzero(degenerate[start:stop]))
+        if count:
+            where = f" in {table!r}" if table else ""
+            where += f" on {bench!r}" if bench is not None else ""
+            warnings.warn(f"{count} degenerate zero-norm pair scores set to 0{where}",
+                          RuntimeWarning)
     return scores
 
 
@@ -352,8 +331,7 @@ def concat_scores(sums, units, covered, table=""):
             sums = [PairSums(s.dots / (div[idx1] * div[idx2]), sq[idx1], sq[idx2])
                     for s, (div, sq) in zip(sums, units)]
         first, second = sums
-        return sum_scores(PairSums(*(a + b for a, b in zip(first, second))), covered.spans,
-                          table, covered.names)
+        return sum_scores(PairSums(*(a + b for a, b in zip(first, second))), covered, table)
 
 
 def interpolate(alpha, first, second):
@@ -361,19 +339,21 @@ def interpolate(alpha, first, second):
     return alpha * first + (1.0 - alpha) * second
 
 
-def rank_results(vectors, covered, bench):
-    """Spearman rho of each row of ``vectors`` against the covered gold scores of ``bench``.
+def rank_results(vectors, span, bench):
+    """Spearman rho of each row of ``vectors``, on ``span``, against the span's gold ranks.
 
-    Returns, per row, its ``EvaluationResult`` or, for a row with a
-    non-finite score, the ``NumericalError`` saying so. The finite rows
-    are ranked together, as one block.
+    ``bench`` is the benchmark of ``span``, whose width is the number of
+    pairs evaluated. Returns, per row, its ``EvaluationResult`` or, for a
+    row with a non-finite score in the span, the ``NumericalError``
+    saying so. The finite rows are ranked together, as one block.
     """
-    n_eval, n_total = len(covered.gold), len(bench.pairs)
-    if n_eval < 2:
+    n_eval, n_total = span.stop - span.start, len(bench.pairs)
+    if span.ranks is None:
         return [EvaluationResult(rho=None, n_evaluated=n_eval, n_total=n_total)] * len(vectors)
+    vectors = vectors[:, span.start:span.stop]
     finite = np.isfinite(vectors).all(axis=-1)
     rhos = np.full(len(vectors), np.nan)
-    rhos[finite] = _rank_correlations(vectors[finite], covered.gold_dev, covered.gold_ss)
+    rhos[finite] = _rank_correlations(vectors[finite], *span.ranks)
     return [
         EvaluationResult(rho=None if math.isnan(rho) else rho, n_evaluated=n_eval, n_total=n_total)
         if ok else NumericalError(f"non-finite pair scores on {bench.name!r}")
@@ -387,7 +367,7 @@ def model_scores(model, covered):
     sums = [table_sums(t.matrix, t.sq_norms, covered) for t in tables]
     if model.layer_c == "concat":
         return concat_scores(sums, model.units, covered, concat_label([t.name for t in tables]))
-    scores = [sum_scores(s, covered.spans, t.name, covered.names) for s, t in zip(sums, tables)]
+    scores = [sum_scores(s, covered, t.name) for s, t in zip(sums, tables)]
     if model.layer_c == "li":
         return interpolate(model.alpha, *scores)
     return scores[0]
@@ -400,8 +380,9 @@ def evaluate(model, bench):
     explicit empty outcome (``rho`` None). Non-finite pair scores (vector
     norms that overflow) raise ``NumericalError``.
     """
-    covered = covered_pairs(bench, model.first)
-    result, = rank_results(model_scores(model, covered)[None], covered, bench)
+    covered = covered_pairs([bench], model.first)
+    span, = covered.spans
+    result, = rank_results(model_scores(model, covered)[None], span, bench)
     if isinstance(result, NumericalError):
         raise result
     return result

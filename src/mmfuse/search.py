@@ -24,8 +24,8 @@ each decomposition runs once whatever the number of benchmarks or dims:
   (``composition.leading_coordinates``), so they need no decomposition:
   a signal's reducer at k is its PCA at k, in the sweep and in
   ``apply_configuration`` alike;
-* over the covered pairs of every benchmark, end to end
-  (``evaluation.joined_pairs``): the cosine kernel once per table, for
+* over the covered pairs of every benchmark, end to end (one
+  ``evaluation.covered_pairs``): the cosine kernel once per table, for
   its pair sums (dot products and gathered squared norms), and the score
   vector finished from them at the table's first use in canonical
   order; each configuration's vector is chosen by its ``layer_c``, as
@@ -51,6 +51,7 @@ once, then ``evaluate`` per benchmark.
 """
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -87,7 +88,6 @@ from .evaluation import (
     concat_scores,
     covered_pairs,
     interpolate,
-    joined_pairs,
     rank_results,
     sum_scores,
     table_sums,
@@ -113,6 +113,7 @@ class GridSpec:
     of ``{"pca", "cca", "rcca", "concat", "li"}``; another name raises
     GridError), which is how the single-motif baseline sweeps are
     expressed; an empty one keeps only the two unimodal baselines.
+    ``dim_step`` and ``dim_min`` are integers (numpy's too), at least 1.
     """
 
     dim_step: int = 50
@@ -122,10 +123,14 @@ class GridSpec:
     motif_filter: frozenset = None
 
     def __post_init__(self):
-        if self.dim_step < 1:
-            raise GridError(f"dim_step must be >= 1, got {self.dim_step}")
-        if self.dim_min < 1:
-            raise GridError(f"dim_min must be >= 1, got {self.dim_min}")
+        for name in ("dim_step", "dim_min"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise GridError(f"{name} must be an integer, got {value!r}") from None
+            if value < 1:
+                raise GridError(f"{name} must be >= 1, got {value}")
         if not 0.0 < self.alpha_step <= 1.0:
             raise GridError(f"alpha_step must be in (0, 1], got {self.alpha_step}")
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
@@ -261,15 +266,15 @@ def _group_sums(raw, a_fits, a_dim, ridge, tables, pairs, blocks):
     return sums, units
 
 
-def _sweep_group(items, raw, names, a_fits, scored, pairs, normalize_concat):
+def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
     """Per benchmark, the search entries of ``(order_index, config)`` items sharing one layer-a dim.
 
-    ``pairs`` joins the covered pairs of every benchmark of ``scored``.
-    The group's tables are built one at a time and kept only as their
-    pair sums (``_group_sums``). Then, in canonical order, each
-    configuration's score vector is finished from the sums and queued; a
-    table's own score vector is finished at its first use and serves
-    every later one. A block of queued vectors, at most
+    ``pairs`` holds the covered pairs of every benchmark of ``benches``,
+    one span each. The group's tables are built one at a time and kept
+    only as their pair sums (``_group_sums``). Then, in canonical order,
+    each configuration's score vector is finished from the sums and
+    queued; a table's own score vector is finished at its first use and
+    serves every later one. A block of queued vectors, at most
     ``RANK_BLOCK_VALUES`` values (one vector, if it alone is longer), is
     ranked on each benchmark's span of its columns. A failure computing a
     vector fails it on every benchmark. ``names`` names the two sides in
@@ -289,7 +294,7 @@ def _sweep_group(items, raw, names, a_fits, scored, pairs, normalize_concat):
 
     def table_scores(table):
         if table not in scores:
-            scores[table] = sum_scores(fitted(sums[table]), pairs.spans, label(table), pairs.names)
+            scores[table] = sum_scores(fitted(sums[table]), pairs, label(table))
         return scores[table]
 
     def vector(config, tables):
@@ -309,8 +314,7 @@ def _sweep_group(items, raw, names, a_fits, scored, pairs, normalize_concat):
         """Rank a block of ``(slot, score vector)``, each benchmark on its span of the pairs."""
         slots, vectors = zip(*queued)
         block = np.stack(vectors)
-        ranked = [rank_results(block[:, start:stop], covered, bench)
-                  for (bench, covered), (start, stop) in zip(scored, pairs.spans)]
+        ranked = [rank_results(block, span, bench) for bench, span in zip(benches, pairs.spans)]
         for slot, *results in zip(slots, *ranked):
             outcomes[slot] = results
 
@@ -320,7 +324,7 @@ def _sweep_group(items, raw, names, a_fits, scored, pairs, normalize_concat):
         try:
             queued.append((slot, vector(config, inputs[order_index])))
         except _FAILURES as exc:
-            outcomes[slot] = [exc] * len(scored)
+            outcomes[slot] = [exc] * len(benches)
         if queued and (len(queued) == rows or slot == len(items) - 1):
             rank(queued)
             queued = []
@@ -363,12 +367,11 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
     # the raw group's R-CCA reducers are layer-a fits of the raw tables
     a_dims |= {c.fusion_dim for c in configs if not c.pca_dim and "rcca" in c.layer_b}
     a_fits = layer_a(raw, sorted(a_dims))
-    scored = [(bench, covered_pairs(bench, textual)) for bench in benches]
-    pairs = joined_pairs([covered for _, covered in scored])
+    pairs = covered_pairs(benches, textual)
     # canonical order keeps each layer-a dim contiguous
     groups = [list(g) for _, g in groupby(enumerate(configs), key=lambda i: i[1].pca_dim)]
     names = {SIDE_TEXTUAL: textual.name, SIDE_VISUAL: visual.name}
-    run = partial(_sweep_group, raw=raw, names=names, a_fits=a_fits, scored=scored, pairs=pairs,
+    run = partial(_sweep_group, raw=raw, names=names, a_fits=a_fits, benches=benches, pairs=pairs,
                   normalize_concat=normalize_concat)
     entries = [[] for _ in benches]
     done = 0

@@ -386,10 +386,10 @@ class TestEvaluate:
             # coarse grids force ties in both the scores and the gold scores
             gold = np.round(rng.uniform(0, 4, len(pairs)))
             bench = Benchmark("tied", tuple((w1, w2, g) for (w1, w2), g in zip(pairs, gold)))
-            covered = covered_pairs(bench, table(vocab, np.eye(25)))
+            span, = covered_pairs([bench], table(vocab, np.eye(25))).spans
             scores = np.round(rng.normal(size=len(pairs)), 1)
             expected, _ = stats.spearmanr(scores, gold)
-            result, = rank_results(scores[None], covered, bench)
+            result, = rank_results(scores[None], span, bench)
             rho = result.rho
             assert rho == pytest.approx(expected, abs=1e-12)
             assert spearman(scores, gold) == rho
@@ -404,17 +404,55 @@ class TestEvaluate:
         assert result.n_evaluated == 3
 
 
+def test_covered_pairs_join_each_benchmarks_own_pairs_end_to_end():
+    rng = np.random.default_rng(8)
+    vocab = tuple(f"w{i}" for i in rng.permutation(12))
+    emb = table(vocab, rng.normal(size=(12, 3)))
+
+    def pairs(n, oov=()):
+        pairs = [(vocab[i], vocab[j], float(rng.integers(0, 4)))
+                 for i, j in rng.integers(0, 12, (n, 2)) if i != j]
+        return tuple(dict.fromkeys(pairs)) + tuple(oov)
+
+    benches = [
+        Benchmark("some", pairs(9, [("w1", "oov", 1.0)])),
+        Benchmark("none", (("w1", "oov", 1.0), ("x", "y", 2.0))),
+        Benchmark("one", (("oov", "w3", 1.0), ("w3", "w5", 2.5))),
+        Benchmark("more", pairs(14)),
+    ]
+    joined = covered_pairs(benches, emb)
+    assert [span.name for span in joined.spans] == ["some", "none", "one", "more"]
+    assert joined.idx1.dtype == joined.idx2.dtype == np.int64
+    stop = 0
+    for bench, span in zip(benches, joined.spans):
+        own = covered_pairs([bench], emb)
+        own_span, = own.spans
+        assert (span.start, span.stop) == (stop, stop + len(own.idx1))
+        stop = span.stop
+        assert joined.idx1[span.start:span.stop].tolist() == own.idx1.tolist()
+        assert joined.idx2[span.start:span.stop].tolist() == own.idx2.tolist()
+        assert span.name == own_span.name == bench.name
+        if own_span.ranks is None:
+            assert span.ranks is None and len(own.idx1) < 2
+        else:
+            (dev, ss), (own_dev, own_ss) = span.ranks, own_span.ranks
+            assert dev.tobytes() == own_dev.tobytes() and ss == own_ss
+    assert stop == len(joined.idx1) == len(joined.idx2)
+    assert [span.stop - span.start for span in joined.spans][1:3] == [0, 1]
+    assert joined.spans[0].ranks is not None and joined.spans[3].ranks is not None
+
+
 class TestRankResults:
     """A block ranked by ``rank_results`` gives each row what it gives that row alone."""
 
     @staticmethod
-    def one_by_one(vectors, covered, bench):
-        return [result for row in vectors for result in rank_results(row[None], covered, bench)]
+    def one_by_one(vectors, span, bench):
+        return [result for row in vectors for result in rank_results(row[None], span, bench)]
 
-    def assert_rowwise(self, vectors, covered, bench):
-        block = rank_results(vectors, covered, bench)
+    def assert_rowwise(self, vectors, span, bench):
+        block = rank_results(vectors, span, bench)
         assert len(block) == len(vectors)
-        for got, alone in zip(block, self.one_by_one(vectors, covered, bench)):
+        for got, alone in zip(block, self.one_by_one(vectors, span, bench)):
             assert type(got) is type(alone)
             if isinstance(alone, NumericalError):
                 assert str(got) == str(alone) == f"non-finite pair scores on {bench.name!r}"
@@ -430,20 +468,21 @@ class TestRankResults:
         pairs = tuple((vocab[i], vocab[j], float(rng.integers(0, 4)))
                       for i in range(n_words) for j in range(i + 1, n_words, 3))
         bench = Benchmark("blk", pairs + (("w0", "oov", 1.0),))
-        covered = covered_pairs(bench, table(vocab, np.eye(n_words)))
-        return bench, covered, rng
+        span, = covered_pairs([bench], table(vocab, np.eye(n_words))).spans
+        # the covered pairs' gold scores
+        return bench, span, np.array([g for _, _, g in pairs]), rng
 
     def test_mixed_block(self):
-        bench, covered, rng = self.case()
-        n = len(covered.gold)
+        bench, span, gold, rng = self.case()
+        n = len(gold)
         tied = np.round(rng.normal(size=(6, n)), 1)
-        rows = [tied[0], np.full(n, 0.25), tied[1], covered.gold, -covered.gold, tied[2]]
+        rows = [tied[0], np.full(n, 0.25), tied[1], gold, -gold, tied[2]]
         with_nan = tied[3].copy()
         with_nan[4] = np.nan
         with_inf = tied[4].copy()
         with_inf[0] = -np.inf
         rows[2:2] = [with_nan, with_inf]
-        block = self.assert_rowwise(np.array(rows), covered, bench)
+        block = self.assert_rowwise(np.array(rows), span, bench)
         assert block[1].rho is None                       # constant row: undefined
         assert isinstance(block[2], NumericalError)       # nan
         assert isinstance(block[3], NumericalError)       # -inf
@@ -452,22 +491,22 @@ class TestRankResults:
 
     @pytest.mark.parametrize("kind", ["finite", "constant", "non_finite"])
     def test_uniform_blocks(self, kind):
-        bench, covered, rng = self.case(seed=5)
-        n = len(covered.gold)
+        bench, span, gold, rng = self.case(seed=5)
+        n = len(gold)
         vectors = {"finite": np.round(rng.normal(size=(4, n)), 1),
                    "constant": np.full((3, n), -2.0),
                    "non_finite": np.full((2, n), np.nan)}[kind]
-        self.assert_rowwise(vectors, covered, bench)
+        self.assert_rowwise(vectors, span, bench)
 
     @pytest.mark.parametrize("n_covered", [0, 1])
     def test_fewer_than_two_covered_pairs_are_undefined(self, n_covered):
         vocab = ("a", "b", "c")
         pairs = (("a", "b", 1.0), ("b", "c", 2.0), ("a", "x", 3.0))
         bench = Benchmark("few", pairs[2 - n_covered:])
-        covered = covered_pairs(bench, table(vocab, np.eye(3)))
-        assert len(covered.gold) == n_covered
+        span, = covered_pairs([bench], table(vocab, np.eye(3))).spans
+        assert span.stop - span.start == n_covered and span.ranks is None
         # not even a non-finite score fails without a correlation to compute
         vectors = np.array([[0.5] * n_covered, [np.nan] * n_covered])
-        block = self.assert_rowwise(vectors, covered, bench)
+        block = self.assert_rowwise(vectors, span, bench)
         assert [r.rho for r in block] == [None, None]
         assert block[0].n_evaluated == n_covered and block[0].n_total == len(bench.pairs)

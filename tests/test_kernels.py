@@ -10,8 +10,8 @@ from mmfuse.evaluation import (
     CoveredPairs,
     EvaluationResult,
     concat_scores,
+    Span,
     interpolate,
-    joined_pairs,
     rank_results,
     sum_scores,
     table_sums,
@@ -192,9 +192,9 @@ def test_block_rho_is_bitwise_that_of_scattered_ranks():
     for name, block, gold in _rank_cases():
         n = block.shape[1]
         expected, gold_dev, gold_ss = _scatter_correlations(block, gold)
-        covered = CoveredPairs(np.arange(n), np.arange(n), gold, gold_dev, gold_ss)
+        span = Span(0, n, "b", (gold_dev, gold_ss))
         bench = Benchmark("b", tuple((f"a{i}", f"b{i}", g) for i, g in enumerate(gold.tolist())))
-        results = rank_results(block, covered, bench)
+        results = rank_results(block, span, bench)
         for result, rho in zip(results, expected.tolist()):
             assert isinstance(result, EvaluationResult)
             if np.isnan(rho):
@@ -215,6 +215,11 @@ def _per_pair_cosines(matrix, idx1, idx2):
 
 def _sums(matrix, covered):
     return table_sums(matrix, _kernels.row_sq_norms(matrix), covered)
+
+
+def _pairs(idx1, idx2):
+    """The index pairs as one pair set: one span, without a benchmark or gold scores."""
+    return CoveredPairs(idx1, idx2, (Span(0, len(idx1), None, None),))
 
 
 def _one_pass_dots(matrix, idx1, idx2):
@@ -266,7 +271,7 @@ def _cases():
     for n_rows in (6, 200):
         for width in (1, 2, 3, 7, 16, 33, 101):
             matrix = rng.normal(size=(n_rows, width)) * rng.uniform(0.01, 100.0)
-            covered = CoveredPairs(rng.integers(0, n_rows, 300), rng.integers(0, n_rows, 300))
+            covered = _pairs(rng.integers(0, n_rows, 300), rng.integers(0, n_rows, 300))
             yield matrix, covered
 
 
@@ -284,7 +289,7 @@ def test_table_scores_from_sums_equal_the_per_pair_formula():
                  "single column view": wider[:, 5:6]}
         for name, view in views.items():
             expected = _per_pair_cosines(np.ascontiguousarray(view), covered.idx1, covered.idx2)
-            scores = sum_scores(_sums(view, covered))
+            scores = sum_scores(_sums(view, covered), covered)
             assert scores.tobytes() == expected.tobytes(), (name, matrix.shape)
             np.testing.assert_allclose(scores, _plain_cosines(view, covered), rtol=0, atol=1e-14)
 
@@ -306,14 +311,14 @@ ZERO_ROWS = (np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]),
 
 def test_concat_with_one_zero_norm_block_scores_the_stacked_cosine():
     # the first block of row 0 and the second of row 1 are zero
-    covered = CoveredPairs(np.array([0, 1, 0]), np.array([3, 3, 1]))
+    covered = _pairs(np.array([0, 1, 0]), np.array([3, 3, 1]))
     scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], None, covered)
     np.testing.assert_allclose(scores, _plain_cosines(np.hstack(ZERO_ROWS), covered),
                                rtol=0, atol=1e-15)
 
 
 def test_concat_with_both_blocks_zero_scores_zero_with_warning():
-    covered = CoveredPairs(np.array([2, 2, 0]), np.array([3, 0, 1]))
+    covered = _pairs(np.array([2, 2, 0]), np.array([3, 0, 1]))
     with pytest.warns(RuntimeWarning, match="2 degenerate zero-norm pair scores"):
         scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], None, covered)
     stacked = np.hstack(ZERO_ROWS)
@@ -325,7 +330,7 @@ def test_concat_with_both_blocks_zero_scores_zero_with_warning():
 def test_concat_with_an_overflowing_block_scores_nan():
     first = np.array([[1e200, 0.0], [1.0, 0.0], [0.0, 1.0]])
     second = np.array([[1.0, 1.0], [-1e200, 1e200], [2.0, 0.0]])
-    covered = CoveredPairs(np.array([0, 1, 2, 2]), np.array([2, 2, 0, 1]))
+    covered = _pairs(np.array([0, 1, 2, 2]), np.array([2, 2, 0, 1]))
     scores = concat_scores([_sums(first, covered), _sums(second, covered)], None, covered)
     assert np.isnan(scores[[0, 1, 2]]).all()
     # row 0's second block is finite, but its first block's squared norm overflows
@@ -343,19 +348,20 @@ def test_normalized_concat_is_the_mean_of_the_block_cosines():
         block_cosines = [_plain_cosines(m, covered) for m in blocks]
         np.testing.assert_allclose(scores, np.mean(block_cosines, axis=0), rtol=0, atol=1e-15)
         # each block's normalized dot product is bitwise its cosine from sums
+        block_scores = [sum_scores(s, covered) for s in sums]
         np.testing.assert_array_equal(
-            scores, (sum_scores(sums[0]) + sum_scores(sums[1])) / (np.sqrt(2.0) * np.sqrt(2.0)))
+            scores, (block_scores[0] + block_scores[1]) / (np.sqrt(2.0) * np.sqrt(2.0)))
 
 
 def test_normalized_concat_leaves_a_zero_norm_row_as_it_is():
-    covered = CoveredPairs(np.array([0, 1, 2]), np.array([3, 3, 3]))
+    covered = _pairs(np.array([0, 1, 2]), np.array([3, 3, 3]))
     units = [unit_rows(_kernels.row_sq_norms(m)) for m in ZERO_ROWS]
     with pytest.warns(RuntimeWarning, match="1 degenerate zero-norm pair scores"):
         scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], units, covered)
     # each block divided by its rows' norms, a zero row left as it is
     normalized = np.hstack([m / np.maximum(np.linalg.norm(m, axis=1), 1.0e-300)[:, None]
                             for m in ZERO_ROWS])
-    expected = _plain_cosines(normalized, CoveredPairs(covered.idx1[:2], covered.idx2[:2]))
+    expected = _plain_cosines(normalized, _pairs(covered.idx1[:2], covered.idx2[:2]))
     np.testing.assert_allclose(scores[:2], expected, rtol=0, atol=1e-15)
     assert scores[2] == 0.0  # both blocks of row 2 are zero: its norm stays 0
 
@@ -367,10 +373,10 @@ def test_normalization_of_an_overflowing_row_is_a_numerical_error():
 
 def _benchmark_pairs(rng, n_rows):
     """Three benchmarks' pairs: odd and even lengths, a pair shared by two, one with none."""
-    first = CoveredPairs(rng.integers(0, n_rows, 51), rng.integers(0, n_rows, 51))
-    second = CoveredPairs(np.append(rng.integers(0, n_rows, 36), first.idx1[7]),
-                          np.append(rng.integers(0, n_rows, 36), first.idx2[7]))
-    none = CoveredPairs(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    first = _pairs(rng.integers(0, n_rows, 51), rng.integers(0, n_rows, 51))
+    second = _pairs(np.append(rng.integers(0, n_rows, 36), first.idx1[7]),
+                    np.append(rng.integers(0, n_rows, 36), first.idx2[7]))
+    none = _pairs(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
     return [first, none, second, none]
 
 
@@ -384,19 +390,23 @@ def test_one_pass_over_every_benchmark_scores_each_as_its_own_pass(width):
               rng.normal(size=(n_rows, 5))]
     tables[0][4] = 0.0  # a zero-norm row
     benches = _benchmark_pairs(rng, n_rows)
-    joined = joined_pairs(benches)
-    assert joined.spans == ((0, 51), (51, 51), (51, 88), (88, 88))
+    # every benchmark's pairs end to end, joined here, not by the code under test
+    spans = ((0, 51), (51, 51), (51, 88), (88, 88))
+    joined = CoveredPairs(np.concatenate([b.idx1 for b in benches]),
+                          np.concatenate([b.idx2 for b in benches]),
+                          tuple(Span(start, stop, None, None) for start, stop in spans))
+    assert len(joined.idx1) == spans[-1][1]
     sums = [table_sums(m, _kernels.row_sq_norms(m), joined) for m in tables]
-    scores = [sum_scores(s, joined.spans) for s in sums]
+    scores = [sum_scores(s, joined) for s in sums]
     units = [unit_rows(_kernels.row_sq_norms(m)) for m in tables]
     joined_vectors = scores + [
         interpolate(0.3, scores[0], scores[2]),
         concat_scores([sums[0], sums[2]], None, joined),
         concat_scores([sums[1], sums[2]], [units[1], units[2]], joined),
     ]
-    for covered, (start, stop) in zip(benches, joined.spans):
+    for covered, (start, stop) in zip(benches, spans):
         own_sums = [table_sums(m, _kernels.row_sq_norms(m), covered) for m in tables]
-        own_scores = [sum_scores(s) for s in own_sums]
+        own_scores = [sum_scores(s, covered) for s in own_sums]
         own_vectors = own_scores + [
             interpolate(0.3, own_scores[0], own_scores[2]),
             concat_scores([own_sums[0], own_sums[2]], None, covered),

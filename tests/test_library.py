@@ -1,5 +1,7 @@
 """The library surface outside code relies on: README's example and the benchmark harness."""
 
+import importlib
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,8 @@ import numpy as np
 import mmfuse
 from mmfuse import Benchmark, EmbeddingTable, save_benchmark, save_embeddings
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def library_example():
@@ -47,3 +50,24 @@ def test_names_the_benchmark_harness_imports():
                  "enumerate_configurations", "GridSpec"):
         assert hasattr(mmfuse, name), name
     assert callable(main)
+
+
+# the lookup sites perfbench/traced.py still names although mmfuse no longer has them
+STALE_TRACE_SITES = {
+    "mmfuse.cli.render_report_table", "mmfuse.cli.render_report_machine", "mmfuse.cli.grid_search",
+    "mmfuse.search.apply_configuration", "mmfuse.search.evaluate",
+    "mmfuse.composition.pca_fit", "mmfuse.composition.cca_fit",
+    "mmfuse._kernels.pair_cosine_scores",
+}
+
+
+def test_the_benchmark_harness_loses_no_more_trace_sites():
+    # the harness wraps each function at the module attribute its caller looks up
+    spec = importlib.util.spec_from_file_location("perfbench_traced", ROOT / "perfbench" / "traced.py")
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    sites = [(module, attr) for module, attr, _, _ in traced.SITES]
+    sites += [("mmfuse.cli", "grid_search"), ("mmfuse.embeddings", "EmbeddingTable")]
+    missing = {f"{module}.{attr}" for module, attr in sites
+               if not hasattr(importlib.import_module(module), attr)}
+    assert missing <= STALE_TRACE_SITES

@@ -115,6 +115,18 @@ class TestGridSpec:
             with pytest.raises(GridError, match="ridge must be finite and >= 0"):
                 GridSpec(ridge=ridge)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim_step", 2.5), ("dim_min", 1.5), ("dim_step", float("nan")), ("dim_min", 2.0),
+        ("dim_step", "2"),
+    ])
+    def test_non_integer_dims_are_rejected(self, field, value):
+        with pytest.raises(GridError, match=f"{field} must be an integer, got "):
+            GridSpec(**{field: value})
+
+    def test_numpy_integer_dims_are_accepted(self):
+        grid = GridSpec(dim_step=np.int64(2), dim_min=np.int32(1))
+        assert grid.dims_up_to(6) == [1, 3, 5]
+
     def test_unknown_motif_names_are_rejected(self):
         with pytest.raises(GridError) as info:
             GridSpec(motif_filter={"PCA", "li", "svd"})
@@ -583,6 +595,11 @@ class TestMultiBenchmarkSweep:
             warnings.simplefilter("always")
             evaluate(concat, benches[1])
         assert [str(w.message) for w in caught] == expected[-1:]
+
+    def test_no_benchmark_gives_no_report(self, planted):
+        textual, visual, _ = planted
+        for workers in (1, 3):
+            assert sweep(textual, visual, [], TOY_GRID, workers=workers) == ()
 
     def test_every_table_of_a_search_has_a_name_of_its_own(self):
         from mmfuse.composition import concat_label, input_label, layer_inputs
