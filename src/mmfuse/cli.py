@@ -13,6 +13,7 @@ never leaves one half-written.
 import argparse
 import sys
 import time
+import warnings
 from collections import namedtuple
 from functools import partial
 from pathlib import Path
@@ -368,27 +369,39 @@ def build_parser():
     for name, command in _COMMANDS.items():
         sub = subs.add_parser(name, help=command.help)
         for row in _INPUTS:
-            if row.key != "config" or "config" not in command.refuses:
-                sub.add_argument(_flag(row.key), **row.flag)
+            keywords = row.flag
+            if row.key in command.refuses:
+                if row.key == "config":   # search has no --config flag
+                    continue
+                # parsed only to be rejected by name, so help does not list it
+                keywords = {**row.flag, "help": argparse.SUPPRESS}
+            sub.add_argument(_flag(row.key), **keywords)
     return parser
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one line of its message, without the code that raised it."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
-    try:
-        return command.run(_build_manifest(args, command))
-    except ConfigurationError as exc:
-        print("error: configuration is invalid:", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NumericalError, NoResultError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (MMFuseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return command.run(_build_manifest(args, command))
+        except ConfigurationError as exc:
+            print("error: configuration is invalid:", file=sys.stderr)
+            for violation in exc.violations:
+                print(f"  - {violation}", file=sys.stderr)
+            return EXIT_INPUT
+        except (NumericalError, NoResultError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except (MMFuseError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

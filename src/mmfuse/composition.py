@@ -17,25 +17,26 @@ baselines are first-class. ``validate_configuration`` is the one statement
 of these rules: the grid a sweep runs is the valid configurations of the
 per-layer choices, in ``canonical_key`` order.
 
-``apply_configuration`` and the sweep both run the layer functions below,
-so every PCA/CCA fit and projection in the package happens here. The
-fitting functions take a list of dims and fit them all from one
-decomposition; ``apply_configuration`` passes one dim, the sweep every
-dim it needs. R-CCA reduces a signal wider than its projection by the
-signal's PCA at the projection's dim: for a raw table, its layer-a fit
-at that dim; for a layer-a output, its leading coordinates, which need
-no decomposition (``leading_coordinates``). A ``ScoringModel`` names
-its layer-c motif beside its one or two tables, as a ``Configuration``
-does: a concatenation keeps its two blocks, so it is scored from their
-sums, by ``evaluate`` and the sweep alike, and ``concat_table`` stacks
-them only where ``apply`` writes them. ``unit_rows`` is the one
-``normalize_concat`` rule that both the scores and the stacked vectors
-follow.
+``apply_configuration`` and the sweep both build their tables through
+``group_tables``, one layer-a dim at a time, so every PCA/CCA fit and
+projection in the package happens here. ``layer_a`` fits each raw side
+at every dim that the tables of its configurations read, from one
+decomposition; ``apply_configuration`` passes it one configuration, the
+sweep its whole grid. R-CCA reduces a signal wider than its projection
+by the signal's PCA at the projection's dim: for a raw table, its
+layer-a fit at that dim; for a layer-a output, its leading coordinates,
+which need no decomposition (``leading_coordinates``). A
+``ScoringModel`` names its layer-c motif beside its one or two tables,
+as a ``Configuration`` does: a concatenation keeps its two blocks, so it
+is scored from their sums, by ``evaluate`` and the sweep alike, and
+``concat_table`` stacks them only where ``apply`` writes them.
+``unit_rows`` is the one ``normalize_concat`` rule that both the scores
+and the stacked vectors follow.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .numerics import (
     DEFAULT_RIDGE,
     SIDE_TEXTUAL,
     SIDE_VISUAL,
+    caught,
     cca_fits,
     cca_transform,
     fitted,
@@ -250,15 +252,22 @@ def validate_configuration(config, dim_t, dim_v):
     return v
 
 
-def layer_a(matrices, dims):
-    """Layer-a PCA fits of both modalities (``{side: matrix}``) at every dim in ``dims``.
+def layer_a(raw, configs):
+    """Layer-a PCA fits of both raw tables (``{side: matrix}``) at the dims ``configs`` read.
 
     Returns ``{side: {dim: PcaModel or the error fitting it raised}}``,
-    textual first, from one decomposition per side. On a raw side the fit
-    at dim k is also that side's R-CCA reducer at fusion dim k; the
-    output's reducer at k is its leading k coordinates (``leading_coordinates``).
+    textual first, from one decomposition per side. Both sides are fit at
+    every layer-a dim of ``configs``; a raw side is also fit at the fusion
+    dim of each R-CCA on it that is narrower than the side, as its reducer
+    there. A layer-a output's reducer at k needs no fit: it is its leading
+    k coordinates (``leading_coordinates``).
     """
-    return {side: pca_fits(m, dims) for side, m in matrices.items()}
+    a_dims = {c.pca_dim for c in configs if c.pca_dim}
+    reducers = {(side, c.fusion_dim) for c in configs if not c.pca_dim
+                for origin, side in layer_inputs(c)
+                if origin == "rcca" and raw[side].shape[1] > c.fusion_dim}
+    return {side: pca_fits(m, sorted(a_dims | {k for s, k in reducers if s == side}))
+            for side, m in raw.items()}
 
 
 def layer_a_output(matrices, fits, a_dim):
@@ -352,6 +361,39 @@ def residual(reduced, side, projected, a_fits, a_dim):
     return rcca_residual(leading_coordinates(matrix, k), projected)
 
 
+def group_tables(raw, a_fits, a_dim, tables, ridge):
+    """Each ``(fusion dim, origin, side)`` table of ``tables`` at layer-a dim ``a_dim``.
+
+    Yields ``(table, matrix or the failure building it)``. First the
+    layer-a output (``raw`` itself when ``a_dim`` is None) and one
+    ``fit_fusion`` over the fusion dims of ``tables``. Then the tables,
+    each ``(fusion dim, side)`` in a run, its CCA table before its R-CCA
+    table: one projection serves the run and is deleted before the next
+    is made. A failed layer-a output, fit or projection fails every table
+    built on it.
+    """
+    reduced = raw if a_dim is None else caught(layer_a_output, raw, a_fits, a_dim)
+    f_dims = sorted({f_dim for f_dim, origin, _ in tables if origin})
+    fits = caught(lambda: fit_fusion(fitted(reduced), f_dims, ridge)) if f_dims else {}
+
+    def projection(f_dim, side):
+        return project(fitted(fitted(fits)[f_dim]), fitted(reduced), side)
+
+    def matrix(origin, side, projected):
+        if not origin:
+            return fitted(reduced)[side]
+        if origin == "cca":
+            return fitted(projected)
+        return residual(fitted(reduced), side, fitted(projected), a_fits, a_dim)
+
+    ordered = sorted(tables, key=lambda t: (t[0] or 0, t[2], t[1]))
+    for (f_dim, side), run in groupby(ordered, key=lambda t: (t[0], t[2])):
+        projected = caught(projection, f_dim, side) if f_dim else None
+        for table in run:
+            yield table, caught(matrix, table[1], side, projected)
+        del projected   # before the next (fusion dim, side) is projected
+
+
 def apply_configuration(config, textual, visual, normalize_concat=False):
     """Execute a configuration on an aligned table pair.
 
@@ -366,33 +408,12 @@ def apply_configuration(config, textual, visual, normalize_concat=False):
     if violations:
         raise ConfigurationError(violations)
 
-    a_dim = config.pca_dim if config.layer_a == "pca" else None
-    f_dim = config.fusion_dim
-    inputs = layer_inputs(config)
-    reduced = {SIDE_TEXTUAL: textual.matrix, SIDE_VISUAL: visual.matrix}
-    if a_dim is not None:
-        a_fits = layer_a(reduced, [a_dim])
-        reduced = layer_a_output(reduced, a_fits, a_dim)
-    else:
-        # a raw residual side wider than the fusion dim is reduced by its layer-a fit there
-        a_fits = layer_a({side: reduced[side] for origin, side in inputs
-                          if origin == "rcca" and reduced[side].shape[1] > f_dim}, [f_dim])
-    if config.layer_b != "none":
-        model = fitted(fit_fusion(reduced, [f_dim], config.ridge)[f_dim])
+    raw = {SIDE_TEXTUAL: textual.matrix, SIDE_VISUAL: visual.matrix}
+    inputs = [(config.fusion_dim, *pair) for pair in layer_inputs(config)]
+    built = dict(group_tables(raw, layer_a(raw, [config]), config.pca_dim, inputs, config.ridge))
     names = {SIDE_TEXTUAL: textual.name, SIDE_VISUAL: visual.name}
-    matrices, labels = [], []
-    for origin, side in inputs:
-        matrix = reduced[side]
-        if origin:
-            projected = project(model, reduced, side)
-            if origin == "cca":
-                matrix = projected
-            else:
-                matrix = residual(reduced, side, projected, a_fits, a_dim)
-        matrices.append(matrix)
-        labels.append(input_label(names, a_dim, f_dim, origin, side))
-
-    tables = [EmbeddingTable(textual.vocab, m, name=n) for m, n in zip(matrices, labels)]
+    tables = [EmbeddingTable(textual.vocab, fitted(built[table]),
+                             name=input_label(names, config.pca_dim, *table)) for table in inputs]
     return ScoringModel(*tables, alpha=config.alpha, layer_c=config.layer_c,
                         normalize=normalize_concat)
 

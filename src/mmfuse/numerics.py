@@ -195,6 +195,18 @@ def fitted(fit):
     return fit
 
 
+# the failures a sweep records against what is built on them, instead of stopping
+FAILURES = (NumericalError, DimensionError, MissingReductionError)
+
+
+def caught(compute, *args):
+    """``compute(*args)``, or the failure it raised, kept for whatever is built on it."""
+    try:
+        return compute(*args)
+    except FAILURES as exc:
+        return exc
+
+
 def _gram_svd(centred):
     """Singular values and right singular vectors of ``centred`` from its smaller Gram matrix.
 

@@ -7,23 +7,21 @@ independent of evaluation scheduling. Configurations that fail
 numerically are kept in the report, marked and ranked last, so a sweep is
 auditable end to end.
 
-One ``sweep`` serves every benchmark of a search, through the layer
-functions of ``composition`` and the scoring pieces of ``evaluation``, so
+One ``sweep`` serves every benchmark of a search, through the table
+builder of ``composition`` and the scoring pieces of ``evaluation``, so
 each decomposition runs once whatever the number of benchmarks or dims:
 
-* layer a: one ``pca_fits`` per side over every layer-a dim; on the raw
-  tables these fits are also the raw group's R-CCA reducers;
-* per layer-a dim group: its layer-a output and one ``cca_fits`` over
-  the group's fusion dims; then one pass over its (fusion dim, origin,
-  side) tables, each (fusion dim, side)'s CCA table just before its
-  R-CCA table, which reuses its projection. Each table's matrix is
-  built, its rows' squared norms and pair sums are taken, and it is
+* layer a: one ``composition.layer_a`` over the whole grid, one
+  ``pca_fits`` per side at every dim the grid's tables read: each
+  layer-a dim and, on a raw side, each R-CCA reducer's fusion dim;
+* per layer-a dim group: one ``composition.group_tables``, the builder
+  ``apply_configuration`` uses too. It makes the group's layer-a output
+  and one ``cca_fits`` over its fusion dims, then its (fusion dim,
+  origin, side) tables one at a time, each (fusion dim, side)'s CCA
+  table just before its R-CCA table, which reuses its projection. Each
+  table's rows' squared norms and pair sums are taken and its matrix is
   dropped, so a group holds its layer-a output, one projection and one
-  table at a time, and its tables only as pair sums. A PCA'd group's
-  R-CCA reducers are the leading coordinates of its layer-a output
-  (``composition.leading_coordinates``), so they need no decomposition:
-  a signal's reducer at k is its PCA at k, in the sweep and in
-  ``apply_configuration`` alike;
+  table at a time, and its tables only as pair sums;
 * over the covered pairs of every benchmark, end to end (one
   ``evaluation.covered_pairs``): the cosine kernel once per table, for
   its pair sums (dot products and gathered squared norms), and the score
@@ -64,25 +62,15 @@ from .composition import (
     concat_label,
     describe_configuration,
     enumerate_configurations,
-    fit_fusion,
     format_configuration,
+    group_tables,
     input_label,
     layer_a,
-    layer_a_output,
     layer_inputs,
     output_dimension,
-    project,
-    residual,
     unit_rows,
 )
-from .errors import (
-    AlignmentError,
-    DimensionError,
-    GridError,
-    MissingReductionError,
-    NoResultError,
-    NumericalError,
-)
+from .errors import AlignmentError, GridError, NoResultError
 from ._kernels import row_sq_norms
 from .evaluation import (
     concat_scores,
@@ -92,7 +80,7 @@ from .evaluation import (
     sum_scores,
     table_sums,
 )
-from .numerics import DEFAULT_RIDGE, SIDE_TEXTUAL, SIDE_VISUAL, fitted
+from .numerics import DEFAULT_RIDGE, FAILURES, SIDE_TEXTUAL, SIDE_VISUAL, caught, fitted
 
 STATUS_OK = "ok"
 STATUS_UNDEFINED = "undefined"
@@ -202,76 +190,26 @@ def _entry_sort_key(entry):
     )
 
 
-_FAILURES = (NumericalError, DimensionError, MissingReductionError)
-
 # score values ranked in one call: bounds a rank block's memory, whatever a group's size
 RANK_BLOCK_VALUES = 2 ** 15
-
-
-def _caught(compute, *args):
-    """``compute(*args)``, or the failure it raised, kept for whatever is built on it."""
-    try:
-        return compute(*args)
-    except _FAILURES as exc:
-        return exc
 
 
 def _sums(matrix, pairs, with_units):
     """A table's pair sums over ``pairs`` and, if ``with_units``, its ``unit_rows`` or their failure."""
     sq_norms = row_sq_norms(matrix)
-    units = _caught(unit_rows, sq_norms) if with_units else None
+    units = caught(unit_rows, sq_norms) if with_units else None
     return table_sums(matrix, sq_norms, pairs), units
-
-
-def _group_sums(raw, a_fits, a_dim, ridge, tables, pairs, blocks):
-    """Per ``(fusion dim, origin, side)`` table of one layer-a group: its pair sums and unit rows.
-
-    First the group's layer-a output (``raw`` itself when ``a_dim`` is
-    None) and its one ``fit_fusion`` over the fusion dims of ``tables``.
-    Then one table at a time, a ``(fusion dim, side)``'s CCA table just
-    before its R-CCA table: its matrix is built, its pair sums over
-    ``pairs`` are taken and, for a concatenation block of ``blocks``, its
-    ``unit_rows``, and the matrix is dropped. One projection serves both
-    tables of its ``(fusion dim, side)`` and is dropped before the next
-    is made. Returns ``({table: PairSums}, {table: unit rows})``, each
-    value or the failure computing it; a failed layer-a output, fit or
-    projection fails every table built on it.
-    """
-    reduced = raw if a_dim is None else _caught(layer_a_output, raw, a_fits, a_dim)
-    f_dims = sorted({f_dim for f_dim, origin, _ in tables if origin})
-    fits = _caught(lambda: fit_fusion(fitted(reduced), f_dims, ridge)) if f_dims else {}
-
-    def projection(f_dim, side):
-        return project(fitted(fitted(fits)[f_dim]), fitted(reduced), side)
-
-    def matrix(origin, side, projected):
-        if not origin:
-            return fitted(reduced)[side]
-        if origin == "cca":
-            return fitted(projected)
-        return residual(fitted(reduced), side, fitted(projected), a_fits, a_dim)
-
-    sums, units = {}, {}
-    # each (fusion dim, side) in a run, its CCA table before its R-CCA table
-    ordered = sorted(tables, key=lambda t: (t[0] or 0, t[2], t[1]))
-    for (f_dim, side), same in groupby(ordered, key=lambda t: (t[0], t[2])):
-        projected = _caught(projection, f_dim, side) if f_dim else None
-        for table in same:
-            try:
-                sums[table], units[table] = _sums(matrix(table[1], side, projected), pairs,
-                                                  table in blocks)
-            except _FAILURES as exc:
-                sums[table] = exc
-        del projected   # before the next (fusion dim, side) is projected
-    return sums, units
 
 
 def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
     """Per benchmark, the search entries of ``(order_index, config)`` items sharing one layer-a dim.
 
     ``pairs`` holds the covered pairs of every benchmark of ``benches``,
-    one span each. The group's tables are built one at a time and kept
-    only as their pair sums (``_group_sums``). Then, in canonical order,
+    one span each. The group's tables are built one at a time by
+    ``composition.group_tables`` and kept only as their pair sums and, for
+    a block of a normalized concatenation, their ``unit_rows``: each
+    matrix is deleted once they are taken, so the group holds one
+    projection and one table at a time. Then, in canonical order,
     each configuration's score vector is finished from the sums and
     queued; a table's own score vector is finished at its first use and
     serves every later one. A block of queued vectors, at most
@@ -284,8 +222,14 @@ def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
     # (fusion dim, origin, side) of each configuration's layer-c inputs
     inputs = {i: [(c.fusion_dim, *pair) for pair in layer_inputs(c)] for i, c in items}
     blocks = {t for i, c in items if normalize_concat and c.layer_c == "concat" for t in inputs[i]}
-    sums, units = _group_sums(raw, a_fits, a_dim, items[0][1].ridge,
-                              {t for tables in inputs.values() for t in tables}, pairs, blocks)
+    sums, units = {}, {}   # per table, its pair sums and its unit rows, or their failure
+    for table, matrix in group_tables(raw, a_fits, a_dim, {t for ts in inputs.values() for t in ts},
+                                      items[0][1].ridge):
+        try:
+            sums[table], units[table] = _sums(fitted(matrix), pairs, table in blocks)
+        except FAILURES as exc:
+            sums[table] = exc
+        del matrix   # before the next table is built
 
     def label(table):
         return input_label(names, a_dim, *table)
@@ -323,7 +267,7 @@ def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
     for slot, (order_index, config) in enumerate(items):
         try:
             queued.append((slot, vector(config, inputs[order_index])))
-        except _FAILURES as exc:
+        except FAILURES as exc:
             outcomes[slot] = [exc] * len(benches)
         if queued and (len(queued) == rows or slot == len(items) - 1):
             rank(queued)
@@ -363,10 +307,7 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
     if not configs:
         raise GridError("grid produced no configurations")
     raw = {SIDE_TEXTUAL: textual.matrix, SIDE_VISUAL: visual.matrix}
-    a_dims = {c.pca_dim for c in configs if c.pca_dim}
-    # the raw group's R-CCA reducers are layer-a fits of the raw tables
-    a_dims |= {c.fusion_dim for c in configs if not c.pca_dim and "rcca" in c.layer_b}
-    a_fits = layer_a(raw, sorted(a_dims))
+    a_fits = layer_a(raw, configs)
     pairs = covered_pairs(benches, textual)
     # canonical order keeps each layer-a dim contiguous
     groups = [list(g) for _, g in groupby(enumerate(configs), key=lambda i: i[1].pca_dim)]

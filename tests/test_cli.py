@@ -118,6 +118,28 @@ class TestSearch:
         assert capsys.readouterr() == printed1
         assert printed1.err.endswith("configurations\n")
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")   # as a console run shows them
+    def test_a_warning_is_one_line_of_its_message(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        vocab = tuple(f"w{i:02d}" for i in range(12))
+        text = rng.normal(size=(12, 4))
+        text[0] = 0.0
+        save_embeddings(EmbeddingTable(vocab, text), tmp_path / "text.vecs")
+        save_embeddings(EmbeddingTable(vocab, rng.normal(size=(12, 4))), tmp_path / "image.vecs")
+        save_benchmark(Benchmark("toy", tuple((vocab[i], vocab[j], float(i + j))
+                                              for i in range(12) for j in range(i + 1, 12, 4))),
+                       tmp_path / "toy.tsv")
+        code = main(["search", "--text-vecs", str(tmp_path / "text.vecs"),
+                     "--image-vecs", str(tmp_path / "image.vecs"),
+                     "--bench", str(tmp_path / "toy.tsv"), "--out", str(tmp_path / "out"),
+                     *self.ARGS])
+        assert code == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        # w00 is in 3 pairs, and only the raw textual table keeps its zero row
+        assert [line for line in err if not line.endswith(" configurations")] == [
+            "warning: 3 degenerate zero-norm pair scores set to 0 in 'textual' on 'toy'"]
+        assert not [line for line in err if ".py:" in line or "warnings.warn" in line]
+
     def test_motif_restriction(self, workspace):
         out = workspace / "li_only"
         code = main(["search", *common(workspace), "--out", str(out),
@@ -589,7 +611,12 @@ class TestParserSurface:
             (a.option_strings, a.dest, a.type, type(a).__name__, a.const, a.help)
             for a in self.subcommands().choices[command]._actions
         ]
-        expected = _COMMON_OPTIONS + ([] if command == "search" else [_CONFIG_OPTION])
+        # a flag the command refuses is parsed only to be rejected, so help hides it
+        hidden = [] if command == "search" else [flag for flag, _ in SWEEP_ONLY]
+        hidden += ["--bench"] if command == "apply" else []
+        expected = [(*option[:-1], argparse.SUPPRESS if option[0][0] in hidden else option[-1])
+                    for option in _COMMON_OPTIONS]
+        expected += [] if command == "search" else [_CONFIG_OPTION]
         assert options == expected
 
 

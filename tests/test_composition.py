@@ -168,6 +168,65 @@ class TestApply:
         expected = rcca_residual(textual.matrix, projected, pca=reducer)
         np.testing.assert_array_equal(model.first.matrix, expected)
 
+    @staticmethod
+    def table_oracle(textual, visual, a_dim, f_dim, origin, side, ridge):
+        """One input table of a configuration, built here from its fits and transforms."""
+        from mmfuse import cca_transform, pca_transform, rcca_residual
+
+        signal = {"textual": textual.matrix, "visual": visual.matrix}
+        if a_dim:
+            signal = {s: pca_transform(fit_pca(m, a_dim), m) for s, m in signal.items()}
+        if not origin:
+            return signal[side]
+        fit = fit_cca(signal["textual"], signal["visual"], f_dim, ridge=ridge)
+        projected = cca_transform(fit, signal[side], side)
+        own = signal[side]
+        if origin == "cca":
+            return projected
+        if own.shape[1] == f_dim:
+            return rcca_residual(own, projected)
+        if a_dim:
+            # a layer-a output's PCA at f_dim: its leading coordinates, centred
+            lead = own[:, :f_dim]
+            return rcca_residual(lead - lead.mean(axis=0), projected)
+        return rcca_residual(own, projected, pca=fit_pca(own, f_dim))
+
+    @pytest.mark.parametrize("layers, tables", [
+        ("layer_a=none layer_b=none:side=T layer_c=none", [("", "textual", "textual")]),
+        ("layer_a=none layer_b=none:side=V layer_c=none", [("", "visual", "visual")]),
+        ("layer_a=pca:3 layer_b=none:side=T layer_c=none", [("", "textual", "pca3(textual)")]),
+        ("layer_a=pca:3 layer_b=none:side=V layer_c=none", [("", "visual", "pca3(visual)")]),
+        ("layer_a=none layer_b=cca:2:out=both layer_c=concat",
+         [("cca", "textual", "cca(textual,2)"), ("cca", "visual", "cca(visual,2)")]),
+        ("layer_a=pca:3 layer_b=cca:2:out=both layer_c=li:0.5",
+         [("cca", "textual", "cca(pca3(textual),2)"), ("cca", "visual", "cca(pca3(visual),2)")]),
+        # a raw side wider than the fusion dim is reduced by its PCA there
+        ("layer_a=none layer_b=rcca:2:out=both layer_c=li:0.5",
+         [("rcca", "textual", "rcca(textual,2)"), ("rcca", "visual", "rcca(visual,2)")]),
+        # a raw side as wide as the fusion dim: plain subtraction
+        ("layer_a=none layer_b=rcca:4:out=both layer_c=concat",
+         [("rcca", "textual", "rcca(textual,4)"), ("rcca", "visual", "rcca(visual,4)")]),
+        ("layer_a=pca:3 layer_b=rcca:2:out=both layer_c=concat",
+         [("rcca", "textual", "rcca(pca3(textual),2)"),
+          ("rcca", "visual", "rcca(pca3(visual),2)")]),
+        ("layer_a=none layer_b=cca_plus_rcca:2:cca=T:rcca=V layer_c=concat",
+         [("cca", "textual", "cca(textual,2)"), ("rcca", "visual", "rcca(visual,2)")]),
+        ("layer_a=pca:3 layer_b=cca_plus_rcca:2:cca=V:rcca=T layer_c=li:0.4",
+         [("rcca", "textual", "rcca(pca3(textual),2)"), ("cca", "visual", "cca(pca3(visual),2)")]),
+    ])
+    def test_each_table_kind_matches_its_fits(self, small_tables, layers, tables):
+        """Every kind of input table, bit for bit, against fits and transforms called directly."""
+        textual, visual = small_tables
+        config = parse_configuration(layers)
+        model = apply_configuration(config, textual, visual)
+        built = [model.first] if model.second is None else [model.first, model.second]
+        assert [table.name for table in built] == [label for _, _, label in tables]
+        for table, (origin, side, _) in zip(built, tables):
+            expected = self.table_oracle(textual, visual, config.pca_dim, config.fusion_dim,
+                                         origin, side, config.ridge)
+            assert table.matrix.shape == expected.shape
+            assert table.matrix.tobytes() == expected.tobytes()
+
     def test_invalid_config_raises_with_violations(self, small_tables):
         textual, visual = small_tables
         with pytest.raises(ConfigurationError) as exc:

@@ -23,7 +23,7 @@ from mmfuse import (
     select_best,
     sweep,
 )
-from mmfuse import search
+from mmfuse import composition, search
 from mmfuse.errors import DimensionError, MissingReductionError, NumericalError
 from mmfuse.evaluation import filter_coverage
 from mmfuse.search import STATUS_FAILED, STATUS_OK, STATUS_UNDEFINED, _entry_sort_key
@@ -399,8 +399,8 @@ class TestSharedFits:
             summed.append(matrix.shape)
             return real_sums(matrix, sq_norms, covered)
 
-        real_project, real_sums = search.project, search.table_sums
-        monkeypatch.setattr(search, "project", project)
+        real_project, real_sums = composition.project, search.table_sums
+        monkeypatch.setattr(composition, "project", project)
         monkeypatch.setattr(search, "table_sums", table_sums)
         sweep(textual, visual, benches, self.GRID)
         configs = enumerate_configurations(textual.dim, visual.dim, self.GRID)
