@@ -246,8 +246,13 @@ def save_embeddings(table, path):
 
     Each row is ``word`` and its values as ``"%.6f"``, space-separated,
     formatted in one operation per row. The file is replaced atomically:
-    a failed write leaves any previous file at ``path`` intact.
+    a failed write leaves any previous file at ``path`` intact. A word
+    that is empty or holds whitespace, which ``load_embeddings`` would
+    split, raises ``WriteError`` before any file is written.
     """
+    for word in table.vocab:
+        if word.split() != [word]:
+            raise WriteError(f"cannot write {path}: word {word!r} is empty or holds whitespace")
     row_fmt = "%s " + " ".join([f"%.{SAVE_DECIMALS}f"] * table.dim) + "\n"
     try:
         with atomic_open(path) as fh:

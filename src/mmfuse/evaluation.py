@@ -15,15 +15,16 @@ model score is a ``NumericalError``. A vector norm that overflows scores
 nan, so it fails rather than scoring 0.
 
 ``evaluate`` is ``covered_pairs``, then ``model_scores`` (``table_sums``
-per table, then by the model's ``layer_c``: ``concat_scores``,
-``interpolate`` of two ``sum_scores``, or one table's ``sum_scores``),
-then ``rank_results`` of its one score vector. ``cosine`` and
+per table, then ``layer_c_scores``), then ``rank_results`` of its one
+score vector. ``layer_c_scores`` is the one rule of layer c:
+``concat_scores`` of the blocks' sums, ``interpolate`` of two tables'
+``sum_scores``, or one table's ``sum_scores``. ``cosine`` and
 ``pair_score`` score one pair through the same pieces. A sweep calls
 them too, computing each table's sums once over the covered pairs of
-every benchmark, end to end (one ``covered_pairs``), and sharing them
-between configurations; each benchmark ranks its span of every score
-vector. ``covered_pairs`` ranks the gold scores once per benchmark.
-Score vectors are ranked in blocks of rows by ``rank_results``, from
+every benchmark, end to end (one ``covered_pairs``), and choosing each
+configuration's score vector by ``layer_c_scores``; each benchmark ranks
+its span of every score vector. ``covered_pairs`` ranks the gold scores
+once per benchmark. Score vectors are ranked in blocks of rows by ``rank_results``, from
 their sort order alone: a rank correlation pairs each sorted position's
 rank with the gold rank of the pair sorted there, so no score's rank is
 put back in pair order. ``spearman`` ranks a one-row block the same way.
@@ -49,6 +50,7 @@ from .errors import (
     WordLookupError,
     WriteError,
 )
+from .numerics import fitted
 
 
 @dataclass(frozen=True)
@@ -132,14 +134,34 @@ def benchmark_name(path):
 
 
 def save_benchmark(bench, path):
-    """Dump as TSV; ``load_benchmark`` reads it back identically.
+    """Dump as TSV; ``load_benchmark`` reads back the same pairs, named by the file's stem.
 
-    The file is replaced atomically, as by ``save_embeddings``.
+    The file is replaced atomically, as by ``save_embeddings``. What
+    ``load_benchmark`` would refuse or change raises ``WriteError`` before
+    any file is written: no pairs, a word that is empty, holds a tab or a
+    line break or starts or ends in whitespace, a first word that starts
+    with a byte-order mark, a non-finite gold score, and an unordered
+    duplicate pair.
     """
+    if not bench.pairs:
+        raise WriteError(f"cannot write {path}: benchmark {bench.name!r} has no pairs")
+    lines, seen = [], set()
+    for w1, w2, gold in bench.pairs:
+        for word in (w1, w2):
+            if word != word.strip() or "\t" in word or word.splitlines() != [word]:
+                raise WriteError(f"cannot write {path}: word {word!r} would not read back")
+        if not math.isfinite(gold):
+            raise WriteError(f"cannot write {path}: pair {w1!r}/{w2!r} has score {gold!r}")
+        key = (w1, w2) if w1 <= w2 else (w2, w1)
+        if key in seen:
+            raise WriteError(f"cannot write {path}: duplicate pair {w1!r}/{w2!r} (unordered)")
+        seen.add(key)
+        lines.append(f"{w1}\t{w2}\t{float(gold)!r}\n")
+    if lines[0].startswith("\ufeff"):   # read as a byte-order mark, and dropped
+        raise WriteError(f"cannot write {path}: word {bench.pairs[0][0]!r} would not read back")
     try:
         with atomic_open(path) as fh:
-            for w1, w2, gold in bench.pairs:
-                fh.write(f"{w1}\t{w2}\t{gold!r}\n")
+            fh.write("".join(lines))
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc}") from exc
 
@@ -361,16 +383,34 @@ def rank_results(vectors, span, bench):
     ]
 
 
+def layer_c_scores(layer_c, alpha, tables, sums, units, scores, covered, label):
+    """The scores of the covered pairs under layer-c motif ``layer_c`` over ``tables``.
+
+    ``sums`` maps each table to its pair sums and ``units`` each block of a
+    normalized concatenation to its ``unit_rows``; ``units`` is None when
+    concatenations are not normalized, and a stored failure in either is
+    raised here. ``concat`` scores its blocks by ``concat_scores``, ``li``
+    is ``interpolate`` of the two tables' score vectors, and ``none`` is
+    its one table's. A table's score vector is finished at its first use
+    and kept in ``scores``; ``label(table)`` names the table in warnings.
+    """
+    if layer_c == "concat":
+        blocks = [fitted(sums[t]) for t in tables]
+        block_units = None if units is None else [fitted(units[t]) for t in tables]
+        return concat_scores(blocks, block_units, covered, concat_label([label(t) for t in tables]))
+    for t in tables:
+        if t not in scores:
+            scores[t] = sum_scores(fitted(sums[t]), covered, label(t))
+    vectors = [scores[t] for t in tables]
+    return interpolate(alpha, *vectors) if layer_c == "li" else vectors[0]
+
+
 def model_scores(model, covered):
-    """Scores of the covered pairs under ``model``, from the pieces a sweep runs."""
+    """Scores of the covered pairs under ``model``: its tables' sums, then ``layer_c_scores``."""
     tables = [t for t in (model.first, model.second) if t is not None]
     sums = [table_sums(t.matrix, t.sq_norms, covered) for t in tables]
-    if model.layer_c == "concat":
-        return concat_scores(sums, model.units, covered, concat_label([t.name for t in tables]))
-    scores = [sum_scores(s, covered, t.name) for s, t in zip(sums, tables)]
-    if model.layer_c == "li":
-        return interpolate(model.alpha, *scores)
-    return scores[0]
+    return layer_c_scores(model.layer_c, model.alpha, range(len(tables)), sums, model.units, {},
+                          covered, [t.name for t in tables].__getitem__)
 
 
 def evaluate(model, bench):

@@ -26,10 +26,10 @@ each decomposition runs once whatever the number of benchmarks or dims:
   ``evaluation.covered_pairs``): the cosine kernel once per table, for
   its pair sums (dot products and gathered squared norms), and the score
   vector finished from them at the table's first use in canonical
-  order; each configuration's vector is chosen by its ``layer_c``, as
-  ``evaluation.model_scores`` chooses a model's: LI built on score
-  vectors and a concatenation on the sums of its blocks' sums, by the
-  same ``concat_scores`` that ``evaluate`` uses. Each pair's arithmetic
+  order; each configuration's vector is chosen by the
+  ``evaluation.layer_c_scores`` that ``evaluate`` scores a model with:
+  LI built on score vectors and a concatenation on the sums of its
+  blocks' sums. Each pair's arithmetic
   is that of a pass over its own benchmark, so the scores are bit for
   bit the same, and degenerate pairs are still warned about per table
   and benchmark;
@@ -59,7 +59,6 @@ import numpy as np
 
 from .composition import (
     MOTIFS,
-    concat_label,
     describe_configuration,
     enumerate_configurations,
     format_configuration,
@@ -72,14 +71,7 @@ from .composition import (
 )
 from .errors import AlignmentError, GridError, NoResultError
 from ._kernels import row_sq_norms
-from .evaluation import (
-    concat_scores,
-    covered_pairs,
-    interpolate,
-    rank_results,
-    sum_scores,
-    table_sums,
-)
+from .evaluation import covered_pairs, layer_c_scores, rank_results, table_sums
 from .numerics import DEFAULT_RIDGE, FAILURES, SIDE_TEXTUAL, SIDE_VISUAL, caught, fitted
 
 STATUS_OK = "ok"
@@ -87,6 +79,8 @@ STATUS_UNDEFINED = "undefined"
 STATUS_FAILED = "failed"
 
 _STATUS_RANK = {STATUS_OK: 0, STATUS_UNDEFINED: 1, STATUS_FAILED: 2}
+
+ALPHA_DECIMALS = 12   # alphas are rounded to this many decimals
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,8 @@ class GridSpec:
     Dimensions run from ``dim_min`` in steps of ``dim_step`` up to the
     smallest relevant input dimensionality; alphas run over the multiples
     of ``alpha_step`` from 0 up to 1, which is included only when the step
-    divides it (0.3 gives 0, 0.3, 0.6 and 0.9). ``motif_filter`` restricts
+    divides it (0.3 gives 0, 0.3, 0.6 and 0.9); a step below 1e-12, to
+    which alphas are rounded, is refused. ``motif_filter`` restricts
     the sweep to configurations built only from the named motifs (subset
     of ``{"pca", "cca", "rcca", "concat", "li"}``; another name raises
     GridError), which is how the single-motif baseline sweeps are
@@ -121,6 +116,9 @@ class GridSpec:
                 raise GridError(f"{name} must be >= 1, got {value}")
         if not 0.0 < self.alpha_step <= 1.0:
             raise GridError(f"alpha_step must be in (0, 1], got {self.alpha_step}")
+        if self.alpha_step < 10.0 ** -ALPHA_DECIMALS:   # every alpha would round to 0
+            raise GridError(f"alpha_step must be at least 1e-{ALPHA_DECIMALS}, the resolution "
+                            f"alphas are rounded to, got {self.alpha_step}")
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise GridError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.motif_filter is not None:
@@ -137,7 +135,7 @@ class GridSpec:
         out = []
         i = 0
         while True:
-            a = round(i * self.alpha_step, 12)
+            a = round(i * self.alpha_step, ALPHA_DECIMALS)
             if a > 1.0:
                 break
             out.append(a)
@@ -210,11 +208,11 @@ def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
     a block of a normalized concatenation, their ``unit_rows``: each
     matrix is deleted once they are taken, so the group holds one
     projection and one table at a time. Then, in canonical order,
-    each configuration's score vector is finished from the sums and
-    queued; a table's own score vector is finished at its first use and
-    serves every later one. A block of queued vectors, at most
-    ``RANK_BLOCK_VALUES`` values (one vector, if it alone is longer), is
-    ranked on each benchmark's span of its columns. A failure computing a
+    each configuration's score vector is finished from the sums by
+    ``evaluation.layer_c_scores`` and queued; a table's own score vector
+    is finished at its first use and serves every later one. A block of
+    queued vectors, at most ``RANK_BLOCK_VALUES`` values (one vector, if
+    it alone is longer), is ranked on each benchmark's span of its columns. A failure computing a
     vector fails it on every benchmark. ``names`` names the two sides in
     degenerate-pair warnings.
     """
@@ -235,22 +233,7 @@ def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
         return input_label(names, a_dim, *table)
 
     scores = {}   # table -> its score vector, finished at its first use
-
-    def table_scores(table):
-        if table not in scores:
-            scores[table] = sum_scores(fitted(sums[table]), pairs, label(table))
-        return scores[table]
-
-    def vector(config, tables):
-        """The configuration's score vector over every benchmark's pairs."""
-        if config.layer_c == "concat":
-            block_sums = [fitted(sums[t]) for t in tables]
-            block_units = [fitted(units[t]) for t in tables] if normalize_concat else None
-            return concat_scores(block_sums, block_units, pairs,
-                                 concat_label([label(t) for t in tables]))
-        if config.layer_c == "li":
-            return interpolate(config.alpha, *(table_scores(t) for t in tables))
-        return table_scores(tables[0])
+    units = units if normalize_concat else None   # None: concatenations are not normalized
 
     outcomes = [None] * len(items)   # per configuration, its outcome on each benchmark
 
@@ -266,7 +249,8 @@ def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
     queued = []
     for slot, (order_index, config) in enumerate(items):
         try:
-            queued.append((slot, vector(config, inputs[order_index])))
+            queued.append((slot, layer_c_scores(config.layer_c, config.alpha, inputs[order_index],
+                                                sums, units, scores, pairs, label)))
         except FAILURES as exc:
             outcomes[slot] = [exc] * len(benches)
         if queued and (len(queued) == rows or slot == len(items) - 1):

@@ -464,6 +464,8 @@ class TestManifest:
         ("--dim-step", "0", "dim_step must be >= 1, got 0"),
         ("--dim-min", "0", "dim_min must be >= 1, got 0"),
         ("--alpha-step", "1.5", "alpha_step must be in (0, 1], got 1.5"),
+        ("--alpha-step", "1e-300",
+         "alpha_step must be at least 1e-12, the resolution alphas are rounded to, got 1e-300"),
     ])
     def test_rejected_grid_creates_no_out(self, workspace, capsys, flag, value, message):
         out = workspace / "new" / "out"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,24 @@ class TestSaveRoundTrip:
             save_embeddings(EmbeddingTable(("a", "\ud800"), np.ones((2, 2))), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.vecs"]
+
+    @pytest.mark.parametrize("word", ["a b", "", "a\tb", "a\nb", " a", "a\x1cb", "a\u2028b"])
+    def test_a_word_the_loader_would_split_is_not_written(self, tmp_path, word):
+        # written as it stands, the row does not load back as it was
+        naive = tmp_path / "naive.vecs"
+        naive.write_text(f"2 2\nc 1.0 0.0\n{word} 0.0 1.0\n", encoding="utf-8")
+        try:
+            assert load_embeddings(naive).vocab != ("c", word)
+        except ParseError:
+            pass
+        path = tmp_path / "out.vecs"
+        save_embeddings(EmbeddingTable(("a", "b"), np.eye(2)), path)
+        before = path.read_bytes()
+        with pytest.raises(WriteError, match=re.escape(
+                f"cannot write {path}: word {word!r} is empty or holds whitespace")):
+            save_embeddings(EmbeddingTable(("c", word), np.eye(2)), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["naive.vecs", "out.vecs"]
 
     def test_unwritable_path(self, tmp_path):
         table = EmbeddingTable(("a",), np.ones((1, 2)))

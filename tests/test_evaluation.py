@@ -14,6 +14,7 @@ from mmfuse import (
     ScoringModel,
     UndefinedCorrelationError,
     WordLookupError,
+    WriteError,
     cosine,
     evaluate,
     filter_coverage,
@@ -22,7 +23,16 @@ from mmfuse import (
     save_benchmark,
     spearman,
 )
-from mmfuse.evaluation import covered_pairs, rank_results
+from mmfuse._kernels import row_sq_norms
+from mmfuse.composition import unit_rows
+from mmfuse.evaluation import (
+    CoveredPairs,
+    Span,
+    covered_pairs,
+    layer_c_scores,
+    rank_results,
+    table_sums,
+)
 
 # Frozen from the pre-build rank-enumeration oracle:
 # ranks [1, 2.5, 2.5, 4] vs [1, 3, 2, 4]  ->  Pearson 3/sqrt(10)
@@ -124,12 +134,51 @@ class TestLoadBenchmark:
         path = tmp_path / "dump.tsv"
         save_benchmark(Benchmark("two", (("a", "b", 1.0), ("b", "c", 2.0))), path)
         before = path.read_bytes()
-        # a lone surrogate cannot be encoded: the write fails at the second pair
+        # a lone surrogate cannot be encoded: the write fails
         bad = Benchmark("bad", (("a", "b", 1.0), ("b", "\ud800", 2.0)))
         with pytest.raises(UnicodeEncodeError):
             save_benchmark(bad, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["dump.tsv"]
+
+    def test_well_formed_odd_words_and_scores_round_trip(self, tmp_path):
+        pairs = (("a,b", "\u00e9t\u00e9", 1.5), ("x\x1fy", "b\ufeffc", 3),
+                 ("a,b", "z", np.float64(-2.25)))
+        path = tmp_path / "odd.tsv"
+        save_benchmark(Benchmark("odd", pairs), path)
+        loaded = load_benchmark(path)
+        assert loaded == Benchmark("odd", pairs)
+        assert [type(gold) for _, _, gold in loaded.pairs] == [float] * 3
+
+    @pytest.mark.parametrize("pairs, message", [
+        ((), "benchmark 'bad' has no pairs"),
+        ((("a", "b", 1.0), (" a", "c", 2.0)), "word ' a' would not read back"),
+        ((("a", "b ", 1.0),), "word 'b ' would not read back"),
+        ((("a\tb", "c", 1.0),), "word 'a\\tb' would not read back"),
+        ((("a", "b\nc", 1.0),), "word 'b\\nc' would not read back"),
+        ((("a", "b\x1cc", 1.0),), "word 'b\\x1cc' would not read back"),
+        ((("", "b", 1.0),), "word '' would not read back"),
+        ((("\ufeffa", "b", 1.0),), "word '\\ufeffa' would not read back"),
+        ((("a", "b", float("nan")),), "pair 'a'/'b' has score nan"),
+        ((("a", "b", 1.0), ("b", "c", float("-inf"))), "pair 'b'/'c' has score -inf"),
+        ((("a", "b", 1.0), ("b", "a", 2.0)), "duplicate pair 'b'/'a' (unordered)"),
+    ])
+    def test_what_the_loader_refuses_or_changes_is_not_written(self, tmp_path, pairs, message):
+        # written line by line as they stand, the pairs do not load back as they are
+        naive = tmp_path / "naive.tsv"
+        naive.write_text("".join(f"{w1}\t{w2}\t{gold!r}\n" for w1, w2, gold in pairs),
+                         encoding="utf-8")
+        try:
+            assert load_benchmark(naive).pairs != pairs
+        except (ParseError, DuplicateEntryError, EmptyInputError):
+            pass
+        path = tmp_path / "dump.tsv"
+        save_benchmark(Benchmark("two", (("a", "b", 1.0), ("b", "c", 2.0))), path)
+        before = path.read_bytes()
+        with pytest.raises(WriteError, match=re.escape(f"cannot write {path}: {message}")):
+            save_benchmark(Benchmark("bad", pairs), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.tsv", "naive.tsv"]
 
 
 class TestFilterCoverage:
@@ -510,3 +559,92 @@ class TestRankResults:
         block = self.assert_rowwise(vectors, span, bench)
         assert [r.rho for r in block] == [None, None]
         assert block[0].n_evaluated == n_covered and block[0].n_total == len(bench.pairs)
+
+
+class TestLayerCScores:
+    """``layer_c_scores`` against plain numpy, apart from ``evaluate`` and the sweep."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        """Two 20-row tables, the first with a zero row, and 40 pairs over them."""
+        rng = np.random.default_rng(21)
+        matrices = {"first": rng.normal(size=(20, 5)), "second": rng.normal(size=(20, 3))}
+        matrices["first"][4] = 0.0
+        idx = rng.integers(0, 20, (40, 2))
+        idx[0] = (4, 7)
+        pairs = CoveredPairs(idx[:, 0], idx[:, 1], (Span(0, 40, None, None),))
+        return matrices, pairs
+
+    @staticmethod
+    def scores(tables, layer_c, alpha=None, normalize=False, cache=None):
+        matrices, pairs = tables
+        sq = {name: row_sq_norms(m) for name, m in matrices.items()}
+        sums = {name: table_sums(m, sq[name], pairs) for name, m in matrices.items()}
+        units = {name: unit_rows(sq[name]) for name in matrices} if normalize else None
+        inputs = ["first"] if layer_c == "none" else ["first", "second"]
+        return layer_c_scores(layer_c, alpha, inputs, sums, units,
+                              {} if cache is None else cache, pairs, str)
+
+    @staticmethod
+    def plain_cosines(matrix, pairs):
+        u, v = matrix[pairs.idx1], matrix[pairs.idx2]
+        norms = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        dots = np.einsum("ij,ij->i", u, v)
+        return np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)
+
+    def test_none_is_the_tables_cosines(self, tables):
+        matrices, pairs = tables
+        zero = np.count_nonzero((pairs.idx1 == 4) | (pairs.idx2 == 4))
+        with pytest.warns(RuntimeWarning, match=f"^{zero} degenerate zero-norm pair scores set "
+                                                "to 0 in 'first'$"):
+            scores = self.scores(tables, "none")
+        np.testing.assert_allclose(scores, self.plain_cosines(matrices["first"], pairs),
+                                   rtol=1e-13, atol=1e-15)
+        assert scores[0] == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_li_interpolates_the_two_tables_scores(self, tables, alpha):
+        matrices, pairs = tables
+        cache = {}
+        with pytest.warns(RuntimeWarning, match="in 'first'$"):
+            li = self.scores(tables, "li", alpha, cache=cache)
+        first, second = cache["first"], cache["second"]
+        np.testing.assert_allclose(second, self.plain_cosines(matrices["second"], pairs),
+                                   rtol=1e-13, atol=1e-15)
+        assert li.tobytes() == (alpha * first + (1.0 - alpha) * second).tobytes()
+        # a cached vector serves a later use as it is, without a second warning
+        assert self.scores(tables, "none", cache=cache) is first
+
+    def test_concat_is_the_cosine_of_the_stacked_rows(self, tables):
+        matrices, pairs = tables
+        stacked = np.hstack([matrices["first"], matrices["second"]])
+        np.testing.assert_allclose(self.scores(tables, "concat"),
+                                   self.plain_cosines(stacked, pairs), rtol=1e-13, atol=1e-15)
+
+    def test_normalized_concat_is_the_mean_of_the_block_cosines(self, tables):
+        matrices, pairs = tables
+        first, second = (self.plain_cosines(m, pairs) for m in matrices.values())
+        scores = self.scores(tables, "concat", normalize=True)
+        live = (pairs.idx1 != 4) & (pairs.idx2 != 4)
+        assert 0 < np.count_nonzero(live) < 40
+        np.testing.assert_allclose(scores[live], ((first + second) / 2)[live],
+                                   rtol=1e-13, atol=1e-15)
+        # a zero row is left as it is: its pairs score the other block's cosine over sqrt(2)
+        np.testing.assert_allclose(scores[~live], second[~live] / np.sqrt(2),
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_a_stored_failure_is_raised_in_order(self, tables):
+        _, pairs = tables
+        failed = {name: NumericalError(name) for name in ("a", "b", "units of a")}
+        sums = {"a": failed["a"], "b": failed["b"]}
+
+        def raised(layer_c, sums, units=None, inputs=("a", "b")):
+            with pytest.raises(NumericalError) as exc:
+                layer_c_scores(layer_c, 0.5, inputs, sums, units, {}, pairs, str)
+            return str(exc.value)
+
+        assert raised("li", sums) == raised("concat", sums) == "a"
+        assert raised("none", sums, inputs=("b",)) == "b"
+        # a concatenation checks every block's sums before any block's units
+        sums["a"] = table_sums(np.eye(20), np.ones(20), pairs)
+        assert raised("concat", sums, {"a": failed["units of a"], "b": None}) == "b"

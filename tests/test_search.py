@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import accumulate, groupby
 
@@ -25,7 +26,7 @@ from mmfuse import (
 )
 from mmfuse import composition, search
 from mmfuse.errors import DimensionError, MissingReductionError, NumericalError
-from mmfuse.evaluation import filter_coverage
+from mmfuse.evaluation import covered_pairs, filter_coverage, model_scores
 from mmfuse.search import STATUS_FAILED, STATUS_OK, STATUS_UNDEFINED, _entry_sort_key
 
 TOY_GRID = GridSpec(dim_step=2, dim_min=2, alpha_step=0.1, ridge=1e-3)
@@ -123,6 +124,27 @@ class TestGridSpec:
         with pytest.raises(GridError, match=f"{field} must be an integer, got "):
             GridSpec(**{field: value})
 
+    @pytest.mark.parametrize("step", [1e-300, 5e-13, 9.9e-13])
+    def test_a_step_below_the_alpha_resolution_is_refused(self, step):
+        # each alpha would round to 0, and the list of alphas would never end
+        message = ("alpha_step must be at least 1e-12, the resolution alphas are rounded to, "
+                   f"got {step}")
+        with pytest.raises(GridError, match=re.escape(message)):
+            GridSpec(alpha_step=step)
+
+    @pytest.mark.parametrize("step, alphas", [
+        (1.0, [0.0, 1.0]),
+        (0.5, [0.0, 0.5, 1.0]),
+        (0.3, [0.0, 0.3, 0.6, 0.9]),
+        (0.25, [0.0, 0.25, 0.5, 0.75, 1.0]),
+        (0.1, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+        (1 / 3, [0.0, 0.333333333333, 0.666666666667, 1.0]),
+        (0.05, [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
+                0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]),
+    ])
+    def test_alphas_of_accepted_steps(self, step, alphas):
+        assert GridSpec(alpha_step=step).alphas() == alphas
+
     def test_numpy_integer_dims_are_accepted(self):
         grid = GridSpec(dim_step=np.int64(2), dim_min=np.int32(1))
         assert grid.dims_up_to(6) == [1, 3, 5]
@@ -152,6 +174,38 @@ class TestPlantedSweep:
         for workers in (1, 3):
             report, = sweep(textual, visual, [bench], TOY_GRID, workers=workers)
             assert_matches_oracle(report, oracle)
+
+    @pytest.mark.parametrize("normalize_concat", [False, True])
+    def test_each_score_vector_is_its_applied_models(self, planted, monkeypatch,
+                                                     normalize_concat):
+        """Bit for bit, the sweep ranks the vector ``model_scores`` gives each configuration.
+
+        The exhaustive oracle compares rho only, through the layer-c rule
+        the sweep shares; this compares every ranked score vector.
+        """
+        textual, visual, bench = planted
+        blocks = []
+        rank_results = search.rank_results
+
+        def capture(vectors, span, bench):
+            blocks.append(vectors.copy())
+            return rank_results(vectors, span, bench)
+
+        monkeypatch.setattr(search, "rank_results", capture)
+        sweep(textual, visual, [bench], TOY_GRID, normalize_concat=normalize_concat)
+        ranked = iter(np.concatenate(blocks))
+        covered = covered_pairs([bench], textual)
+        layer_c = Counter()
+        for config in enumerate_configurations(textual.dim, visual.dim, TOY_GRID):
+            try:
+                model = apply_configuration(config, textual, visual, normalize_concat)
+                expected = model_scores(model, covered)
+            except (NumericalError, DimensionError, MissingReductionError):
+                continue
+            assert next(ranked).tobytes() == expected.tobytes(), config
+            layer_c[config.layer_c] += 1
+        assert next(ranked, None) is None
+        assert min(layer_c[c] for c in ("none", "concat", "li")) > 0
 
     def test_best_dominates_every_entry(self, planted):
         textual, visual, bench = planted
