@@ -25,7 +25,9 @@ decomposition; ``apply_configuration`` passes it one configuration, the
 sweep its whole grid. R-CCA reduces a signal wider than its projection
 by the signal's PCA at the projection's dim: for a raw table, its
 layer-a fit at that dim; for a layer-a output, its leading coordinates,
-which need no decomposition (``leading_coordinates``). A
+which need no decomposition (``leading_coordinates``). Its CCA needs
+none to whiten either: its columns are uncorrelated principal scores,
+whitened by the layer-a fit's variances (``fit_fusion``). A
 ``ScoringModel`` names its layer-c motif beside its one or two tables,
 as a ``Configuration`` does: a concatenation keeps its two blocks, so it
 is scored from their sums, by ``evaluate`` and the sweep alike, and
@@ -275,9 +277,17 @@ def layer_a_output(matrices, fits, a_dim):
     return {side: pca_transform(fitted(fits[side][a_dim]), m) for side, m in matrices.items()}
 
 
-def fit_fusion(reduced, dims, ridge):
-    """Layer-b CCA fits between the two layer-a outputs: ``{dim: CcaModel or error}``."""
-    return cca_fits(reduced[SIDE_TEXTUAL], reduced[SIDE_VISUAL], dims, ridge=ridge)
+def fit_fusion(reduced, dims, ridge, fits, a_dim):
+    """Layer-b CCA fits between the two layer-a outputs at ``a_dim``: ``{dim: CcaModel or error}``.
+
+    A layer-a output's columns are uncorrelated principal scores, so each
+    side is whitened by its layer-a fit's variances, with no ``eigh``;
+    raw tables (``a_dim`` None) by the ``eigh`` of their covariances.
+    """
+    variances = None if a_dim is None else tuple(
+        fitted(fits[side][a_dim]).explained_variance for side in (SIDE_TEXTUAL, SIDE_VISUAL))
+    return cca_fits(reduced[SIDE_TEXTUAL], reduced[SIDE_VISUAL], dims, ridge=ridge,
+                    variances=variances)
 
 
 def layer_inputs(config):
@@ -374,7 +384,9 @@ def group_tables(raw, a_fits, a_dim, tables, ridge):
     """
     reduced = raw if a_dim is None else caught(layer_a_output, raw, a_fits, a_dim)
     f_dims = sorted({f_dim for f_dim, origin, _ in tables if origin})
-    fits = caught(lambda: fit_fusion(fitted(reduced), f_dims, ridge)) if f_dims else {}
+    fits = {}
+    if f_dims:
+        fits = caught(lambda: fit_fusion(fitted(reduced), f_dims, ridge, a_fits, a_dim))
 
     def projection(f_dim, side):
         return project(fitted(fitted(fits)[f_dim]), fitted(reduced), side)

@@ -117,6 +117,15 @@ def atomic_open(path):
         tmp.unlink(missing_ok=True)
 
 
+def require_utf8(word, path):
+    """Raise ``WriteError`` for ``path`` if UTF-8 cannot encode ``word`` (a lone surrogate)."""
+    try:
+        word.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise WriteError(f"cannot write {path}: word {word!r} cannot be encoded as UTF-8 "
+                         f"({exc.reason})") from None
+
+
 def load_embeddings(path, name=""):
     """Parse a text embedding file into a validated :class:`EmbeddingTable`.
 
@@ -248,11 +257,13 @@ def save_embeddings(table, path):
     formatted in one operation per row. The file is replaced atomically:
     a failed write leaves any previous file at ``path`` intact. A word
     that is empty or holds whitespace, which ``load_embeddings`` would
-    split, raises ``WriteError`` before any file is written.
+    split, or that UTF-8 cannot encode, raises ``WriteError`` before any
+    file is written.
     """
     for word in table.vocab:
         if word.split() != [word]:
             raise WriteError(f"cannot write {path}: word {word!r} is empty or holds whitespace")
+        require_utf8(word, path)
     row_fmt = "%s " + " ".join([f"%.{SAVE_DECIMALS}f"] * table.dim) + "\n"
     try:
         with atomic_open(path) as fh:

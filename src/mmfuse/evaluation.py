@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .composition import concat_label
-from .embeddings import atomic_open, read_utf8
+from .embeddings import atomic_open, read_utf8, require_utf8
 from .errors import (
     DimensionError,
     DuplicateEntryError,
@@ -139,9 +139,9 @@ def save_benchmark(bench, path):
     The file is replaced atomically, as by ``save_embeddings``. What
     ``load_benchmark`` would refuse or change raises ``WriteError`` before
     any file is written: no pairs, a word that is empty, holds a tab or a
-    line break or starts or ends in whitespace, a first word that starts
-    with a byte-order mark, a non-finite gold score, and an unordered
-    duplicate pair.
+    line break or starts or ends in whitespace, a word that UTF-8 cannot
+    encode, a first word that starts with a byte-order mark, a non-finite
+    gold score, and an unordered duplicate pair.
     """
     if not bench.pairs:
         raise WriteError(f"cannot write {path}: benchmark {bench.name!r} has no pairs")
@@ -150,6 +150,7 @@ def save_benchmark(bench, path):
         for word in (w1, w2):
             if word != word.strip() or "\t" in word or word.splitlines() != [word]:
                 raise WriteError(f"cannot write {path}: word {word!r} would not read back")
+            require_utf8(word, path)
         if not math.isfinite(gold):
             raise WriteError(f"cannot write {path}: pair {w1!r}/{w2!r} has score {gold!r}")
         key = (w1, w2) if w1 <= w2 else (w2, w1)

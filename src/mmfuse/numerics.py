@@ -5,7 +5,14 @@ loading on the diagonal) and takes the SVD of the whitened cross
 covariance. This stays stable when one modality has far more dimensions
 than samples, where plain covariance inversion is ill-posed; the ridge
 default below exists for exactly that case and can be set to 0 on
-full-rank inputs.
+full-rank inputs. Inputs whose columns are uncorrelated with known
+variances, as a PCA's principal scores are with its
+``explained_variance``, are whitened elementwise by
+``1 / sqrt(var + ridge)`` (``cca_fits(..., variances=...)``): no
+covariance of a side with itself is formed and no ``eigh`` runs. That is
+the same whitening in exact arithmetic and differs from the ``eigh`` one
+by rounding. Either way a side whose ridged eigenvalues, or ``var +
+ridge``, have ``min <= d · eps · max`` is singular.
 
 All fits are deterministic: no randomized initialization, and component
 signs are pinned (largest-magnitude entry positive; the CCA pair is
@@ -207,27 +214,35 @@ def caught(compute, *args):
         return exc
 
 
-def _gram_svd(centred):
-    """Singular values and right singular vectors of ``centred`` from its smaller Gram matrix.
+def _gram_svd(X, mean):
+    """Singular values and right singular vectors of ``X - mean`` from its smaller Gram matrix.
 
     Returns the leading ``min(n - 1, d)`` of each, or None where the Gram
-    route does not apply (see ``pca_fits``). ``centred`` is scaled in
-    place, so no second n x d copy is held.
+    route does not apply (see ``pca_fits``). The centred input is scaled
+    in place and dropped once no longer read: after the Gram on the
+    ``Cᵀ C`` route, so no n x d copy is held during the ``eigh``. The Gram
+    is dropped after its ``eigh``.
     """
-    n, d = centred.shape
+    n, d = X.shape
     k = min(n - 1, d)
-    _check_finite(centred, "centered PCA input")
+    centred = _check_finite(X - mean, "centered PCA input")
     # a power of two scales exactly (bar values that fall to subnormals):
     # max |scaled| lies in [0.5, 1), so the Gram can neither overflow nor
     # flush to zero
-    _, e = math.frexp(float(np.max(np.abs(centred))))
+    _, e = math.frexp(float(max(centred.max(), -centred.min())))
     scaled = np.ldexp(centred, -e, out=centred)
+    del centred
     wide = n < d
-    gram = scaled @ scaled.T if wide else scaled.T @ scaled
+    if wide:
+        gram = scaled @ scaled.T
+    else:
+        gram = scaled.T @ scaled
+        del scaled
     try:
         lam, vecs = _decompose(np.linalg.eigh, gram, "PCA Gram matrix")
     except NumericalError:
         return None
+    del gram
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(vecs))):
         return None
     lam, vecs = lam[::-1][:k], vecs[:, ::-1][:, :k]
@@ -235,7 +250,11 @@ def _gram_svd(centred):
     if not lam[-1] > GRAM_BOUND * lam[0]:
         return None
     s = np.sqrt(lam)
-    vt = (vecs.T @ scaled) / s[:, None] if wide else np.ascontiguousarray(vecs.T)
+    if wide:
+        vt = vecs.T @ scaled
+        vt /= s[:, None]
+    else:
+        vt = np.ascontiguousarray(vecs.T)
     with np.errstate(over="ignore"):  # an overflowing variance is rejected by the caller
         return np.ldexp(s, e), vt
 
@@ -298,15 +317,14 @@ def pca_fits(X, ks):
 
     def decompose():
         mean = X.mean(axis=0)
-        centred = X - mean
         if n >= 2 * d:
             # the SVD of R gives what the SVD of QR = centred gives, without Q or an n x d U
-            centred = np.linalg.qr(centred, mode="r")
-        elif min(n, d) >= GRAM_MIN_SIDE:
-            gram = _gram_svd(centred)
+            centred = np.linalg.qr(X - mean, mode="r")
+        else:
+            gram = _gram_svd(X, mean) if min(n, d) >= GRAM_MIN_SIDE else None
             if gram is not None:
                 return (mean, *gram)
-            centred = X - mean  # _gram_svd scaled it
+            centred = X - mean
         _, s, vt = _decompose(np.linalg.svd, centred, "centered PCA input",
                               full_matrices=False)
         return mean, s, vt
@@ -332,18 +350,40 @@ def pca_transform(model, X):
     return (X - model.mean) @ model.components
 
 
-def _inv_sqrt_psd(C, ridge, what):
-    d = C.shape[0]
-    evals, evecs = _decompose(np.linalg.eigh, C + ridge * np.eye(d), f"{what} covariance")
+def _whitening(centred, variances, ridge, what):
+    """The inverse square root of a side's ridged covariance, as a matrix or its diagonal.
+
+    ``(C + ridge I)^(-1/2)`` from the ``eigh`` of the side's covariance C,
+    or, where its column ``variances`` are given (uncorrelated columns),
+    the vector ``1 / sqrt(variances + ridge)``. Singular, a
+    ``NumericalError``, where the ridged eigenvalues (or ``variances +
+    ridge``) have ``min <= d · eps · max``.
+    """
+    n, d = centred.shape
+    if variances is None:
+        # an overflowing covariance is rejected by the finite check of _decompose
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = centred.T @ centred / (n - 1)
+        evals, evecs = _decompose(np.linalg.eigh, cov + ridge * np.eye(d), f"{what} covariance")
+    else:
+        evals = _check_finite(np.asarray(variances, dtype=np.float64) + ridge,
+                              f"{what} covariance")
     tol = d * np.finfo(np.float64).eps * max(float(evals.max()), 0.0)
     if evals.min() <= tol:
         raise NumericalError(
             f"{what} covariance is singular; refit with a positive ridge"
         )
-    return (evecs / np.sqrt(evals)) @ evecs.T
+    if variances is None:
+        return (evecs / np.sqrt(evals)) @ evecs.T
+    return 1.0 / np.sqrt(evals)
 
 
-def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
+def _whiten(isqrt, m):
+    """``isqrt @ m``, for a whitening matrix or the diagonal of one."""
+    return isqrt @ m if isqrt.ndim == 2 else isqrt[:, None] * m
+
+
+def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE, variances=None):
     """Regularized CCA of co-indexed ``X`` (n x d1) and ``Y`` (n x d2) for every k in ``ks``.
 
     One whitened decomposition serves every k: the leading k canonical
@@ -355,6 +395,16 @@ def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
     ``cca_fits(X, Y, ks, ridge)[k]`` is bitwise ``cca_fits(X, Y, [k], ridge)[k]``;
     a negative or non-finite ridge raises ``ValueError``, whatever ``ks``
     and the inputs are.
+
+    Each side is whitened by ``(C + ridge I)^(-1/2)``, from the ``eigh`` of
+    its covariance C. ``variances=(var_x, var_y)`` declares each side's
+    columns uncorrelated with those variances, as a PCA's principal scores
+    are with its ``explained_variance``: each side is then whitened
+    elementwise by ``1 / sqrt(var + ridge)``, and no C is formed or
+    decomposed. Either way a side whose ridged eigenvalues (or ``var +
+    ridge``) have ``min <= d · eps · max`` is singular, a
+    ``NumericalError``; variances whose lengths are not d1 and d2 raise
+    ``ValueError``.
     """
     if not (math.isfinite(ridge) and ridge >= 0):
         raise ValueError("ridge must be finite and >= 0")
@@ -371,6 +421,8 @@ def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
             raise DimensionError("CCA needs at least 3 rows")
     except _FIT_ERRORS as exc:
         return dict.fromkeys(ks, exc)
+    if variances is not None and [np.size(v) for v in variances] != [d1, d2]:
+        raise ValueError(f"variances must have lengths d1={d1} and d2={d2}")
     fits = {k: None if 1 <= k <= min(d1, d2, n - 1) else DimensionError(
         f"CCA dimension k={k} outside [1, min(d1={d1}, d2={d2}, n-1={n - 1})]") for k in ks}
 
@@ -379,23 +431,20 @@ def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE):
         mean_y = Y.mean(axis=0)
         Xc = X - mean_x
         Yc = Y - mean_y
-        # overflowing covariances are rejected by the finite checks of _decompose
-        with np.errstate(over="ignore", invalid="ignore"):
-            cxx = Xc.T @ Xc / (n - 1)
-            cyy = Yc.T @ Yc / (n - 1)
+        var_x, var_y = (None, None) if variances is None else variances
+        isqrt_x = _whitening(Xc, var_x, ridge, "first-view")
+        isqrt_y = _whitening(Yc, var_y, ridge, "second-view")
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected by the SVD's finite check
             cxy = Xc.T @ Yc / (n - 1)
-        isqrt_x = _inv_sqrt_psd(cxx, ridge, "first-view")
-        isqrt_y = _inv_sqrt_psd(cyy, ridge, "second-view")
-        u, _, vt = _decompose(
-            np.linalg.svd, isqrt_x @ cxy @ isqrt_y, "whitened cross covariance",
-            full_matrices=False,
-        )
+        whitened = isqrt_x @ cxy @ isqrt_y if variances is None else _whiten(isqrt_x, cxy) * isqrt_y
+        u, _, vt = _decompose(np.linalg.svd, whitened, "whitened cross covariance",
+                              full_matrices=False)
         return mean_x, mean_y, Xc, Yc, isqrt_x, isqrt_y, u, vt
 
     def model_at(parts, k):
         mean_x, mean_y, Xc, Yc, isqrt_x, isqrt_y, u, vt = parts
-        proj_x = isqrt_x @ u[:, :k]
-        proj_y = isqrt_y @ vt[:k].T
+        proj_x = _whiten(isqrt_x, u[:, :k])
+        proj_y = _whiten(isqrt_y, vt[:k].T)
         # joint sign fix: the flip is decided on the stacked component so that
         # swapping (X, Y) yields exactly swapped projections
         _, flips = _fix_signs(np.vstack([proj_x, proj_y]))

@@ -16,9 +16,11 @@ each decomposition runs once whatever the number of benchmarks or dims:
   layer-a dim and, on a raw side, each R-CCA reducer's fusion dim;
 * per layer-a dim group: one ``composition.group_tables``, the builder
   ``apply_configuration`` uses too. It makes the group's layer-a output
-  and one ``cca_fits`` over its fusion dims, then its (fusion dim,
-  origin, side) tables one at a time, each (fusion dim, side)'s CCA
-  table just before its R-CCA table, which reuses its projection. Each
+  and one ``cca_fits`` over its fusion dims (whitened by the layer-a
+  variances in a PCA'd group, by ``eigh`` in the raw one), then its
+  (fusion dim, origin, side) tables one at a time, each (fusion dim,
+  side)'s CCA table just before its R-CCA table, which reuses its
+  projection. Each
   table's rows' squared norms and pair sums are taken and its matrix is
   dropped, so a group holds its layer-a output, one projection and one
   table at a time, and its tables only as pair sums;

@@ -10,9 +10,9 @@ def fit_pca(X, k):
     return fitted(pca_fits(X, [k])[k])
 
 
-def fit_cca(X, Y, k, ridge=DEFAULT_RIDGE):
+def fit_cca(X, Y, k, ridge=DEFAULT_RIDGE, variances=None):
     """The CCA model of ``X`` and ``Y`` at dimension ``k``, or raise the error fitting it raised."""
-    return fitted(cca_fits(X, Y, [k], ridge)[k])
+    return fitted(cca_fits(X, Y, [k], ridge, variances=variances)[k])
 
 
 def plain_cosine(u, v):

@@ -174,11 +174,15 @@ class TestApply:
         from mmfuse import cca_transform, pca_transform, rcca_residual
 
         signal = {"textual": textual.matrix, "visual": visual.matrix}
+        variances = None
         if a_dim:
-            signal = {s: pca_transform(fit_pca(m, a_dim), m) for s, m in signal.items()}
+            pcas = {s: fit_pca(m, a_dim) for s, m in signal.items()}
+            signal = {s: pca_transform(pcas[s], m) for s, m in signal.items()}
+            # principal scores are uncorrelated: whitened by their variances
+            variances = tuple(pcas[s].explained_variance for s in signal)
         if not origin:
             return signal[side]
-        fit = fit_cca(signal["textual"], signal["visual"], f_dim, ridge=ridge)
+        fit = fit_cca(signal["textual"], signal["visual"], f_dim, ridge=ridge, variances=variances)
         projected = cca_transform(fit, signal[side], side)
         own = signal[side]
         if origin == "cca":
@@ -293,12 +297,17 @@ class TestLayerAReducer:
 
     @staticmethod
     def layer_a_parts(textual, visual, a_dim, f_dim, ridge):
-        """Layer-a outputs and their CCA projections, fitted here step by step."""
+        """Layer-a outputs and their CCA projections, fitted here step by step.
+
+        The outputs are whitened by their layer-a variances, as principal scores.
+        """
         from mmfuse import cca_transform, pca_transform
 
-        z = {side: pca_transform(fit_pca(t.matrix, a_dim), t.matrix)
-             for side, t in (("textual", textual), ("visual", visual))}
-        fit = fit_cca(z["textual"], z["visual"], f_dim, ridge=ridge)
+        tables = {"textual": textual.matrix, "visual": visual.matrix}
+        pcas = {side: fit_pca(m, a_dim) for side, m in tables.items()}
+        z = {side: pca_transform(pcas[side], m) for side, m in tables.items()}
+        fit = fit_cca(z["textual"], z["visual"], f_dim, ridge=ridge,
+                      variances=tuple(pcas[side].explained_variance for side in z))
         return z, {side: cca_transform(fit, z[side], side) for side in z}
 
     def test_residual_subtracts_the_leading_coordinates(self, planted):

@@ -272,11 +272,16 @@ class TestSaveRoundTrip:
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "out.vecs"
+        bad = EmbeddingTable(("a", "\ud800"), np.ones((2, 2)))
+        message = re.escape(f"cannot write {path}: word '\\ud800' cannot be encoded as UTF-8")
+        # a lone surrogate cannot be encoded: refused before any file is created
+        with pytest.raises(WriteError, match=message):
+            save_embeddings(bad, path)
+        assert list(tmp_path.iterdir()) == []
         save_embeddings(EmbeddingTable(("a", "b"), np.eye(2)), path)
         before = path.read_bytes()
-        # a lone surrogate cannot be encoded: the write fails at the second row
-        with pytest.raises(UnicodeEncodeError):
-            save_embeddings(EmbeddingTable(("a", "\ud800"), np.ones((2, 2))), path)
+        with pytest.raises(WriteError, match=message):
+            save_embeddings(bad, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.vecs"]
 

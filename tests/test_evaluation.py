@@ -132,11 +132,15 @@ class TestLoadBenchmark:
 
     def test_failed_dump_keeps_previous_file(self, tmp_path):
         path = tmp_path / "dump.tsv"
+        bad = Benchmark("bad", (("a", "b", 1.0), ("b", "\ud800", 2.0)))
+        message = re.escape(f"cannot write {path}: word '\\ud800' cannot be encoded as UTF-8")
+        # a lone surrogate cannot be encoded: refused before any file is created
+        with pytest.raises(WriteError, match=message):
+            save_benchmark(bad, path)
+        assert list(tmp_path.iterdir()) == []
         save_benchmark(Benchmark("two", (("a", "b", 1.0), ("b", "c", 2.0))), path)
         before = path.read_bytes()
-        # a lone surrogate cannot be encoded: the write fails
-        bad = Benchmark("bad", (("a", "b", 1.0), ("b", "\ud800", 2.0)))
-        with pytest.raises(UnicodeEncodeError):
+        with pytest.raises(WriteError, match=message):
             save_benchmark(bad, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["dump.tsv"]

@@ -413,21 +413,25 @@ class TestSharedFits:
             assert single.counts()[STATUS_FAILED] > 0
         else:
             # layer a: one SVD per side, which also gives the raw group's
-            # R-CCA reducers; one whitened CCA (two eigh, one SVD) per
-            # layer-a dim; a PCA'd group's reducers are leading coordinates
+            # R-CCA reducers; one whitened CCA (one SVD) per layer-a dim,
+            # whose whitening takes two eigh in the raw group and none in a
+            # PCA'd group (its variances); a PCA'd group's reducers are
+            # leading coordinates
             routines = [routine for routine, _ in calls]
-            assert routines.count("eigh") == 2 * 5
+            assert routines.count("eigh") == 2
             assert routines.count("svd") == 2 + 5
         oracle = exhaustive_oracle(textual, visual, benches[0], self.GRID)
         assert_matches_oracle(single, oracle)
         assert_matches_oracle(reports[0], oracle)
 
     @pytest.mark.parametrize("layers, svd", [
-        # layer a: one SVD per side; one whitened CCA (two eigh, one SVD);
-        # a layer-a output's reducers are its leading coordinates
+        # layer a: one SVD per side; one CCA SVD, whitened by the layer-a
+        # variances (no eigh); a layer-a output's reducers are its leading
+        # coordinates
         ("layer_a=pca:3 layer_b=rcca:2:out=both layer_c=li:0.5", 2 + 1),
         ("layer_a=pca:3 layer_b=cca_plus_rcca:2:cca=T:rcca=V layer_c=concat", 2 + 1),
-        # a raw residual side is reduced by its own layer-a fit, and only where it is wider
+        # raw tables are whitened by two eigh; a raw residual side is reduced
+        # by its own layer-a fit, and only where it is wider
         ("layer_a=none layer_b=rcca:2:out=T layer_c=none", 1 + 1),
         ("layer_a=none layer_b=rcca:2:out=both layer_c=concat", 2 + 1),
         ("layer_a=none layer_b=rcca:4:out=both layer_c=concat", 0 + 1),
@@ -435,8 +439,10 @@ class TestSharedFits:
     def test_apply_decomposes_once_per_fit(self, monkeypatch, layers, svd):
         textual, visual, _ = twelve_words(overflow=False)
         calls, _ = self.counted(monkeypatch)
-        apply_configuration(parse_configuration(f"{layers} ridge=0.001"), textual, visual)
-        assert Counter(routine for routine, _ in calls) == {"svd": svd, "eigh": 2}
+        config = parse_configuration(f"{layers} ridge=0.001")
+        apply_configuration(config, textual, visual)
+        eigh = 0 if config.pca_dim else 2
+        assert Counter(routine for routine, _ in calls) == Counter(svd=svd, eigh=eigh)
 
     def test_each_projection_and_table_is_computed_once(self, monkeypatch):
         """One projection per (pca dim, fusion dim, side) and one pair-sum pass per table."""
