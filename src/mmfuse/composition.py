@@ -19,15 +19,12 @@ per-layer choices, in ``canonical_key`` order.
 
 ``apply_configuration`` and the sweep both build their tables through
 ``group_tables``, one layer-a dim at a time, so every PCA/CCA fit and
-projection in the package happens here. ``layer_a`` fits each raw side
-at every dim that the tables of its configurations read, from one
-decomposition; ``apply_configuration`` passes it one configuration, the
-sweep its whole grid. R-CCA reduces a signal wider than its projection
-by the signal's PCA at the projection's dim: for a raw table, its
-layer-a fit at that dim; for a layer-a output, its leading coordinates,
-which need no decomposition (``leading_coordinates``). Its CCA needs
-none to whiten either: its columns are uncorrelated principal scores,
-whitened by the layer-a fit's variances (``fit_fusion``). A
+projection in the package happens here. Every PCA they use is a column
+prefix of one principal-score matrix per side (``layer_a``, ``leading``):
+a layer-a output, and the reducer by which R-CCA cuts a wider signal to
+its projection's width. A layer-a output's CCA needs no decomposition
+to whiten: its columns are uncorrelated principal scores, whitened by
+the layer-a fit's variances (``fit_fusion``). A
 ``ScoringModel`` names its layer-c motif beside its one or two tables,
 as a ``Configuration`` does: a concatenation keeps its two blocks, so it
 is scored from their sums, by ``evaluate`` and the sweep alike, and
@@ -52,6 +49,7 @@ from .numerics import (
     caught,
     cca_fits,
     cca_transform,
+    check_pca_dimension,
     fitted,
     pca_fits,
     pca_transform,
@@ -254,27 +252,44 @@ def validate_configuration(config, dim_t, dim_v):
     return v
 
 
+def principal_scores(matrix, m):
+    """A side's PCA at ``m`` and its read-only principal scores ``(X - mean) @ components``."""
+    model = fitted(pca_fits(matrix, [m])[m])
+    scores = pca_transform(model, matrix)
+    scores.flags.writeable = False
+    return model, scores
+
+
 def layer_a(raw, configs):
-    """Layer-a PCA fits of both raw tables (``{side: matrix}``) at the dims ``configs`` read.
+    """The principal scores of the raw tables (``{side: matrix}``) that ``configs`` read.
 
-    Returns ``{side: {dim: PcaModel or the error fitting it raised}}``,
-    textual first, from one decomposition per side. Both sides are fit at
-    every layer-a dim of ``configs``; a raw side is also fit at the fusion
-    dim of each R-CCA on it that is narrower than the side, as its reducer
-    there. A layer-a output's reducer at k needs no fit: it is its leading
-    k coordinates (``leading_coordinates``).
+    Returns ``{side: (PcaModel, scores) or the error fitting it raised}``,
+    textual first: each side fit and projected once, shared by the sweep's
+    threads, at m = min(n - 1, d_t, d_v) whatever ``configs`` are, since a
+    column prefix of a product is not bitwise the product of a column
+    prefix. Both sides are fit when a configuration has layer a; otherwise
+    only a raw side that an R-CCA narrower than the side reduces.
     """
-    a_dims = {c.pca_dim for c in configs if c.pca_dim}
-    reducers = {(side, c.fusion_dim) for c in configs if not c.pca_dim
-                for origin, side in layer_inputs(c)
-                if origin == "rcca" and raw[side].shape[1] > c.fusion_dim}
-    return {side: pca_fits(m, sorted(a_dims | {k for s, k in reducers if s == side}))
-            for side, m in raw.items()}
+    sides = set(raw) if any(c.pca_dim for c in configs) else {
+        side for c in configs for origin, side in layer_inputs(c)
+        if origin == "rcca" and raw[side].shape[1] > c.fusion_dim}
+    m = min(min(x.shape[0] - 1, x.shape[1]) for x in raw.values())
+    return {side: caught(principal_scores, x, m) for side, x in raw.items() if side in sides}
 
 
-def layer_a_output(matrices, fits, a_dim):
-    """Both modalities reduced by their layer-a fits at ``a_dim``, textual first."""
-    return {side: pca_transform(fitted(fits[side][a_dim]), m) for side, m in matrices.items()}
+def leading(fit, k):
+    """A side's PCA at ``k``, applied: the first ``k`` columns of its ``layer_a`` scores ``fit``.
+
+    Raises the error fitting the side, or ``pca_fits``' ``DimensionError``
+    for a k out of range. The scores are ``U S`` of the side's centred SVD,
+    centred and uncorrelated in non-increasing variance, so their first k
+    axes are top-k principal axes of the side and of any wider layer-a
+    output. Where variances tie or are zero, an SVD picks any basis of that
+    subspace; the coordinate axes are as valid, and deterministic.
+    """
+    model, scores = fitted(fit)
+    check_pca_dimension(k, len(scores), model.dim_in)
+    return scores[:, :k]
 
 
 def fit_fusion(reduced, dims, ridge, fits, a_dim):
@@ -285,7 +300,7 @@ def fit_fusion(reduced, dims, ridge, fits, a_dim):
     raw tables (``a_dim`` None) by the ``eigh`` of their covariances.
     """
     variances = None if a_dim is None else tuple(
-        fitted(fits[side][a_dim]).explained_variance for side in (SIDE_TEXTUAL, SIDE_VISUAL))
+        fitted(fits[side])[0].explained_variance[:a_dim] for side in (SIDE_TEXTUAL, SIDE_VISUAL))
     return cca_fits(reduced[SIDE_TEXTUAL], reduced[SIDE_VISUAL], dims, ridge=ridge,
                     variances=variances)
 
@@ -327,48 +342,10 @@ def concat_label(labels):
     return f"concat[{first};{second}]"
 
 
-def project(model, reduced, side):
-    """CCA projection of one modality's layer-a output."""
-    return cca_transform(model, reduced[side], side)
-
-
-def leading_coordinates(matrix, k):
-    """The PCA at ``k`` of a layer-a output: its leading ``k`` coordinates, centred.
-
-    A layer-a output is ``U S`` of its input's centred SVD: its columns are
-    uncorrelated, in non-increasing variance, so its first k coordinate
-    axes are top-k principal axes. The reduction is a slice, with the
-    layer-a fit's ``explained_variance[:k]``, and agrees with a fresh SVD
-    of the output up to rounding. Where variances tie or are zero, any
-    basis of that subspace is a valid PCA and an SVD picks one
-    arbitrarily; the coordinate axes are valid too, and deterministic.
-
-    No failure path of that SVD is lost: R-CCA reduces only at
-    ``k < a <= min(n - 1, d)``, so ``k`` is in range; the output of a
-    successful, finite layer-a fit is finite; and ``rcca_residual`` still
-    raises ``MissingReductionError`` for a wider signal given no reducer.
-    """
-    lead = matrix[:, :k]
-    return lead - lead.mean(axis=0)
-
-
-def residual(reduced, side, projected, a_fits, a_dim):
-    """R-CCA: a signal minus its CCA projection.
-
-    The signal is ``reduced[side]``: a raw table when ``a_dim`` is None,
-    else the layer-a output at ``a_dim``. A signal wider than its
-    projection is first reduced by its PCA at the projection's dim k:
-
-    * a raw table by its layer-a fit at k, ``a_fits[side][k]``;
-    * a layer-a output by ``leading_coordinates``, with no decomposition.
-    """
-    matrix = reduced[side]
+def residual(signal, projected, fit):
+    """R-CCA: ``signal``, or ``leading(fit, k)`` if wider, minus its k-wide CCA projection."""
     k = projected.shape[1]
-    if matrix.shape[1] == k:
-        return rcca_residual(matrix, projected)
-    if a_dim is None:
-        return rcca_residual(matrix, projected, pca=fitted(a_fits[side][k]))
-    return rcca_residual(leading_coordinates(matrix, k), projected)
+    return rcca_residual(signal if signal.shape[1] == k else leading(fit, k), projected)
 
 
 def group_tables(raw, a_fits, a_dim, tables, ridge):
@@ -382,21 +359,22 @@ def group_tables(raw, a_fits, a_dim, tables, ridge):
     is made. A failed layer-a output, fit or projection fails every table
     built on it.
     """
-    reduced = raw if a_dim is None else caught(layer_a_output, raw, a_fits, a_dim)
+    reduced = raw if a_dim is None else caught(
+        lambda: {side: leading(fit, a_dim) for side, fit in a_fits.items()})
     f_dims = sorted({f_dim for f_dim, origin, _ in tables if origin})
     fits = {}
     if f_dims:
         fits = caught(lambda: fit_fusion(fitted(reduced), f_dims, ridge, a_fits, a_dim))
 
     def projection(f_dim, side):
-        return project(fitted(fitted(fits)[f_dim]), fitted(reduced), side)
+        return cca_transform(fitted(fitted(fits)[f_dim]), fitted(reduced)[side], side)
 
     def matrix(origin, side, projected):
         if not origin:
             return fitted(reduced)[side]
         if origin == "cca":
             return fitted(projected)
-        return residual(fitted(reduced), side, fitted(projected), a_fits, a_dim)
+        return residual(fitted(reduced)[side], fitted(projected), a_fits.get(side))
 
     ordered = sorted(tables, key=lambda t: (t[0] or 0, t[2], t[1]))
     for (f_dim, side), run in groupby(ordered, key=lambda t: (t[0], t[2])):

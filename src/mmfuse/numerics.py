@@ -312,8 +312,7 @@ def pca_fits(X, ks):
             raise DimensionError("PCA needs at least 2 rows")
     except _FIT_ERRORS as exc:
         return dict.fromkeys(ks, exc)
-    fits = {k: None if 1 <= k <= min(n - 1, d) else DimensionError(
-        f"PCA dimension k={k} outside [1, min(n-1={n - 1}, d={d})]") for k in ks}
+    fits = {k: caught(check_pca_dimension, k, n, d) for k in ks}   # None: a k to fit
 
     def decompose():
         mean = X.mean(axis=0)
@@ -338,6 +337,12 @@ def pca_fits(X, ks):
         return PcaModel(mean=mean, components=components, explained_variance=variance)
 
     return _fill(fits, decompose, model_at)
+
+
+def check_pca_dimension(k, n, d):
+    """Raise ``DimensionError`` unless a PCA of an n x d input can have ``k`` components."""
+    if not 1 <= k <= min(n - 1, d):
+        raise DimensionError(f"PCA dimension k={k} outside [1, min(n-1={n - 1}, d={d})]")
 
 
 def pca_transform(model, X):

@@ -11,19 +11,19 @@ One ``sweep`` serves every benchmark of a search, through the table
 builder of ``composition`` and the scoring pieces of ``evaluation``, so
 each decomposition runs once whatever the number of benchmarks or dims:
 
-* layer a: one ``composition.layer_a`` over the whole grid, one
-  ``pca_fits`` per side at every dim the grid's tables read: each
-  layer-a dim and, on a raw side, each R-CCA reducer's fusion dim;
+* layer a: one ``composition.layer_a`` over the whole grid: per side,
+  one ``pca_fits`` and one projection, whose column prefixes are every
+  layer-a output and every R-CCA reducer of the grid;
 * per layer-a dim group: one ``composition.group_tables``, the builder
-  ``apply_configuration`` uses too. It makes the group's layer-a output
-  and one ``cca_fits`` over its fusion dims (whitened by the layer-a
-  variances in a PCA'd group, by ``eigh`` in the raw one), then its
-  (fusion dim, origin, side) tables one at a time, each (fusion dim,
-  side)'s CCA table just before its R-CCA table, which reuses its
-  projection. Each
-  table's rows' squared norms and pair sums are taken and its matrix is
-  dropped, so a group holds its layer-a output, one projection and one
-  table at a time, and its tables only as pair sums;
+  ``apply_configuration`` uses too. It slices the group's layer-a output
+  from the shared scores, makes one ``cca_fits`` over its fusion dims
+  (whitened by the layer-a variances in a PCA'd group, by ``eigh`` in
+  the raw one), then its (fusion dim, origin, side) tables one at a
+  time, each (fusion dim, side)'s CCA table just before its R-CCA
+  table, which reuses its projection. Each table's rows' squared norms
+  and pair sums are taken and its matrix is dropped, so a group holds
+  one projection and one table at a time, and its tables only as pair
+  sums;
 * over the covered pairs of every benchmark, end to end (one
   ``evaluation.covered_pairs``): the cosine kernel once per table, for
   its pair sums (dot products and gathered squared norms), and the score
@@ -42,10 +42,10 @@ each decomposition runs once whatever the number of benchmarks or dims:
   non-finite score fails only the benchmarks whose spans hold it.
 
 A failure is stored where it happened and given, with its text, to every
-configuration built on it. Groups share only the read-only layer-a fits,
-so ``workers`` sweeps them in threads without locks. The reports of one
-search list the same configurations, so ``render_reports`` builds each
-configuration's text once for all of them. One configuration is
+configuration built on it. Groups share only the read-only layer-a fits
+and scores, so ``workers`` sweeps them in threads without locks. The
+reports of one search list the same configurations, so
+``render_reports`` builds each configuration's text once for all of them. One configuration is
 evaluated on several benchmarks without a sweep: ``apply_configuration``
 once, then ``evaluate`` per benchmark.
 """
@@ -209,7 +209,8 @@ def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
     ``composition.group_tables`` and kept only as their pair sums and, for
     a block of a normalized concatenation, their ``unit_rows``: each
     matrix is deleted once they are taken, so the group holds one
-    projection and one table at a time. Then, in canonical order,
+    projection and one table at a time, beside the layer-a scores
+    ``a_fits`` that every group shares. Then, in canonical order,
     each configuration's score vector is finished from the sums by
     ``evaluation.layer_c_scores`` and queued; a table's own score vector
     is finished at its first use and serves every later one. A block of

@@ -169,17 +169,27 @@ class TestApply:
         np.testing.assert_array_equal(model.first.matrix, expected)
 
     @staticmethod
-    def table_oracle(textual, visual, a_dim, f_dim, origin, side, ridge):
-        """One input table of a configuration, built here from its fits and transforms."""
+    def table_oracle(textual, visual, a_dim, f_dim, origin, side, ridge, width=None):
+        """One input table of a configuration, built here from its fits and transforms.
+
+        A side's PCA at k, as a layer-a output or an R-CCA reducer, is its
+        PCA fit at ``width`` and applied, cut to its first k columns; with
+        no ``width``, it is fit at k itself.
+        """
         from mmfuse import cca_transform, pca_transform, rcca_residual
 
-        signal = {"textual": textual.matrix, "visual": visual.matrix}
-        variances = None
+        raw = {"textual": textual.matrix, "visual": visual.matrix}
+
+        def pca_at(s, k):
+            pca = fit_pca(raw[s], width or k)
+            return pca_transform(pca, raw[s])[:, :k], pca.explained_variance[:k]
+
+        signal, variances = raw, None
         if a_dim:
-            pcas = {s: fit_pca(m, a_dim) for s, m in signal.items()}
-            signal = {s: pca_transform(pcas[s], m) for s, m in signal.items()}
+            parts = {s: pca_at(s, a_dim) for s in raw}
+            signal = {s: scores for s, (scores, _) in parts.items()}
             # principal scores are uncorrelated: whitened by their variances
-            variances = tuple(pcas[s].explained_variance for s in signal)
+            variances = tuple(var for _, var in parts.values())
         if not origin:
             return signal[side]
         fit = fit_cca(signal["textual"], signal["visual"], f_dim, ridge=ridge, variances=variances)
@@ -189,11 +199,9 @@ class TestApply:
             return projected
         if own.shape[1] == f_dim:
             return rcca_residual(own, projected)
-        if a_dim:
-            # a layer-a output's PCA at f_dim: its leading coordinates, centred
-            lead = own[:, :f_dim]
-            return rcca_residual(lead - lead.mean(axis=0), projected)
-        return rcca_residual(own, projected, pca=fit_pca(own, f_dim))
+        # a wider signal, a raw table or a layer-a output, is reduced by its
+        # side's PCA at f_dim: the leading columns of its principal scores
+        return rcca_residual(pca_at(side, f_dim)[0], projected)
 
     @pytest.mark.parametrize("layers, tables", [
         ("layer_a=none layer_b=none:side=T layer_c=none", [("", "textual", "textual")]),
@@ -219,17 +227,23 @@ class TestApply:
          [("rcca", "textual", "rcca(pca3(textual),2)"), ("cca", "visual", "cca(pca3(visual),2)")]),
     ])
     def test_each_table_kind_matches_its_fits(self, small_tables, layers, tables):
-        """Every kind of input table, bit for bit, against fits and transforms called directly."""
+        """Every kind of input table, bit for bit, against fits and transforms called directly.
+
+        Each side's PCA is fit once, at the widest dim both sides allow, and
+        cut; fitting each dim on its own agrees up to rounding.
+        """
         textual, visual = small_tables
         config = parse_configuration(layers)
         model = apply_configuration(config, textual, visual)
         built = [model.first] if model.second is None else [model.first, model.second]
         assert [table.name for table in built] == [label for _, _, label in tables]
+        width = min(len(textual.vocab) - 1, textual.dim, visual.dim)
         for table, (origin, side, _) in zip(built, tables):
-            expected = self.table_oracle(textual, visual, config.pca_dim, config.fusion_dim,
-                                         origin, side, config.ridge)
+            args = (textual, visual, config.pca_dim, config.fusion_dim, origin, side, config.ridge)
+            expected = self.table_oracle(*args, width=width)
             assert table.matrix.shape == expected.shape
             assert table.matrix.tobytes() == expected.tobytes()
+            np.testing.assert_allclose(table.matrix, self.table_oracle(*args), rtol=0, atol=1e-12)
 
     def test_invalid_config_raises_with_violations(self, small_tables):
         textual, visual = small_tables
@@ -293,21 +307,24 @@ class TestScoringModel:
 
 
 class TestLayerAReducer:
-    """A layer-a output's R-CCA reducer at k is its leading k coordinates, centred."""
+    """A layer-a output's R-CCA reducer at k is its leading k coordinates."""
 
     @staticmethod
     def layer_a_parts(textual, visual, a_dim, f_dim, ridge):
         """Layer-a outputs and their CCA projections, fitted here step by step.
 
-        The outputs are whitened by their layer-a variances, as principal scores.
+        Each side is fit at the widest dim both sides allow and projected;
+        its layer-a output is the first ``a_dim`` columns, whitened by their
+        variances, as principal scores.
         """
         from mmfuse import cca_transform, pca_transform
 
         tables = {"textual": textual.matrix, "visual": visual.matrix}
-        pcas = {side: fit_pca(m, a_dim) for side, m in tables.items()}
-        z = {side: pca_transform(pcas[side], m) for side, m in tables.items()}
+        width = min(len(textual.vocab) - 1, textual.dim, visual.dim)
+        pcas = {side: fit_pca(m, width) for side, m in tables.items()}
+        z = {side: pca_transform(pcas[side], m)[:, :a_dim] for side, m in tables.items()}
         fit = fit_cca(z["textual"], z["visual"], f_dim, ridge=ridge,
-                      variances=tuple(pcas[side].explained_variance for side in z))
+                      variances=tuple(pcas[side].explained_variance[:a_dim] for side in z))
         return z, {side: cca_transform(fit, z[side], side) for side in z}
 
     def test_residual_subtracts_the_leading_coordinates(self, planted):
@@ -321,7 +338,9 @@ class TestLayerAReducer:
         assert np.all(np.diff(variances) < 0)   # distinct variances: one valid PCA
         for table, side in ((model.first, "textual"), (model.second, "visual")):
             lead = z[side][:, :2]
-            np.testing.assert_array_equal(table.matrix, lead - lead.mean(axis=0) - projected[side])
+            np.testing.assert_array_equal(table.matrix, lead - projected[side])
+            # the leading coordinates are centred, up to rounding
+            np.testing.assert_allclose(lead.mean(axis=0), 0.0, rtol=0, atol=1e-14)
             # the SVD of the output this replaces gives the same reduction up to rounding
             svd = rcca_residual(z[side], projected[side], pca=fit_pca(z[side], 2))
             np.testing.assert_allclose(table.matrix, svd, rtol=0, atol=1e-9)
@@ -330,7 +349,7 @@ class TestLayerAReducer:
                                    variances[:2], rtol=1e-12)
 
     def test_tied_variances_take_the_coordinate_axes(self):
-        from mmfuse.composition import leading_coordinates
+        from mmfuse.composition import layer_a, leading
 
         # centred rows with singular values 3, 3, 2, 1: the top two variances tie
         rng = np.random.default_rng(4)
@@ -346,7 +365,8 @@ class TestLayerAReducer:
         variances = np.var(z["textual"], axis=0, ddof=1)
         np.testing.assert_allclose(variances, [9 / (n - 1), 9 / (n - 1), 4 / (n - 1)])
         # any unit vector of the tied plane is a valid PCA at 1; the reducer takes axis 1
-        reduced = leading_coordinates(z["textual"], 1)
+        fits = layer_a({"textual": textual.matrix, "visual": visual.matrix}, [cfg])
+        reduced = leading(fits["textual"], 1)
         np.testing.assert_allclose(reduced, z["textual"][:, :1], rtol=0, atol=1e-12)
         first = apply_configuration(cfg, textual, visual).first.matrix
         np.testing.assert_array_equal(first, reduced - projected["textual"])

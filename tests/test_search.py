@@ -313,6 +313,26 @@ class TestFailureHandling:
             if entry.status == STATUS_FAILED:
                 assert entry.error
 
+    def test_an_out_of_range_layer_a_dim_fails_with_the_pca_text(self):
+        # 6 words: a layer-a PCA has at most n-1 = 5 dims, so 6 and 8 fail, on
+        # the textual side first (its d is 8), in the sweep and applied alone
+        rng = np.random.default_rng(23)
+        vocab = tuple(f"w{i}" for i in range(6))
+        textual = EmbeddingTable(vocab, rng.normal(size=(6, 8)), name="textual")
+        visual = EmbeddingTable(vocab, rng.normal(size=(6, 10)), name="visual")
+        bench = Benchmark("six", tuple((vocab[i], vocab[j], float(rng.uniform(0, 10)))
+                                       for i in range(6) for j in range(i + 1, 6)))
+        grid = GridSpec(dim_step=2, dim_min=2, alpha_step=0.5)
+        report, = sweep(textual, visual, [bench], grid)
+        failed = {e.config: e.error for e in report.entries if e.status == STATUS_FAILED}
+        expected = {c: f"PCA dimension k={c.pca_dim} outside [1, min(n-1=5, d=8)]"
+                    for c in enumerate_configurations(8, 10, grid) if c.pca_dim in (6, 8)}
+        assert failed == expected
+        for config, error in expected.items():
+            with pytest.raises(DimensionError) as info:
+                apply_configuration(config, textual, visual)
+            assert str(info.value) == error
+
     def test_memoized_and_fresh_fits_agree(self, planted):
         textual, visual, bench = planted
         grid = GridSpec(dim_step=2, dim_min=2, alpha_step=0.5, ridge=1e-3)
@@ -412,11 +432,10 @@ class TestSharedFits:
         if overflow:
             assert single.counts()[STATUS_FAILED] > 0
         else:
-            # layer a: one SVD per side, which also gives the raw group's
-            # R-CCA reducers; one whitened CCA (one SVD) per layer-a dim,
-            # whose whitening takes two eigh in the raw group and none in a
-            # PCA'd group (its variances); a PCA'd group's reducers are
-            # leading coordinates
+            # layer a: one SVD per side, whose scores also give every R-CCA
+            # reducer; one whitened CCA (one SVD) per layer-a dim, whose
+            # whitening takes two eigh in the raw group and none in a PCA'd
+            # group (its variances)
             routines = [routine for routine, _ in calls]
             assert routines.count("eigh") == 2
             assert routines.count("svd") == 2 + 5
@@ -426,12 +445,12 @@ class TestSharedFits:
 
     @pytest.mark.parametrize("layers, svd", [
         # layer a: one SVD per side; one CCA SVD, whitened by the layer-a
-        # variances (no eigh); a layer-a output's reducers are its leading
-        # coordinates
+        # variances (no eigh); a layer-a output's reducers are leading
+        # columns of its side's scores
         ("layer_a=pca:3 layer_b=rcca:2:out=both layer_c=li:0.5", 2 + 1),
         ("layer_a=pca:3 layer_b=cca_plus_rcca:2:cca=T:rcca=V layer_c=concat", 2 + 1),
         # raw tables are whitened by two eigh; a raw residual side is reduced
-        # by its own layer-a fit, and only where it is wider
+        # by its own layer-a scores, fit only where it is wider
         ("layer_a=none layer_b=rcca:2:out=T layer_c=none", 1 + 1),
         ("layer_a=none layer_b=rcca:2:out=both layer_c=concat", 2 + 1),
         ("layer_a=none layer_b=rcca:4:out=both layer_c=concat", 0 + 1),
@@ -439,30 +458,55 @@ class TestSharedFits:
     def test_apply_decomposes_once_per_fit(self, monkeypatch, layers, svd):
         textual, visual, _ = twelve_words(overflow=False)
         calls, _ = self.counted(monkeypatch)
+        transforms = self.counted_transforms(monkeypatch)
         config = parse_configuration(f"{layers} ridge=0.001")
         apply_configuration(config, textual, visual)
         eigh = 0 if config.pca_dim else 2
         assert Counter(routine for routine, _ in calls) == Counter(svd=svd, eigh=eigh)
+        # each side fit is projected once, the CCA not at all
+        assert len(transforms) == svd - 1
+
+    @staticmethod
+    def counted_transforms(monkeypatch):
+        """Record the shape of each input ``pca_transform`` projects, wherever it is called."""
+        import mmfuse.numerics as numerics
+
+        transforms = []
+        real = numerics.pca_transform
+
+        def pca_transform(model, X):
+            transforms.append(np.shape(X))
+            return real(model, X)
+
+        monkeypatch.setattr(numerics, "pca_transform", pca_transform)
+        monkeypatch.setattr(composition, "pca_transform", pca_transform)
+        return transforms
 
     def test_each_projection_and_table_is_computed_once(self, monkeypatch):
-        """One projection per (pca dim, fusion dim, side) and one pair-sum pass per table."""
+        """One projection per (pca dim, fusion dim, side) and one pair-sum pass per table.
+
+        Each side is PCA-projected once per sweep: every layer-a output and
+        R-CCA reducer is a column prefix of that projection.
+        """
         from mmfuse.composition import layer_inputs
 
         textual, visual, benches = twelve_words(overflow=False)
         projected, summed = [], []
 
-        def project(model, reduced, side):
+        def cca_transform(model, X, side):
             projected.append((model.k, side))
-            return real_project(model, reduced, side)
+            return real_transform(model, X, side)
 
         def table_sums(matrix, sq_norms, covered):
             summed.append(matrix.shape)
             return real_sums(matrix, sq_norms, covered)
 
-        real_project, real_sums = composition.project, search.table_sums
-        monkeypatch.setattr(composition, "project", project)
+        real_transform, real_sums = composition.cca_transform, search.table_sums
+        monkeypatch.setattr(composition, "cca_transform", cca_transform)
         monkeypatch.setattr(search, "table_sums", table_sums)
+        transforms = self.counted_transforms(monkeypatch)
         sweep(textual, visual, benches, self.GRID)
+        assert transforms == [textual.matrix.shape, visual.matrix.shape]
         configs = enumerate_configurations(textual.dim, visual.dim, self.GRID)
         tables = {(c.pca_dim, c.fusion_dim if origin else None, origin, side)
                   for c in configs for origin, side in layer_inputs(c)}
