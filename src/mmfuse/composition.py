@@ -277,19 +277,20 @@ def layer_a(raw, configs):
     return {side: caught(principal_scores, x, m) for side, x in raw.items() if side in sides}
 
 
-def leading(fit, k):
+def leading(fit, k, shape):
     """A side's PCA at ``k``, applied: the first ``k`` columns of its ``layer_a`` scores ``fit``.
 
-    Raises the error fitting the side, or ``pca_fits``' ``DimensionError``
-    for a k out of range. The scores are ``U S`` of the side's centred SVD,
-    centred and uncorrelated in non-increasing variance, so their first k
-    axes are top-k principal axes of the side and of any wider layer-a
-    output. Where variances tie or are zero, an SVD picks any basis of that
-    subspace; the coordinate axes are as valid, and deterministic.
+    Raises ``pca_fits``' ``DimensionError`` for a k out of range of the
+    side's raw ``shape`` (n, d), checked first as ``pca_fits`` checks it,
+    and otherwise the error fitting the side. The scores are ``U S`` of
+    the side's centred SVD, centred and uncorrelated in non-increasing
+    variance, so their first k axes are top-k principal axes of the side
+    and of any wider layer-a output. Where variances tie or are zero, an
+    SVD picks any basis of that subspace; the coordinate axes are as
+    valid, and deterministic.
     """
-    model, scores = fitted(fit)
-    check_pca_dimension(k, len(scores), model.dim_in)
-    return scores[:, :k]
+    check_pca_dimension(k, *shape)
+    return fitted(fit)[1][:, :k]
 
 
 def fit_fusion(reduced, dims, ridge, fits, a_dim):
@@ -343,9 +344,10 @@ def concat_label(labels):
 
 
 def residual(signal, projected, fit):
-    """R-CCA: ``signal``, or ``leading(fit, k)`` if wider, minus its k-wide CCA projection."""
+    """R-CCA: ``signal``, or ``fit``'s ``leading`` k scores if wider, minus its CCA projection."""
     k = projected.shape[1]
-    return rcca_residual(signal if signal.shape[1] == k else leading(fit, k), projected)
+    return rcca_residual(signal if signal.shape[1] == k else leading(fit, k, signal.shape),
+                         projected)
 
 
 def group_tables(raw, a_fits, a_dim, tables, ridge):
@@ -360,7 +362,7 @@ def group_tables(raw, a_fits, a_dim, tables, ridge):
     built on it.
     """
     reduced = raw if a_dim is None else caught(
-        lambda: {side: leading(fit, a_dim) for side, fit in a_fits.items()})
+        lambda: {side: leading(fit, a_dim, raw[side].shape) for side, fit in a_fits.items()})
     f_dims = sorted({f_dim for f_dim, origin, _ in tables if origin})
     fits = {}
     if f_dims:

@@ -25,17 +25,17 @@ canonical pairs do not depend on k (Hardoon, Szedmak & Shawe-Taylor
 per-k steps, so ``pca_fits(X, ks)[k]`` is bitwise ``pca_fits(X, [k])[k]``,
 and likewise for ``cca_fits``. A dimension that cannot be fit maps to
 the error its fit raises, and ``fitted`` re-raises it.
-A PCA input takes one of three routes, chosen from the input alone. One
-with at least twice as many rows as columns is decomposed through the R
-factor of its QR factorization, as LAPACK's own SVD of a tall matrix
-does, so no n x d factor is formed; the model is bitwise that of the
-direct SVD except where LAPACK rescales an input with magnitudes above
-about 1e137 or below about 1e-138. A wider one, unless small
-(``GRAM_MIN_SIDE``), is decomposed through the ``eigh`` of its smaller
-Gram matrix, scaled by an exact power of two, to within about 1e-12 of
-the direct SVD on well-conditioned input. A small one, or one whose Gram
-is too ill-conditioned (``GRAM_BOUND``) or whose ``eigh`` fails, is
-decomposed by the direct SVD (see ``pca_fits``).
+A PCA input takes one of two routes, chosen from the input alone. Unless
+small (``GRAM_MIN_SIDE``), whatever its aspect ratio, it is decomposed
+through the ``eigh`` of its smaller Gram matrix, scaled by an exact power
+of two, to within about 1e-12 of the direct SVD on well-conditioned
+input. A small one, or one whose Gram is too ill-conditioned
+(``GRAM_BOUND``) or whose ``eigh`` fails, is decomposed by the direct
+SVD. There an input with at least twice as many rows as columns is
+decomposed through the R factor of its QR factorization, as LAPACK's own
+SVD of a tall matrix does, so no n x d factor is formed; the model is
+bitwise that of the direct SVD except where LAPACK rescales an input with
+magnitudes above about 1e137 or below about 1e-138 (see ``pca_fits``).
 
 Numerical failures raise ``NumericalError``, which a sweep records as a
 failed configuration instead of stopping: a LAPACK routine that does not
@@ -64,13 +64,16 @@ DEFAULT_RIDGE = 1e-3
 # through the Gram (see there). Measured on inputs of geometric spectra
 # (60 x 200 and 150 x 100), the worst component of the Gram route differs
 # from the direct SVD's by 2.4e-9 at a ratio of 1e-8, 3.4e-8 at 1e-9 and
-# 1.2e-7 at 1e-10: about 0.1-0.3 · eps / ratio. At 1e-8 no component moves
-# by more than about sqrt(eps) / 4, and every committed benchmark input
-# (ratios 5e-7 to 2e-2) still takes the Gram route.
+# 1.2e-7 at 1e-10: about 0.1-0.3 · eps / ratio. On tall ones (200 x 100,
+# 600 x 150 and 1200 x 100) it differs by at most 3.3e-9, 3.7e-8 and
+# 2.3e-7: 0.05-0.2 · eps / ratio. At 1e-8 no component moves by more than
+# about sqrt(eps) / 4, and every committed benchmark input still takes the
+# Gram route (ratios 5e-7 to 2e-2), the tall tables of ``sweep_pairs``
+# (600 x 100 and 600 x 150, 1e-2 to 2e-2) among them.
 GRAM_BOUND = 1e-8
 
-# Smallest side, min(n, d), of an input with n < 2d that ``pca_fits``
-# decomposes through its Gram. Below it the Gram route saves nothing: one
+# Smallest side, min(n, d), of an input that ``pca_fits`` decomposes
+# through its Gram. Below it the Gram route saves nothing: one
 # fit of a 4 x 3 input took 72-87 us by the direct SVD and 96-100 us by the
 # Gram, of 12 x 20 111-138 us and 127 us, of 20 x 30 184-240 us and
 # 175-183 us. So a small input keeps the bitwise model of the direct SVD.
@@ -263,21 +266,11 @@ def pca_fits(X, ks):
     """Top-k principal directions of column-centered ``X`` for every k in ``ks``.
 
     One decomposition serves every k: the leading k right singular vectors
-    do not depend on k. Which of three routes decomposes the centred n x d
+    do not depend on k. Which of two routes decomposes the centred n x d
     input depends on ``X`` alone, never on ``ks``, so ``pca_fits(X, ks)[k]``
     is bitwise ``pca_fits(X, [k])[k]``:
 
-    - Tall (``n >= 2 * d``): the SVD of the d x d triangular factor R of
-      its QR factorization has the singular values and right singular
-      vectors of the centred input, and neither Q nor an n x d U is formed.
-      Past its own crossover (``n >= 11 * d / 6``) LAPACK's ``gesdd`` runs
-      that same QR and then decomposes R, so the model is bitwise the one
-      of a direct SVD, except where ``gesdd`` rescales the centred input or
-      R, at a largest magnitude above about 1e137 or below about 1e-138:
-      there the two differ by rounding, and a centred column whose norm
-      overflows fails as a non-finite PCA input rather than as an
-      overflowing variance.
-    - Otherwise, where ``min(n, d) >= GRAM_MIN_SIDE``, the Gram route:
+    - Where ``min(n, d) >= GRAM_MIN_SIDE``, tall or wide, the Gram route:
       ``eigh`` of the smaller Gram matrix, ``C Cᵀ`` (n x n) when ``n < d``
       and ``Cᵀ C`` (d x d) otherwise, of the centred input C scaled by the
       exact power of two ``2^-e`` that puts its largest magnitude in
@@ -286,19 +279,32 @@ def pca_fits(X, ks):
       of Vᵀ are its eigenvectors; for ``C Cᵀ`` they are ``(Uᵀ C) / s``.
       The leading ``min(n - 1, d)`` rows are formed, every k any call can
       read. No n x d U is formed, and the Gram is far cheaper to decompose
-      than the input (a 400 x 1024 fit: 30-33 ms against 112-114 ms).
-    - The direct SVD of the centred input, where the Gram route does not
-      apply: a smaller input, or one whose Gram ``eigh`` fails or returns
+      than the input: a 400 x 1024 fit took 30-33 ms against 112-114 ms
+      by the direct SVD, a 600 x 150 one 2.0 ms against 7.5 ms by QR and
+      the SVD of R. A tall input whose centred column norm overflows fails
+      here as an overflowing PCA variance, as a wide one does.
+    - The SVD of the centred input, where the Gram route does not apply: a
+      smaller input, or one whose Gram ``eigh`` fails or returns
       non-finite values, or has ``λ₁ <= 0``, or ``λ_m <= GRAM_BOUND · λ₁``
       at ``m = min(n - 1, d)``, the smallest eigenvalue any valid k reads.
       A Gram squares the condition number, and the ``C Cᵀ`` route divides
       by s, so a rank-deficient, constant or near-singular input takes
-      this route.
+      this route. A tall input (``n >= 2 * d``) is decomposed through the
+      d x d triangular factor R of its QR factorization, which has the
+      singular values and right singular vectors of the centred input;
+      neither Q nor an n x d U is formed. Past its own crossover (``n >=
+      11 * d / 6``) LAPACK's ``gesdd`` runs that same QR and then
+      decomposes R, so the model is bitwise the one of a direct SVD,
+      except where ``gesdd`` rescales the centred input or R, at a largest
+      magnitude above about 1e137 or below about 1e-138: there the two
+      differ by rounding, and a centred column whose norm overflows fails
+      as a non-finite PCA input rather than as an overflowing variance.
 
     Above the bound, components of the Gram route differ from those of
-    the direct SVD by at most about 0.3 · eps / (λ_m / λ₁), which is below
-    3e-9 for any input it accepts and below 1e-12 on well-conditioned
-    inputs; variances differ by about as much, relative to the largest.
+    the direct SVD by at most about 0.3 · eps / (λ_m / λ₁), which is at
+    most about 3e-9 for any input it accepts and below 1e-12 on
+    well-conditioned inputs; variances differ by about as much, relative
+    to the largest.
 
     Returns ``{k: PcaModel}``, where a k that cannot be fit maps to the
     ``DimensionError`` or ``NumericalError`` that fitting it raised.
@@ -316,14 +322,13 @@ def pca_fits(X, ks):
 
     def decompose():
         mean = X.mean(axis=0)
+        gram = _gram_svd(X, mean) if min(n, d) >= GRAM_MIN_SIDE else None
+        if gram is not None:
+            return (mean, *gram)
+        centred = X - mean
         if n >= 2 * d:
             # the SVD of R gives what the SVD of QR = centred gives, without Q or an n x d U
-            centred = np.linalg.qr(X - mean, mode="r")
-        else:
-            gram = _gram_svd(X, mean) if min(n, d) >= GRAM_MIN_SIDE else None
-            if gram is not None:
-                return (mean, *gram)
-            centred = X - mean
+            centred = np.linalg.qr(centred, mode="r")
         _, s, vt = _decompose(np.linalg.svd, centred, "centered PCA input",
                               full_matrices=False)
         return mean, s, vt

@@ -20,6 +20,32 @@ def plain_cosine(u, v):
     return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
+@pytest.fixture
+def pca_routines(monkeypatch):
+    """Record the routine and matrix shape of each QR and each PCA decomposition, in order.
+
+    A CCA's decompositions are not recorded; ``np.linalg.qr`` is called
+    only by ``pca_fits``' SVD fallback.
+    """
+    import mmfuse.numerics as numerics
+
+    calls = []
+    real_qr, real_decompose = np.linalg.qr, numerics._decompose
+
+    def qr(matrix, mode="reduced"):
+        calls.append(("qr", matrix.shape))
+        return real_qr(matrix, mode=mode)
+
+    def decompose(routine, matrix, what, **kwargs):
+        if "PCA" in what:
+            calls.append((routine.__name__, matrix.shape))
+        return real_decompose(routine, matrix, what, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    monkeypatch.setattr(numerics, "_decompose", decompose)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def planted():
     """30-word table pair where gold scores equal the textual cosines.

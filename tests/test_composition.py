@@ -366,7 +366,7 @@ class TestLayerAReducer:
         np.testing.assert_allclose(variances, [9 / (n - 1), 9 / (n - 1), 4 / (n - 1)])
         # any unit vector of the tied plane is a valid PCA at 1; the reducer takes axis 1
         fits = layer_a({"textual": textual.matrix, "visual": visual.matrix}, [cfg])
-        reduced = leading(fits["textual"], 1)
+        reduced = leading(fits["textual"], 1, textual.matrix.shape)
         np.testing.assert_allclose(reduced, z["textual"][:, :1], rtol=0, atol=1e-12)
         first = apply_configuration(cfg, textual, visual).first.matrix
         np.testing.assert_array_equal(first, reduced - projected["textual"])

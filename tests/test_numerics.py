@@ -495,54 +495,86 @@ def _direct_pca(X, k):
 
 
 class TestTallPca:
-    """An input with ``n >= 2 * d`` rows is decomposed through its QR factor R, bitwise."""
+    """A tall input (``n >= 2 * d``) takes the Gram route, as a wide one does.
+
+    At ``d >= GRAM_MIN_SIDE`` it is decomposed by one ``eigh`` of its d x d
+    Gram ``Cᵀ C`` and no QR. Below that side, or where the Gram is too
+    ill-conditioned, it falls back to the SVD of the R factor of its QR
+    factorization: bitwise the direct SVD.
+    """
 
     @staticmethod
-    def shapes(monkeypatch):
-        """The shape of each QR and each decomposition ``pca_fits`` runs."""
-        import mmfuse.numerics as numerics
-
-        qrs, svds = [], []
-        real_qr, real_decompose = np.linalg.qr, numerics._decompose
-
-        def qr(matrix, mode):
-            qrs.append(matrix.shape)
-            return real_qr(matrix, mode=mode)
-
-        def decompose(routine, matrix, what, **kwargs):
-            svds.append(matrix.shape)
-            return real_decompose(routine, matrix, what, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", qr)
-        monkeypatch.setattr(numerics, "_decompose", decompose)
-        return qrs, svds
+    def ks(X):
+        """Both ends and the middle of the valid k of ``X``, and one k past each end."""
+        m = min(X.shape[0] - 1, X.shape[1])
+        return [0, 1, 2, m // 2, m - 1, m, m + 1]
 
     @staticmethod
-    def tall():
+    def gram():
+        """Well-conditioned tall inputs at sides from ``GRAM_MIN_SIDE`` to the paper's 300."""
         rng = np.random.default_rng(41)
+        for n, d in ((32, 16), (40, 20), (600, 100), (600, 150), (5000, 300)):
+            yield f"{n} x {d}", rng.normal(size=(n, d))
+
+    @staticmethod
+    def fallback():
+        """Tall inputs below ``GRAM_MIN_SIDE``, then ill-conditioned ones at d >= 16."""
+        rng = np.random.default_rng(42)
         d = 7
         yield "n = 2d", rng.normal(size=(2 * d, d))
         yield "n = 2d + 1", rng.normal(size=(2 * d + 1, d))
-        yield "rank-deficient", rng.normal(size=(40, 3)) @ rng.normal(size=(3, d))
-        yield "duplicate column", rng.normal(size=(30, d))[:, [0, 1, 2, 3, 4, 5, 1]]
-        yield "constant", np.full((30, d), 2.5)
-        yield "tied", np.repeat(rng.integers(-2, 3, size=(5, d)).astype(float), 6, axis=0)
-        yield "600 x 100", rng.normal(size=(600, 100))
+        yield "below the side", rng.normal(size=(200, GRAM_MIN_SIDE - 1))
+        d = 20
+        yield "rank-deficient", rng.normal(size=(60, 3)) @ rng.normal(size=(3, d))
+        yield "duplicate column", rng.normal(size=(50, d))[:, [*range(d - 1), 1]]
+        yield "constant", np.full((50, d), 2.5)
+        yield "tied", np.repeat(rng.integers(-2, 3, size=(5, d)).astype(float), 10, axis=0)
+        smallest = (0.9 * GRAM_BOUND) ** 0.5
+        yield "below the bound", _with_spectrum(rng, 80, 30, np.geomspace(1, smallest, 30))
 
-    def test_tall_inputs_fit_as_a_direct_svd_bitwise(self, monkeypatch):
-        qrs, svds = self.shapes(monkeypatch)
-        for name, X in self.tall():
+    def test_tall_inputs_take_one_gram_eigh(self, pca_routines):
+        calls = pca_routines
+        for name, X in self.gram():
+            d = X.shape[1]
+            calls.clear()
+            fits = pca_fits(X, self.ks(X)[1:-1])
+            assert calls == [("eigh", (d, d))], name
+            TestGramPca.assert_near_svd(fits, X, 1e-12)
+
+    def test_fallbacks_take_qr_then_the_svd_of_r_bitwise(self, pca_routines):
+        calls = pca_routines
+        for name, X in self.fallback():
             n, d = X.shape
-            qrs.clear()
-            svds.clear()
-            ks = list(range(1, d + 1))
+            calls.clear()
+            fits = pca_fits(X, list(range(1, d + 1)))
+            qr_svd = [("qr", (n, d)), ("svd", (d, d))]
+            assert calls == (qr_svd if d < GRAM_MIN_SIDE else [("eigh", (d, d)), *qr_svd]), name
+            TestGramPca.assert_direct_svd(fits, X)
+
+    def test_prefix_fits_are_the_single_fits_bitwise(self):
+        for _, X in [*self.gram(), *self.fallback()]:
+            ks = self.ks(X)
             fits = pca_fits(X, ks)
-            assert (qrs, svds) == ([(n, d)], [(d, d)]), name
             for k in ks:
-                fit = fits[k]
-                for got, want in zip((fit.mean, fit.components, fit.explained_variance),
-                                     _direct_pca(X, k)):
-                    assert got.tobytes() == want.tobytes(), (name, k)
+                TestPrefixFits.assert_same_fit(fits[k], pca_fits(X, [k])[k])
+
+    @pytest.mark.parametrize("d, failure", [
+        # the Gram scales the input exactly, so only the variance overflows
+        (20, "PCA variance contains non-finite values"),
+        # below GRAM_MIN_SIDE the QR's column norm overflows first
+        (7, "centered PCA input contains non-finite values"),
+    ])
+    def test_an_overflowing_centred_column_norm(self, pca_routines, d, failure):
+        # rows +a, -a in turn: the column means are exactly 0, the norms overflow
+        a = np.random.default_rng(50).uniform(-1.0, 1.0, size=(20, d)) * 1e308
+        X = np.stack([a, -a], axis=1).reshape(40, d)
+        assert not X.mean(axis=0).any()
+        calls = pca_routines
+        fits = pca_fits(X, [1, d])
+        assert {k: repr(fit) for k, fit in fits.items()} == dict.fromkeys(
+            [1, d], repr(NumericalError(failure)))
+        routes = [("eigh", (d, d))] if d >= GRAM_MIN_SIDE else [("qr", (40, d)), ("svd", (d, d))]
+        assert calls == routes
 
 
 def _with_spectrum(rng, n, d, s):
@@ -554,27 +586,12 @@ def _with_spectrum(rng, n, d, s):
 
 
 class TestGramPca:
-    """An input with ``n < 2 * d`` is decomposed through the ``eigh`` of its smaller Gram matrix.
+    """An input, tall or wide, is decomposed through the ``eigh`` of its smaller Gram matrix.
 
     Where a side is below ``GRAM_MIN_SIDE``, that Gram is too
     ill-conditioned, or its ``eigh`` fails, the input is decomposed by the
     direct SVD, bitwise.
     """
-
-    @staticmethod
-    def routines(monkeypatch):
-        """The routine and the matrix shape of each decomposition ``pca_fits`` runs."""
-        import mmfuse.numerics as numerics
-
-        calls = []
-        real = numerics._decompose
-
-        def decompose(routine, matrix, what, **kwargs):
-            calls.append((routine.__name__, matrix.shape))
-            return real(routine, matrix, what, **kwargs)
-
-        monkeypatch.setattr(numerics, "_decompose", decompose)
-        return calls
 
     @staticmethod
     def assert_near_svd(fits, X, tol):
@@ -597,10 +614,10 @@ class TestGramPca:
     def all_ks(X):
         return list(range(1, min(X.shape[0] - 1, X.shape[1]) + 1))
 
-    def test_inputs_below_twice_their_width_take_the_smaller_gram(self, monkeypatch):
+    def test_inputs_below_twice_their_width_take_the_smaller_gram(self, pca_routines):
         rng = np.random.default_rng(43)
         d = 20
-        calls = self.routines(monkeypatch)
+        calls = pca_routines
         for n, gram in ((2 * d - 1, d), (d + 1, d), (d, d), (GRAM_MIN_SIDE, GRAM_MIN_SIDE)):
             X = rng.normal(size=(n, d))
             calls.clear()
@@ -624,8 +641,8 @@ class TestGramPca:
             yield (n, d), np.tanh(latent @ rng.normal(size=(10, d)) / 3
                                   + 0.5 * rng.normal(size=(n, d)))
 
-    def test_matches_an_svd_oracle(self, monkeypatch):
-        calls = self.routines(monkeypatch)
+    def test_matches_an_svd_oracle(self, pca_routines):
+        calls = pca_routines
         for (n, d), X in self.wide():
             calls.clear()
             fits = pca_fits(X, self.all_ks(X))
@@ -655,8 +672,8 @@ class TestGramPca:
         yield "below the bound, n < d", _with_spectrum(rng, 20, 50, np.geomspace(1, smallest, 19))
         yield "below the bound, d <= n", _with_spectrum(rng, 50, 30, np.geomspace(1, smallest, 30))
 
-    def test_ill_conditioned_inputs_fall_back_to_the_direct_svd_bitwise(self, monkeypatch):
-        calls = self.routines(monkeypatch)
+    def test_ill_conditioned_inputs_fall_back_to_the_direct_svd_bitwise(self, pca_routines):
+        calls = pca_routines
         for name, X in self.ill_conditioned():
             n, d = X.shape
             calls.clear()
@@ -665,21 +682,21 @@ class TestGramPca:
             assert calls == [("eigh", (side, side)), ("svd", (n, d))], name
             self.assert_direct_svd(fits, X)
 
-    def test_a_spectrum_just_above_the_bound_takes_the_gram(self, monkeypatch):
+    def test_a_spectrum_just_above_the_bound_takes_the_gram(self, pca_routines):
         rng = np.random.default_rng(47)
         smallest = (1.1 * GRAM_BOUND) ** 0.5
-        calls = self.routines(monkeypatch)
-        for n, d in ((20, 50), (50, 30)):
+        calls = pca_routines
+        for n, d in ((20, 50), (50, 30), (80, 30)):
             X = _with_spectrum(rng, n, d, np.geomspace(1, smallest, min(n - 1, d)))
             calls.clear()
             fits = pca_fits(X, self.all_ks(X))
             assert calls == [("eigh", (min(n, d),) * 2)], (n, d)
             self.assert_near_svd(fits, X, 1e-8)
 
-    @pytest.mark.parametrize("shape", [(17, 30), (30, 20)])
-    def test_extreme_magnitudes_keep_their_status(self, monkeypatch, shape):
+    @pytest.mark.parametrize("shape", [(17, 30), (30, 20), (40, 20)])
+    def test_extreme_magnitudes_keep_their_status(self, pca_routines, shape):
         X = np.random.default_rng(48).normal(size=shape)
-        calls = self.routines(monkeypatch)
+        calls = pca_routines
         ks = self.all_ks(X)
         overflowing = pca_fits(X * 1e200, ks)
         assert {k: repr(fit) for k, fit in overflowing.items()} == dict.fromkeys(
@@ -695,10 +712,10 @@ class TestGramPca:
             assert np.max(np.abs(fit.explained_variance - variance)) <= 8 * 5e-324
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_non_finite_centred_input(self, monkeypatch):
+    def test_non_finite_centred_input(self, pca_routines):
         X = np.full((20, 30), 1.7e308)
         X[0] = -1.7e308
-        calls = self.routines(monkeypatch)
+        calls = pca_routines
         fits = pca_fits(X, [1, 2])
         assert calls == []
         assert {k: repr(fit) for k, fit in fits.items()} == dict.fromkeys(
@@ -719,7 +736,7 @@ class TestGramPca:
             fit_pca(rank_deficient, 2)
 
     @pytest.mark.parametrize("failure", ["no convergence", "non-finite"])
-    def test_a_failing_eigh_falls_back_to_the_direct_svd(self, monkeypatch, failure):
+    def test_a_failing_eigh_falls_back_to_the_direct_svd(self, monkeypatch, failure, pca_routines):
         real_eigh = np.linalg.eigh
 
         def eigh(matrix):
@@ -730,14 +747,14 @@ class TestGramPca:
             return lam, vecs
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        calls = self.routines(monkeypatch)
+        calls = pca_routines
         for _, X in self.wide():
             calls.clear()
             fits = pca_fits(X, self.all_ks(X))
             assert [routine for routine, _ in calls] == ["eigh", "svd"]
             self.assert_direct_svd(fits, X)
 
-    def test_the_gram_route_holds_no_second_centred_copy(self, monkeypatch):
+    def test_the_gram_route_holds_no_second_centred_copy(self, pca_routines):
         """``Cᵀ C`` drops the centred input before its ``eigh``; ``C Cᵀ`` divides Vᵀ in place.
 
         Peaks traced by ``tracemalloc`` (numpy's arrays; LAPACK's workspace
@@ -747,7 +764,7 @@ class TestGramPca:
         import tracemalloc
 
         rng = np.random.default_rng(49)
-        calls = self.routines(monkeypatch)
+        calls = pca_routines
         for (n, d), bound in (((1500, 1000), 2.0), ((600, 1500), 2.75)):
             X = rng.normal(size=(n, d))
             calls.clear()

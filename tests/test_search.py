@@ -313,12 +313,18 @@ class TestFailureHandling:
             if entry.status == STATUS_FAILED:
                 assert entry.error
 
-    def test_an_out_of_range_layer_a_dim_fails_with_the_pca_text(self):
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_an_out_of_range_layer_a_dim_fails_with_the_pca_text(self, overflow):
         # 6 words: a layer-a PCA has at most n-1 = 5 dims, so 6 and 8 fail, on
-        # the textual side first (its d is 8), in the sweep and applied alone
+        # the textual side first (its d is 8), in the sweep and applied alone;
+        # with ``overflow`` fitting the textual side fails too, and dims 2 and
+        # 4 fail with that failure, but 6 and 8 still fail as out of range
         rng = np.random.default_rng(23)
         vocab = tuple(f"w{i}" for i in range(6))
-        textual = EmbeddingTable(vocab, rng.normal(size=(6, 8)), name="textual")
+        matrix = rng.normal(size=(6, 8))
+        if overflow:
+            matrix[0, 0] = 1e200
+        textual = EmbeddingTable(vocab, matrix, name="textual")
         visual = EmbeddingTable(vocab, rng.normal(size=(6, 10)), name="visual")
         bench = Benchmark("six", tuple((vocab[i], vocab[j], float(rng.uniform(0, 10)))
                                        for i in range(6) for j in range(i + 1, 6)))
@@ -327,9 +333,14 @@ class TestFailureHandling:
         failed = {e.config: e.error for e in report.entries if e.status == STATUS_FAILED}
         expected = {c: f"PCA dimension k={c.pca_dim} outside [1, min(n-1=5, d=8)]"
                     for c in enumerate_configurations(8, 10, grid) if c.pca_dim in (6, 8)}
+        if overflow:
+            # configurations without layer a may fail on the raw overflow too
+            failed = {c: error for c, error in failed.items() if c.pca_dim}
+            expected |= {c: "PCA variance contains non-finite values"
+                         for c in enumerate_configurations(8, 10, grid) if c.pca_dim in (2, 4)}
         assert failed == expected
         for config, error in expected.items():
-            with pytest.raises(DimensionError) as info:
+            with pytest.raises(DimensionError if config.pca_dim > 5 else NumericalError) as info:
                 apply_configuration(config, textual, visual)
             assert str(info.value) == error
 
@@ -481,6 +492,22 @@ class TestSharedFits:
         monkeypatch.setattr(numerics, "pca_transform", pca_transform)
         monkeypatch.setattr(composition, "pca_transform", pca_transform)
         return transforms
+
+    def test_tall_sides_take_one_gram_eigh_each(self, pca_routines):
+        """Sides with ``n >= 2d >= 2 * GRAM_MIN_SIDE`` are fit by one ``eigh`` each, and no QR."""
+        rng = np.random.default_rng(7)
+        vocab = tuple(f"w{i:02d}" for i in range(40))
+        latent = rng.normal(size=(40, 6))
+        textual, visual = (EmbeddingTable(vocab, latent @ rng.normal(size=(6, d))
+                                          + rng.normal(size=(40, d)), name=name)
+                           for name, d in (("textual", 16), ("visual", 18)))
+        bench = Benchmark("tall", tuple((vocab[i], vocab[j], float((i * j) % 5))
+                                        for i in range(40) for j in range(i + 1, 40, 7)))
+        grid = GridSpec(dim_step=8, dim_min=8, alpha_step=0.5)
+        report, = sweep(textual, visual, [bench], grid)
+        assert pca_routines == [("eigh", (16, 16)), ("eigh", (18, 18))]
+        assert report.counts()[STATUS_OK] == len(report.entries)
+        assert_matches_oracle(report, exhaustive_oracle(textual, visual, bench, grid))
 
     def test_each_projection_and_table_is_computed_once(self, monkeypatch):
         """One projection per (pca dim, fusion dim, side) and one pair-sum pass per table.
