@@ -63,9 +63,9 @@ from .numerics import (
     DEFAULT_RIDGE,
     CcaModel,
     PcaModel,
-    cca_fits,
+    cca_fit,
     cca_transform,
-    pca_fits,
+    pca_fit,
     pca_transform,
     rcca_residual,
 )

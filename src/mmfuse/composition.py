@@ -22,10 +22,15 @@ per-layer choices, in ``canonical_key`` order.
 projection in the package happens here. Every PCA they use is a column
 prefix of one principal-score matrix per side (``layer_a``, ``leading``):
 a layer-a output, and the reducer by which R-CCA cuts a wider signal to
-its projection's width. A layer-a output's CCA needs no decomposition
-to whiten: its columns are uncorrelated principal scores, whitened by
-the layer-a fit's variances (``fit_fusion``). A
-``ScoringModel`` names its layer-c motif beside its one or two tables,
+its projection's width. Likewise each layer-a dim has one CCA, fit at
+the widest dim its two inputs allow (``fit_fusion``), and each side one
+projection at that width: every fusion dim's CCA table, and the
+projection its R-CCA table subtracts, is a column prefix of it. Both
+widths are set by the inputs, not the grid, so a configuration applied
+alone builds bit for bit the tables its sweep entry scored. A layer-a
+output's CCA needs no decomposition to whiten: its columns are
+uncorrelated principal scores, whitened by the layer-a fit's variances.
+A ``ScoringModel`` names its layer-c motif beside its one or two tables,
 as a ``Configuration`` does: a concatenation keeps its two blocks, so it
 is scored from their sums, by ``evaluate`` and the sweep alike, and
 ``concat_table`` stacks them only where ``apply`` writes them.
@@ -47,11 +52,12 @@ from .numerics import (
     SIDE_TEXTUAL,
     SIDE_VISUAL,
     caught,
-    cca_fits,
+    cca_fit,
     cca_transform,
+    check_cca_dimension,
     check_pca_dimension,
     fitted,
-    pca_fits,
+    pca_fit,
     pca_transform,
     rcca_residual,
 )
@@ -254,7 +260,7 @@ def validate_configuration(config, dim_t, dim_v):
 
 def principal_scores(matrix, m):
     """A side's PCA at ``m`` and its read-only principal scores ``(X - mean) @ components``."""
-    model = fitted(pca_fits(matrix, [m])[m])
+    model = pca_fit(matrix, m)
     scores = pca_transform(model, matrix)
     scores.flags.writeable = False
     return model, scores
@@ -280,9 +286,9 @@ def layer_a(raw, configs):
 def leading(fit, k, shape):
     """A side's PCA at ``k``, applied: the first ``k`` columns of its ``layer_a`` scores ``fit``.
 
-    Raises ``pca_fits``' ``DimensionError`` for a k out of range of the
-    side's raw ``shape`` (n, d), checked first as ``pca_fits`` checks it,
-    and otherwise the error fitting the side. The scores are ``U S`` of
+    Raises ``check_pca_dimension``'s ``DimensionError`` for the side's raw
+    ``shape`` (n, d), checked first as ``pca_fit`` checks it, and otherwise
+    the error fitting the side. The scores are ``U S`` of
     the side's centred SVD, centred and uncorrelated in non-increasing
     variance, so their first k axes are top-k principal axes of the side
     and of any wider layer-a output. Where variances tie or are zero, an
@@ -293,17 +299,21 @@ def leading(fit, k, shape):
     return fitted(fit)[1][:, :k]
 
 
-def fit_fusion(reduced, dims, ridge, fits, a_dim):
-    """Layer-b CCA fits between the two layer-a outputs at ``a_dim``: ``{dim: CcaModel or error}``.
+def fit_fusion(reduced, ridge, fits, a_dim):
+    """The layer-b CCA of the two layer-a outputs at ``a_dim``, at every pair they allow.
 
-    A layer-a output's columns are uncorrelated principal scores, so each
+    It is fit once at K = min(d1, d2, n - 1) of ``reduced``, a width set
+    by the inputs alone, so every fusion dim's projection is a column
+    prefix of the one at K, whichever fusion dims are asked for. A
+    layer-a output's columns are uncorrelated principal scores, so each
     side is whitened by its layer-a fit's variances, with no ``eigh``;
     raw tables (``a_dim`` None) by the ``eigh`` of their covariances.
     """
+    x, y = reduced[SIDE_TEXTUAL], reduced[SIDE_VISUAL]
     variances = None if a_dim is None else tuple(
         fitted(fits[side])[0].explained_variance[:a_dim] for side in (SIDE_TEXTUAL, SIDE_VISUAL))
-    return cca_fits(reduced[SIDE_TEXTUAL], reduced[SIDE_VISUAL], dims, ridge=ridge,
-                    variances=variances)
+    return cca_fit(x, y, min(x.shape[1], y.shape[1], x.shape[0] - 1), ridge=ridge,
+                   variances=variances)
 
 
 def layer_inputs(config):
@@ -354,36 +364,38 @@ def group_tables(raw, a_fits, a_dim, tables, ridge):
     """Each ``(fusion dim, origin, side)`` table of ``tables`` at layer-a dim ``a_dim``.
 
     Yields ``(table, matrix or the failure building it)``. First the
-    layer-a output (``raw`` itself when ``a_dim`` is None) and one
-    ``fit_fusion`` over the fusion dims of ``tables``. Then the tables,
-    each ``(fusion dim, side)`` in a run, its CCA table before its R-CCA
-    table: one projection serves the run and is deleted before the next
-    is made. A failed layer-a output, fit or projection fails every table
-    built on it.
+    layer-a output (``raw`` itself when ``a_dim`` is None) and, if any
+    table is fused, one ``fit_fusion``. Then the tables, a side at a
+    time: the side's layer-a output is projected once at the fit's full
+    width, and each fusion dim's CCA table, and the projection its R-CCA
+    table subtracts, is the first ``fusion dim`` columns of it. One
+    projection is held at a time. A table fails with, in this order, the
+    failure of its layer-a output, ``check_cca_dimension``'s for its
+    fusion dim, and that of the fit or projection it is built on.
     """
     reduced = raw if a_dim is None else caught(
         lambda: {side: leading(fit, a_dim, raw[side].shape) for side, fit in a_fits.items()})
-    f_dims = sorted({f_dim for f_dim, origin, _ in tables if origin})
-    fits = {}
-    if f_dims:
-        fits = caught(lambda: fit_fusion(fitted(reduced), f_dims, ridge, a_fits, a_dim))
+    fused = any(origin for _, origin, _ in tables)
+    fit = caught(lambda: fit_fusion(fitted(reduced), ridge, a_fits, a_dim)) if fused else None
 
-    def projection(f_dim, side):
-        return cca_transform(fitted(fitted(fits)[f_dim]), fitted(reduced)[side], side)
+    def projection(side):
+        return cca_transform(fitted(fit), fitted(reduced)[side], side)
 
-    def matrix(origin, side, projected):
+    def matrix(f_dim, origin, side, projected):
+        signals = fitted(reduced)
         if not origin:
-            return fitted(reduced)[side]
-        if origin == "cca":
-            return fitted(projected)
-        return residual(fitted(reduced)[side], fitted(projected), a_fits.get(side))
+            return signals[side]
+        (n, d1), (_, d2) = signals[SIDE_TEXTUAL].shape, signals[SIDE_VISUAL].shape
+        check_cca_dimension(f_dim, d1, d2, n)
+        cut = fitted(projected)[:, :f_dim]
+        return cut if origin == "cca" else residual(signals[side], cut, a_fits.get(side))
 
-    ordered = sorted(tables, key=lambda t: (t[0] or 0, t[2], t[1]))
-    for (f_dim, side), run in groupby(ordered, key=lambda t: (t[0], t[2])):
-        projected = caught(projection, f_dim, side) if f_dim else None
+    ordered = sorted(tables, key=lambda t: (t[2], t[0] or 0, t[1]))
+    for side, run in groupby(ordered, key=lambda t: t[2]):
+        projected = caught(projection, side) if fused else None
         for table in run:
-            yield table, caught(matrix, table[1], side, projected)
-        del projected   # before the next (fusion dim, side) is projected
+            yield table, caught(matrix, *table, projected)
+        del projected   # before the next side is projected
 
 
 def apply_configuration(config, textual, visual, normalize_concat=False):

@@ -8,7 +8,7 @@ default below exists for exactly that case and can be set to 0 on
 full-rank inputs. Inputs whose columns are uncorrelated with known
 variances, as a PCA's principal scores are with its
 ``explained_variance``, are whitened elementwise by
-``1 / sqrt(var + ridge)`` (``cca_fits(..., variances=...)``): no
+``1 / sqrt(var + ridge)`` (``cca_fit(..., variances=...)``): no
 covariance of a side with itself is formed and no ``eigh`` runs. That is
 the same whitening in exact arithmetic and differs from the ``eigh`` one
 by rounding. Either way a side whose ridged eigenvalues, or ``var +
@@ -18,13 +18,12 @@ All fits are deterministic: no randomized initialization, and component
 signs are pinned (largest-magnitude entry positive; the CCA pair is
 flipped jointly so the pinned sign never negates a correlation).
 
-``pca_fits`` and ``cca_fits`` fit every requested dimension from one
-decomposition, because the leading k principal axes and the leading k
-canonical pairs do not depend on k (Hardoon, Szedmak & Shawe-Taylor
-2004). Each k's model is computed from that decomposition by the same
-per-k steps, so ``pca_fits(X, ks)[k]`` is bitwise ``pca_fits(X, [k])[k]``,
-and likewise for ``cca_fits``. A dimension that cannot be fit maps to
-the error its fit raises, and ``fitted`` re-raises it.
+``pca_fit`` and ``cca_fit`` each return one model or raise. The leading
+k principal axes and the leading k canonical pairs do not depend on k
+(Hardoon, Szedmak & Shawe-Taylor 2004), so a caller that needs several
+dimensions fits once at the widest and reads column prefixes;
+``check_pca_dimension`` and ``check_cca_dimension`` say which k a fit of
+a given input shape can have.
 A PCA input takes one of two routes, chosen from the input alone. Unless
 small (``GRAM_MIN_SIDE``), whatever its aspect ratio, it is decomposed
 through the ``eigh`` of its smaller Gram matrix, scaled by an exact power
@@ -35,7 +34,7 @@ SVD. There an input with at least twice as many rows as columns is
 decomposed through the R factor of its QR factorization, as LAPACK's own
 SVD of a tall matrix does, so no n x d factor is formed; the model is
 bitwise that of the direct SVD except where LAPACK rescales an input with
-magnitudes above about 1e137 or below about 1e-138 (see ``pca_fits``).
+magnitudes above about 1e137 or below about 1e-138 (see ``pca_fit``).
 
 Numerical failures raise ``NumericalError``, which a sweep records as a
 failed configuration instead of stopping: a LAPACK routine that does not
@@ -60,7 +59,7 @@ from .errors import (
 
 DEFAULT_RIDGE = 1e-3
 
-# Smallest ratio λ_m / λ₁ of Gram eigenvalues that ``pca_fits`` decomposes
+# Smallest ratio λ_m / λ₁ of Gram eigenvalues that ``pca_fit`` decomposes
 # through the Gram (see there). Measured on inputs of geometric spectra
 # (60 x 200 and 150 x 100), the worst component of the Gram route differs
 # from the direct SVD's by 2.4e-9 at a ratio of 1e-8, 3.4e-8 at 1e-9 and
@@ -72,7 +71,7 @@ DEFAULT_RIDGE = 1e-3
 # (600 x 100 and 600 x 150, 1e-2 to 2e-2) among them.
 GRAM_BOUND = 1e-8
 
-# Smallest side, min(n, d), of an input that ``pca_fits`` decomposes
+# Smallest side, min(n, d), of an input that ``pca_fit`` decomposes
 # through its Gram. Below it the Gram route saves nothing: one
 # fit of a 4 x 3 input took 72-87 us by the direct SVD and 96-100 us by the
 # Gram, of 12 x 20 111-138 us and 127 us, of 20 x 30 184-240 us and
@@ -141,9 +140,6 @@ class CcaModel:
         return self.proj_y.shape[0]
 
 
-_FIT_ERRORS = (AlignmentError, DimensionError, NumericalError)
-
-
 def _check_matrix(X, what):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -176,30 +172,8 @@ def _fix_signs(components):
     return components * flips, flips
 
 
-def _fill(fits, decompose, model_at):
-    """Fit every k that ``fits`` maps to None from one ``decompose()``.
-
-    A ``NumericalError`` of the decomposition becomes the value of every
-    such k, and one of ``model_at(parts, k)`` the value of that k.
-    ``decompose`` runs only when some k is left to fit.
-    """
-    todo = [k for k, fit in fits.items() if fit is None]
-    if not todo:
-        return fits
-    try:
-        parts = decompose()
-    except NumericalError as exc:
-        return {**fits, **dict.fromkeys(todo, exc)}
-    for k in todo:
-        try:
-            fits[k] = model_at(parts, k)
-        except NumericalError as exc:
-            fits[k] = exc
-    return fits
-
-
 def fitted(fit):
-    """A model from ``pca_fits``/``cca_fits``, or raise the error stored in its place."""
+    """A model or other result ``caught`` stored, or raise the error stored in its place."""
     if isinstance(fit, Exception):
         raise fit.with_traceback(None)
     return fit
@@ -221,7 +195,7 @@ def _gram_svd(X, mean):
     """Singular values and right singular vectors of ``X - mean`` from its smaller Gram matrix.
 
     Returns the leading ``min(n - 1, d)`` of each, or None where the Gram
-    route does not apply (see ``pca_fits``). The centred input is scaled
+    route does not apply (see ``pca_fit``). The centred input is scaled
     in place and dropped once no longer read: after the Gram on the
     ``Cᵀ C`` route, so no n x d copy is held during the ``eigh``. The Gram
     is dropped after its ``eigh``.
@@ -262,13 +236,13 @@ def _gram_svd(X, mean):
         return np.ldexp(s, e), vt
 
 
-def pca_fits(X, ks):
-    """Top-k principal directions of column-centered ``X`` for every k in ``ks``.
+def pca_fit(X, k):
+    """Top-k principal directions of column-centered ``X``.
 
-    One decomposition serves every k: the leading k right singular vectors
-    do not depend on k. Which of two routes decomposes the centred n x d
-    input depends on ``X`` alone, never on ``ks``, so ``pca_fits(X, ks)[k]``
-    is bitwise ``pca_fits(X, [k])[k]``:
+    The leading k right singular vectors do not depend on k, and which of
+    two routes decomposes the centred n x d input depends on ``X`` alone,
+    never on k, so ``pca_fit(X, k)`` is bitwise the leading k components
+    and variances of ``pca_fit(X, m)`` for any valid ``m > k``:
 
     - Where ``min(n, d) >= GRAM_MIN_SIDE``, tall or wide, the Gram route:
       ``eigh`` of the smaller Gram matrix, ``C Cᵀ`` (n x n) when ``n < d``
@@ -277,9 +251,9 @@ def pca_fits(X, ks):
       [0.5, 1). Its eigenvalues λ, in
       descending order, give ``s = sqrt(λ) · 2^e``. For ``Cᵀ C`` the rows
       of Vᵀ are its eigenvectors; for ``C Cᵀ`` they are ``(Uᵀ C) / s``.
-      The leading ``min(n - 1, d)`` rows are formed, every k any call can
-      read. No n x d U is formed, and the Gram is far cheaper to decompose
-      than the input: a 400 x 1024 fit took 30-33 ms against 112-114 ms
+      The leading ``min(n - 1, d)`` rows are formed, whatever k is. No
+      n x d U is formed, and the Gram is far cheaper to decompose than the
+      input: a 400 x 1024 fit took 30-33 ms against 112-114 ms
       by the direct SVD, a 600 x 150 one 2.0 ms against 7.5 ms by QR and
       the SVD of R. A tall input whose centred column norm overflows fails
       here as an overflowing PCA variance, as a wide one does.
@@ -306,46 +280,40 @@ def pca_fits(X, ks):
     well-conditioned inputs; variances differ by about as much, relative
     to the largest.
 
-    Returns ``{k: PcaModel}``, where a k that cannot be fit maps to the
-    ``DimensionError`` or ``NumericalError`` that fitting it raised.
-    Rank-deficient input is not an error: trailing components span the
+    Returns the ``PcaModel`` at k. Failures come in this order: a
+    non-finite input (``NumericalError``), ``check_pca_dimension``'s
+    ``DimensionError``, then the ``NumericalError`` of the decomposition
+    or of an overflowing variance. Rank-deficient input is not an error: trailing components span the
     null space and carry zero explained variance.
     """
-    try:
-        X = _check_matrix(X, "X")
-        n, d = X.shape
-        if n < 2:
-            raise DimensionError("PCA needs at least 2 rows")
-    except _FIT_ERRORS as exc:
-        return dict.fromkeys(ks, exc)
-    fits = {k: caught(check_pca_dimension, k, n, d) for k in ks}   # None: a k to fit
-
-    def decompose():
-        mean = X.mean(axis=0)
-        gram = _gram_svd(X, mean) if min(n, d) >= GRAM_MIN_SIDE else None
-        if gram is not None:
-            return (mean, *gram)
+    X = _check_matrix(X, "X")
+    n, d = X.shape
+    check_pca_dimension(k, n, d)
+    mean = X.mean(axis=0)
+    gram = _gram_svd(X, mean) if min(n, d) >= GRAM_MIN_SIDE else None
+    if gram is not None:
+        s, vt = gram
+    else:
         centred = X - mean
         if n >= 2 * d:
             # the SVD of R gives what the SVD of QR = centred gives, without Q or an n x d U
             centred = np.linalg.qr(centred, mode="r")
         _, s, vt = _decompose(np.linalg.svd, centred, "centered PCA input",
                               full_matrices=False)
-        return mean, s, vt
-
-    def model_at(parts, k):
-        mean, s, vt = parts
-        with np.errstate(over="ignore"):  # an overflowing variance is rejected below
-            variance = np.maximum(s[:k] ** 2 / (n - 1), 0.0)
-        variance = _check_finite(variance, "PCA variance")
-        components, _ = _fix_signs(vt[:k].T)
-        return PcaModel(mean=mean, components=components, explained_variance=variance)
-
-    return _fill(fits, decompose, model_at)
+    with np.errstate(over="ignore"):  # an overflowing variance is rejected below
+        variance = np.maximum(s[:k] ** 2 / (n - 1), 0.0)
+    variance = _check_finite(variance, "PCA variance")
+    components, _ = _fix_signs(vt[:k].T)
+    return PcaModel(mean=mean, components=components, explained_variance=variance)
 
 
 def check_pca_dimension(k, n, d):
-    """Raise ``DimensionError`` unless a PCA of an n x d input can have ``k`` components."""
+    """Raise ``DimensionError`` unless a PCA of an n x d input can have ``k`` components.
+
+    Fewer than 2 rows fail as such, before any k is checked.
+    """
+    if n < 2:
+        raise DimensionError("PCA needs at least 2 rows")
     if not 1 <= k <= min(n - 1, d):
         raise DimensionError(f"PCA dimension k={k} outside [1, min(n-1={n - 1}, d={d})]")
 
@@ -393,18 +361,22 @@ def _whiten(isqrt, m):
     return isqrt @ m if isqrt.ndim == 2 else isqrt[:, None] * m
 
 
-def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE, variances=None):
-    """Regularized CCA of co-indexed ``X`` (n x d1) and ``Y`` (n x d2) for every k in ``ks``.
+def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE, variances=None):
+    """Regularized CCA of co-indexed ``X`` (n x d1) and ``Y`` (n x d2) at ``k`` pairs.
 
-    One whitened decomposition serves every k: the leading k canonical
-    pairs do not depend on k. Components are ordered by non-increasing
-    whitened singular value; the stored correlations are the sample
-    correlations of the projected fit data, which coincide with those
-    singular values as ridge -> 0. Returns ``{k: CcaModel}``, where a k
-    that cannot be fit maps to the error fitting it raised, and
-    ``cca_fits(X, Y, ks, ridge)[k]`` is bitwise ``cca_fits(X, Y, [k], ridge)[k]``;
-    a negative or non-finite ridge raises ``ValueError``, whatever ``ks``
-    and the inputs are.
+    Components are ordered by non-increasing whitened singular value; the
+    stored correlations are the sample correlations of the projected fit
+    data, which coincide with those singular values as ridge -> 0. The
+    leading k canonical pairs do not depend on k, so the projections at k
+    are the leading k columns of those at any larger k: bitwise under
+    ``variances``, otherwise up to the rounding of the whitening's matrix
+    product. The correlations agree up to rounding.
+
+    Failures come in this order: a negative or non-finite ridge raises
+    ``ValueError``, whatever the inputs are; then a non-finite input
+    (``NumericalError``), rows that differ (``AlignmentError``) and
+    ``check_cca_dimension``'s ``DimensionError``; then the decomposition's
+    ``NumericalError``.
 
     Each side is whitened by ``(C + ridge I)^(-1/2)``, from the ``eigh`` of
     its covariance C. ``variances=(var_x, var_y)`` declares each side's
@@ -418,59 +390,57 @@ def cca_fits(X, Y, ks, ridge=DEFAULT_RIDGE, variances=None):
     """
     if not (math.isfinite(ridge) and ridge >= 0):
         raise ValueError("ridge must be finite and >= 0")
-    try:
-        X = _check_matrix(X, "X")
-        Y = _check_matrix(Y, "Y")
-        if X.shape[0] != Y.shape[0]:
-            raise AlignmentError(
-                f"row counts differ: X has {X.shape[0]}, Y has {Y.shape[0]}"
-            )
-        n, d1 = X.shape
-        d2 = Y.shape[1]
-        if n < 3:
-            raise DimensionError("CCA needs at least 3 rows")
-    except _FIT_ERRORS as exc:
-        return dict.fromkeys(ks, exc)
+    X = _check_matrix(X, "X")
+    Y = _check_matrix(Y, "Y")
+    if X.shape[0] != Y.shape[0]:
+        raise AlignmentError(
+            f"row counts differ: X has {X.shape[0]}, Y has {Y.shape[0]}"
+        )
+    n, d1 = X.shape
+    d2 = Y.shape[1]
+    check_cca_dimension(k, d1, d2, n)
     if variances is not None and [np.size(v) for v in variances] != [d1, d2]:
         raise ValueError(f"variances must have lengths d1={d1} and d2={d2}")
-    fits = {k: None if 1 <= k <= min(d1, d2, n - 1) else DimensionError(
-        f"CCA dimension k={k} outside [1, min(d1={d1}, d2={d2}, n-1={n - 1})]") for k in ks}
+    mean_x = X.mean(axis=0)
+    mean_y = Y.mean(axis=0)
+    Xc = X - mean_x
+    Yc = Y - mean_y
+    var_x, var_y = (None, None) if variances is None else variances
+    isqrt_x = _whitening(Xc, var_x, ridge, "first-view")
+    isqrt_y = _whitening(Yc, var_y, ridge, "second-view")
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected by the SVD's finite check
+        cxy = Xc.T @ Yc / (n - 1)
+    whitened = isqrt_x @ cxy @ isqrt_y if variances is None else _whiten(isqrt_x, cxy) * isqrt_y
+    u, _, vt = _decompose(np.linalg.svd, whitened, "whitened cross covariance",
+                          full_matrices=False)
+    proj_x = _whiten(isqrt_x, u[:, :k])
+    proj_y = _whiten(isqrt_y, vt[:k].T)
+    # joint sign fix: the flip is decided on the stacked component so that
+    # swapping (X, Y) yields exactly swapped projections
+    _, flips = _fix_signs(np.vstack([proj_x, proj_y]))
+    proj_x = proj_x * flips
+    proj_y = proj_y * flips
+    correlations = _sample_correlations(Xc @ proj_x, Yc @ proj_y)
+    return CcaModel(
+        mean_x=mean_x,
+        mean_y=mean_y,
+        proj_x=proj_x,
+        proj_y=proj_y,
+        correlations=np.clip(correlations, 0.0, 1.0),
+        ridge=float(ridge),
+    )
 
-    def decompose():
-        mean_x = X.mean(axis=0)
-        mean_y = Y.mean(axis=0)
-        Xc = X - mean_x
-        Yc = Y - mean_y
-        var_x, var_y = (None, None) if variances is None else variances
-        isqrt_x = _whitening(Xc, var_x, ridge, "first-view")
-        isqrt_y = _whitening(Yc, var_y, ridge, "second-view")
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected by the SVD's finite check
-            cxy = Xc.T @ Yc / (n - 1)
-        whitened = isqrt_x @ cxy @ isqrt_y if variances is None else _whiten(isqrt_x, cxy) * isqrt_y
-        u, _, vt = _decompose(np.linalg.svd, whitened, "whitened cross covariance",
-                              full_matrices=False)
-        return mean_x, mean_y, Xc, Yc, isqrt_x, isqrt_y, u, vt
 
-    def model_at(parts, k):
-        mean_x, mean_y, Xc, Yc, isqrt_x, isqrt_y, u, vt = parts
-        proj_x = _whiten(isqrt_x, u[:, :k])
-        proj_y = _whiten(isqrt_y, vt[:k].T)
-        # joint sign fix: the flip is decided on the stacked component so that
-        # swapping (X, Y) yields exactly swapped projections
-        _, flips = _fix_signs(np.vstack([proj_x, proj_y]))
-        proj_x = proj_x * flips
-        proj_y = proj_y * flips
-        correlations = _sample_correlations(Xc @ proj_x, Yc @ proj_y)
-        return CcaModel(
-            mean_x=mean_x,
-            mean_y=mean_y,
-            proj_x=proj_x,
-            proj_y=proj_y,
-            correlations=np.clip(correlations, 0.0, 1.0),
-            ridge=float(ridge),
-        )
+def check_cca_dimension(k, d1, d2, n):
+    """Raise ``DimensionError`` unless a CCA of n rows of d1 and d2 columns can have ``k`` pairs.
 
-    return _fill(fits, decompose, model_at)
+    Fewer than 3 rows fail as such, before any k is checked.
+    """
+    if n < 3:
+        raise DimensionError("CCA needs at least 3 rows")
+    if not 1 <= k <= min(d1, d2, n - 1):
+        raise DimensionError(
+            f"CCA dimension k={k} outside [1, min(d1={d1}, d2={d2}, n-1={n - 1})]")
 
 
 def _sample_correlations(A, B):

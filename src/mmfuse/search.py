@@ -12,18 +12,18 @@ builder of ``composition`` and the scoring pieces of ``evaluation``, so
 each decomposition runs once whatever the number of benchmarks or dims:
 
 * layer a: one ``composition.layer_a`` over the whole grid: per side,
-  one ``pca_fits`` and one projection, whose column prefixes are every
+  one ``pca_fit`` and one projection, whose column prefixes are every
   layer-a output and every R-CCA reducer of the grid;
 * per layer-a dim group: one ``composition.group_tables``, the builder
   ``apply_configuration`` uses too. It slices the group's layer-a output
-  from the shared scores, makes one ``cca_fits`` over its fusion dims
-  (whitened by the layer-a variances in a PCA'd group, by ``eigh`` in
-  the raw one), then its (fusion dim, origin, side) tables one at a
-  time, each (fusion dim, side)'s CCA table just before its R-CCA
-  table, which reuses its projection. Each table's rows' squared norms
-  and pair sums are taken and its matrix is dropped, so a group holds
-  one projection and one table at a time, and its tables only as pair
-  sums;
+  from the shared scores, makes one ``cca_fit`` at the widest dim its
+  two inputs allow (whitened by the layer-a variances in a PCA'd group,
+  by ``eigh`` in the raw one), then, a side at a time, one projection
+  at that width, whose column prefixes are each fusion dim's CCA table
+  and the projection its R-CCA table subtracts. Each table's rows'
+  squared norms and pair sums are taken and its matrix is dropped, so a
+  group holds one projection and one table at a time, and its tables
+  only as pair sums;
 * over the covered pairs of every benchmark, end to end (one
   ``evaluation.covered_pairs``): the cosine kernel once per table, for
   its pair sums (dot products and gathered squared norms), and the score

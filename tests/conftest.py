@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from mmfuse import DEFAULT_RIDGE, Benchmark, EmbeddingTable, cca_fits, pca_fits
-from mmfuse.numerics import fitted
-
-
-def fit_pca(X, k):
-    """The PCA model of ``X`` at dimension ``k``, or raise the error fitting it raised."""
-    return fitted(pca_fits(X, [k])[k])
-
-
-def fit_cca(X, Y, k, ridge=DEFAULT_RIDGE, variances=None):
-    """The CCA model of ``X`` and ``Y`` at dimension ``k``, or raise the error fitting it raised."""
-    return fitted(cca_fits(X, Y, [k], ridge, variances=variances)[k])
+from mmfuse import Benchmark, EmbeddingTable
 
 
 def plain_cosine(u, v):
@@ -25,7 +14,7 @@ def pca_routines(monkeypatch):
     """Record the routine and matrix shape of each QR and each PCA decomposition, in order.
 
     A CCA's decompositions are not recorded; ``np.linalg.qr`` is called
-    only by ``pca_fits``' SVD fallback.
+    only by ``pca_fit``'s SVD fallback.
     """
     import mmfuse.numerics as numerics
 

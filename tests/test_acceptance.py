@@ -20,11 +20,13 @@ from mmfuse import (
     SearchReport,
     align_vocabularies,
     apply_configuration,
+    cca_fit,
     enumerate_configurations,
     evaluate,
     load_benchmark,
     load_embeddings,
     output_dimension,
+    pca_fit,
     pca_transform,
     rcca_residual,
     render_reports,
@@ -35,7 +37,6 @@ from mmfuse import (
 from mmfuse.errors import DimensionError, MissingReductionError, NumericalError
 from mmfuse.search import STATUS_OK, _entry_sort_key
 
-from conftest import fit_cca, fit_pca
 from test_numerics import (
     CCA_INSTANCES,
     PCA_COMPONENTS,
@@ -53,7 +54,7 @@ def _ok(n, text):
 def test_criterion_1_cca_grid_oracle_equivalence():
     start = time.perf_counter()
     for X, Y, expected in CCA_INSTANCES:
-        model = fit_cca(np.array(X), np.array(Y), 1, ridge=1e-6)
+        model = cca_fit(np.array(X), np.array(Y), 1, ridge=1e-6)
         assert abs(model.correlations[0] - expected) < 1e-3
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -62,7 +63,7 @@ def test_criterion_1_cca_grid_oracle_equivalence():
 
 
 def test_criterion_2_pca_eigendecomposition_oracle():
-    model = fit_pca(PCA_X, 2)
+    model = pca_fit(PCA_X, 2)
     assert np.abs(model.components - PCA_COMPONENTS).max() < 1e-8
     assert np.abs(model.explained_variance - PCA_VARIANCES).max() < 1e-8
     _ok(2, "4x3 PCA matches the covariance-eigendecomposition oracle within 1e-8")
@@ -81,7 +82,7 @@ def test_criterion_3_residual_definitional_suite():
 
     wide = rng.normal(size=(10, 4))
     low = rng.normal(size=(10, 2))
-    reducer = fit_pca(wide, 2)
+    reducer = pca_fit(wide, 2)
     out = rcca_residual(wide, low, pca=reducer)
     expected = pca_transform(reducer, wide) - low
     assert np.abs(out - expected).max() < 1e-12

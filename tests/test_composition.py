@@ -12,6 +12,7 @@ from mmfuse import (
     NumericalError,
     ScoringModel,
     apply_configuration,
+    cca_fit,
     concat_table,
     describe_configuration,
     enumerate_configurations,
@@ -19,11 +20,10 @@ from mmfuse import (
     output_dimension,
     load_configuration,
     parse_configuration,
+    pca_fit,
     validate_configuration,
 )
 from mmfuse.composition import MOTIFS, canonical_key, used_motifs
-
-from conftest import fit_cca, fit_pca
 
 
 class TestValidate:
@@ -100,7 +100,7 @@ class TestApply:
         textual, visual = small_tables
         cfg = Configuration(layer_a="pca", pca_dim=2, output_side="textual")
         model = apply_configuration(cfg, textual, visual)
-        expected = pca_transform(fit_pca(textual.matrix, 2), textual.matrix)
+        expected = pca_transform(pca_fit(textual.matrix, 2), textual.matrix)
         np.testing.assert_array_equal(model.first.matrix, expected)
 
     def test_concat_dim_is_sum(self, small_tables):
@@ -162,9 +162,9 @@ class TestApply:
         textual, visual = small_tables
         cfg = Configuration(layer_b="rcca", fusion_dim=2, output_side="textual")
         model = apply_configuration(cfg, textual, visual)
-        fit = fit_cca(textual.matrix, visual.matrix, 2, ridge=cfg.ridge)
+        fit = cca_fit(textual.matrix, visual.matrix, 2, ridge=cfg.ridge)
         projected = cca_transform(fit, textual.matrix, "textual")
-        reducer = fit_pca(textual.matrix, 2)
+        reducer = pca_fit(textual.matrix, 2)
         expected = rcca_residual(textual.matrix, projected, pca=reducer)
         np.testing.assert_array_equal(model.first.matrix, expected)
 
@@ -173,15 +173,17 @@ class TestApply:
         """One input table of a configuration, built here from its fits and transforms.
 
         A side's PCA at k, as a layer-a output or an R-CCA reducer, is its
-        PCA fit at ``width`` and applied, cut to its first k columns; with
-        no ``width``, it is fit at k itself.
+        PCA fit at ``width`` and applied, cut to its first k columns; the
+        CCA is fit at the widest dim its two inputs allow and applied, cut
+        to its first ``f_dim`` columns. With no ``width``, each is fit at
+        its own dim.
         """
         from mmfuse import cca_transform, pca_transform, rcca_residual
 
         raw = {"textual": textual.matrix, "visual": visual.matrix}
 
         def pca_at(s, k):
-            pca = fit_pca(raw[s], width or k)
+            pca = pca_fit(raw[s], width or k)
             return pca_transform(pca, raw[s])[:, :k], pca.explained_variance[:k]
 
         signal, variances = raw, None
@@ -192,8 +194,10 @@ class TestApply:
             variances = tuple(var for _, var in parts.values())
         if not origin:
             return signal[side]
-        fit = fit_cca(signal["textual"], signal["visual"], f_dim, ridge=ridge, variances=variances)
-        projected = cca_transform(fit, signal[side], side)
+        x, y = signal["textual"], signal["visual"]
+        k = min(x.shape[1], y.shape[1], x.shape[0] - 1) if width else f_dim
+        fit = cca_fit(x, y, k, ridge=ridge, variances=variances)
+        projected = cca_transform(fit, signal[side], side)[:, :f_dim]
         own = signal[side]
         if origin == "cca":
             return projected
@@ -230,7 +234,8 @@ class TestApply:
         """Every kind of input table, bit for bit, against fits and transforms called directly.
 
         Each side's PCA is fit once, at the widest dim both sides allow, and
-        cut; fitting each dim on its own agrees up to rounding.
+        cut, and so is the CCA of the two layer-a outputs; fitting each dim
+        on its own agrees up to rounding.
         """
         textual, visual = small_tables
         config = parse_configuration(layers)
@@ -315,17 +320,19 @@ class TestLayerAReducer:
 
         Each side is fit at the widest dim both sides allow and projected;
         its layer-a output is the first ``a_dim`` columns, whitened by their
-        variances, as principal scores.
+        variances, as principal scores. Their CCA is fit at ``a_dim``, the
+        widest dim they allow, and each projection cut to its first
+        ``f_dim`` columns.
         """
         from mmfuse import cca_transform, pca_transform
 
         tables = {"textual": textual.matrix, "visual": visual.matrix}
         width = min(len(textual.vocab) - 1, textual.dim, visual.dim)
-        pcas = {side: fit_pca(m, width) for side, m in tables.items()}
+        pcas = {side: pca_fit(m, width) for side, m in tables.items()}
         z = {side: pca_transform(pcas[side], m)[:, :a_dim] for side, m in tables.items()}
-        fit = fit_cca(z["textual"], z["visual"], f_dim, ridge=ridge,
+        fit = cca_fit(z["textual"], z["visual"], a_dim, ridge=ridge,
                       variances=tuple(pcas[side].explained_variance[:a_dim] for side in z))
-        return z, {side: cca_transform(fit, z[side], side) for side in z}
+        return z, {side: cca_transform(fit, z[side], side)[:, :f_dim] for side in z}
 
     def test_residual_subtracts_the_leading_coordinates(self, planted):
         from mmfuse import rcca_residual
@@ -334,7 +341,7 @@ class TestLayerAReducer:
         cfg = parse_configuration("layer_a=pca:3 layer_b=rcca:2:out=both layer_c=li:0.5")
         model = apply_configuration(cfg, textual, visual)
         z, projected = self.layer_a_parts(textual, visual, 3, 2, cfg.ridge)
-        variances = fit_pca(textual.matrix, 3).explained_variance
+        variances = pca_fit(textual.matrix, 3).explained_variance
         assert np.all(np.diff(variances) < 0)   # distinct variances: one valid PCA
         for table, side in ((model.first, "textual"), (model.second, "visual")):
             lead = z[side][:, :2]
@@ -342,7 +349,7 @@ class TestLayerAReducer:
             # the leading coordinates are centred, up to rounding
             np.testing.assert_allclose(lead.mean(axis=0), 0.0, rtol=0, atol=1e-14)
             # the SVD of the output this replaces gives the same reduction up to rounding
-            svd = rcca_residual(z[side], projected[side], pca=fit_pca(z[side], 2))
+            svd = rcca_residual(z[side], projected[side], pca=pca_fit(z[side], 2))
             np.testing.assert_allclose(table.matrix, svd, rtol=0, atol=1e-9)
         # the leading coordinates carry the layer-a fit's leading variances
         np.testing.assert_allclose(np.var(z["textual"][:, :2], axis=0, ddof=1),

@@ -56,7 +56,6 @@ def test_names_the_benchmark_harness_imports():
 STALE_TRACE_SITES = {
     "mmfuse.cli.render_report_table", "mmfuse.cli.render_report_machine", "mmfuse.cli.grid_search",
     "mmfuse.search.apply_configuration", "mmfuse.search.evaluate",
-    "mmfuse.composition.pca_fit", "mmfuse.composition.cca_fit",
     "mmfuse._kernels.pair_cosine_scores",
 }
 

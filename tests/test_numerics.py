@@ -3,18 +3,18 @@ import pytest
 
 from mmfuse import (
     AlignmentError,
+    CcaModel,
     DimensionError,
     MissingReductionError,
     NumericalError,
-    cca_fits,
+    PcaModel,
+    cca_fit,
     cca_transform,
-    pca_fits,
+    pca_fit,
     pca_transform,
     rcca_residual,
 )
 from mmfuse.numerics import GRAM_BOUND, GRAM_MIN_SIDE
-
-from conftest import fit_cca, fit_pca
 
 # Fixed 4x3 instance; expected values frozen from an independent
 # eigendecomposition-of-covariance oracle computed before the build.
@@ -82,18 +82,18 @@ CCA_INSTANCES = [
 
 class TestPca:
     def test_matches_eigendecomposition_oracle(self):
-        model = fit_pca(PCA_X, 2)
+        model = pca_fit(PCA_X, 2)
         np.testing.assert_allclose(model.components, PCA_COMPONENTS, atol=1e-8)
         np.testing.assert_allclose(model.explained_variance, PCA_VARIANCES, atol=1e-8)
 
     def test_transform_matches_oracle_scores(self):
-        model = fit_pca(PCA_X, 2)
+        model = pca_fit(PCA_X, 2)
         np.testing.assert_allclose(pca_transform(model, PCA_X), PCA_SCORES, atol=1e-8)
 
     def test_rank_one_data_k1_captures_everything(self):
         direction = np.array([1.0, -2.0, 0.5])
         X = np.outer(np.arange(1.0, 6.0), direction)
-        model = fit_pca(X, 1)
+        model = pca_fit(X, 1)
         total = np.sum((X - X.mean(axis=0)) ** 2) / (X.shape[0] - 1)
         assert model.explained_variance[0] == pytest.approx(total, rel=1e-12)
         reconstructed = pca_transform(model, X) @ model.components.T + model.mean
@@ -102,7 +102,7 @@ class TestPca:
     def test_full_k_preserves_pairwise_distances(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(10, 3))
-        model = fit_pca(X, 3)
+        model = pca_fit(X, 3)
         Z = pca_transform(model, X)
         for i in range(10):
             for j in range(10):
@@ -111,19 +111,19 @@ class TestPca:
                 assert proj == pytest.approx(orig, abs=1e-8)
 
     def test_mean_row_maps_to_zero(self):
-        model = fit_pca(PCA_X, 2)
+        model = pca_fit(PCA_X, 2)
         out = pca_transform(model, model.mean.reshape(1, -1))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_k_out_of_range(self):
         with pytest.raises(DimensionError):
-            fit_pca(PCA_X, 0)
+            pca_fit(PCA_X, 0)
         with pytest.raises(DimensionError):
-            fit_pca(PCA_X, 4)  # exceeds both n-1 and d
+            pca_fit(PCA_X, 4)  # exceeds both n-1 and d
 
     def test_rank_deficient_trailing_zero_variance(self):
         X = np.outer(np.arange(1.0, 7.0), np.array([1.0, 2.0]))
-        model = fit_pca(X, 2)
+        model = pca_fit(X, 2)
         assert model.explained_variance[1] == pytest.approx(0.0, abs=1e-12)
         # components stay orthonormal even past the rank
         np.testing.assert_allclose(
@@ -131,13 +131,13 @@ class TestPca:
         )
 
     def test_transform_dim_mismatch(self):
-        model = fit_pca(PCA_X, 2)
+        model = pca_fit(PCA_X, 2)
         with pytest.raises(DimensionError):
             pca_transform(model, np.ones((2, 4)))
 
     def test_deterministic_bit_identical(self):
-        a = fit_pca(PCA_X, 2)
-        b = fit_pca(PCA_X, 2)
+        a = pca_fit(PCA_X, 2)
+        b = pca_fit(PCA_X, 2)
         assert np.array_equal(a.components, b.components)
         assert np.array_equal(a.explained_variance, b.explained_variance)
 
@@ -147,13 +147,13 @@ class TestPca:
             X = rng.normal(size=(12, 5))
             total = np.sum((X - X.mean(axis=0)) ** 2) / (X.shape[0] - 1)
             for k in (1, 3, 5):
-                model = fit_pca(X, k)
+                model = pca_fit(X, k)
                 explained = model.explained_variance.sum()
                 assert explained <= total + 1e-9
                 np.testing.assert_allclose(
                     model.components.T @ model.components, np.eye(k), atol=1e-8
                 )
-            assert fit_pca(X, 5).explained_variance.sum() == pytest.approx(
+            assert pca_fit(X, 5).explained_variance.sum() == pytest.approx(
                 total, rel=1e-10
             )
 
@@ -162,24 +162,24 @@ class TestCca:
     def test_self_correlation_is_one(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(10, 3))
-        model = fit_cca(X, X, 3, ridge=0.0)
+        model = cca_fit(X, X, 3, ridge=0.0)
         np.testing.assert_allclose(model.correlations, 1.0, atol=1e-6)
 
     def test_column_permutation_keeps_correlation_one(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(9, 3))
-        model = fit_cca(X, X[:, [2, 0, 1]], 3, ridge=0.0)
+        model = cca_fit(X, X[:, [2, 0, 1]], 3, ridge=0.0)
         np.testing.assert_allclose(model.correlations, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("X,Y,expected", CCA_INSTANCES)
     def test_first_correlation_matches_grid_oracle(self, X, Y, expected):
-        model = fit_cca(np.array(X), np.array(Y), 1, ridge=1e-6)
+        model = cca_fit(np.array(X), np.array(Y), 1, ridge=1e-6)
         assert model.correlations[0] == pytest.approx(expected, abs=1e-3)
 
     @pytest.mark.parametrize("X,Y,expected", CCA_INSTANCES)
     def test_projection_reproduces_oracle_scores(self, X, Y, expected):
         X, Y = np.array(X), np.array(Y)
-        model = fit_cca(X, Y, 1, ridge=1e-6)
+        model = cca_fit(X, Y, 1, ridge=1e-6)
         a = cca_transform(model, X, "textual")[:, 0]
         b = cca_transform(model, Y, "visual")[:, 0]
         a = a - a.mean()
@@ -191,7 +191,7 @@ class TestCca:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(20, 4))
         Y = X @ rng.normal(size=(4, 3)) + 0.3 * rng.normal(size=(20, 3))
-        model = fit_cca(X, Y, 3, ridge=1e-3)
+        model = cca_fit(X, Y, 3, ridge=1e-3)
         Xp = cca_transform(model, X, "textual")
         Yp = cca_transform(model, Y, "visual")
         for j in range(3):
@@ -202,15 +202,15 @@ class TestCca:
 
     def test_mean_row_maps_to_zero(self):
         X, Y, _ = CCA_INSTANCES[0]
-        model = fit_cca(np.array(X), np.array(Y), 1, ridge=1e-6)
+        model = cca_fit(np.array(X), np.array(Y), 1, ridge=1e-6)
         out = cca_transform(model, model.mean_x.reshape(1, -1), "textual")
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_swap_symmetry(self):
         X = np.array(CCA_INSTANCES[1][0])
         Y = np.array(CCA_INSTANCES[1][1])
-        ab = fit_cca(X, Y, 2, ridge=1e-6)
-        ba = fit_cca(Y, X, 2, ridge=1e-6)
+        ab = cca_fit(X, Y, 2, ridge=1e-6)
+        ba = cca_fit(Y, X, 2, ridge=1e-6)
         np.testing.assert_allclose(ab.correlations, ba.correlations, atol=1e-8)
         np.testing.assert_allclose(ab.proj_x, ba.proj_y, atol=1e-8)
         np.testing.assert_allclose(ab.proj_y, ba.proj_x, atol=1e-8)
@@ -224,42 +224,42 @@ class TestCca:
                 A = rng.normal(size=(2, 2))
                 if abs(np.linalg.det(A)) > 0.3:
                     break
-            base = fit_cca(X, Y, 2, ridge=0.0)
-            warped = fit_cca(X @ A, Y, 2, ridge=0.0)
+            base = cca_fit(X, Y, 2, ridge=0.0)
+            warped = cca_fit(X @ A, Y, 2, ridge=0.0)
             np.testing.assert_allclose(
                 base.correlations, warped.correlations, atol=1e-6
             )
 
     def test_row_count_mismatch(self):
         with pytest.raises(AlignmentError):
-            fit_cca(np.ones((4, 2)), np.ones((5, 2)), 1)
+            cca_fit(np.ones((4, 2)), np.ones((5, 2)), 1)
 
     def test_k_out_of_range(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(6, 2))
         Y = rng.normal(size=(6, 3))
         with pytest.raises(DimensionError):
-            fit_cca(X, Y, 3)  # k > min(d1, d2)
+            cca_fit(X, Y, 3)  # k > min(d1, d2)
 
     def test_singular_needs_ridge(self):
         X = np.ones((6, 2)) * np.arange(6.0).reshape(-1, 1)  # rank 1
         Y = np.random.default_rng(10).normal(size=(6, 2))
         with pytest.raises(NumericalError, match="ridge"):
-            fit_cca(X, Y, 1, ridge=0.0)
-        fit_cca(X, Y, 1, ridge=1e-3)  # same data succeeds with loading
+            cca_fit(X, Y, 1, ridge=0.0)
+        cca_fit(X, Y, 1, ridge=1e-3)  # same data succeeds with loading
 
     def test_deterministic_bit_identical(self):
         X = np.array(CCA_INSTANCES[2][0])
         Y = np.array(CCA_INSTANCES[2][1])
-        a = fit_cca(X, Y, 2, ridge=1e-4)
-        b = fit_cca(X, Y, 2, ridge=1e-4)
+        a = cca_fit(X, Y, 2, ridge=1e-4)
+        b = cca_fit(X, Y, 2, ridge=1e-4)
         assert np.array_equal(a.proj_x, b.proj_x)
         assert np.array_equal(a.proj_y, b.proj_y)
         assert np.array_equal(a.correlations, b.correlations)
 
     def test_transform_side_validation(self):
         X, Y, _ = CCA_INSTANCES[0]
-        model = fit_cca(np.array(X), np.array(Y), 1)
+        model = cca_fit(np.array(X), np.array(Y), 1)
         with pytest.raises(ValueError):
             cca_transform(model, np.array(X), "either")
         with pytest.raises(DimensionError):
@@ -270,7 +270,7 @@ class TestCca:
         # sides equals the stored correlations
         X = np.array(CCA_INSTANCES[3][0])
         Y = np.array(CCA_INSTANCES[3][1])
-        model = fit_cca(X, Y, 2, ridge=1e-6)
+        model = cca_fit(X, Y, 2, ridge=1e-6)
         Xp = cca_transform(model, X, "textual")
         Yp = cca_transform(model, Y, "visual")
         for j in range(2):
@@ -282,12 +282,12 @@ class TestCca:
 
 def _layer_a(X, a):
     """The PCA of ``X`` at ``a`` and its output: uncorrelated principal scores."""
-    fit = fit_pca(X, a)
+    fit = pca_fit(X, a)
     return fit, pca_transform(fit, X)
 
 
 class TestVarianceWhitening:
-    """``cca_fits(..., variances=...)`` whitens principal scores by their PCA variances.
+    """``cca_fit(..., variances=...)`` whitens principal scores by their PCA variances.
 
     In exact arithmetic the covariance of a layer-a output is the diagonal
     of its fit's variances, so the fit is the one that whitens by ``eigh``
@@ -316,11 +316,9 @@ class TestVarianceWhitening:
         else:
             (X, Y), a, ks = self.latent_pair(), 100, [1, 10, 50, 100]
         (fx, zx), (fy, zy) = _layer_a(X, a), _layer_a(Y, a)
-        by_variance = cca_fits(zx, zy, ks, ridge,
-                               variances=(fx.explained_variance, fy.explained_variance))
-        by_eigh = cca_fits(zx, zy, ks, ridge)
+        variances = (fx.explained_variance, fy.explained_variance)
         for k in ks:
-            got, want = by_variance[k], by_eigh[k]
+            got, want = cca_fit(zx, zy, k, ridge, variances=variances), cca_fit(zx, zy, k, ridge)
             for side, z in (("textual", zx), ("visual", zy)):
                 table = cca_transform(want, z, side)
                 np.testing.assert_allclose(cca_transform(got, z, side), table, rtol=0,
@@ -340,7 +338,7 @@ class TestVarianceWhitening:
             return real(routine, matrix, what, **kwargs)
 
         monkeypatch.setattr(numerics, "_decompose", decompose)
-        cca_fits(zx, zy, [1, 5, 30], variances=(fx.explained_variance, fy.explained_variance))
+        cca_fit(zx, zy, 30, variances=(fx.explained_variance, fy.explained_variance))
         assert calls == [("svd", "whitened cross covariance")]
 
     def test_rank_deficient_output_at_zero_ridge_is_singular(self):
@@ -353,16 +351,16 @@ class TestVarianceWhitening:
         text = "first-view covariance is singular; refit with a positive ridge"
         for whitening in (variances, None):
             with pytest.raises(NumericalError, match=f"^{text}$"):
-                fit_cca(zx, zy, 1, ridge=0.0, variances=whitening)
+                cca_fit(zx, zy, 1, ridge=0.0, variances=whitening)
         # the second view is checked the same way
         with pytest.raises(NumericalError, match="^second-view covariance is singular"):
-            fit_cca(zy, zx, 1, ridge=0.0, variances=variances[::-1])
-        fit_cca(zx, zy, 1, ridge=1e-3, variances=variances)   # loading fits it
+            cca_fit(zy, zx, 1, ridge=0.0, variances=variances[::-1])
+        cca_fit(zx, zy, 1, ridge=1e-3, variances=variances)   # loading fits it
 
     def test_variances_must_match_the_widths(self):
         (fx, zx), (fy, zy) = _layer_a(PCA_X, 2), _layer_a(PCA_X[::-1], 2)
         with pytest.raises(ValueError, match="variances must have lengths"):
-            cca_fits(zx, zy, [1], variances=(fx.explained_variance[:1], fy.explained_variance))
+            cca_fit(zx, zy, 1, variances=(fx.explained_variance[:1], fy.explained_variance))
 
 
 def _loop_fix_signs(components):
@@ -410,16 +408,22 @@ class TestFixSigns:
 
 
 class TestPrefixFits:
-    """``pca_fits``/``cca_fits``: one decomposition, and per k the one-k fit exactly."""
+    """``pca_fit``/``cca_fit``: one model per fit, and the fit at k is the leading k of a wider one."""
 
     @staticmethod
     def assert_same_fit(fit, single):
-        if isinstance(fit, Exception):
-            assert isinstance(single, Exception)
-            assert (type(fit), str(fit)) == (type(single), str(single))
-            return
         for name in fit.__dataclass_fields__:
             assert np.array_equal(getattr(fit, name), getattr(single, name)), name
+
+    @staticmethod
+    def leading(model, k):
+        """``model`` cut to its leading ``k`` components."""
+        if isinstance(model, PcaModel):
+            return PcaModel(mean=model.mean, components=model.components[:, :k],
+                            explained_variance=model.explained_variance[:k])
+        return CcaModel(mean_x=model.mean_x, mean_y=model.mean_y, proj_x=model.proj_x[:, :k],
+                        proj_y=model.proj_y[:, :k], correlations=model.correlations[:k],
+                        ridge=model.ridge)
 
     @staticmethod
     def decompositions(monkeypatch):
@@ -436,54 +440,94 @@ class TestPrefixFits:
         return calls
 
     @pytest.mark.parametrize("rank", [6, 3])
-    def test_pca_fits_are_the_single_fits(self, monkeypatch, rank):
+    def test_a_pca_fit_is_the_leading_k_of_the_widest(self, monkeypatch, rank):
         rng = np.random.default_rng(rank)
         X = rng.normal(size=(12, rank)) @ rng.normal(size=(rank, 6))
-        ks = [0, 1, 2, 4, 6, 7]
         calls = self.decompositions(monkeypatch)
-        fits = pca_fits(X, ks)
-        assert calls == ["svd"] and list(fits) == ks
-        for k in ks:
-            self.assert_same_fit(fits[k], pca_fits(X, [k])[k])
-        assert isinstance(fits[0], DimensionError) and isinstance(fits[7], DimensionError)
+        widest = pca_fit(X, 6)
+        assert calls == ["svd"] and widest.k == 6
+        for k in (1, 2, 4):
+            calls.clear()
+            self.assert_same_fit(pca_fit(X, k), self.leading(widest, k))
+            assert calls == ["svd"]
 
+    @pytest.mark.parametrize("by_variances", [False, True])
     @pytest.mark.parametrize("ridge", [1e-3, 0.0])
-    def test_cca_fits_are_the_single_fits(self, monkeypatch, ridge):
-        # rank-3 first view: at ridge 0 its covariance is singular and every
-        # in-range k carries that one failure
+    def test_a_cca_fit_is_the_leading_k_of_the_widest(self, monkeypatch, ridge, by_variances):
+        """Projections bitwise where each side is whitened by its variances, else to rounding.
+
+        The correlations, taken from the projected fit data, agree to
+        rounding either way. The first view has rank 3: at ridge 0 its
+        covariance is singular, and the fit fails at every k with that one
+        failure.
+        """
         rng = np.random.default_rng(4)
         X = rng.normal(size=(15, 3)) @ rng.normal(size=(3, 5))
         Y = rng.normal(size=(15, 5))
-        ks = [1, 3, 5, 6]
+        variances = None
+        if by_variances:
+            (fx, X), (fy, Y) = _layer_a(X, 5), _layer_a(Y, 5)
+            variances = (fx.explained_variance, fy.explained_variance)
         calls = self.decompositions(monkeypatch)
-        fits = cca_fits(X, Y, ks, ridge)
-        assert calls == ["eigh", "eigh", "svd"] if ridge else ["eigh"]
-        for k in ks:
-            self.assert_same_fit(fits[k], cca_fits(X, Y, [k], ridge)[k])
-        assert isinstance(fits[6], DimensionError)
-        assert all(isinstance(fits[k], NumericalError) for k in ks[:3]) == (ridge == 0.0)
+        if ridge == 0.0:
+            for k in (1, 3, 5):
+                with pytest.raises(NumericalError) as info:
+                    cca_fit(X, Y, k, ridge, variances=variances)
+                assert str(info.value) == (
+                    "first-view covariance is singular; refit with a positive ridge")
+            assert calls == ([] if by_variances else ["eigh"] * 3)
+            return
+        widest = cca_fit(X, Y, 5, ridge, variances=variances)
+        assert calls == (["svd"] if by_variances else ["eigh", "eigh", "svd"])
+        for k in (1, 3):
+            fit, cut = cca_fit(X, Y, k, ridge, variances=variances), self.leading(widest, k)
+            exact = ["mean_x", "mean_y", "ridge"] + (["proj_x", "proj_y"] if by_variances else [])
+            for name in exact:
+                assert np.array_equal(getattr(fit, name), getattr(cut, name)), name
+            for name in ("proj_x", "proj_y", "correlations"):
+                np.testing.assert_allclose(getattr(fit, name), getattr(cut, name),
+                                           rtol=1e-12, atol=1e-14)
 
-    def test_shared_failures_map_every_k(self, monkeypatch):
-        X = np.array(PCA_X)
-        X[0, 0] = np.nan
+    def test_bad_inputs_raise_before_any_decomposition(self, monkeypatch):
+        """Non-finite input, then misalignment, then too few rows, then the range of k."""
+        nan = np.array(PCA_X)
+        nan[0, 0] = np.nan
         calls = self.decompositions(monkeypatch)
-        for fits in (pca_fits(X, [1, 2]), cca_fits(X, PCA_X, [1, 2]), pca_fits(PCA_X, [0, 9])):
-            assert all(isinstance(fit, (NumericalError, DimensionError)) for fit in fits.values())
+        failures = [
+            (lambda: pca_fit(nan, 9), NumericalError, "X contains non-finite values"),
+            (lambda: pca_fit(PCA_X[:1], 9), DimensionError, "PCA needs at least 2 rows"),
+            (lambda: pca_fit(PCA_X, 0), DimensionError,
+             "PCA dimension k=0 outside [1, min(n-1=3, d=3)]"),
+            (lambda: pca_fit(PCA_X[:3], 3), DimensionError,
+             "PCA dimension k=3 outside [1, min(n-1=2, d=3)]"),
+            (lambda: cca_fit(PCA_X[:2], nan[:3], 9), NumericalError,
+             "Y contains non-finite values"),
+            (lambda: cca_fit(PCA_X[:2], PCA_X, 9), AlignmentError,
+             "row counts differ: X has 2, Y has 4"),
+            (lambda: cca_fit(PCA_X[:2], PCA_X[:2], 9), DimensionError,
+             "CCA needs at least 3 rows"),
+            (lambda: cca_fit(PCA_X, PCA_X[:, :2], 3), DimensionError,
+             "CCA dimension k=3 outside [1, min(d1=3, d2=2, n-1=3)]"),
+            (lambda: cca_fit(PCA_X, PCA_X, 0), DimensionError,
+             "CCA dimension k=0 outside [1, min(d1=3, d2=3, n-1=3)]"),
+        ]
+        for fit, error, text in failures:
+            with pytest.raises(error) as info:
+                fit()
+            assert type(info.value) is error and str(info.value) == text
         assert calls == []
-        for ridge in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
-                cca_fits(PCA_X, PCA_X, [1], ridge=ridge)
 
     @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("X, ks", [
-        (PCA_X, [100]),             # no k in range: nothing left to decompose
-        (PCA_X, []),
-        (PCA_X[:2], [1]),           # too few rows to fit
-        (np.full((4, 2), np.nan), [1]),
+    @pytest.mark.parametrize("X, k", [
+        (PCA_X, 100),               # k out of range
+        (PCA_X[:2], 1),             # too few rows to fit
+        (np.full((4, 2), np.nan), 1),
     ])
-    def test_bad_ridge_is_rejected_before_the_inputs(self, X, ks, ridge):
+    def test_bad_ridge_is_rejected_before_the_inputs(self, X, k, ridge):
         with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
-            cca_fits(X, X, ks, ridge=ridge)
+            cca_fit(X, X, k, ridge=ridge)
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            cca_fit(X, X[:1], k, ridge=ridge)   # misaligned rows
 
 
 def _direct_pca(X, k):
@@ -505,9 +549,9 @@ class TestTallPca:
 
     @staticmethod
     def ks(X):
-        """Both ends and the middle of the valid k of ``X``, and one k past each end."""
+        """Both ends and the middle of the valid k of ``X``."""
         m = min(X.shape[0] - 1, X.shape[1])
-        return [0, 1, 2, m // 2, m - 1, m, m + 1]
+        return [1, 2, m // 2, m - 1, m]
 
     @staticmethod
     def gram():
@@ -537,26 +581,30 @@ class TestTallPca:
         for name, X in self.gram():
             d = X.shape[1]
             calls.clear()
-            fits = pca_fits(X, self.ks(X)[1:-1])
+            fit = pca_fit(X, d)
             assert calls == [("eigh", (d, d))], name
-            TestGramPca.assert_near_svd(fits, X, 1e-12)
+            TestGramPca.assert_near_svd(fit, X, 1e-12)
 
     def test_fallbacks_take_qr_then_the_svd_of_r_bitwise(self, pca_routines):
         calls = pca_routines
         for name, X in self.fallback():
             n, d = X.shape
             calls.clear()
-            fits = pca_fits(X, list(range(1, d + 1)))
+            fit = pca_fit(X, d)
             qr_svd = [("qr", (n, d)), ("svd", (d, d))]
             assert calls == (qr_svd if d < GRAM_MIN_SIDE else [("eigh", (d, d)), *qr_svd]), name
-            TestGramPca.assert_direct_svd(fits, X)
+            TestGramPca.assert_direct_svd(fit, X)
 
     def test_prefix_fits_are_the_single_fits_bitwise(self):
-        for _, X in [*self.gram(), *self.fallback()]:
-            ks = self.ks(X)
-            fits = pca_fits(X, ks)
+        """``pca_fit(X, k)`` is bitwise the leading k of ``pca_fit(X, m)``, on either route."""
+        for name, X in [*self.gram(), *self.fallback()]:
+            *ks, m = self.ks(X)
+            widest = pca_fit(X, m)
             for k in ks:
-                TestPrefixFits.assert_same_fit(fits[k], pca_fits(X, [k])[k])
+                TestPrefixFits.assert_same_fit(pca_fit(X, k), TestPrefixFits.leading(widest, k))
+            for k in (0, m + 1):
+                with pytest.raises(DimensionError, match=f"^PCA dimension k={k} outside"):
+                    pca_fit(X, k)
 
     @pytest.mark.parametrize("d, failure", [
         # the Gram scales the input exactly, so only the variance overflows
@@ -570,11 +618,13 @@ class TestTallPca:
         X = np.stack([a, -a], axis=1).reshape(40, d)
         assert not X.mean(axis=0).any()
         calls = pca_routines
-        fits = pca_fits(X, [1, d])
-        assert {k: repr(fit) for k, fit in fits.items()} == dict.fromkeys(
-            [1, d], repr(NumericalError(failure)))
         routes = [("eigh", (d, d))] if d >= GRAM_MIN_SIDE else [("qr", (40, d)), ("svd", (d, d))]
-        assert calls == routes
+        for k in (1, d):
+            calls.clear()
+            with pytest.raises(NumericalError) as info:
+                pca_fit(X, k)
+            assert repr(info.value) == repr(NumericalError(failure))
+            assert calls == routes
 
 
 def _with_spectrum(rng, n, d, s):
@@ -594,25 +644,24 @@ class TestGramPca:
     """
 
     @staticmethod
-    def assert_near_svd(fits, X, tol):
-        for k, fit in fits.items():
-            mean, components, variance = _direct_pca(X, k)
-            assert fit.mean.tobytes() == mean.tobytes(), k
-            np.testing.assert_allclose(fit.components, components, rtol=0, atol=tol)
-            # an eigenvalue's error is relative to the largest one
-            np.testing.assert_allclose(fit.explained_variance, variance,
-                                       rtol=0, atol=tol * variance[0])
+    def assert_near_svd(fit, X, tol):
+        mean, components, variance = _direct_pca(X, fit.k)
+        assert fit.mean.tobytes() == mean.tobytes()
+        np.testing.assert_allclose(fit.components, components, rtol=0, atol=tol)
+        # an eigenvalue's error is relative to the largest one
+        np.testing.assert_allclose(fit.explained_variance, variance,
+                                   rtol=0, atol=tol * variance[0])
 
     @staticmethod
-    def assert_direct_svd(fits, X):
-        for k, fit in fits.items():
-            for got, want in zip((fit.mean, fit.components, fit.explained_variance),
-                                 _direct_pca(X, k)):
-                assert got.tobytes() == want.tobytes(), k
+    def assert_direct_svd(fit, X):
+        for got, want in zip((fit.mean, fit.components, fit.explained_variance),
+                             _direct_pca(X, fit.k)):
+            assert got.tobytes() == want.tobytes()
 
     @staticmethod
-    def all_ks(X):
-        return list(range(1, min(X.shape[0] - 1, X.shape[1]) + 1))
+    def widest(X):
+        """The largest k of ``X``: its fit holds every smaller one as a prefix."""
+        return min(X.shape[0] - 1, X.shape[1])
 
     def test_inputs_below_twice_their_width_take_the_smaller_gram(self, pca_routines):
         rng = np.random.default_rng(43)
@@ -621,16 +670,16 @@ class TestGramPca:
         for n, gram in ((2 * d - 1, d), (d + 1, d), (d, d), (GRAM_MIN_SIDE, GRAM_MIN_SIDE)):
             X = rng.normal(size=(n, d))
             calls.clear()
-            fits = pca_fits(X, [1, 2])
+            fit = pca_fit(X, 2)
             assert calls == [("eigh", (gram, gram))], n
-            self.assert_near_svd(fits, X, 1e-12)
+            self.assert_near_svd(fit, X, 1e-12)
         # a side below GRAM_MIN_SIDE is decomposed directly
         for shape in ((GRAM_MIN_SIDE - 1, d), (2 * GRAM_MIN_SIDE - 3, GRAM_MIN_SIDE - 1), (4, 3)):
             X = rng.normal(size=shape)
             calls.clear()
-            fits = pca_fits(X, [1, 2])
+            fit = pca_fit(X, 2)
             assert calls == [("svd", shape)], shape
-            self.assert_direct_svd(fits, X)
+            self.assert_direct_svd(fit, X)
 
     @staticmethod
     def wide():
@@ -645,20 +694,23 @@ class TestGramPca:
         calls = pca_routines
         for (n, d), X in self.wide():
             calls.clear()
-            fits = pca_fits(X, self.all_ks(X))
+            fit = pca_fit(X, self.widest(X))
             side = min(n, d)
             assert calls == [("eigh", (side, side))], (n, d)
-            self.assert_near_svd(fits, X, 1e-11)
+            self.assert_near_svd(fit, X, 1e-11)
 
     def test_prefix_fits_are_the_single_fits_bitwise(self):
+        """``pca_fit(X, k)`` is bitwise the leading k of ``pca_fit(X, m)``, on either route."""
         rng = np.random.default_rng(45)
         rank_deficient = rng.normal(size=(20, 3)) @ rng.normal(size=(3, 30))
         for _, X in [*self.wide(), ("fallback", rank_deficient)]:
-            m = min(X.shape[0] - 1, X.shape[1])
-            ks = [0, 1, m // 2, m, m + 1]
-            fits = pca_fits(X, ks)
-            for k in ks:
-                TestPrefixFits.assert_same_fit(fits[k], pca_fits(X, [k])[k])
+            m = self.widest(X)
+            widest = pca_fit(X, m)
+            for k in (1, m // 2, m - 1):
+                TestPrefixFits.assert_same_fit(pca_fit(X, k), TestPrefixFits.leading(widest, k))
+            for k in (0, m + 1):
+                with pytest.raises(DimensionError, match=f"^PCA dimension k={k} outside"):
+                    pca_fit(X, k)
 
     @staticmethod
     def ill_conditioned():
@@ -677,10 +729,10 @@ class TestGramPca:
         for name, X in self.ill_conditioned():
             n, d = X.shape
             calls.clear()
-            fits = pca_fits(X, self.all_ks(X))
+            fit = pca_fit(X, self.widest(X))
             side = min(n, d)
             assert calls == [("eigh", (side, side)), ("svd", (n, d))], name
-            self.assert_direct_svd(fits, X)
+            self.assert_direct_svd(fit, X)
 
     def test_a_spectrum_just_above_the_bound_takes_the_gram(self, pca_routines):
         rng = np.random.default_rng(47)
@@ -689,51 +741,56 @@ class TestGramPca:
         for n, d in ((20, 50), (50, 30), (80, 30)):
             X = _with_spectrum(rng, n, d, np.geomspace(1, smallest, min(n - 1, d)))
             calls.clear()
-            fits = pca_fits(X, self.all_ks(X))
+            fit = pca_fit(X, self.widest(X))
             assert calls == [("eigh", (min(n, d),) * 2)], (n, d)
-            self.assert_near_svd(fits, X, 1e-8)
+            self.assert_near_svd(fit, X, 1e-8)
 
     @pytest.mark.parametrize("shape", [(17, 30), (30, 20), (40, 20)])
     def test_extreme_magnitudes_keep_their_status(self, pca_routines, shape):
         X = np.random.default_rng(48).normal(size=shape)
         calls = pca_routines
-        ks = self.all_ks(X)
-        overflowing = pca_fits(X * 1e200, ks)
-        assert {k: repr(fit) for k, fit in overflowing.items()} == dict.fromkeys(
-            ks, repr(NumericalError("PCA variance contains non-finite values")))
+        m = self.widest(X)
+        for k in (1, m):
+            calls.clear()
+            with pytest.raises(NumericalError) as info:
+                pca_fit(X * 1e200, k)
+            assert repr(info.value) == repr(NumericalError("PCA variance contains non-finite values"))
+            assert calls == [("eigh", (min(shape),) * 2)]
         tiny = X * 1e-160
-        fits = pca_fits(tiny, ks)
-        assert calls == [("eigh", (min(shape),) * 2)] * 2
-        for k, fit in fits.items():
-            mean, components, variance = _direct_pca(tiny, k)
-            assert fit.mean.tobytes() == mean.tobytes()
-            np.testing.assert_allclose(fit.components, components, rtol=0, atol=1e-11)
-            # the variances are subnormal: a few units of 5e-324 apart
-            assert np.max(np.abs(fit.explained_variance - variance)) <= 8 * 5e-324
+        calls.clear()
+        fit = pca_fit(tiny, m)
+        assert calls == [("eigh", (min(shape),) * 2)]
+        mean, components, variance = _direct_pca(tiny, m)
+        assert fit.mean.tobytes() == mean.tobytes()
+        np.testing.assert_allclose(fit.components, components, rtol=0, atol=1e-11)
+        # the variances are subnormal: a few units of 5e-324 apart
+        assert np.max(np.abs(fit.explained_variance - variance)) <= 8 * 5e-324
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_centred_input(self, pca_routines):
         X = np.full((20, 30), 1.7e308)
         X[0] = -1.7e308
         calls = pca_routines
-        fits = pca_fits(X, [1, 2])
+        for k in (1, 2):
+            with pytest.raises(NumericalError) as info:
+                pca_fit(X, k)
+            assert repr(info.value) == repr(
+                NumericalError("centered PCA input contains non-finite values"))
         assert calls == []
-        assert {k: repr(fit) for k, fit in fits.items()} == dict.fromkeys(
-            [1, 2], repr(NumericalError("centered PCA input contains non-finite values")))
 
     def test_a_failing_svd_leaves_the_gram_route(self, monkeypatch):
         X = next(self.wide())[1]
-        gram_fits = pca_fits(X, [1, 5])
+        gram_fits = {k: pca_fit(X, k) for k in (1, 5)}
 
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
-        for k, fit in pca_fits(X, [1, 5]).items():
-            TestPrefixFits.assert_same_fit(fit, gram_fits[k])
+        for k, fit in gram_fits.items():
+            TestPrefixFits.assert_same_fit(pca_fit(X, k), fit)
         rank_deficient = next(self.ill_conditioned())[1]
         with pytest.raises(NumericalError, match="centered PCA input: SVD did not converge"):
-            fit_pca(rank_deficient, 2)
+            pca_fit(rank_deficient, 2)
 
     @pytest.mark.parametrize("failure", ["no convergence", "non-finite"])
     def test_a_failing_eigh_falls_back_to_the_direct_svd(self, monkeypatch, failure, pca_routines):
@@ -750,9 +807,9 @@ class TestGramPca:
         calls = pca_routines
         for _, X in self.wide():
             calls.clear()
-            fits = pca_fits(X, self.all_ks(X))
+            fit = pca_fit(X, self.widest(X))
             assert [routine for routine, _ in calls] == ["eigh", "svd"]
-            self.assert_direct_svd(fits, X)
+            self.assert_direct_svd(fit, X)
 
     def test_the_gram_route_holds_no_second_centred_copy(self, pca_routines):
         """``Cᵀ C`` drops the centred input before its ``eigh``; ``C Cᵀ`` divides Vᵀ in place.
@@ -770,7 +827,7 @@ class TestGramPca:
             calls.clear()
             tracemalloc.start()
             try:
-                pca_fits(X, [1, 10])
+                pca_fit(X, 10)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -803,7 +860,7 @@ class TestResidual:
         rng = np.random.default_rng(13)
         original = rng.normal(size=(10, 3))
         projected = rng.normal(size=(10, 2))
-        reducer = fit_pca(original, 2)
+        reducer = pca_fit(original, 2)
         out = rcca_residual(original, projected, pca=reducer)
         expected = pca_transform(reducer, original) - projected
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -813,7 +870,7 @@ class TestResidual:
             rcca_residual(np.ones((4, 3)), np.ones((4, 2)))
 
     def test_reducer_shape_mismatch(self):
-        reducer = fit_pca(np.random.default_rng(14).normal(size=(8, 4)), 2)
+        reducer = pca_fit(np.random.default_rng(14).normal(size=(8, 4)), 2)
         with pytest.raises(DimensionError):
             rcca_residual(np.ones((4, 3)), np.ones((4, 2)), pca=reducer)
 
@@ -826,14 +883,14 @@ class TestNumericalFailures:
         X = np.array(PCA_X)
         X[0, 0] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
-            fit_pca(X, 2)
+            pca_fit(X, 2)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_pca_fit(self):
         X = np.array(PCA_X)
         X[0, 0] = 1e200
         with pytest.raises(NumericalError, match="non-finite"):
-            fit_pca(X, 2)
+            pca_fit(X, 2)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_cca_fit(self):
@@ -841,7 +898,7 @@ class TestNumericalFailures:
         X = np.array(X)
         X[0, 0] = 1e200
         with pytest.raises(NumericalError, match="covariance"):
-            fit_cca(X, np.array(Y), 1)
+            cca_fit(X, np.array(Y), 1)
 
     def test_lapack_non_convergence(self, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -849,4 +906,4 @@ class TestNumericalFailures:
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         with pytest.raises(NumericalError, match="did not converge"):
-            fit_pca(PCA_X, 2)
+            pca_fit(PCA_X, 2)

@@ -344,6 +344,57 @@ class TestFailureHandling:
                 apply_configuration(config, textual, visual)
             assert str(info.value) == error
 
+    def test_one_word_fails_every_fit_with_its_row_count_text(self):
+        # one aligned word: a PCA needs 2 rows and a CCA 3, and each fit
+        # says so before it checks the range of any dim
+        rng = np.random.default_rng(24)
+        textual = EmbeddingTable(("w0",), rng.normal(size=(1, 3)), name="textual")
+        visual = EmbeddingTable(("w0",), rng.normal(size=(1, 3)), name="visual")
+        bench = Benchmark("one", (("w0", "zz", 1.0),))
+        grid = GridSpec(dim_step=1, dim_min=1, alpha_step=0.5)
+        configs = enumerate_configurations(3, 3, grid)
+        expected = {c: "PCA needs at least 2 rows" if c.pca_dim else "CCA needs at least 3 rows"
+                    for c in configs if c.pca_dim or c.layer_b != "none"}
+        report, = sweep(textual, visual, [bench], grid)
+        assert {e.config: e.error for e in report.entries if e.status == STATUS_FAILED} == expected
+        assert {e.status for e in report.entries if e.config not in expected} == {STATUS_UNDEFINED}
+        for config, error in expected.items():
+            with pytest.raises(DimensionError) as info:
+                apply_configuration(config, textual, visual)
+            assert str(info.value) == error
+
+    @pytest.mark.parametrize("words", [6, 2])
+    def test_a_fusion_dim_fails_with_the_cca_text(self, words):
+        # raw 8-d/8-d tables at ridge 0. With 6 words both covariances are
+        # singular: each fusion dim up to n - 1 = 5 fails with that, and 6
+        # and 8 with the range text, checked first. With 2 words every
+        # fusion dim fails with the row count, checked before the range.
+        rng = np.random.default_rng(25)
+        vocab = tuple(f"w{i}" for i in range(words))
+        textual = EmbeddingTable(vocab, rng.normal(size=(words, 8)), name="textual")
+        visual = EmbeddingTable(vocab, rng.normal(size=(words, 8)), name="visual")
+        bench = Benchmark("raw", tuple((vocab[i], vocab[j], float(i + 2 * j))
+                                       for i in range(words) for j in range(i + 1, words)))
+        grid = GridSpec(dim_step=2, dim_min=2, alpha_step=0.5, ridge=0.0)
+
+        def failure(f_dim):
+            if words < 3:
+                return DimensionError("CCA needs at least 3 rows")
+            if f_dim > words - 1:
+                return DimensionError(f"CCA dimension k={f_dim} outside [1, min(d1=8, d2=8, n-1=5)]")
+            return NumericalError("first-view covariance is singular; refit with a positive ridge")
+
+        expected = {c: failure(c.fusion_dim) for c in enumerate_configurations(8, 8, grid)
+                    if c.layer_b != "none" and not c.pca_dim}
+        assert {c.fusion_dim for c in expected} == {2, 4, 6, 8}
+        report, = sweep(textual, visual, [bench], grid)
+        errors = {e.config: e.error for e in report.entries}
+        assert {c: errors[c] for c in expected} == {c: str(exc) for c, exc in expected.items()}
+        for config, exc in expected.items():
+            with pytest.raises(type(exc)) as info:
+                apply_configuration(config, textual, visual)
+            assert str(info.value) == str(exc)
+
     def test_memoized_and_fresh_fits_agree(self, planted):
         textual, visual, bench = planted
         grid = GridSpec(dim_step=2, dim_min=2, alpha_step=0.5, ridge=1e-3)
@@ -510,10 +561,13 @@ class TestSharedFits:
         assert_matches_oracle(report, exhaustive_oracle(textual, visual, bench, grid))
 
     def test_each_projection_and_table_is_computed_once(self, monkeypatch):
-        """One projection per (pca dim, fusion dim, side) and one pair-sum pass per table.
+        """One CCA projection per (pca dim, side), at the fit's full width, and one pair-sum pass per table.
 
         Each side is PCA-projected once per sweep: every layer-a output and
-        R-CCA reducer is a column prefix of that projection.
+        R-CCA reducer is a column prefix of that projection. Each layer-a
+        dim's CCA is fit at K = min(d1, d2, n - 1) and each side projected
+        once at K: every fusion dim's CCA table, and the projection its
+        R-CCA table subtracts, is a column prefix of that projection.
         """
         from mmfuse.composition import layer_inputs
 
@@ -537,8 +591,11 @@ class TestSharedFits:
         configs = enumerate_configurations(textual.dim, visual.dim, self.GRID)
         tables = {(c.pca_dim, c.fusion_dim if origin else None, origin, side)
                   for c in configs for origin, side in layer_inputs(c)}
-        projections = {(a_dim, f_dim, side) for a_dim, f_dim, origin, side in tables if origin}
-        assert Counter(projected) == Counter((f_dim, side) for _, f_dim, side in projections)
+        fused = {(a_dim, side) for a_dim, _, origin, side in tables if origin}
+        n = len(textual.vocab)
+        widths = {a_dim: min(a_dim or textual.dim, a_dim or visual.dim, n - 1) for a_dim, _ in fused}
+        assert Counter(projected) == Counter((widths[a_dim], side) for a_dim, side in fused)
+        assert len(fused) == 2 * len(widths) > 2
         assert len(summed) == len(tables)
 
     def test_overflowing_row_fails_its_tables(self):
