@@ -40,7 +40,6 @@ from .errors import (
     GridError,
     InputError,
     MMFuseError,
-    MissingReductionError,
     NoResultError,
     NumericalError,
     ParseError,

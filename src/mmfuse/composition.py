@@ -354,7 +354,12 @@ def concat_label(labels):
 
 
 def residual(signal, projected, fit):
-    """R-CCA: ``signal``, or ``fit``'s ``leading`` k scores if wider, minus its CCA projection."""
+    """R-CCA: ``signal`` minus its CCA ``projected``, by ``rcca_residual``.
+
+    A signal wider than the projection's k columns is first cut to its
+    side's ``leading`` k principal scores ``fit``, so the two subtracted
+    are always of one width.
+    """
     k = projected.shape[1]
     return rcca_residual(signal if signal.shape[1] == k else leading(fit, k, signal.shape),
                          projected)

@@ -56,10 +56,6 @@ class DimensionError(MMFuseError):
     """Array shapes or requested dimensions are inconsistent."""
 
 
-class MissingReductionError(MMFuseError):
-    """A residual over unequal dimensions was requested without a reducer."""
-
-
 class WriteError(MMFuseError):
     """An output file could not be written."""
 

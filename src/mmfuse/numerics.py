@@ -2,12 +2,14 @@
 
 The CCA solver whitens both covariance matrices (with additive ridge
 loading on the diagonal) and takes the SVD of the whitened cross
-covariance. This stays stable when one modality has far more dimensions
-than samples, where plain covariance inversion is ill-posed; the ridge
-default below exists for exactly that case and can be set to 0 on
-full-rank inputs. Inputs whose columns are uncorrelated with known
-variances, as a PCA's principal scores are with its
-``explained_variance``, are whitened elementwise by
+covariance; its canonical correlations follow from that SVD in closed
+form, so a fit projects none of its data. This stays stable when one
+modality has far more dimensions than samples, where plain covariance
+inversion is ill-posed; the ridge default below exists for exactly that
+case and can be set to 0 on full-rank inputs. R-CCA (``rcca_residual``)
+subtracts a projection from a signal of the same width. Inputs whose
+columns are uncorrelated with known variances, as a PCA's principal
+scores are with its ``explained_variance``, are whitened elementwise by
 ``1 / sqrt(var + ridge)`` (``cca_fit(..., variances=...)``): no
 covariance of a side with itself is formed and no ``eigh`` runs. That is
 the same whitening in exact arithmetic and differs from the ``eigh`` one
@@ -50,12 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    DimensionError,
-    MissingReductionError,
-    NumericalError,
-)
+from .errors import AlignmentError, DimensionError, NumericalError
 
 DEFAULT_RIDGE = 1e-3
 
@@ -111,7 +108,8 @@ class CcaModel:
 
     ``proj_x`` maps the first (textual) input, ``proj_y`` the second
     (visual). ``correlations`` holds the per-component sample correlation
-    of the projected fit data, clamped to [0, 1].
+    of the projected fit data, clamped to [0, 1]: equal to it in exact
+    arithmetic, and computed in closed form by ``cca_fit``.
     """
 
     mean_x: np.ndarray
@@ -180,7 +178,7 @@ def fitted(fit):
 
 
 # the failures a sweep records against what is built on them, instead of stopping
-FAILURES = (NumericalError, DimensionError, MissingReductionError)
+FAILURES = (NumericalError, DimensionError)
 
 
 def caught(compute, *args):
@@ -364,9 +362,13 @@ def _whiten(isqrt, m):
 def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE, variances=None):
     """Regularized CCA of co-indexed ``X`` (n x d1) and ``Y`` (n x d2) at ``k`` pairs.
 
-    Components are ordered by non-increasing whitened singular value; the
-    stored correlations are the sample correlations of the projected fit
-    data, which coincide with those singular values as ridge -> 0. The
+    Components are ordered by non-increasing whitened singular value s_j.
+    The stored correlations are the sample correlations of the projected
+    fit data in exact arithmetic (under ``variances``, of columns with
+    exactly those variances), computed in closed form as ``s_j / sqrt((1 -
+    ridge ‖a_j‖²)(1 - ridge ‖b_j‖²))`` from the projection columns a_j and
+    b_j, so no n x k projection is formed; a side's ``1 - ridge ‖a_j‖²``
+    that rounds to 0 or below makes the correlation 0. The
     leading k canonical pairs do not depend on k, so the projections at k
     are the leading k columns of those at any larger k: bitwise under
     ``variances``, otherwise up to the rounding of the whitening's matrix
@@ -411,7 +413,7 @@ def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE, variances=None):
     with np.errstate(over="ignore", invalid="ignore"):  # rejected by the SVD's finite check
         cxy = Xc.T @ Yc / (n - 1)
     whitened = isqrt_x @ cxy @ isqrt_y if variances is None else _whiten(isqrt_x, cxy) * isqrt_y
-    u, _, vt = _decompose(np.linalg.svd, whitened, "whitened cross covariance",
+    u, s, vt = _decompose(np.linalg.svd, whitened, "whitened cross covariance",
                           full_matrices=False)
     proj_x = _whiten(isqrt_x, u[:, :k])
     proj_y = _whiten(isqrt_y, vt[:k].T)
@@ -420,7 +422,15 @@ def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE, variances=None):
     _, flips = _fix_signs(np.vstack([proj_x, proj_y]))
     proj_x = proj_x * flips
     proj_y = proj_y * flips
-    correlations = _sample_correlations(Xc @ proj_x, Yc @ proj_y)
+    # a = W u, with W = (C + ridge I)^(-1/2), has variance aᵀ C a = 1 - ridge ‖a‖²
+    # and covariance aᵀ Cxy b = s with its pair b: so the projected fit
+    # data's sample correlations need no projection, and the flips cancel
+    spread_x, spread_y = (np.maximum(1.0 - ridge * np.einsum("ij,ij->j", p, p), 0.0)
+                          for p in (proj_x, proj_y))
+    den = np.sqrt(spread_x * spread_y)
+    correlations = np.zeros(k)
+    ok = den > 0
+    correlations[ok] = s[:k][ok] / den[ok]
     return CcaModel(
         mean_x=mean_x,
         mean_y=mean_y,
@@ -443,18 +453,6 @@ def check_cca_dimension(k, d1, d2, n):
             f"CCA dimension k={k} outside [1, min(d1={d1}, d2={d2}, n-1={n - 1})]")
 
 
-def _sample_correlations(A, B):
-    """Per column pair of ``A`` and ``B``, its sample correlation; centres both in place."""
-    A -= A.mean(axis=0)
-    B -= B.mean(axis=0)
-    num = np.einsum("ij,ij->j", A, B)
-    den = np.sqrt(np.einsum("ij,ij->j", A, A) * np.einsum("ij,ij->j", B, B))
-    out = np.zeros(A.shape[1])
-    ok = den > 0
-    out[ok] = num[ok] / den[ok]
-    return out
-
-
 def cca_transform(model, X, side):
     """Project ``X`` with the chosen side's mean and projection matrix."""
     X = _check_matrix(X, "X")
@@ -469,13 +467,12 @@ def cca_transform(model, X, side):
     return (X - mean) @ proj
 
 
-def rcca_residual(original, projected, pca=None):
-    """Difference between a signal and its shared-space projection.
+def rcca_residual(original, projected):
+    """R-CCA: a signal minus its shared-space projection, of the same width.
 
-    With equal dimensions this is plain elementwise subtraction. When the
-    original is wider than the projection it must first be reduced to the
-    projection's dimensionality; ``pca`` supplies that reduction and must
-    have been fit on the original signal.
+    A wider signal is first cut to the projection's width by the caller,
+    as ``composition.residual`` does with the leading principal scores.
+    Shapes that differ raise ``DimensionError``.
     """
     original = _check_matrix(original, "original")
     projected = _check_matrix(projected, "projected")
@@ -484,17 +481,8 @@ def rcca_residual(original, projected, pca=None):
             f"row counts differ: original {original.shape[0]}, "
             f"projected {projected.shape[0]}"
         )
-    d = original.shape[1]
-    k = projected.shape[1]
-    if d == k:
-        return original - projected
-    if pca is None:
-        raise MissingReductionError(
-            f"original dim {d} != projected dim {k}: a PCA reduction "
-            "of the original signal is required"
-        )
-    if pca.dim_in != d or pca.k != k:
+    if original.shape[1] != projected.shape[1]:
         raise DimensionError(
-            f"reducer maps {pca.dim_in} -> {pca.k}, need {d} -> {k}"
+            f"widths differ: original {original.shape[1]}, projected {projected.shape[1]}"
         )
-    return pca_transform(pca, original) - projected
+    return original - projected

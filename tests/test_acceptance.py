@@ -34,7 +34,7 @@ from mmfuse import (
     spearman,
     sweep,
 )
-from mmfuse.errors import DimensionError, MissingReductionError, NumericalError
+from mmfuse.errors import DimensionError, NumericalError
 from mmfuse.search import STATUS_OK, _entry_sort_key
 
 from test_numerics import (
@@ -82,12 +82,10 @@ def test_criterion_3_residual_definitional_suite():
 
     wide = rng.normal(size=(10, 4))
     low = rng.normal(size=(10, 2))
-    reducer = pca_fit(wide, 2)
-    out = rcca_residual(wide, low, pca=reducer)
-    expected = pca_transform(reducer, wide) - low
-    assert np.abs(out - expected).max() < 1e-12
+    reduced = pca_transform(pca_fit(wide, 2), wide)
+    assert np.array_equal(rcca_residual(reduced, low), reduced - low)
     _ok(3, "residual + projected recovers the original exactly; "
-           "reduction fallback equals the composed transform within 1e-12")
+           "a wider signal reduced by its PCA subtracts exactly")
 
 
 def test_criterion_4_spearman_suite():
@@ -138,7 +136,7 @@ def _exhaustive_script(textual, visual, bench, grid):
         dim = output_dimension(cfg, textual.dim, visual.dim)
         try:
             res = evaluate(apply_configuration(cfg, textual, visual), bench)
-        except (NumericalError, DimensionError, MissingReductionError):
+        except (NumericalError, DimensionError):
             rows.append(((2, 0.0, dim, i), cfg, "failed", None))
             continue
         if res.rho is None:

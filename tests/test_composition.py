@@ -157,7 +157,7 @@ class TestApply:
         assert model.second.name.startswith("rcca(")
 
     def test_rcca_uses_pca_fallback_when_dims_differ(self, small_tables):
-        from mmfuse import cca_transform, pca_transform, rcca_residual
+        from mmfuse import cca_transform, pca_transform
 
         textual, visual = small_tables
         cfg = Configuration(layer_b="rcca", fusion_dim=2, output_side="textual")
@@ -165,7 +165,7 @@ class TestApply:
         fit = cca_fit(textual.matrix, visual.matrix, 2, ridge=cfg.ridge)
         projected = cca_transform(fit, textual.matrix, "textual")
         reducer = pca_fit(textual.matrix, 2)
-        expected = rcca_residual(textual.matrix, projected, pca=reducer)
+        expected = pca_transform(reducer, textual.matrix) - projected
         np.testing.assert_array_equal(model.first.matrix, expected)
 
     @staticmethod
@@ -335,7 +335,7 @@ class TestLayerAReducer:
         return z, {side: cca_transform(fit, z[side], side)[:, :f_dim] for side in z}
 
     def test_residual_subtracts_the_leading_coordinates(self, planted):
-        from mmfuse import rcca_residual
+        from mmfuse import pca_transform
 
         textual, visual, _ = planted
         cfg = parse_configuration("layer_a=pca:3 layer_b=rcca:2:out=both layer_c=li:0.5")
@@ -349,7 +349,7 @@ class TestLayerAReducer:
             # the leading coordinates are centred, up to rounding
             np.testing.assert_allclose(lead.mean(axis=0), 0.0, rtol=0, atol=1e-14)
             # the SVD of the output this replaces gives the same reduction up to rounding
-            svd = rcca_residual(z[side], projected[side], pca=pca_fit(z[side], 2))
+            svd = pca_transform(pca_fit(z[side], 2), z[side]) - projected[side]
             np.testing.assert_allclose(table.matrix, svd, rtol=0, atol=1e-9)
         # the leading coordinates carry the layer-a fit's leading variances
         np.testing.assert_allclose(np.var(z["textual"][:, :2], axis=0, ddof=1),

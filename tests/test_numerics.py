@@ -5,7 +5,6 @@ from mmfuse import (
     AlignmentError,
     CcaModel,
     DimensionError,
-    MissingReductionError,
     NumericalError,
     PcaModel,
     cca_fit,
@@ -187,18 +186,45 @@ class TestCca:
         corr = abs(a @ b) / np.sqrt((a @ a) * (b @ b))
         assert corr == pytest.approx(expected, abs=1e-3)
 
-    def test_stored_correlations_are_definitional(self):
+    @staticmethod
+    def projected_correlations(model, X, Y):
+        """Per component, the sample correlation of the projected fit data."""
+        Xp = cca_transform(model, X, "textual")
+        Yp = cca_transform(model, Y, "visual")
+        a = Xp - Xp.mean(axis=0)
+        b = Yp - Yp.mean(axis=0)
+        return np.einsum("ij,ij->j", a, b) / np.sqrt(
+            np.einsum("ij,ij->j", a, a) * np.einsum("ij,ij->j", b, b))
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3, 1.0])
+    @pytest.mark.parametrize("route", ["eigh", "variances"])
+    def test_stored_correlations_are_definitional(self, route, ridge):
+        # the closed form from the SVD is what projecting the fit data gives,
+        # whitened by eigh on raw input or by a PCA's variances on its scores
         rng = np.random.default_rng(4)
         X = rng.normal(size=(20, 4))
         Y = X @ rng.normal(size=(4, 3)) + 0.3 * rng.normal(size=(20, 3))
-        model = cca_fit(X, Y, 3, ridge=1e-3)
-        Xp = cca_transform(model, X, "textual")
-        Yp = cca_transform(model, Y, "visual")
-        for j in range(3):
-            a = Xp[:, j] - Xp[:, j].mean()
-            b = Yp[:, j] - Yp[:, j].mean()
-            corr = (a @ b) / np.sqrt((a @ a) * (b @ b))
-            assert corr == pytest.approx(model.correlations[j], abs=1e-6)
+        variances = None
+        if route == "variances":
+            (fx, X), (fy, Y) = _layer_a(X, 3), _layer_a(Y, 3)
+            variances = (fx.explained_variance, fy.explained_variance)
+        model = cca_fit(X, Y, 3, ridge=ridge, variances=variances)
+        np.testing.assert_allclose(model.correlations, self.projected_correlations(model, X, Y),
+                                   rtol=0, atol=1e-10)
+
+    def test_stored_correlations_of_a_wide_rank_deficient_fit(self):
+        # n < d with every third column zero: ridge makes the fit; the leading
+        # components, which ridge does not dominate, are definitional too
+        rng = np.random.default_rng(41)
+        latent = rng.normal(size=(10, 3))
+        X = latent @ rng.normal(size=(3, 15)) + 0.2 * rng.normal(size=(10, 15))
+        Y = latent @ rng.normal(size=(3, 18)) + 0.2 * rng.normal(size=(10, 18))
+        X[:, ::3] = 0.0
+        Y[:, ::3] = 0.0
+        model = cca_fit(X, Y, 9, ridge=1e-3)
+        np.testing.assert_allclose(model.correlations[:3],
+                                   self.projected_correlations(model, X, Y)[:3],
+                                   rtol=0, atol=1e-10)
 
     def test_mean_row_maps_to_zero(self):
         X, Y, _ = CCA_INSTANCES[0]
@@ -835,6 +861,32 @@ class TestGramPca:
             assert peak < bound * X.nbytes, (n, d, peak / X.nbytes)
 
 
+class TestCcaMemory:
+    @pytest.mark.parametrize("route", ["eigh", "variances"])
+    def test_a_tall_fit_holds_its_centred_inputs_and_no_projection(self, route):
+        """A CCA of two tall inputs peaks at their centred copies, 2 times one input's size.
+
+        Peaks traced by ``tracemalloc`` at 20000 x 20: 2.02 times, against
+        4.03 when the fit projected its data to take the correlations.
+        """
+        import tracemalloc
+
+        rng = np.random.default_rng(50)
+        latent = rng.normal(size=(20000, 5))
+        X, Y = (latent @ rng.normal(size=(5, 20)) + rng.normal(size=(20000, 20)) for _ in range(2))
+        variances = None
+        if route == "variances":
+            (fx, X), (fy, Y) = _layer_a(X, 20), _layer_a(Y, 20)
+            variances = (fx.explained_variance, fy.explained_variance)
+        tracemalloc.start()
+        try:
+            cca_fit(X, Y, 20, variances=variances)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * X.nbytes, peak / X.nbytes
+
+
 class TestResidual:
     def test_zero_when_projection_equals_original(self):
         X = np.random.default_rng(1).normal(size=(5, 3))
@@ -854,25 +906,19 @@ class TestResidual:
         residual = rcca_residual(original, projected)
         assert np.array_equal(residual + projected, original)
 
-    def test_dim_fallback_composes_pca_then_subtracts(self):
-        from mmfuse import pca_transform
-
+    def test_a_wider_signal_is_reduced_before_the_subtraction(self):
         rng = np.random.default_rng(13)
         original = rng.normal(size=(10, 3))
         projected = rng.normal(size=(10, 2))
         reducer = pca_fit(original, 2)
-        out = rcca_residual(original, projected, pca=reducer)
-        expected = pca_transform(reducer, original) - projected
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        out = rcca_residual(pca_transform(reducer, original), projected)
+        np.testing.assert_array_equal(out, pca_transform(reducer, original) - projected)
 
-    def test_missing_reducer(self):
-        with pytest.raises(MissingReductionError):
-            rcca_residual(np.ones((4, 3)), np.ones((4, 2)))
-
-    def test_reducer_shape_mismatch(self):
-        reducer = pca_fit(np.random.default_rng(14).normal(size=(8, 4)), 2)
-        with pytest.raises(DimensionError):
-            rcca_residual(np.ones((4, 3)), np.ones((4, 2)), pca=reducer)
+    @pytest.mark.parametrize("d, k", [(3, 2), (2, 3)])
+    def test_unequal_widths(self, d, k):
+        with pytest.raises(DimensionError,
+                           match=rf"^widths differ: original {d}, projected {k}$"):
+            rcca_residual(np.ones((4, d)), np.ones((4, k)))
 
 
 

@@ -25,7 +25,7 @@ from mmfuse import (
     sweep,
 )
 from mmfuse import composition, search
-from mmfuse.errors import DimensionError, MissingReductionError, NumericalError
+from mmfuse.errors import DimensionError, NumericalError
 from mmfuse.evaluation import covered_pairs, filter_coverage, model_scores
 from mmfuse.search import STATUS_FAILED, STATUS_OK, STATUS_UNDEFINED, _entry_sort_key
 
@@ -41,7 +41,7 @@ def exhaustive_oracle(textual, visual, bench, grid):
         out_dim = output_dimension(cfg, textual.dim, visual.dim)
         try:
             result = evaluate(apply_configuration(cfg, textual, visual), bench)
-        except (NumericalError, DimensionError, MissingReductionError) as exc:
+        except (NumericalError, DimensionError) as exc:
             rows.append((2, 0.0, out_dim, i, cfg, None, str(exc)))
             continue
         if result.rho is None:
@@ -200,7 +200,7 @@ class TestPlantedSweep:
             try:
                 model = apply_configuration(config, textual, visual, normalize_concat)
                 expected = model_scores(model, covered)
-            except (NumericalError, DimensionError, MissingReductionError):
+            except (NumericalError, DimensionError):
                 continue
             assert next(ranked).tobytes() == expected.tobytes(), config
             layer_c[config.layer_c] += 1
@@ -567,23 +567,30 @@ class TestSharedFits:
         R-CCA reducer is a column prefix of that projection. Each layer-a
         dim's CCA is fit at K = min(d1, d2, n - 1) and each side projected
         once at K: every fusion dim's CCA table, and the projection its
-        R-CCA table subtracts, is a column prefix of that projection.
+        R-CCA table subtracts, is a column prefix of that projection. Each
+        R-CCA table is one ``rcca_residual`` subtraction.
         """
         from mmfuse.composition import layer_inputs
 
         textual, visual, benches = twelve_words(overflow=False)
-        projected, summed = [], []
+        projected, summed, subtracted = [], [], []
 
         def cca_transform(model, X, side):
             projected.append((model.k, side))
             return real_transform(model, X, side)
+
+        def rcca_residual(original, cut):
+            subtracted.append(original.shape)
+            return real_residual(original, cut)
 
         def table_sums(matrix, sq_norms, covered):
             summed.append(matrix.shape)
             return real_sums(matrix, sq_norms, covered)
 
         real_transform, real_sums = composition.cca_transform, search.table_sums
+        real_residual = composition.rcca_residual
         monkeypatch.setattr(composition, "cca_transform", cca_transform)
+        monkeypatch.setattr(composition, "rcca_residual", rcca_residual)
         monkeypatch.setattr(search, "table_sums", table_sums)
         transforms = self.counted_transforms(monkeypatch)
         sweep(textual, visual, benches, self.GRID)
@@ -597,6 +604,7 @@ class TestSharedFits:
         assert Counter(projected) == Counter((widths[a_dim], side) for a_dim, side in fused)
         assert len(fused) == 2 * len(widths) > 2
         assert len(summed) == len(tables)
+        assert len(subtracted) == sum(origin == "rcca" for _, _, origin, _ in tables) > 0
 
     def test_overflowing_row_fails_its_tables(self):
         textual, visual, benches = twelve_words(overflow=True)
