@@ -23,20 +23,14 @@ flipped jointly so the pinned sign never negates a correlation).
 ``pca_fit`` and ``cca_fit`` each return one model or raise. The leading
 k principal axes and the leading k canonical pairs do not depend on k
 (Hardoon, Szedmak & Shawe-Taylor 2004), so a caller that needs several
-dimensions fits once at the widest and reads column prefixes;
+dimensions fits once, at the largest it needs, and reads column prefixes;
 ``check_pca_dimension`` and ``check_cca_dimension`` say which k a fit of
 a given input shape can have.
-A PCA input takes one of two routes, chosen from the input alone. Unless
-small (``GRAM_MIN_SIDE``), whatever its aspect ratio, it is decomposed
-through the ``eigh`` of its smaller Gram matrix, scaled by an exact power
-of two, to within about 1e-12 of the direct SVD on well-conditioned
-input. A small one, or one whose Gram is too ill-conditioned
-(``GRAM_BOUND``) or whose ``eigh`` fails, is decomposed by the direct
-SVD. There an input with at least twice as many rows as columns is
-decomposed through the R factor of its QR factorization, as LAPACK's own
-SVD of a tall matrix does, so no n x d factor is formed; the model is
-bitwise that of the direct SVD except where LAPACK rescales an input with
-magnitudes above about 1e137 or below about 1e-138 (see ``pca_fit``).
+A PCA input takes one of two routes, judged at the k returned: the
+``eigh`` of its smaller Gram matrix, unless the input is small
+(``GRAM_MIN_SIDE``), its Gram too ill-conditioned at k (``GRAM_BOUND``)
+or its ``eigh`` fails; else the direct SVD, through the R factor of its
+QR factorization for a tall input (see ``pca_fit``).
 
 Numerical failures raise ``NumericalError``, which a sweep records as a
 failed configuration instead of stopping: a LAPACK routine that does not
@@ -56,16 +50,14 @@ from .errors import AlignmentError, DimensionError, NumericalError
 
 DEFAULT_RIDGE = 1e-3
 
-# Smallest ratio λ_m / λ₁ of Gram eigenvalues that ``pca_fit`` decomposes
-# through the Gram (see there). Measured on inputs of geometric spectra
-# (60 x 200 and 150 x 100), the worst component of the Gram route differs
-# from the direct SVD's by 2.4e-9 at a ratio of 1e-8, 3.4e-8 at 1e-9 and
-# 1.2e-7 at 1e-10: about 0.1-0.3 · eps / ratio. On tall ones (200 x 100,
-# 600 x 150 and 1200 x 100) it differs by at most 3.3e-9, 3.7e-8 and
-# 2.3e-7: 0.05-0.2 · eps / ratio. At 1e-8 no component moves by more than
-# about sqrt(eps) / 4, and every committed benchmark input still takes the
-# Gram route (ratios 5e-7 to 2e-2), the tall tables of ``sweep_pairs``
-# (600 x 100 and 600 x 150, 1e-2 to 2e-2) among them.
+# Smallest ratio λ_k / λ₁ of Gram eigenvalues at which ``pca_fit`` decomposes
+# through the Gram at k (see there). On geometric spectra of rank k (an
+# exactly zero tail; 5 seeds of 4 shapes per route, ratios 1.1e-8 to 1e-2),
+# the worst component differs from the direct SVD's by at most 0.9 · eps /
+# ratio through ``Cᵀ C`` (1.3e-8 at 1.1e-8) and 0.25 · eps / ratio through
+# ``C Cᵀ``, which divides by s (2.2e-9 at 1.1e-8), and by under 4e-14 from
+# 1e-3 up; spectra with a geometric tail read 0.05-0.3 · eps / ratio. Every
+# committed benchmark input takes the Gram at the k it is fit at (4e-4 to 5e-2).
 GRAM_BOUND = 1e-8
 
 # Smallest side, min(n, d), of an input that ``pca_fit`` decomposes
@@ -189,17 +181,16 @@ def caught(compute, *args):
         return exc
 
 
-def _gram_svd(X, mean):
+def _gram_svd(X, mean, k):
     """Singular values and right singular vectors of ``X - mean`` from its smaller Gram matrix.
 
-    Returns the leading ``min(n - 1, d)`` of each, or None where the Gram
-    route does not apply (see ``pca_fit``). The centred input is scaled
+    Returns the leading k of each, or None where the Gram route does not
+    apply at k (see ``pca_fit``). The centred input is scaled
     in place and dropped once no longer read: after the Gram on the
     ``Cᵀ C`` route, so no n x d copy is held during the ``eigh``. The Gram
     is dropped after its ``eigh``.
     """
     n, d = X.shape
-    k = min(n - 1, d)
     centred = _check_finite(X - mean, "centered PCA input")
     # a power of two scales exactly (bar values that fall to subnormals):
     # max |scaled| lies in [0.5, 1), so the Gram can neither overflow nor
@@ -237,46 +228,45 @@ def _gram_svd(X, mean):
 def pca_fit(X, k):
     """Top-k principal directions of column-centered ``X``.
 
-    The leading k right singular vectors do not depend on k, and which of
-    two routes decomposes the centred n x d input depends on ``X`` alone,
-    never on k, so ``pca_fit(X, k)`` is bitwise the leading k components
-    and variances of ``pca_fit(X, m)`` for any valid ``m > k``:
+    Which of two routes decomposes the centred n x d input is judged at
+    the k returned:
 
     - Where ``min(n, d) >= GRAM_MIN_SIDE``, tall or wide, the Gram route:
       ``eigh`` of the smaller Gram matrix, ``C Cᵀ`` (n x n) when ``n < d``
       and ``Cᵀ C`` (d x d) otherwise, of the centred input C scaled by the
       exact power of two ``2^-e`` that puts its largest magnitude in
-      [0.5, 1). Its eigenvalues λ, in
-      descending order, give ``s = sqrt(λ) · 2^e``. For ``Cᵀ C`` the rows
-      of Vᵀ are its eigenvectors; for ``C Cᵀ`` they are ``(Uᵀ C) / s``.
-      The leading ``min(n - 1, d)`` rows are formed, whatever k is. No
-      n x d U is formed, and the Gram is far cheaper to decompose than the
-      input: a 400 x 1024 fit took 30-33 ms against 112-114 ms
-      by the direct SVD, a 600 x 150 one 2.0 ms against 7.5 ms by QR and
-      the SVD of R. A tall input whose centred column norm overflows fails
-      here as an overflowing PCA variance, as a wide one does.
+      [0.5, 1). Its eigenvalues λ, in descending order, give ``s = sqrt(λ)
+      · 2^e``. For ``Cᵀ C`` the rows of Vᵀ are its eigenvectors; for ``C
+      Cᵀ`` they are ``(Uᵀ C) / s``. Only the k rows returned are formed,
+      and no n x d U; the Gram is far cheaper to decompose than the input:
+      a 400 x 1024 fit took 30-33 ms against 112-114 ms by the direct SVD,
+      a 600 x 150 one 2.0 ms against 7.5 ms by QR and the SVD of R. A tall
+      input whose centred column norm overflows fails here as an
+      overflowing PCA variance, as a wide one does.
     - The SVD of the centred input, where the Gram route does not apply: a
       smaller input, or one whose Gram ``eigh`` fails or returns
-      non-finite values, or has ``λ₁ <= 0``, or ``λ_m <= GRAM_BOUND · λ₁``
-      at ``m = min(n - 1, d)``, the smallest eigenvalue any valid k reads.
+      non-finite values, or has ``λ₁ <= 0``, or ``λ_k <= GRAM_BOUND · λ₁``.
       A Gram squares the condition number, and the ``C Cᵀ`` route divides
-      by s, so a rank-deficient, constant or near-singular input takes
-      this route. A tall input (``n >= 2 * d``) is decomposed through the
-      d x d triangular factor R of its QR factorization, which has the
-      singular values and right singular vectors of the centred input;
-      neither Q nor an n x d U is formed. Past its own crossover (``n >=
-      11 * d / 6``) LAPACK's ``gesdd`` runs that same QR and then
-      decomposes R, so the model is bitwise the one of a direct SVD,
-      except where ``gesdd`` rescales the centred input or R, at a largest
-      magnitude above about 1e137 or below about 1e-138: there the two
-      differ by rounding, and a centred column whose norm overflows fails
-      as a non-finite PCA input rather than as an overflowing variance.
+      by s, so a constant input takes this route, and so does a
+      rank-deficient or near-singular one (dead units, duplicate rows) at
+      a k past its rank or the bound. A tall input (``n >= 2 * d``) is
+      decomposed through the d x d triangular factor R of its QR
+      factorization, which has the singular values and right singular
+      vectors of the centred input; neither Q nor an n x d U is formed.
+      Past its own crossover (``n >= 11 * d / 6``) LAPACK's ``gesdd`` runs
+      that same QR and then decomposes R, so the model is bitwise the one
+      of a direct SVD, except where ``gesdd`` rescales the centred input
+      or R, at a largest magnitude above about 1e137 or below about
+      1e-138: there the two differ by rounding, and a centred column whose
+      norm overflows fails as a non-finite PCA input rather than as an
+      overflowing variance.
 
-    Above the bound, components of the Gram route differ from those of
-    the direct SVD by at most about 0.3 · eps / (λ_m / λ₁), which is at
-    most about 3e-9 for any input it accepts and below 1e-12 on
-    well-conditioned inputs; variances differ by about as much, relative
-    to the largest.
+    So ``pca_fit(X, k)`` is bitwise the leading k of ``pca_fit(X, m)`` only
+    where both take the SVD or the ``Cᵀ C`` route. Above the bound, on
+    spectra whose eigenvalues are apart, components of the Gram route
+    differ from the direct SVD's by at most about eps / (λ_k / λ₁) (see
+    ``GRAM_BOUND``): at most about 1.3e-8, and below 1e-12 on
+    well-conditioned inputs; variances by about 5e-15 of the largest.
 
     Returns the ``PcaModel`` at k. Failures come in this order: a
     non-finite input (``NumericalError``), ``check_pca_dimension``'s
@@ -288,7 +278,7 @@ def pca_fit(X, k):
     n, d = X.shape
     check_pca_dimension(k, n, d)
     mean = X.mean(axis=0)
-    gram = _gram_svd(X, mean) if min(n, d) >= GRAM_MIN_SIDE else None
+    gram = _gram_svd(X, mean, k) if min(n, d) >= GRAM_MIN_SIDE else None
     if gram is not None:
         s, vt = gram
     else:
@@ -298,10 +288,11 @@ def pca_fit(X, k):
             centred = np.linalg.qr(centred, mode="r")
         _, s, vt = _decompose(np.linalg.svd, centred, "centered PCA input",
                               full_matrices=False)
+        s, vt = s[:k], vt[:k]
     with np.errstate(over="ignore"):  # an overflowing variance is rejected below
-        variance = np.maximum(s[:k] ** 2 / (n - 1), 0.0)
+        variance = np.maximum(s ** 2 / (n - 1), 0.0)
     variance = _check_finite(variance, "PCA variance")
-    components, _ = _fix_signs(vt[:k].T)
+    components, _ = _fix_signs(vt.T)
     return PcaModel(mean=mean, components=components, explained_variance=variance)
 
 
@@ -327,13 +318,13 @@ def pca_transform(model, X):
 
 
 def _whitening(centred, variances, ridge, what):
-    """The inverse square root of a side's ridged covariance, as a matrix or its diagonal.
+    """The inverse square root of a side's ridged covariance, and its eigenvalues' rounding level.
 
     ``(C + ridge I)^(-1/2)`` from the ``eigh`` of the side's covariance C,
     or, where its column ``variances`` are given (uncorrelated columns),
-    the vector ``1 / sqrt(variances + ridge)``. Singular, a
-    ``NumericalError``, where the ridged eigenvalues (or ``variances +
-    ridge``) have ``min <= d · eps · max``.
+    the vector ``1 / sqrt(variances + ridge)``; the rounding level is
+    ``tol = d · eps · max`` of the ridged eigenvalues (or ``variances +
+    ridge``). Singular, a ``NumericalError``, where their ``min <= tol``.
     """
     n, d = centred.shape
     if variances is None:
@@ -350,8 +341,8 @@ def _whitening(centred, variances, ridge, what):
             f"{what} covariance is singular; refit with a positive ridge"
         )
     if variances is None:
-        return (evecs / np.sqrt(evals)) @ evecs.T
-    return 1.0 / np.sqrt(evals)
+        return (evecs / np.sqrt(evals)) @ evecs.T, tol
+    return 1.0 / np.sqrt(evals), tol
 
 
 def _whiten(isqrt, m):
@@ -368,7 +359,8 @@ def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE, variances=None):
     exactly those variances), computed in closed form as ``s_j / sqrt((1 -
     ridge ‖a_j‖²)(1 - ridge ‖b_j‖²))`` from the projection columns a_j and
     b_j, so no n x k projection is formed; a side's ``1 - ridge ‖a_j‖²``
-    that rounds to 0 or below makes the correlation 0. The
+    at or below its rounding level (a zero-variance direction: a zero or
+    constant column) makes the correlation 0. The
     leading k canonical pairs do not depend on k, so the projections at k
     are the leading k columns of those at any larger k: bitwise under
     ``variances``, otherwise up to the rounding of the whitening's matrix
@@ -408,8 +400,8 @@ def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE, variances=None):
     Xc = X - mean_x
     Yc = Y - mean_y
     var_x, var_y = (None, None) if variances is None else variances
-    isqrt_x = _whitening(Xc, var_x, ridge, "first-view")
-    isqrt_y = _whitening(Yc, var_y, ridge, "second-view")
+    isqrt_x, tol_x = _whitening(Xc, var_x, ridge, "first-view")
+    isqrt_y, tol_y = _whitening(Yc, var_y, ridge, "second-view")
     with np.errstate(over="ignore", invalid="ignore"):  # rejected by the SVD's finite check
         cxy = Xc.T @ Yc / (n - 1)
     whitened = isqrt_x @ cxy @ isqrt_y if variances is None else _whiten(isqrt_x, cxy) * isqrt_y
@@ -424,13 +416,15 @@ def cca_fit(X, Y, k, ridge=DEFAULT_RIDGE, variances=None):
     proj_y = proj_y * flips
     # a = W u, with W = (C + ridge I)^(-1/2), has variance aᵀ C a = 1 - ridge ‖a‖²
     # and covariance aᵀ Cxy b = s with its pair b: so the projected fit
-    # data's sample correlations need no projection, and the flips cancel
-    spread_x, spread_y = (np.maximum(1.0 - ridge * np.einsum("ij,ij->j", p, p), 0.0)
-                          for p in (proj_x, proj_y))
-    den = np.sqrt(spread_x * spread_y)
-    correlations = np.zeros(k)
-    ok = den > 0
-    correlations[ok] = s[:k][ok] / den[ok]
+    # data's sample correlations need no projection, and the flips cancel.
+    # A variance per unit ‖a‖² at or below 8 tol is rounding: on zero and
+    # constant columns it read up to 2.2 tol, on live components above 5e12 tol
+    den = np.ones(k)
+    for proj, tol in ((proj_x, tol_x), (proj_y, tol_y)):
+        sq = np.einsum("ij,ij->j", proj, proj)
+        spread = 1.0 - ridge * sq
+        den *= np.where(spread > 8 * tol * sq, spread, 0.0)
+    correlations = np.divide(s[:k], np.sqrt(den), out=np.zeros(k), where=den > 0)
     return CcaModel(
         mean_x=mean_x,
         mean_y=mean_y,

@@ -400,6 +400,16 @@ class TestManifest:
         )
         assert not out.exists()
 
+    def test_manifest_line_without_a_value_exits_2(self, workspace, capsys):
+        manifest = workspace / "run.manifest"
+        manifest.write_text("dim_step=2\nnormalize_concat\n")
+        out = workspace / "out"
+        code = main(["search", *common(workspace), "--out", str(out),
+                     "--manifest", str(manifest)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {manifest}:2: expected key=value\n"
+        assert not out.exists()
+
     def test_non_numeric_manifest_value_exits_2(self, workspace, capsys):
         manifest = workspace / "run.manifest"
         manifest.write_text("dim_step=2\nworkers=many\n")
@@ -759,6 +769,30 @@ class TestRejectedInputLeavesNoOut:
         config.write_text(text)
         assert self.run(workspace, command, config) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "apply"])
+    @pytest.mark.parametrize("text, message", [
+        ("layer_a=none\nlayer_b\nlayer_c=none\n", "malformed configuration token 'layer_b'"),
+        ("layer_a=none\nlayer_b=cca:2:out=X\nlayer_c=none\n",
+         "bad out 'X' (expected T, V or both)"),
+        ("layer_a=none\nlayer_b=cca:2:side=V\nlayer_c=none\n",
+         "expected out=... in layer_b, got 'side=V'"),
+    ])
+    def test_malformed_token_names_its_file(self, workspace, capsys, command, text, message):
+        config = workspace / "best.cfg"
+        config.write_text(text)
+        assert self.run(workspace, command, config) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "apply"])
+    def test_a_directory_as_configuration(self, workspace, capsys, command):
+        config = workspace / "configs"
+        config.mkdir()
+        assert self.run(workspace, command, config) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {config}: [Errno 21] Is a directory: '{config}'\n")
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("command", ["eval", "apply"])

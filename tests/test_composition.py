@@ -78,6 +78,65 @@ class TestValidate:
         assert validate_configuration(cfg, 500, 4096)
 
 
+    @pytest.mark.parametrize("config, dims, violations", [
+        (Configuration(layer_a="svd"), (4, 4), ["unknown layer-a motif 'svd'"]),
+        (Configuration(layer_b="pls"), (4, 4), ["unknown layer-b motif 'pls'"]),
+        (Configuration(layer_c="sum"), (4, 4), ["unknown layer-c motif 'sum'"]),
+        (Configuration(layer_a="pca", pca_dim=0, output_side="textual"), (4, 4),
+         ["layer-a PCA requires a positive dimension"]),
+        (Configuration(layer_a="pca", pca_dim=5, output_side="textual"), (4, 6),
+         ["layer-a PCA dimension 5 exceeds the smaller input dimensionality 4"]),
+        (Configuration(pca_dim=3, output_side="textual"), (4, 4),
+         ["pca_dim set although layer a is none"]),
+        (Configuration(fusion_dim=2, output_side="textual"), (4, 4),
+         ["fusion_dim set although layer b is none"]),
+        (Configuration(cca_side="textual", output_side="textual"), (4, 4),
+         ["cca_side/rcca_side are only meaningful for cca_plus_rcca"]),
+        (Configuration(), (4, 4), ["a configuration with no fusion and no combination must "
+                                   "select output_side textual or visual"]),
+        (Configuration(output_side="textual", layer_c="concat"), (4, 4),
+         ["output_side set although layer b is none and layer c combines"]),
+        (Configuration(layer_b="cca", fusion_dim=2, output_side="textual"), (4, 6),
+         ["fusion requires inputs of the same dimensionality, got 4 and 6"]),
+        (Configuration(layer_b="cca", fusion_dim=0, output_side="textual"), (4, 4),
+         ["cca requires a positive dimension"]),
+        (Configuration(layer_b="rcca", fusion_dim=5, output_side="visual"), (4, 4),
+         ["rcca dimension 5 exceeds its input dimensionality 4"]),
+        (Configuration(layer_b="cca", fusion_dim=2), (4, 4),
+         ["cca requires output_side textual, visual or both"]),
+        (Configuration(layer_b="rcca", fusion_dim=2, output_side="textual", rcca_side="visual"),
+         (4, 4), ["cca_side/rcca_side are only meaningful for cca_plus_rcca"]),
+        (Configuration(layer_b="cca_plus_rcca", fusion_dim=2, rcca_side="visual",
+                       layer_c="concat"), (4, 4),
+         ["cca_plus_rcca requires cca_side textual or visual"]),
+        (Configuration(layer_b="cca_plus_rcca", fusion_dim=2, cca_side="textual",
+                       rcca_side="both", layer_c="concat"), (4, 4),
+         ["cca_plus_rcca requires rcca_side textual or visual"]),
+        (Configuration(layer_b="cca_plus_rcca", fusion_dim=2, cca_side="textual",
+                       rcca_side="visual", output_side="both", layer_c="concat"), (4, 4),
+         ["cca_plus_rcca output is its two vectors; output_side must be unset"]),
+        (Configuration(layer_b="cca_plus_rcca", fusion_dim=2, cca_side="textual",
+                       rcca_side="visual"), (4, 4),
+         ["cca_plus_rcca must feed a layer-c combination"]),
+        (Configuration(output_side="textual", alpha=0.5), (4, 4),
+         ["alpha set although layer c is none"]),
+        (Configuration(layer_b="rcca", fusion_dim=2, output_side="both"), (4, 4),
+         ["rcca with output_side both produces two vectors and needs a layer-c combination"]),
+        (Configuration(layer_b="cca", fusion_dim=2, output_side="textual", layer_c="concat"),
+         (4, 4), ["concat needs two input vector tables but layer b yields a single one"]),
+        (Configuration(layer_c="li", alpha=1.5), (4, 4), ["li requires alpha in [0, 1]"]),
+        (Configuration(layer_c="concat", alpha=0.5), (4, 4), ["alpha is only meaningful for li"]),
+        (Configuration(output_side="visual", ridge=float("nan")), (4, 4),
+         ["ridge must be finite and >= 0"]),
+        (Configuration(layer_a="pca", layer_b="cca", output_side="both", layer_c="li"), (4, 6),
+         ["layer-a PCA requires a positive dimension",
+          "fusion requires inputs of the same dimensionality, got 4 and 6",
+          "cca requires a positive dimension", "li requires alpha in [0, 1]"]),
+    ])
+    def test_each_violation_text(self, config, dims, violations):
+        assert validate_configuration(config, *dims) == violations
+
+
 class TestApply:
     def test_identity_config_returns_input_table(self, small_tables):
         textual, visual = small_tables

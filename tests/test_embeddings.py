@@ -360,6 +360,16 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             EmbeddingTable(("a",), np.eye(2))
 
+    @pytest.mark.parametrize("vocab, matrix, text", [
+        (("a", "b"), np.ones(2), "matrix must be 2-dimensional"),
+        (("a", "b"), np.ones((2, 1, 1)), "matrix must be 2-dimensional"),
+        (("a", "b"), np.ones((2, 0)), "embedding dimension must be >= 1"),
+    ])
+    def test_shape_errors(self, vocab, matrix, text):
+        with pytest.raises(ValueError) as info:
+            EmbeddingTable(vocab, matrix)
+        assert type(info.value) is ValueError and str(info.value) == text
+
     def test_matrix_is_immutable(self):
         table = EmbeddingTable(("a", "b"), np.eye(2))
         with pytest.raises(ValueError):

@@ -129,6 +129,15 @@ class TestPca:
             model.components.T @ model.components, np.eye(2), atol=1e-8
         )
 
+    @pytest.mark.parametrize("X", [np.ones(4), np.ones((4, 3, 1)), np.float64(1.0)])
+    def test_a_non_matrix_input(self, X):
+        for call, text in ((lambda: pca_fit(X, 1), "X must be a 2-d matrix"),
+                           (lambda: cca_fit(PCA_X, X, 1), "Y must be a 2-d matrix"),
+                           (lambda: rcca_residual(PCA_X, X), "projected must be a 2-d matrix")):
+            with pytest.raises(DimensionError) as info:
+                call()
+            assert str(info.value) == text
+
     def test_transform_dim_mismatch(self):
         model = pca_fit(PCA_X, 2)
         with pytest.raises(DimensionError):
@@ -211,6 +220,24 @@ class TestCca:
         model = cca_fit(X, Y, 3, ridge=ridge, variances=variances)
         np.testing.assert_allclose(model.correlations, self.projected_correlations(model, X, Y),
                                    rtol=0, atol=1e-10)
+
+    def test_a_zero_variance_component_has_correlation_zero(self):
+        """A zero column and a constant one: the last pair lies in both, and its correlation is 0.
+
+        Its variances ``1 - ridge ‖a‖²`` are rounding, not 0: taken at face
+        value, they put up to 0.22 there, above 1e-6 in 200 of these fits.
+        """
+        rng = np.random.default_rng(0)
+        for ridge in (1e-3, 0.1, 1.0, 3.0):
+            for _ in range(300):
+                X, Y = rng.normal(size=(50, 6)), rng.normal(size=(50, 6))
+                X[:, 0] = 0.0
+                Y[:, 1] = 3.0
+                model = cca_fit(X, Y, 6, ridge=ridge)
+                assert model.correlations[-1] == 0.0
+                np.testing.assert_allclose(model.correlations[:5],
+                                           self.projected_correlations(model, X, Y)[:5],
+                                           rtol=0, atol=1e-10)
 
     def test_stored_correlations_of_a_wide_rank_deficient_fit(self):
         # n < d with every third column zero: ridge makes the fit; the leading
@@ -434,7 +461,10 @@ class TestFixSigns:
 
 
 class TestPrefixFits:
-    """``pca_fit``/``cca_fit``: one model per fit, and the fit at k is the leading k of a wider one."""
+    """``pca_fit``/``cca_fit``: one model per fit, and the fit at k is the leading k of a wider one.
+
+    For PCA, where both take one route: here the direct SVD of a small input.
+    """
 
     @staticmethod
     def assert_same_fit(fit, single):
@@ -569,8 +599,8 @@ class TestTallPca:
 
     At ``d >= GRAM_MIN_SIDE`` it is decomposed by one ``eigh`` of its d x d
     Gram ``Cᵀ C`` and no QR. Below that side, or where the Gram is too
-    ill-conditioned, it falls back to the SVD of the R factor of its QR
-    factorization: bitwise the direct SVD.
+    ill-conditioned at k, it falls back to the SVD of the R factor of its
+    QR factorization: bitwise the direct SVD.
     """
 
     @staticmethod
@@ -621,13 +651,32 @@ class TestTallPca:
             assert calls == (qr_svd if d < GRAM_MIN_SIDE else [("eigh", (d, d)), *qr_svd]), name
             TestGramPca.assert_direct_svd(fit, X)
 
-    def test_prefix_fits_are_the_single_fits_bitwise(self):
-        """``pca_fit(X, k)`` is bitwise the leading k of ``pca_fit(X, m)``, on either route."""
+    def test_the_route_is_judged_at_the_k_returned(self, pca_routines):
+        """``pca_fit(X, k)`` takes the Gram where ``λ_k > GRAM_BOUND · λ₁``, whatever a wider k reads.
+
+        So an ill-conditioned input takes one ``eigh`` at each k below the
+        bound, within the measured bound of the direct SVD, and falls back
+        to QR and the SVD of R past it. Where k and the widest m take the
+        same route, the fit at k is bitwise the leading k of the fit at m.
+        """
+        calls = pca_routines
         for name, X in [*self.gram(), *self.fallback()]:
+            n, d = X.shape
             *ks, m = self.ks(X)
             widest = pca_fit(X, m)
             for k in ks:
-                TestPrefixFits.assert_same_fit(pca_fit(X, k), TestPrefixFits.leading(widest, k))
+                calls.clear()
+                fit = pca_fit(X, k)
+                fallback = [("qr", (n, d)), ("svd", (d, d))]
+                if _takes_the_gram(X, k):
+                    assert calls == [("eigh", (d, d))], (name, k)
+                    TestGramPca.assert_near_svd(fit, X, _gram_error_bound(X, k))
+                else:
+                    assert calls == (fallback if d < GRAM_MIN_SIDE
+                                     else [("eigh", (d, d)), *fallback]), (name, k)
+                    TestGramPca.assert_direct_svd(fit, X)
+                if _takes_the_gram(X, k) == _takes_the_gram(X, m):
+                    TestPrefixFits.assert_same_fit(fit, TestPrefixFits.leading(widest, k))
             for k in (0, m + 1):
                 with pytest.raises(DimensionError, match=f"^PCA dimension k={k} outside"):
                     pca_fit(X, k)
@@ -661,12 +710,34 @@ def _with_spectrum(rng, n, d, s):
     return (u * s) @ v.T
 
 
+def _gram_ratio(X, k):
+    """λ_k / λ₁ of the centred input, from its direct SVD."""
+    s = np.linalg.svd(X - X.mean(axis=0), compute_uv=False)
+    return (s[k - 1] / s[0]) ** 2 if s[0] > 0 else 0.0
+
+
+def _takes_the_gram(X, k):
+    """Whether ``pca_fit(X, k)`` decomposes ``X`` through its Gram: the rule judged at k."""
+    return min(X.shape) >= GRAM_MIN_SIDE and _gram_ratio(X, k) > GRAM_BOUND
+
+
+def _gram_error_bound(X, k):
+    """A Gram route component's distance from the direct SVD's at k: ``eps / (λ_k / λ₁) + 1e-11``.
+
+    The first term is the measured bound on separated spectra (see
+    ``test_a_zero_tail_stays_within_the_measured_bound``); the second
+    allows for the close eigenvalues of random inputs, whose components
+    both routes resolve only to about 1e-12.
+    """
+    return np.finfo(np.float64).eps / _gram_ratio(X, k) + 1e-11
+
+
 class TestGramPca:
     """An input, tall or wide, is decomposed through the ``eigh`` of its smaller Gram matrix.
 
     Where a side is below ``GRAM_MIN_SIDE``, that Gram is too
-    ill-conditioned, or its ``eigh`` fails, the input is decomposed by the
-    direct SVD, bitwise.
+    ill-conditioned at k, or its ``eigh`` fails, the input is decomposed by
+    the direct SVD, bitwise.
     """
 
     @staticmethod
@@ -686,7 +757,7 @@ class TestGramPca:
 
     @staticmethod
     def widest(X):
-        """The largest k of ``X``: its fit holds every smaller one as a prefix."""
+        """The largest k of ``X``."""
         return min(X.shape[0] - 1, X.shape[1])
 
     def test_inputs_below_twice_their_width_take_the_smaller_gram(self, pca_routines):
@@ -725,19 +796,6 @@ class TestGramPca:
             assert calls == [("eigh", (side, side))], (n, d)
             self.assert_near_svd(fit, X, 1e-11)
 
-    def test_prefix_fits_are_the_single_fits_bitwise(self):
-        """``pca_fit(X, k)`` is bitwise the leading k of ``pca_fit(X, m)``, on either route."""
-        rng = np.random.default_rng(45)
-        rank_deficient = rng.normal(size=(20, 3)) @ rng.normal(size=(3, 30))
-        for _, X in [*self.wide(), ("fallback", rank_deficient)]:
-            m = self.widest(X)
-            widest = pca_fit(X, m)
-            for k in (1, m // 2, m - 1):
-                TestPrefixFits.assert_same_fit(pca_fit(X, k), TestPrefixFits.leading(widest, k))
-            for k in (0, m + 1):
-                with pytest.raises(DimensionError, match=f"^PCA dimension k={k} outside"):
-                    pca_fit(X, k)
-
     @staticmethod
     def ill_conditioned():
         rng = np.random.default_rng(46)
@@ -745,7 +803,7 @@ class TestGramPca:
         yield "rank-deficient, d <= n", rng.normal(size=(30, 3)) @ rng.normal(size=(3, 20))
         yield "duplicate rows", rng.normal(size=(12, 30))[[*range(12), 0, 1, 2, 3, 4, 5]]
         yield "constant", np.full((20, 30), 2.5)
-        # the smallest eigenvalue any k reads just below the bound
+        # the eigenvalue at the widest k just below the bound
         smallest = (0.9 * GRAM_BOUND) ** 0.5
         yield "below the bound, n < d", _with_spectrum(rng, 20, 50, np.geomspace(1, smallest, 19))
         yield "below the bound, d <= n", _with_spectrum(rng, 50, 30, np.geomspace(1, smallest, 30))
@@ -759,6 +817,75 @@ class TestGramPca:
             side = min(n, d)
             assert calls == [("eigh", (side, side)), ("svd", (n, d))], name
             self.assert_direct_svd(fit, X)
+
+    def test_the_route_is_judged_at_the_k_returned(self, pca_routines):
+        """Each k takes the Gram where ``λ_k > GRAM_BOUND · λ₁``, and the direct SVD past it.
+
+        A rank-deficient or near-singular input takes one ``eigh`` at each k
+        below its rank or the bound, within the measured bound of the direct
+        SVD; past it, bitwise the direct SVD. Fits at different k are no
+        longer prefixes of one decomposition: the ``C Cᵀ`` route forms only
+        the k rows of Vᵀ it returns.
+        """
+        calls = pca_routines
+        for name, X in [*self.wide(), *self.ill_conditioned()]:
+            n, d = X.shape
+            side = min(n, d)
+            m = self.widest(X)
+            for k in sorted({1, 2, 3, 4, m // 2, m - 1, m}):
+                calls.clear()
+                fit = pca_fit(X, k)
+                if _takes_the_gram(X, k):
+                    assert calls == [("eigh", (side, side))], (name, k)
+                    self.assert_near_svd(fit, X, _gram_error_bound(X, k))
+                else:
+                    assert calls == [("eigh", (side, side)), ("svd", (n, d))], (name, k)
+                    self.assert_direct_svd(fit, X)
+            for k in (0, m + 1):
+                with pytest.raises(DimensionError, match=f"^PCA dimension k={k} outside"):
+                    pca_fit(X, k)
+
+    @pytest.mark.parametrize("shape", [(60, 40), (100, 40), (40, 45)])
+    def test_dead_units_below_the_rank_take_one_eigh(self, pca_routines, shape):
+        """Every 5th column zero, as dead ReLU units leave a CNN table: one ``eigh``, no QR or SVD.
+
+        The widest k reads a zero eigenvalue (of ``Cᵀ C``; of ``C Cᵀ`` where
+        the live columns are fewer than n - 1), so only that k falls back.
+        """
+        n, d = shape
+        X = np.random.default_rng(52).normal(size=shape)
+        X[:, ::5] = 0.0
+        rank = min(n - 1, d - len(range(0, d, 5)))
+        calls = pca_routines
+        for k in (10, rank):
+            calls.clear()
+            fit = pca_fit(X, k)
+            assert calls == [("eigh", (min(n, d),) * 2)], k
+            self.assert_near_svd(fit, X, 1e-12)
+        calls.clear()
+        pca_fit(X, rank + 1)
+        assert [routine for routine, _ in calls] == ["eigh", *(["qr"] if n >= 2 * d else []), "svd"]
+
+    @pytest.mark.parametrize("n, d, k", [(600, 150, 60), (150, 400, 100)], ids=["CtC", "CCt"])
+    def test_a_zero_tail_stays_within_the_measured_bound(self, pca_routines, n, d, k):
+        """Rank k, geometric spectra from λ_k / λ₁ just above the bound to 1e-2.
+
+        Measured over 20 inputs per route (5 seeds of 4 shapes), the worst
+        component's distance from the direct SVD was at most 0.9 · eps /
+        ratio on ``Cᵀ C`` and 0.25 · eps / ratio on ``C Cᵀ``, and below
+        4e-14 from 1e-3 up; variances within 5e-15 of the largest.
+        """
+        rng = np.random.default_rng(53)
+        calls = pca_routines
+        for ratio in (1.1 * GRAM_BOUND, 1e-6, 1e-4, 1e-2):
+            X = _with_spectrum(rng, n, d, np.geomspace(1, ratio ** 0.5, k))
+            calls.clear()
+            fit = pca_fit(X, k)
+            assert calls == [("eigh", (min(n, d),) * 2)], ratio
+            mean, components, variance = _direct_pca(X, k)
+            bound = np.finfo(np.float64).eps / ratio + 2e-14
+            assert np.max(np.abs(fit.components - components)) <= bound, ratio
+            assert np.max(np.abs(fit.explained_variance - variance)) <= 1e-14 * variance[0]
 
     def test_a_spectrum_just_above_the_bound_takes_the_gram(self, pca_routines):
         rng = np.random.default_rng(47)
@@ -804,19 +931,21 @@ class TestGramPca:
                 NumericalError("centered PCA input contains non-finite values"))
         assert calls == []
 
-    def test_a_failing_svd_leaves_the_gram_route(self, monkeypatch):
+    def test_a_failing_svd_fails_only_the_ks_past_the_bound(self, monkeypatch):
+        """The Gram route runs no SVD: a rank-3 input fits at k <= 3, and k = 4 needs the SVD."""
         X = next(self.wide())[1]
-        gram_fits = {k: pca_fit(X, k) for k in (1, 5)}
+        rank_deficient = next(self.ill_conditioned())[1]
+        gram = [(X, 1), (X, 5), (rank_deficient, 1), (rank_deficient, 3)]
+        gram_fits = [pca_fit(Z, k) for Z, k in gram]
 
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
-        for k, fit in gram_fits.items():
-            TestPrefixFits.assert_same_fit(pca_fit(X, k), fit)
-        rank_deficient = next(self.ill_conditioned())[1]
+        for (Z, k), fit in zip(gram, gram_fits):
+            TestPrefixFits.assert_same_fit(pca_fit(Z, k), fit)
         with pytest.raises(NumericalError, match="centered PCA input: SVD did not converge"):
-            pca_fit(rank_deficient, 2)
+            pca_fit(rank_deficient, 4)
 
     @pytest.mark.parametrize("failure", ["no convergence", "non-finite"])
     def test_a_failing_eigh_falls_back_to_the_direct_svd(self, monkeypatch, failure, pca_routines):
@@ -913,6 +1042,11 @@ class TestResidual:
         reducer = pca_fit(original, 2)
         out = rcca_residual(pca_transform(reducer, original), projected)
         np.testing.assert_array_equal(out, pca_transform(reducer, original) - projected)
+
+    def test_unequal_row_counts(self):
+        with pytest.raises(DimensionError) as info:
+            rcca_residual(np.ones((4, 2)), np.ones((5, 2)))
+        assert str(info.value) == "row counts differ: original 4, projected 5"
 
     @pytest.mark.parametrize("d, k", [(3, 2), (2, 3)])
     def test_unequal_widths(self, d, k):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mmfuse import (
+    AlignmentError,
     Benchmark,
     Configuration,
     EmbeddingTable,
@@ -405,6 +406,13 @@ class TestFailureHandling:
             )
             assert fresh.rho == entry.rho
 
+    def test_misaligned_tables_are_refused(self, planted):
+        textual, visual, bench = planted
+        shuffled = EmbeddingTable(visual.vocab[::-1], visual.matrix[::-1], name="visual")
+        with pytest.raises(AlignmentError) as info:
+            sweep(textual, shuffled, [bench], TOY_GRID)
+        assert str(info.value) == "tables must be vocabulary-aligned before searching"
+
     def test_ragged_sweep_matches_exhaustive_oracle(self, ragged):
         textual, visual, bench, grid = ragged
         oracle = exhaustive_oracle(textual, visual, bench, grid)
@@ -557,6 +565,29 @@ class TestSharedFits:
         grid = GridSpec(dim_step=8, dim_min=8, alpha_step=0.5)
         report, = sweep(textual, visual, [bench], grid)
         assert pca_routines == [("eigh", (16, 16)), ("eigh", (18, 18))]
+        assert report.counts()[STATUS_OK] == len(report.entries)
+        assert_matches_oracle(report, exhaustive_oracle(textual, visual, bench, grid))
+
+    def test_dead_visual_units_sweep_as_the_exhaustive_oracle(self, pca_routines):
+        """A visual table with every 5th column zero takes the Gram at m, bitwise as applied.
+
+        40 words, a 20-d textual and a 30-d visual table: m = 20 is below
+        the visual side's rank 24, so its ``λ_20`` clears the bound though
+        ``λ_30``, at its own widest k, is 0.
+        """
+        rng = np.random.default_rng(8)
+        vocab = tuple(f"w{i:02d}" for i in range(40))
+        latent = rng.normal(size=(40, 6))
+        textual, visual = (latent @ rng.normal(size=(6, d)) + rng.normal(size=(40, d))
+                           for d in (20, 30))
+        visual[:, ::5] = 0.0
+        textual = EmbeddingTable(vocab, textual, name="textual")
+        visual = EmbeddingTable(vocab, np.tanh(visual), name="visual")
+        bench = Benchmark("dead", tuple((vocab[i], vocab[j], float((i * j) % 5))
+                                        for i in range(40) for j in range(i + 1, 40, 7)))
+        grid = GridSpec(dim_step=5, dim_min=5, alpha_step=0.5)
+        report, = sweep(textual, visual, [bench], grid)
+        assert pca_routines == [("eigh", (20, 20)), ("eigh", (30, 30))]
         assert report.counts()[STATUS_OK] == len(report.entries)
         assert_matches_oracle(report, exhaustive_oracle(textual, visual, bench, grid))
 
