@@ -17,7 +17,8 @@ of score vectors in sort order, which is all a rank correlation needs;
 benchmark's gold scores. These are the non-BLAS hot path, in plain
 numpy; every pair score in the package is finished by ``sum_cosines``. A
 pair with a vector norm that overflows scores nan, so that callers reject
-it instead of scoring it 0.
+it instead of scoring it 0. ``unit_rows``, the row rule of
+``normalize_concat``, shares ``sum_cosines``' degenerate-row threshold.
 """
 
 import numpy as np
@@ -65,6 +66,21 @@ def sum_cosines(dots, sq1, sq2):
     # a norm that overflows has no cosine: score it nan for callers to reject
     scores[~(np.isfinite(n1) & np.isfinite(n2))] = np.nan
     return scores, degenerate
+
+
+def unit_rows(sq_norms):
+    """The per-row rule of ``normalize_concat``, from squared row norms.
+
+    Returns ``(divisors, squared norms)`` per row after normalization. A
+    row whose norm exceeds ``ZERO_NORM_EPS`` is divided by its norm and
+    counts as a squared norm of exactly 1. A row at or below it is left as
+    it is, and so is a row whose norm overflows: its squared norm stays
+    inf, so ``sum_cosines`` scores each pair that reads it nan. The rule is
+    elementwise: it gives gathered norms what it gives the table's rows.
+    """
+    norms = np.sqrt(sq_norms)
+    unit = (norms > ZERO_NORM_EPS) & np.isfinite(norms)
+    return np.where(unit, norms, 1.0), np.where(unit, 1.0, sq_norms)
 
 
 def sorted_ranks(values):

@@ -34,8 +34,10 @@ A ``ScoringModel`` names its layer-c motif beside its one or two tables,
 as a ``Configuration`` does: a concatenation keeps its two blocks, so it
 is scored from their sums, by ``evaluate`` and the sweep alike, and
 ``concat_table`` stacks them only where ``apply`` writes them.
-``unit_rows`` is the one ``normalize_concat`` rule that both the scores
-and the stacked vectors follow.
+``_kernels.unit_rows`` is the one ``normalize_concat`` rule that both the
+scores and the stacked vectors follow. A row norm that overflows fails
+only the pair scores that read it, as in any other table, while
+``concat_table``, which writes every row, refuses it.
 """
 
 import math
@@ -44,7 +46,7 @@ from itertools import groupby, product
 
 import numpy as np
 
-from ._kernels import ZERO_NORM_EPS
+from ._kernels import unit_rows
 from .embeddings import EmbeddingTable, read_utf8
 from .errors import AlignmentError, ConfigurationError, NumericalError, ParseError
 from .numerics import (
@@ -91,21 +93,6 @@ class Configuration:
     ridge: float = DEFAULT_RIDGE
 
 
-def unit_rows(sq_norms):
-    """The per-row rule of ``normalize_concat``, from a block's squared row norms.
-
-    Returns ``(divisors, squared norms)`` per row after normalization. A
-    row whose norm exceeds ``ZERO_NORM_EPS`` is divided by its norm and
-    counts as a squared norm of exactly 1; a row at or below it is left as
-    it is. A row norm that overflows cannot be normalized: ``NumericalError``.
-    """
-    norms = np.sqrt(sq_norms)
-    if not np.all(np.isfinite(norms)):
-        raise NumericalError("a row norm overflows in normalized concatenation")
-    unit = norms > ZERO_NORM_EPS
-    return np.where(unit, norms, 1.0), np.where(unit, 1.0, sq_norms)
-
-
 @dataclass(frozen=True)
 class ScoringModel:
     """Executable result of a configuration: its one or two tables and its layer-c motif.
@@ -113,8 +100,8 @@ class ScoringModel:
     ``layer_c`` is ``"none"`` for one table, or ``"concat"`` or ``"li"``
     for two that share one ordered vocabulary. ``alpha`` weights the first
     table's pair score under ``li``. ``normalize`` row-normalizes each
-    block of a concatenation; its ``unit_rows`` are computed here, so a
-    row norm that overflows fails the model.
+    block of a concatenation by ``unit_rows``, where it is scored or
+    stacked; it has no effect on the other motifs.
     """
 
     first: EmbeddingTable
@@ -122,8 +109,6 @@ class ScoringModel:
     alpha: float = None
     layer_c: str = "none"
     normalize: bool = False
-
-    units = None  # each block's unit_rows, under normalize and concat
 
     def __post_init__(self):
         if self.layer_c not in _C_ORDER:
@@ -137,9 +122,6 @@ class ScoringModel:
                 raise ValueError("li models need alpha in [0, 1]")
         elif self.alpha is not None:
             raise ValueError("alpha is only meaningful for li models")
-        if self.normalize and self.layer_c == "concat":
-            object.__setattr__(self, "units", (unit_rows(self.first.sq_norms),
-                                               unit_rows(self.second.sq_norms)))
 
     @property
     def vocab(self):
@@ -149,11 +131,16 @@ class ScoringModel:
 def concat_table(model):
     """The table of a concatenation's stacked rows, as ``apply`` writes it.
 
-    Each block is divided by its ``unit_rows`` divisors under ``normalize``.
+    Under ``normalize`` each block is divided by its ``unit_rows``
+    divisors. Every row is written, so a row norm that overflows, which
+    cannot be normalized, is a ``NumericalError`` here.
     """
-    blocks = [model.first.matrix, model.second.matrix]
-    if model.units is not None:
-        blocks = [m / div[:, None] for m, (div, _) in zip(blocks, model.units)]
+    tables = (model.first, model.second)
+    blocks = [t.matrix for t in tables]
+    if model.normalize:
+        if not all(np.isfinite(t.sq_norms).all() for t in tables):
+            raise NumericalError("a row norm overflows in normalized concatenation")
+        blocks = [t.matrix / unit_rows(t.sq_norms)[0][:, None] for t in tables]
     return EmbeddingTable(model.vocab, np.hstack(blocks),
                           name=concat_label([model.first.name, model.second.name]))
 

@@ -8,7 +8,8 @@ with weight ``alpha`` on the first, and ``concat`` scores the cosine of
 the two blocks side by side. Every score is finished from pair sums
 (``PairSums``: the dot product and both squared norms), through the
 kernels in ``_kernels``. A concatenation's sums are the sums of its two
-blocks' sums, so the stacked vectors are never built to score it.
+blocks' sums, normalized or not, so the stacked vectors are never built
+to score it, and one table's sums serve every layer-c motif built on it.
 Model quality is the Spearman rank correlation between model scores and
 the human gold scores, with ties receiving average ranks; a non-finite
 model score is a ``NumericalError``. A vector norm that overflows scores
@@ -337,22 +338,26 @@ def sum_scores(sums, covered, table=""):
     return scores
 
 
-def concat_scores(sums, units, covered, table=""):
+def _unit_sums(sums):
+    """A block's pair sums with both rows divided by their ``unit_rows`` divisors."""
+    (div1, sq1), (div2, sq2) = _kernels.unit_rows(sums.sq1), _kernels.unit_rows(sums.sq2)
+    return PairSums(sums.dots / (div1 * div2), sq1, sq2)
+
+
+def concat_scores(sums, normalize, covered, table=""):
     """A concatenation's pair scores from the ``sums`` of its two blocks.
 
     They equal the cosines of the stacked vectors up to rounding. Under
-    ``normalize_concat``, ``units`` holds each block's ``(divisors,
-    squared norms)`` per row, as ``composition.unit_rows`` gives them:
-    the block's dot products are divided by both rows' divisors and its
-    squared norms are gathered from there. A pair of non-degenerate rows
-    then scores the mean of the two block cosines. ``table`` names the
-    concatenation in degenerate-pair warnings (see ``sum_scores``).
+    ``normalize`` (``normalize_concat``), each block's sums are first
+    normalized by ``unit_rows`` of their gathered squared norms: a pair of
+    non-degenerate rows then scores the mean of the two block cosines. A
+    pair that reads a row whose norm overflows scores nan either way.
+    ``table`` names the concatenation in degenerate-pair warnings (see
+    ``sum_scores``).
     """
-    idx1, idx2 = covered.idx1, covered.idx2
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums score nan
-        if units is not None:
-            sums = [PairSums(s.dots / (div[idx1] * div[idx2]), sq[idx1], sq[idx2])
-                    for s, (div, sq) in zip(sums, units)]
+        if normalize:
+            sums = [_unit_sums(s) for s in sums]
         first, second = sums
         return sum_scores(PairSums(*(a + b for a, b in zip(first, second))), covered, table)
 
@@ -384,21 +389,19 @@ def rank_results(vectors, span, bench):
     ]
 
 
-def layer_c_scores(layer_c, alpha, tables, sums, units, scores, covered, label):
+def layer_c_scores(layer_c, alpha, tables, sums, normalize, scores, covered, label):
     """The scores of the covered pairs under layer-c motif ``layer_c`` over ``tables``.
 
-    ``sums`` maps each table to its pair sums and ``units`` each block of a
-    normalized concatenation to its ``unit_rows``; ``units`` is None when
-    concatenations are not normalized, and a stored failure in either is
-    raised here. ``concat`` scores its blocks by ``concat_scores``, ``li``
-    is ``interpolate`` of the two tables' score vectors, and ``none`` is
+    ``sums`` maps each table to its pair sums, or to the failure building
+    the table, which is raised here. ``concat`` scores its blocks by
+    ``concat_scores``, normalized when ``normalize`` is set, ``li`` is
+    ``interpolate`` of the two tables' score vectors, and ``none`` is
     its one table's. A table's score vector is finished at its first use
     and kept in ``scores``; ``label(table)`` names the table in warnings.
     """
     if layer_c == "concat":
         blocks = [fitted(sums[t]) for t in tables]
-        block_units = None if units is None else [fitted(units[t]) for t in tables]
-        return concat_scores(blocks, block_units, covered, concat_label([label(t) for t in tables]))
+        return concat_scores(blocks, normalize, covered, concat_label([label(t) for t in tables]))
     for t in tables:
         if t not in scores:
             scores[t] = sum_scores(fitted(sums[t]), covered, label(t))
@@ -410,8 +413,8 @@ def model_scores(model, covered):
     """Scores of the covered pairs under ``model``: its tables' sums, then ``layer_c_scores``."""
     tables = [t for t in (model.first, model.second) if t is not None]
     sums = [table_sums(t.matrix, t.sq_norms, covered) for t in tables]
-    return layer_c_scores(model.layer_c, model.alpha, range(len(tables)), sums, model.units, {},
-                          covered, [t.name for t in tables].__getitem__)
+    return layer_c_scores(model.layer_c, model.alpha, range(len(tables)), sums, model.normalize,
+                          {}, covered, [t.name for t in tables].__getitem__)
 
 
 def evaluate(model, bench):

@@ -23,15 +23,15 @@ each decomposition runs once whatever the number of benchmarks or dims:
   and the projection its R-CCA table subtracts. Each table's rows'
   squared norms and pair sums are taken and its matrix is dropped, so a
   group holds one projection and one table at a time, and its tables
-  only as pair sums;
+  only as pair sums, which are all that any layer-c motif reads;
 * over the covered pairs of every benchmark, end to end (one
   ``evaluation.covered_pairs``): the cosine kernel once per table, for
   its pair sums (dot products and gathered squared norms), and the score
   vector finished from them at the table's first use in canonical
   order; each configuration's vector is chosen by the
   ``evaluation.layer_c_scores`` that ``evaluate`` scores a model with:
-  LI built on score vectors and a concatenation on the sums of its
-  blocks' sums. Each pair's arithmetic
+  LI built on score vectors and a concatenation, normalized or not, on
+  the sums of its blocks' sums. Each pair's arithmetic
   is that of a pass over its own benchmark, so the scores are bit for
   bit the same, and degenerate pairs are still warned about per table
   and benchmark;
@@ -69,12 +69,11 @@ from .composition import (
     layer_a,
     layer_inputs,
     output_dimension,
-    unit_rows,
 )
 from .errors import AlignmentError, GridError, NoResultError
 from ._kernels import row_sq_norms
 from .evaluation import covered_pairs, layer_c_scores, rank_results, table_sums
-from .numerics import DEFAULT_RIDGE, FAILURES, SIDE_TEXTUAL, SIDE_VISUAL, caught, fitted
+from .numerics import DEFAULT_RIDGE, FAILURES, SIDE_TEXTUAL, SIDE_VISUAL
 
 STATUS_OK = "ok"
 STATUS_UNDEFINED = "undefined"
@@ -194,25 +193,18 @@ def _entry_sort_key(entry):
 RANK_BLOCK_VALUES = 2 ** 15
 
 
-def _sums(matrix, pairs, with_units):
-    """A table's pair sums over ``pairs`` and, if ``with_units``, its ``unit_rows`` or their failure."""
-    sq_norms = row_sq_norms(matrix)
-    units = caught(unit_rows, sq_norms) if with_units else None
-    return table_sums(matrix, sq_norms, pairs), units
-
-
 def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
     """Per benchmark, the search entries of ``(order_index, config)`` items sharing one layer-a dim.
 
     ``pairs`` holds the covered pairs of every benchmark of ``benches``,
     one span each. The group's tables are built one at a time by
-    ``composition.group_tables`` and kept only as their pair sums and, for
-    a block of a normalized concatenation, their ``unit_rows``: each
+    ``composition.group_tables`` and kept only as their pair sums: each
     matrix is deleted once they are taken, so the group holds one
     projection and one table at a time, beside the layer-a scores
     ``a_fits`` that every group shares. Then, in canonical order,
     each configuration's score vector is finished from the sums by
-    ``evaluation.layer_c_scores`` and queued; a table's own score vector
+    ``evaluation.layer_c_scores``, a concatenation's normalized under
+    ``normalize_concat``, and queued; a table's own score vector
     is finished at its first use and serves every later one. A block of
     queued vectors, at most ``RANK_BLOCK_VALUES`` values (one vector, if
     it alone is longer), is ranked on each benchmark's span of its columns. A failure computing a
@@ -222,21 +214,17 @@ def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
     a_dim = items[0][1].pca_dim
     # (fusion dim, origin, side) of each configuration's layer-c inputs
     inputs = {i: [(c.fusion_dim, *pair) for pair in layer_inputs(c)] for i, c in items}
-    blocks = {t for i, c in items if normalize_concat and c.layer_c == "concat" for t in inputs[i]}
-    sums, units = {}, {}   # per table, its pair sums and its unit rows, or their failure
+    sums = {}   # per table, its pair sums, or the failure building it
     for table, matrix in group_tables(raw, a_fits, a_dim, {t for ts in inputs.values() for t in ts},
                                       items[0][1].ridge):
-        try:
-            sums[table], units[table] = _sums(fitted(matrix), pairs, table in blocks)
-        except FAILURES as exc:
-            sums[table] = exc
+        sums[table] = matrix if isinstance(matrix, Exception) else table_sums(
+            matrix, row_sq_norms(matrix), pairs)
         del matrix   # before the next table is built
 
     def label(table):
         return input_label(names, a_dim, *table)
 
     scores = {}   # table -> its score vector, finished at its first use
-    units = units if normalize_concat else None   # None: concatenations are not normalized
 
     outcomes = [None] * len(items)   # per configuration, its outcome on each benchmark
 
@@ -253,7 +241,7 @@ def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
     for slot, (order_index, config) in enumerate(items):
         try:
             queued.append((slot, layer_c_scores(config.layer_c, config.alpha, inputs[order_index],
-                                                sums, units, scores, pairs, label)))
+                                                sums, normalize_concat, scores, pairs, label)))
         except FAILURES as exc:
             outcomes[slot] = [exc] * len(benches)
         if queued and (len(queued) == rows or slot == len(items) - 1):

@@ -182,15 +182,19 @@ class TestApply:
         np.testing.assert_allclose(np.linalg.norm(left, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(right, axis=1), 1.0, atol=1e-12)
 
-    def test_normalized_concat_of_an_overflowing_row_is_a_numerical_error(self, small_tables):
-        # the row's norm overflows: it used to be divided down to a zero row
+    def test_normalized_concat_table_of_an_overflowing_row_is_a_numerical_error(self, small_tables):
+        # the row's norm overflows: it used to be divided down to a zero row.
+        # Scores read it only where a pair does; stacking writes every row
         textual, visual = small_tables
         big = visual.matrix.copy()
         big[1, 0] = 1e200
         visual = EmbeddingTable(visual.vocab, big, name="visual")
         cfg = Configuration(layer_c="concat")
-        with pytest.raises(NumericalError, match="row norm overflows"):
-            apply_configuration(cfg, textual, visual, normalize_concat=True)
+        model = apply_configuration(cfg, textual, visual, normalize_concat=True)
+        assert model.normalize and model.second.matrix[1, 0] == 1e200
+        with pytest.raises(NumericalError) as exc:
+            concat_table(model)
+        assert str(exc.value) == "a row norm overflows in normalized concatenation"
         assert concat_table(apply_configuration(cfg, textual, visual)).matrix[1, 4] == 1e200
 
     def test_mixed_fusion_orders_textual_derived_first(self, small_tables):

@@ -370,6 +370,14 @@ class TestTableValidation:
             EmbeddingTable(vocab, matrix)
         assert type(info.value) is ValueError and str(info.value) == text
 
+    def test_row_of_a_word_not_in_the_table_names_both(self):
+        table = EmbeddingTable(("a", "b"), np.eye(2), name="textual")
+        assert table.row("b").tolist() == [0.0, 1.0]
+        with pytest.raises(KeyError) as info:
+            table.row("zz")
+        assert info.value.args == ("word 'zz' not in table 'textual'",)
+        assert info.value.__suppress_context__
+
     def test_matrix_is_immutable(self):
         table = EmbeddingTable(("a", "b"), np.eye(2))
         with pytest.raises(ValueError):

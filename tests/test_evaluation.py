@@ -1,3 +1,5 @@
+import errno
+import os
 import re
 
 import numpy as np
@@ -24,7 +26,6 @@ from mmfuse import (
     spearman,
 )
 from mmfuse._kernels import row_sq_norms
-from mmfuse.composition import unit_rows
 from mmfuse.evaluation import (
     CoveredPairs,
     Span,
@@ -144,6 +145,16 @@ class TestLoadBenchmark:
             save_benchmark(bad, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["dump.tsv"]
+
+    def test_an_unwritable_target_is_a_write_error(self, tmp_path):
+        path = tmp_path / "missing" / "dump.tsv"
+        tmp = path.with_name(f".dump.tsv.{os.getpid()}.tmp")
+        with pytest.raises(WriteError) as info:
+            save_benchmark(Benchmark("two", (("a", "b", 1.0), ("b", "c", 2.0))), path)
+        assert str(info.value) == (f"cannot write {path}: [Errno {errno.ENOENT}] "
+                                   f"{os.strerror(errno.ENOENT)}: {str(tmp)!r}")
+        assert isinstance(info.value.__cause__, FileNotFoundError)
+        assert list(tmp_path.iterdir()) == []
 
     def test_well_formed_odd_words_and_scores_round_trip(self, tmp_path):
         pairs = (("a,b", "\u00e9t\u00e9", 1.5), ("x\x1fy", "b\ufeffc", 3),
@@ -321,6 +332,13 @@ class TestSpearman:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             spearman([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("a, b", [([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+                                      ([1.0, 2.0, 3.0], [1.0, 2.0, -np.inf])])
+    def test_non_finite_inputs_are_refused(self, a, b):
+        with pytest.raises(ValueError) as info:
+            spearman(a, b)
+        assert type(info.value) is ValueError and str(info.value) == "inputs must be finite"
 
     def test_result_is_a_plain_float(self):
         # reports print rho with repr(), which must not read np.float64(...)
@@ -584,9 +602,8 @@ class TestLayerCScores:
         matrices, pairs = tables
         sq = {name: row_sq_norms(m) for name, m in matrices.items()}
         sums = {name: table_sums(m, sq[name], pairs) for name, m in matrices.items()}
-        units = {name: unit_rows(sq[name]) for name in matrices} if normalize else None
         inputs = ["first"] if layer_c == "none" else ["first", "second"]
-        return layer_c_scores(layer_c, alpha, inputs, sums, units,
+        return layer_c_scores(layer_c, alpha, inputs, sums, normalize,
                               {} if cache is None else cache, pairs, str)
 
     @staticmethod
@@ -639,16 +656,15 @@ class TestLayerCScores:
 
     def test_a_stored_failure_is_raised_in_order(self, tables):
         _, pairs = tables
-        failed = {name: NumericalError(name) for name in ("a", "b", "units of a")}
-        sums = {"a": failed["a"], "b": failed["b"]}
+        sums = {name: NumericalError(name) for name in ("a", "b")}
 
-        def raised(layer_c, sums, units=None, inputs=("a", "b")):
+        def raised(layer_c, sums, normalize=False, inputs=("a", "b")):
             with pytest.raises(NumericalError) as exc:
-                layer_c_scores(layer_c, 0.5, inputs, sums, units, {}, pairs, str)
+                layer_c_scores(layer_c, 0.5, inputs, sums, normalize, {}, pairs, str)
             return str(exc.value)
 
         assert raised("li", sums) == raised("concat", sums) == "a"
+        assert raised("concat", sums, normalize=True) == "a"
         assert raised("none", sums, inputs=("b",)) == "b"
-        # a concatenation checks every block's sums before any block's units
         sums["a"] = table_sums(np.eye(20), np.ones(20), pairs)
-        assert raised("concat", sums, {"a": failed["units of a"], "b": None}) == "b"
+        assert raised("concat", sums) == raised("concat", sums, normalize=True) == "b"

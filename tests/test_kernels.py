@@ -3,8 +3,7 @@ import pytest
 from conftest import plain_cosine
 
 from mmfuse import _kernels
-from mmfuse.composition import unit_rows
-from mmfuse.errors import NumericalError
+from mmfuse._kernels import unit_rows
 from mmfuse.evaluation import (
     Benchmark,
     CoveredPairs,
@@ -298,7 +297,7 @@ def test_concat_from_sums_matches_the_stacked_cosine():
     rng = np.random.default_rng(31)
     for matrix, covered in _cases():
         other = rng.normal(size=(len(matrix), 5))
-        scores = concat_scores([_sums(matrix, covered), _sums(other, covered)], None, covered)
+        scores = concat_scores([_sums(matrix, covered), _sums(other, covered)], False, covered)
         stacked = np.hstack([matrix, other])
         np.testing.assert_allclose(scores, _plain_cosines(stacked, covered), rtol=0, atol=1e-15)
         np.testing.assert_allclose(
@@ -312,7 +311,7 @@ ZERO_ROWS = (np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]),
 def test_concat_with_one_zero_norm_block_scores_the_stacked_cosine():
     # the first block of row 0 and the second of row 1 are zero
     covered = _pairs(np.array([0, 1, 0]), np.array([3, 3, 1]))
-    scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], None, covered)
+    scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], False, covered)
     np.testing.assert_allclose(scores, _plain_cosines(np.hstack(ZERO_ROWS), covered),
                                rtol=0, atol=1e-15)
 
@@ -320,7 +319,7 @@ def test_concat_with_one_zero_norm_block_scores_the_stacked_cosine():
 def test_concat_with_both_blocks_zero_scores_zero_with_warning():
     covered = _pairs(np.array([2, 2, 0]), np.array([3, 0, 1]))
     with pytest.warns(RuntimeWarning, match="2 degenerate zero-norm pair scores"):
-        scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], None, covered)
+        scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], False, covered)
     stacked = np.hstack(ZERO_ROWS)
     assert scores[:2].tolist() == [0.0, 0.0]
     assert scores[2] == pytest.approx(plain_cosine(stacked[0], stacked[1]), abs=1e-15)
@@ -331,7 +330,7 @@ def test_concat_with_an_overflowing_block_scores_nan():
     first = np.array([[1e200, 0.0], [1.0, 0.0], [0.0, 1.0]])
     second = np.array([[1.0, 1.0], [-1e200, 1e200], [2.0, 0.0]])
     covered = _pairs(np.array([0, 1, 2, 2]), np.array([2, 2, 0, 1]))
-    scores = concat_scores([_sums(first, covered), _sums(second, covered)], None, covered)
+    scores = concat_scores([_sums(first, covered), _sums(second, covered)], False, covered)
     assert np.isnan(scores[[0, 1, 2]]).all()
     # row 0's second block is finite, but its first block's squared norm overflows
     assert np.isnan(scores[3])
@@ -343,8 +342,7 @@ def test_normalized_concat_is_the_mean_of_the_block_cosines():
         other = rng.normal(size=(len(matrix), 4)) * 1e-3
         blocks = (matrix, other)
         sums = [_sums(m, covered) for m in blocks]
-        units = [unit_rows(_kernels.row_sq_norms(m)) for m in blocks]
-        scores = concat_scores(sums, units, covered)
+        scores = concat_scores(sums, True, covered)
         block_cosines = [_plain_cosines(m, covered) for m in blocks]
         np.testing.assert_allclose(scores, np.mean(block_cosines, axis=0), rtol=0, atol=1e-15)
         # each block's normalized dot product is bitwise its cosine from sums
@@ -355,9 +353,8 @@ def test_normalized_concat_is_the_mean_of_the_block_cosines():
 
 def test_normalized_concat_leaves_a_zero_norm_row_as_it_is():
     covered = _pairs(np.array([0, 1, 2]), np.array([3, 3, 3]))
-    units = [unit_rows(_kernels.row_sq_norms(m)) for m in ZERO_ROWS]
     with pytest.warns(RuntimeWarning, match="1 degenerate zero-norm pair scores"):
-        scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], units, covered)
+        scores = concat_scores([_sums(m, covered) for m in ZERO_ROWS], True, covered)
     # each block divided by its rows' norms, a zero row left as it is
     normalized = np.hstack([m / np.maximum(np.linalg.norm(m, axis=1), 1.0e-300)[:, None]
                             for m in ZERO_ROWS])
@@ -366,9 +363,19 @@ def test_normalized_concat_leaves_a_zero_norm_row_as_it_is():
     assert scores[2] == 0.0  # both blocks of row 2 are zero: its norm stays 0
 
 
-def test_normalization_of_an_overflowing_row_is_a_numerical_error():
-    with pytest.raises(NumericalError, match="row norm overflows in normalized concatenation"):
-        unit_rows(_kernels.row_sq_norms(np.array([[1.0, 0.0], [1e200, 0.0]])))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normalization_leaves_an_overflowing_row_to_score_nan():
+    # row 1's norm overflows: it stays as it is, and fails only the pairs that read it
+    first = np.array([[3.0, 4.0], [1e200, 0.0], [0.0, 2.0]])
+    second = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    divisors, sq_norms = unit_rows(_kernels.row_sq_norms(first))
+    assert divisors.tolist() == [5.0, 1.0, 2.0]
+    assert sq_norms.tolist() == [1.0, np.inf, 1.0]
+    covered = _pairs(np.array([0, 1, 2]), np.array([2, 0, 1]))
+    scores = concat_scores([_sums(first, covered), _sums(second, covered)], True, covered)
+    assert scores[0] == pytest.approx((0.8 + 0.0) / 2, abs=1e-15)
+    # only the pairs that read row 1 score nan
+    assert np.isnan(scores[1:]).all()
 
 
 def _benchmark_pairs(rng, n_rows):
@@ -398,19 +405,18 @@ def test_one_pass_over_every_benchmark_scores_each_as_its_own_pass(width):
     assert len(joined.idx1) == spans[-1][1]
     sums = [table_sums(m, _kernels.row_sq_norms(m), joined) for m in tables]
     scores = [sum_scores(s, joined) for s in sums]
-    units = [unit_rows(_kernels.row_sq_norms(m)) for m in tables]
     joined_vectors = scores + [
         interpolate(0.3, scores[0], scores[2]),
-        concat_scores([sums[0], sums[2]], None, joined),
-        concat_scores([sums[1], sums[2]], [units[1], units[2]], joined),
+        concat_scores([sums[0], sums[2]], False, joined),
+        concat_scores([sums[1], sums[2]], True, joined),
     ]
     for covered, (start, stop) in zip(benches, spans):
         own_sums = [table_sums(m, _kernels.row_sq_norms(m), covered) for m in tables]
         own_scores = [sum_scores(s, covered) for s in own_sums]
         own_vectors = own_scores + [
             interpolate(0.3, own_scores[0], own_scores[2]),
-            concat_scores([own_sums[0], own_sums[2]], None, covered),
-            concat_scores([own_sums[1], own_sums[2]], [units[1], units[2]], covered),
+            concat_scores([own_sums[0], own_sums[2]], False, covered),
+            concat_scores([own_sums[1], own_sums[2]], True, covered),
         ]
         for joined_vector, own in zip(joined_vectors, own_vectors):
             assert joined_vector[start:stop].tobytes() == own.tobytes()

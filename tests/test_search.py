@@ -33,7 +33,7 @@ from mmfuse.search import STATUS_FAILED, STATUS_OK, STATUS_UNDEFINED, _entry_sor
 TOY_GRID = GridSpec(dim_step=2, dim_min=2, alpha_step=0.1, ridge=1e-3)
 
 
-def exhaustive_oracle(textual, visual, bench, grid):
+def exhaustive_oracle(textual, visual, bench, grid, normalize_concat=False):
     """Independent sweep: evaluate each configuration directly (no shared
     fits, no shared collection logic) and sort with a locally written key.
     Rows are (status rank, -rho, output dim, index, config, result, error)."""
@@ -41,7 +41,8 @@ def exhaustive_oracle(textual, visual, bench, grid):
     for i, cfg in enumerate(enumerate_configurations(textual.dim, visual.dim, grid)):
         out_dim = output_dimension(cfg, textual.dim, visual.dim)
         try:
-            result = evaluate(apply_configuration(cfg, textual, visual), bench)
+            model = apply_configuration(cfg, textual, visual, normalize_concat=normalize_concat)
+            result = evaluate(model, bench)
         except (NumericalError, DimensionError) as exc:
             rows.append((2, 0.0, out_dim, i, cfg, None, str(exc)))
             continue
@@ -645,6 +646,31 @@ class TestSharedFits:
         assert raw_v.status == STATUS_FAILED
         assert raw_v.error == "non-finite pair scores on 'big'"
         assert by_config[Configuration(output_side="textual", ridge=1e-3)].status == STATUS_OK
+
+    @pytest.mark.parametrize("normalize_concat", [False, True])
+    def test_an_overflowing_row_fails_only_the_benchmarks_that_read_it(self, normalize_concat):
+        """The sweep is the exhaustive oracle, error texts included, normalized or not.
+
+        The 1e200 visual row w01 is read by pairs of 'big' only, so a
+        concatenation on the raw tables fails on 'big' and is ranked on
+        'apart'. Normalized, each concatenation's status is its
+        unnormalized twin's.
+        """
+        textual, visual, benches = twelve_words(overflow=True)
+        apart = Benchmark("apart", tuple(p for p in benches[1].pairs if "w01" not in p[:2]))
+        benches = [benches[0], apart]
+        reports = sweep(textual, visual, benches, self.GRID, normalize_concat=normalize_concat)
+        for report, bench in zip(reports, benches):
+            assert_matches_oracle(report, exhaustive_oracle(textual, visual, bench, self.GRID,
+                                                            normalize_concat))
+        for report, twin in zip(reports, sweep(textual, visual, benches, self.GRID)):
+            status = {e.config: e.status for e in twin.entries}
+            concat = [e for e in report.entries if e.config.layer_c == "concat"]
+            assert [e.status for e in concat] == [status[e.config] for e in concat]
+        raw = Configuration(layer_c="concat", ridge=1e-3)
+        on_big, on_apart = ({e.config: e for e in r.entries}[raw] for r in reports)
+        assert on_big.error == "non-finite pair scores on 'big'"
+        assert on_apart.status == STATUS_OK and on_apart.result.n_evaluated == 5
 
 
 class TestGroupMemory:
