@@ -255,11 +255,13 @@ def save_embeddings(table, path):
 
     Each row is ``word`` and its values as ``"%.6f"``, space-separated,
     formatted in one operation per row. The file is replaced atomically:
-    a failed write leaves any previous file at ``path`` intact. A word
-    that is empty or holds whitespace, which ``load_embeddings`` would
-    split, or that UTF-8 cannot encode, raises ``WriteError`` before any
-    file is written.
+    a failed write leaves any previous file at ``path`` intact. A table
+    with no rows, which ``load_embeddings`` refuses, a word that is empty
+    or holds whitespace, which it would split, or a word that UTF-8
+    cannot encode raises ``WriteError`` before any file is written.
     """
+    if not len(table):
+        raise WriteError(f"cannot write {path}: table {table.name!r} has no rows")
     for word in table.vocab:
         if word.split() != [word]:
             raise WriteError(f"cannot write {path}: word {word!r} is empty or holds whitespace")

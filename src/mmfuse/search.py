@@ -35,19 +35,21 @@ each decomposition runs once whatever the number of benchmarks or dims:
   is that of a pass over its own benchmark, so the scores are bit for
   bit the same, and degenerate pairs are still warned about per table
   and benchmark;
-* per layer-a group, in blocks of at most ``RANK_BLOCK_VALUES`` values:
-  its score vectors over the joined pairs, stacked, and each benchmark's
-  span of the block ranked against gold scores ranked once, through the
-  same ``rank_results`` that ``evaluate`` ranks its one vector with. A
-  non-finite score fails only the benchmarks whose spans hold it.
+* per layer-a group, in chunks of its configurations in canonical
+  order, as many as fit ``RANK_BLOCK_VALUES`` values over the joined
+  pairs (at least one): the chunk's score vectors, stacked into one
+  block, and each benchmark's span of the block ranked against gold
+  scores ranked once, through the same ``rank_results`` that
+  ``evaluate`` ranks its one vector with. A non-finite score fails only
+  the benchmarks whose spans hold it.
 
 A failure is stored where it happened and given, with its text, to every
 configuration built on it. Groups share only the read-only layer-a fits
 and scores, so ``workers`` sweeps them in threads without locks. The
 reports of one search list the same configurations, so
-``render_reports`` builds each configuration's text once for all of them. One configuration is
-evaluated on several benchmarks without a sweep: ``apply_configuration``
-once, then ``evaluate`` per benchmark.
+``render_reports`` describes each configuration once for all of them.
+One configuration is evaluated on several benchmarks without a sweep:
+``apply_configuration`` once, then ``evaluate`` per benchmark.
 """
 
 import math
@@ -73,7 +75,7 @@ from .composition import (
 from .errors import AlignmentError, GridError, NoResultError
 from ._kernels import row_sq_norms
 from .evaluation import covered_pairs, layer_c_scores, rank_results, table_sums
-from .numerics import DEFAULT_RIDGE, FAILURES, SIDE_TEXTUAL, SIDE_VISUAL
+from .numerics import DEFAULT_RIDGE, SIDE_TEXTUAL, SIDE_VISUAL, caught
 
 STATUS_OK = "ok"
 STATUS_UNDEFINED = "undefined"
@@ -201,21 +203,23 @@ def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
     ``composition.group_tables`` and kept only as their pair sums: each
     matrix is deleted once they are taken, so the group holds one
     projection and one table at a time, beside the layer-a scores
-    ``a_fits`` that every group shares. Then, in canonical order,
-    each configuration's score vector is finished from the sums by
+    ``a_fits`` that every group shares. Then the configurations are
+    taken in canonical order, in chunks of as many as fit
+    ``RANK_BLOCK_VALUES`` values (at least one). Each configuration's
+    score vector is finished from the sums by
     ``evaluation.layer_c_scores``, a concatenation's normalized under
-    ``normalize_concat``, and queued; a table's own score vector
-    is finished at its first use and serves every later one. A block of
-    queued vectors, at most ``RANK_BLOCK_VALUES`` values (one vector, if
-    it alone is longer), is ranked on each benchmark's span of its columns. A failure computing a
-    vector fails it on every benchmark. ``names`` names the two sides in
-    degenerate-pair warnings.
+    ``normalize_concat``; a table's own score vector is finished at its
+    first use and serves every later one. A failure computing a vector
+    fails its configuration on every benchmark; the chunk's other
+    vectors are stacked into one block, ranked on each benchmark's span
+    of its columns, and released before the next chunk is scored.
+    ``names`` names the two sides in degenerate-pair warnings.
     """
     a_dim = items[0][1].pca_dim
-    # (fusion dim, origin, side) of each configuration's layer-c inputs
-    inputs = {i: [(c.fusion_dim, *pair) for pair in layer_inputs(c)] for i, c in items}
+    # per configuration, the (fusion dim, origin, side) of its layer-c inputs
+    inputs = [[(c.fusion_dim, *pair) for pair in layer_inputs(c)] for _, c in items]
     sums = {}   # per table, its pair sums, or the failure building it
-    for table, matrix in group_tables(raw, a_fits, a_dim, {t for ts in inputs.values() for t in ts},
+    for table, matrix in group_tables(raw, a_fits, a_dim, {t for ts in inputs for t in ts},
                                       items[0][1].ridge):
         sums[table] = matrix if isinstance(matrix, Exception) else table_sums(
             matrix, row_sq_norms(matrix), pairs)
@@ -225,28 +229,21 @@ def _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat):
         return input_label(names, a_dim, *table)
 
     scores = {}   # table -> its score vector, finished at its first use
-
-    outcomes = [None] * len(items)   # per configuration, its outcome on each benchmark
-
-    def rank(queued):
-        """Rank a block of ``(slot, score vector)``, each benchmark on its span of the pairs."""
-        slots, vectors = zip(*queued)
-        block = np.stack(vectors)
-        ranked = [rank_results(block, span, bench) for bench, span in zip(benches, pairs.spans)]
-        for slot, *results in zip(slots, *ranked):
-            outcomes[slot] = results
-
+    outcomes = []   # per configuration, its outcome on each benchmark
     rows = max(1, RANK_BLOCK_VALUES // max(1, len(pairs.idx1)))
-    queued = []
-    for slot, (order_index, config) in enumerate(items):
-        try:
-            queued.append((slot, layer_c_scores(config.layer_c, config.alpha, inputs[order_index],
-                                                sums, normalize_concat, scores, pairs, label)))
-        except FAILURES as exc:
-            outcomes[slot] = [exc] * len(benches)
-        if queued and (len(queued) == rows or slot == len(items) - 1):
-            rank(queued)
-            queued = []
+    for start in range(0, len(items), rows):
+        chunk = slice(start, start + rows)
+        vectors = [caught(layer_c_scores, config.layer_c, config.alpha, tables, sums,
+                          normalize_concat, scores, pairs, label)
+                   for (_, config), tables in zip(items[chunk], inputs[chunk])]
+        scored = [v for v in vectors if not isinstance(v, Exception)]
+        block = np.stack(scored) if scored else None
+        # per benchmark, the rank results of the chunk's scored rows, in order
+        ranked = [iter(rank_results(block, span, bench))
+                  for bench, span in zip(benches, pairs.spans) if scored]
+        outcomes += [[v] * len(benches) if isinstance(v, Exception) else [next(r) for r in ranked]
+                     for v in vectors]
+        del vectors, scored, block   # before the next chunk is scored
     dims = [m.shape[1] for m in raw.values()]
     out_dims = [output_dimension(config, *dims) for _, config in items]
     return [[_entry(config, order_index, out_dim, outcome)
@@ -327,19 +324,6 @@ def _fmt_rho(entry):
     return "FAIL"
 
 
-def _texts(entries, render):
-    """``render(config)`` per order index of ``entries``, once for each configuration.
-
-    The reports of one search hold the same configurations, each under
-    the same ``order_index``, so one text serves each of them.
-    """
-    texts = {}
-    for e in entries:
-        if e.order_index not in texts:
-            texts[e.order_index] = render(e.config)
-    return texts
-
-
 def _table(report, descriptions):
     """The human table of ``report``, its configurations described by order index."""
     counts = report.counts()
@@ -381,21 +365,16 @@ def _machine(report, flat):
     return "\n".join(lines) + "\n"
 
 
-def _flat_configuration(config):
-    """The one-line ``key=value`` form a machine report lists."""
-    return format_configuration(config, sep=" ")
-
-
 def render_reports(reports):
     """The human table and machine TSV of each report of one search, in order.
 
     The table shows rho to 2 decimals. The TSV has one line per entry:
     rank, status, rho, pairs evaluated, pairs in all, coverage, output
-    dim and flat configuration. Each
-    configuration's two texts are built once for every report: the
-    reports of one search share each configuration's ``order_index``.
+    dim and flat configuration. Each configuration is described and
+    flattened once for every report: the reports of one search share
+    each configuration's ``order_index``.
     """
-    entries = [e for report in reports for e in report.entries]
-    descriptions = _texts(entries, describe_configuration)
-    flat = _texts(entries, _flat_configuration)
+    configs = {e.order_index: e.config for report in reports for e in report.entries}
+    descriptions = {i: describe_configuration(c) for i, c in configs.items()}
+    flat = {i: format_configuration(c, sep=" ") for i, c in configs.items()}
     return [(_table(report, descriptions), _machine(report, flat)) for report in reports]

@@ -303,6 +303,19 @@ class TestSaveRoundTrip:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["naive.vecs", "out.vecs"]
 
+    def test_a_table_with_no_rows_is_not_written(self, tmp_path):
+        # written as it stands, the header alone does not load back
+        naive = tmp_path / "naive.vecs"
+        naive.write_text("0 3\n", encoding="utf-8")
+        with pytest.raises(EmptyInputError):
+            load_embeddings(naive)
+        path = tmp_path / "out.vecs"
+        empty = EmbeddingTable((), np.empty((0, 3)), name="e")
+        message = re.escape(f"cannot write {path}: table 'e' has no rows")
+        with pytest.raises(WriteError, match=message):
+            save_embeddings(empty, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["naive.vecs"]
+
     def test_unwritable_path(self, tmp_path):
         table = EmbeddingTable(("a",), np.ones((1, 2)))
         with pytest.raises(WriteError):

@@ -775,6 +775,55 @@ class TestRankBlocks:
                 if overflow:
                     assert report.counts()[STATUS_FAILED] > 0
 
+    @staticmethod
+    def past_n_minus_one():
+        """Six words, two 8-d tables: every fit past 5 = n - 1 dims fails.
+
+        Dims 1, 3, 5 and 7: layer-a PCA to 7 fails, and in the raw group
+        each CCA or R-CCA table at fusion dim 7 fails, between configurations
+        at dims 1 to 5 that are scored. 'part' covers half of its pairs.
+        """
+        rng = np.random.default_rng(4)
+        vocab = tuple(f"w{i}" for i in range(6))
+        textual = EmbeddingTable(vocab, rng.normal(size=(6, 8)), name="textual")
+        visual = EmbeddingTable(vocab, rng.normal(size=(6, 8)), name="visual")
+        benches = [
+            Benchmark("all", tuple((vocab[i], vocab[j], float(rng.uniform(0, 10)))
+                                   for i in range(6) for j in range(i + 1, 6))),
+            Benchmark("part", tuple((vocab[i], w, float(i % 3)) for i in range(6)
+                                    for w in (vocab[(i + 2) % 6], f"zz{i}"))),
+        ]
+        return textual, visual, benches
+
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_any_block_size_sweeps_as_the_exhaustive_oracle(self, monkeypatch, rows):
+        """Chunks of one configuration, of seven (mid-group, some all failed) or whole groups."""
+        import mmfuse._kernels as kernels
+
+        textual, visual, benches = self.past_n_minus_one()
+        joined = len(covered_pairs(benches, textual).idx1)
+        assert joined == 21
+        if rows is not None:
+            monkeypatch.setattr(search, "RANK_BLOCK_VALUES", 1 if rows == 1 else rows * joined)
+        bound = max(1, search.RANK_BLOCK_VALUES // joined)
+        shapes = []
+
+        def sorted_ranks(values):
+            shapes.append(values.shape)
+            return real_ranks(values)
+
+        real_ranks = kernels.sorted_ranks
+        monkeypatch.setattr(kernels, "sorted_ranks", sorted_ranks)
+        reports = sweep(textual, visual, benches, self.GRID)
+        monkeypatch.undo()
+        assert max(shape[0] for shape in shapes if len(shape) == 2) <= bound
+        raw = [e.status for e in sorted(reports[0].entries, key=lambda e: e.order_index)
+               if e.config.pca_dim is None]
+        # the raw group scores configurations after failed ones
+        assert STATUS_OK in raw[raw.index(STATUS_FAILED):]
+        for report, bench in zip(reports, benches):
+            assert_matches_oracle(report, exhaustive_oracle(textual, visual, bench, self.GRID))
+
 
 class TestMultiBenchmarkSweep:
     @staticmethod
