@@ -5,9 +5,11 @@ report files. Timestamps never appear in report bodies; they go to the
 ``run.log`` sidecar in the output directory.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse/validation error,
-3 numerical failure with no successful result. Reports and fused tables
-are written to a temporary file and renamed into place, so a failed run
-never leaves one half-written.
+3 numerical failure with no successful result, or running out of memory.
+``--out`` is created by a command's first output, so a run that fails
+before it leaves no directory behind. Reports and fused tables are
+written to a temporary file and renamed into place, so a failed run never
+leaves one half-written.
 """
 
 import argparse
@@ -26,7 +28,6 @@ from .composition import (
     describe_configuration,
     format_configuration,
     load_configuration,
-    validate_configuration,
 )
 from .embeddings import (
     align_vocabularies,
@@ -189,29 +190,21 @@ def _build_manifest(args, command):
 
 
 def _load_inputs(manifest):
-    """Read the inputs and the checked configuration, if any, then create the output directory.
+    """The aligned tables, the benchmarks and the parsed configuration (None for ``search``).
 
-    Called once every check that needs no file content has passed, and
-    creates ``--out`` only once every input is read and checked, so a
-    rejected flag, grid, report name, file or configuration leaves no
-    directory behind. Returns the aligned tables, the benchmarks and the
-    configuration (None for ``search``, which ignores one).
+    ``apply_configuration`` checks the configuration before any fit.
     """
     textual = load_embeddings(manifest.text_vecs, name="textual")
     visual = load_embeddings(manifest.image_vecs, name="visual")
     textual, visual = align_vocabularies(textual, visual)
     benches = [load_benchmark(path) for path in manifest.bench]
-    config = None
-    if manifest.config is not None:
-        config = load_configuration(manifest.config)
-        violations = validate_configuration(config, textual.dim, visual.dim)
-        if violations:
-            raise ConfigurationError(violations)
-    manifest.out.mkdir(parents=True, exist_ok=True)
+    config = None if manifest.config is None else load_configuration(manifest.config)
     return textual, visual, benches, config
 
 
 def _write(path, text):
+    """Write ``text`` to ``path`` atomically, creating its directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         fh.write(text)
 
@@ -327,17 +320,18 @@ def cmd_apply(manifest):
         config, textual, visual, normalize_concat=manifest.normalize_concat
     )
     if model.layer_c == "li":
-        save_embeddings(model.first, manifest.out / "fused_first.vecs")
-        save_embeddings(model.second, manifest.out / "fused_second.vecs")
-        _write(
-            manifest.out / "scoring.txt",
-            f"pair alpha={model.alpha!r}\nfirst=fused_first.vecs\n"
-            "second=fused_second.vecs\n",
-        )
+        tables = {"fused_first.vecs": model.first, "fused_second.vecs": model.second}
+        scoring = (f"pair alpha={model.alpha!r}\nfirst=fused_first.vecs\n"
+                   "second=fused_second.vecs\n")
     else:
+        # a concatenation that cannot be built writes nothing
         fused = concat_table(model) if model.layer_c == "concat" else model.first
-        save_embeddings(fused, manifest.out / "fused.vecs")
-        _write(manifest.out / "scoring.txt", "single table=fused.vecs\n")
+        tables = {"fused.vecs": fused}
+        scoring = "single table=fused.vecs\n"
+    manifest.out.mkdir(parents=True, exist_ok=True)
+    for name, table in tables.items():
+        save_embeddings(table, manifest.out / name)
+    _write(manifest.out / "scoring.txt", scoring)
     _log(manifest, "apply: wrote fused tables")
     print(f"wrote fused vectors to {manifest.out}")
     return EXIT_OK
@@ -402,6 +396,9 @@ def main(argv=None):
         except (MMFuseError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
+        except MemoryError as exc:
+            print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

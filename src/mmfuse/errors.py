@@ -3,6 +3,8 @@
 The CLI maps these onto exit codes: anything under ``InputError`` (and
 ``DimensionError`` / ``WriteError``) is a bad-input problem (exit 2),
 ``NumericalError`` and ``NoResultError`` are numerical failures (exit 3).
+The builtin ``MemoryError`` is exit 3 too, reported as one ``error: out
+of memory`` line, and never recorded as a failed configuration.
 """
 
 
@@ -45,7 +47,7 @@ class ConfigurationError(InputError):
 
 
 class GridError(InputError):
-    """Degenerate grid specification or empty configuration set."""
+    """Degenerate grid specification."""
 
 
 class WordLookupError(InputError):

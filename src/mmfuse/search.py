@@ -276,8 +276,6 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
     if textual.vocab != visual.vocab:
         raise AlignmentError("tables must be vocabulary-aligned before searching")
     configs = enumerate_configurations(textual.dim, visual.dim, grid)
-    if not configs:
-        raise GridError("grid produced no configurations")
     raw = {SIDE_TEXTUAL: textual.matrix, SIDE_VISUAL: visual.matrix}
     a_fits = layer_a(raw, configs)
     pairs = covered_pairs(benches, textual)

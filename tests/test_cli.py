@@ -821,6 +821,97 @@ class TestRejectedInputLeavesNoOut:
         assert not (workspace / "out").exists()
 
 
+class TestFailureBeforeOutputLeavesNoOut:
+    """``--out`` is created by a command's first output, whatever fails before it."""
+
+    ALLOCATION = ("Unable to allocate 128. MiB for an array with shape (4096, 4096) "
+                  "and data type float64")
+
+    @staticmethod
+    def run(workspace, command, *extra):
+        args = [command, "--text-vecs", str(workspace / "text.vecs"),
+                "--image-vecs", str(workspace / "image.vecs"),
+                "--out", str(workspace / "out"), *extra]
+        if command != "apply":
+            args += ["--bench", str(workspace / "toy.tsv")]
+        if command != "search":
+            args += ["--config", str(workspace / "good.cfg")]
+        return main(args)
+
+    @staticmethod
+    def last_line(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["eval", "cross"])
+    def test_non_finite_pair_scores(self, workspace, capsys, command):
+        from mmfuse import load_embeddings
+
+        visual = load_embeddings(workspace / "image.vecs")
+        big = visual.matrix.copy()
+        big[:, 0] = 1e200
+        save_embeddings(EmbeddingTable(visual.vocab, big), workspace / "image.vecs")
+        (workspace / "good.cfg").write_text(
+            "layer_a=none\nlayer_b=none:side=V\nlayer_c=none\n")
+        assert self.run(workspace, command) == EXIT_NUMERIC
+        assert self.last_line(capsys) == "error: non-finite pair scores on 'toy'"
+        assert not (workspace / "out").exists()
+
+    def test_normalized_concat_of_an_overflowing_row(self, workspace, capsys):
+        from mmfuse import load_embeddings
+
+        visual = load_embeddings(workspace / "image.vecs")
+        big = visual.matrix.copy()
+        big[3, 0] = 1e200
+        save_embeddings(EmbeddingTable(visual.vocab, big), workspace / "image.vecs")
+        out = workspace / "out"
+        assert TestApply.apply_concat(workspace, out, "--normalize-concat") == EXIT_NUMERIC
+        assert "row norm overflows" in self.last_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra, what", [
+        ("search", (*TestSearch.ARGS, "--workers", "1"), "PCA"),
+        # a layer-a group's CCA, on a worker thread
+        ("search", (*TestSearch.ARGS, "--workers", "2"), "whitened cross covariance"),
+        ("eval", (), "PCA"),
+        ("cross", (), "whitened cross covariance"),
+        ("apply", (), "PCA"),
+    ], ids=["search", "search-workers-2", "eval", "cross", "apply"])
+    @pytest.mark.parametrize("text", [ALLOCATION, ""], ids=["numpy-text", "no-text"])
+    def test_out_of_memory_exits_3(self, workspace, capsys, monkeypatch, command, extra, what,
+                                   text):
+        import mmfuse.numerics as numerics
+
+        real = numerics._decompose
+
+        def decompose(routine, matrix, name, **kwargs):
+            if what in name:
+                raise MemoryError(text)
+            return real(routine, matrix, name, **kwargs)
+
+        monkeypatch.setattr(numerics, "_decompose", decompose)
+        assert self.run(workspace, command, *extra) == EXIT_NUMERIC
+        expected = f"error: out of memory: {text}" if text else "error: out of memory"
+        assert self.last_line(capsys) == expected
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("command", ["search", "eval", "apply"])
+    def test_out_naming_a_file_is_reported_at_the_first_write(self, workspace, capsys,
+                                                               command):
+        out = workspace / "out"
+        out.write_text("kept\n")
+        extra = TestSearch.ARGS if command == "search" else ()
+        assert self.run(workspace, command, *extra) == EXIT_INPUT
+        *progress, last = capsys.readouterr().err.splitlines()
+        assert last == f"error: [Errno 17] File exists: '{out}'"
+        if command == "search":   # the sweep runs before its first report is written
+            assert progress and all(line.endswith(" configurations") for line in progress)
+        else:
+            assert progress == []
+        assert out.read_text() == "kept\n"
+
+
 class TestReportRho:
     def test_every_ok_rho_parses_as_a_plain_float(self, workspace):
         two = common(workspace, "--bench", str(workspace / "toy2.tsv"))

@@ -69,6 +69,22 @@ def progress_calls(textual, visual, benches, grid, workers):
     return reports, calls
 
 
+def rank_blocks(entries, per_block):
+    """The rank blocks of a sweep's entries on one benchmark span: the chunk rule.
+
+    Per layer-a group, the configurations in canonical order are cut into
+    chunks of ``per_block``; each chunk that holds a built score vector (one
+    ranked, or one failed only when ranked, on a non-finite score) is one
+    block. A failure computing a vector is not stacked.
+    """
+    built = {}
+    for e in sorted(entries, key=lambda e: e.order_index):
+        built.setdefault(e.config.pca_dim, []).append(
+            e.result is not None or str(e.error).startswith("non-finite pair scores"))
+    return sum(any(flags[i:i + per_block]) for flags in built.values()
+               for i in range(0, len(flags), per_block))
+
+
 def assert_matches_oracle(report, oracle):
     assert len(report.entries) == len(oracle)
     for entry, (rank, _, out_dim, _, cfg, result, error) in zip(report.entries, oracle):
@@ -494,11 +510,7 @@ class TestSharedFits:
         # benchmark with two pairs or more ("big" is one)
         n_evals = [len(filter_coverage(bench, textual.vocab)) for bench in benches]
         per_block = max(1, search.RANK_BLOCK_VALUES // max(1, sum(n_evals)))
-        # a non-finite score vector is queued too, and fails when its block is ranked
-        queued = Counter(e.config.pca_dim for e in reports[0].entries
-                         if e.result is not None
-                         or str(e.error).startswith("non-finite pair scores"))
-        blocks = sum(-(-rows // per_block) for rows in queued.values())
+        blocks = rank_blocks(reports[0].entries, per_block)
         assert sum(len(shape) == 2 for shape in ranks) == blocks * sum(n >= 2 for n in n_evals)
         if overflow:
             assert single.counts()[STATUS_FAILED] > 0
@@ -759,13 +771,12 @@ class TestRankBlocks:
             per_block = search.RANK_BLOCK_VALUES // joined
             blocks = [shape for shape in shapes if len(shape) == 2]
             assert max(rows for rows, _ in blocks) * joined <= search.RANK_BLOCK_VALUES
-            # per layer-a group, one block per ``per_block`` queued vectors, the last
-            # one maybe short, each ranked on every benchmark's span
-            queued = Counter(e.config.pca_dim for e in reports[0].entries
-                             if e.result is not None or str(e.error).startswith("non-finite pair"))
-            assert max(queued.values()) > per_block
-            assert len(blocks) == len(benches) * sum(-(-rows // per_block)
-                                                     for rows in queued.values())
+            # per layer-a group, one block per chunk of ``per_block`` configurations
+            # that holds a built score vector, each ranked on every benchmark's
+            # span; some group needs more than one
+            entries = reports[0].entries
+            assert rank_blocks(entries, per_block) > rank_blocks(entries, len(entries))
+            assert len(blocks) == len(benches) * rank_blocks(entries, per_block)
             # the gold scores of each benchmark are ranked once, as one vector
             assert [shape for shape in shapes if len(shape) != 2] == [(len(b),) for b in benches]
         monkeypatch.undo()
@@ -816,7 +827,10 @@ class TestRankBlocks:
         monkeypatch.setattr(kernels, "sorted_ranks", sorted_ranks)
         reports = sweep(textual, visual, benches, self.GRID)
         monkeypatch.undo()
-        assert max(shape[0] for shape in shapes if len(shape) == 2) <= bound
+        blocks = [shape for shape in shapes if len(shape) == 2]
+        assert max(rows for rows, _ in blocks) <= bound
+        # both benchmarks' spans hold two pairs or more
+        assert len(blocks) == len(benches) * rank_blocks(reports[0].entries, bound)
         raw = [e.status for e in sorted(reports[0].entries, key=lambda e: e.order_index)
                if e.config.pca_dim is None]
         # the raw group scores configurations after failed ones
