@@ -54,7 +54,6 @@ One configuration is evaluated on several benchmarks without a sweep:
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -285,16 +284,23 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
     run = partial(_sweep_group, raw=raw, names=names, a_fits=a_fits, benches=benches, pairs=pairs,
                   normalize_concat=normalize_concat)
     entries = [[] for _ in benches]
-    done = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # a single worker sweeps in the calling thread
-        results = pool.map(run, groups) if workers > 1 else map(run, groups)
+
+    def gather(results):
+        done = 0
         for items, group in zip(groups, results):
             for bench_entries, new in zip(entries, group):
                 bench_entries.extend(new)
             done += len(items)
             if progress is not None:
                 progress(done, len(configs))
+
+    if workers > 1:
+        # imported here, so a one-worker sweep never loads the thread pool
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            gather(pool.map(run, groups))
+    else:
+        gather(map(run, groups))
     return tuple(
         SearchReport(benchmark_name=bench.name, grid=grid,
                      entries=tuple(sorted(bench_entries, key=_entry_sort_key)))

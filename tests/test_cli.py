@@ -1,8 +1,13 @@
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmfuse
 from mmfuse import Benchmark, EmbeddingTable, save_benchmark, save_embeddings
 from mmfuse.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -844,8 +849,9 @@ class TestFailureBeforeOutputLeavesNoOut:
         assert "Traceback" not in err
         return err.splitlines()[-1]
 
-    @pytest.mark.parametrize("command", ["eval", "cross"])
-    def test_non_finite_pair_scores(self, workspace, capsys, command):
+    @staticmethod
+    def overflow_visual_scores(workspace):
+        """Visual column 0 at 1e200, scored alone by ``good.cfg``: every pair score is nan."""
         from mmfuse import load_embeddings
 
         visual = load_embeddings(workspace / "image.vecs")
@@ -854,6 +860,10 @@ class TestFailureBeforeOutputLeavesNoOut:
         save_embeddings(EmbeddingTable(visual.vocab, big), workspace / "image.vecs")
         (workspace / "good.cfg").write_text(
             "layer_a=none\nlayer_b=none:side=V\nlayer_c=none\n")
+
+    @pytest.mark.parametrize("command", ["eval", "cross"])
+    def test_non_finite_pair_scores(self, workspace, capsys, command):
+        self.overflow_visual_scores(workspace)
         assert self.run(workspace, command) == EXIT_NUMERIC
         assert self.last_line(capsys) == "error: non-finite pair scores on 'toy'"
         assert not (workspace / "out").exists()
@@ -998,3 +1008,120 @@ class TestAtomicReports:
             _write(path, "new\n\ud800\n")
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["summary.txt"]
+
+
+def _spawn(cwd, *args):
+    """Run ``python -m mmfuse.cli`` (or ``python -c``) in a fresh process on this mmfuse."""
+    src = str(Path(mmfuse.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = list(args) if args[0] == "-c" else ["-m", "mmfuse.cli", *args]
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestProcessEntry:
+    """``python -m mmfuse.cli`` and the console script end through ``cli.run``."""
+
+    @staticmethod
+    def outputs(out):
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.log"}
+
+    @pytest.mark.parametrize("command, extra", [
+        ("search", ("--bench", "toy.tsv", "--bench", "toy2.tsv", *TestSearch.ARGS)),
+        ("apply", ("--config", "good.cfg")),
+    ])
+    def test_a_finished_command_matches_main(self, workspace, capsys, monkeypatch, command,
+                                             extra):
+        args = [command, "--text-vecs", "text.vecs", "--image-vecs", "image.vecs", *extra]
+        done = _spawn(workspace, *args, "--out", "spawned")
+        assert done.returncode == EXIT_OK, done.stderr
+        monkeypatch.chdir(workspace)
+        assert main([*args, "--out", "in-process"]) == EXIT_OK
+        printed = capsys.readouterr()
+        assert done.stdout == printed.out.replace("in-process", "spawned")
+        assert done.stderr == printed.err
+        # every file complete, and no temporary file left beside them
+        spawned = self.outputs(workspace / "spawned")
+        assert spawned == self.outputs(workspace / "in-process")
+        assert not [name for name in spawned if name.endswith(".tmp")]
+        assert (workspace / "spawned" / "run.log").exists()
+
+    @pytest.mark.parametrize("args, code, last", [
+        (("bogus",), EXIT_USAGE, "invalid choice: 'bogus'"),
+        (("search", "--text-vecs", "text.vecs", "--image-vecs", "image.vecs", "--out", "out"),
+         EXIT_INPUT, "error: missing required inputs: --bench"),
+    ], ids=["usage", "missing-input"])
+    def test_a_rejected_command_exits_with_its_code(self, workspace, args, code, last):
+        done = _spawn(workspace, *args)
+        assert done.returncode == code
+        assert done.stdout == ""
+        assert last in done.stderr.splitlines()[-1]
+        assert "Traceback" not in done.stderr
+        assert not (workspace / "out").exists()
+
+    def test_non_finite_pair_scores_exit_3(self, workspace):
+        TestFailureBeforeOutputLeavesNoOut.overflow_visual_scores(workspace)
+        done = _spawn(workspace, "eval", "--text-vecs", "text.vecs", "--image-vecs", "image.vecs",
+                      "--bench", "toy.tsv", "--config", "good.cfg", "--out", "out")
+        assert done.returncode == EXIT_NUMERIC
+        assert done.stderr.splitlines()[-1] == "error: non-finite pair scores on 'toy'"
+        assert not (workspace / "out").exists()
+
+    @pytest.fixture
+    def freezes(self, monkeypatch):
+        import gc
+
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(None))
+        return calls
+
+    @pytest.mark.parametrize("extra, code", [
+        (("--bench", "toy.tsv", *TestSearch.ARGS), EXIT_OK),
+        ((), EXIT_INPUT),
+    ], ids=["ok", "missing-bench"])
+    def test_run_returns_the_code_of_main_and_freezes_once(self, workspace, capsys, monkeypatch,
+                                                           freezes, extra, code):
+        from mmfuse.cli import run
+
+        monkeypatch.chdir(workspace)
+        monkeypatch.setattr("sys.argv", ["mmfuse", "search", "--text-vecs", "text.vecs",
+                                         "--image-vecs", "image.vecs", "--out", "out", *extra])
+        assert run() == code
+        assert len(freezes) == 1
+
+    def test_run_freezes_once_when_main_exits(self, capsys, monkeypatch, freezes):
+        from mmfuse.cli import run
+
+        monkeypatch.setattr("sys.argv", ["mmfuse", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == EXIT_OK
+        assert "usage: mmfuse" in capsys.readouterr().out
+        assert len(freezes) == 1
+
+    def test_main_never_freezes(self, workspace, capsys, freezes):
+        assert main(["search", *common(workspace), "--out", str(workspace / "out"),
+                     *TestSearch.ARGS]) == EXIT_OK
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert freezes == []
+
+    def test_a_one_worker_sweep_imports_no_thread_pool(self, workspace):
+        script = (
+            "import sys, numpy\n"
+            "before = 'concurrent.futures' in sys.modules\n"
+            "import mmfuse.cli\n"
+            "imported = 'concurrent.futures' in sys.modules\n"
+            "code = mmfuse.cli.main(['search', '--text-vecs', 'text.vecs', '--image-vecs',"
+            " 'image.vecs', '--bench', 'toy.tsv', '--out', 'out', '--workers', '1',"
+            f" *{TestSearch.ARGS!r}])\n"
+            "print(before, imported, 'concurrent.futures' in sys.modules, code)\n"
+        )
+        done = _spawn(workspace, "-c", script)
+        assert done.returncode == 0, done.stderr
+        before, imported, swept, code = done.stdout.splitlines()[-1].split()
+        assert code == str(EXIT_OK)
+        # numpy does not load the pool itself, so mmfuse never did
+        if before == "False":
+            assert (imported, swept) == ("False", "False")
