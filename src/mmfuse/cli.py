@@ -6,6 +6,8 @@ report files. Timestamps never appear in report bodies; they go to the
 
 Exit codes: 0 success, 1 usage error, 2 input/parse/validation error,
 3 numerical failure with no successful result, or running out of memory.
+A BLAS library that cannot allocate its own buffers ends the process
+itself, where no handler runs: OpenBLAS prints its own error and exits 1.
 ``--out`` is created by a command's first output, so a run that fails
 before it leaves no directory behind. Reports and fused tables are
 written to a temporary file and renamed into place, so a failed run never

@@ -15,7 +15,8 @@ the explicit CCA-plus-residual mix. A configuration with no motifs at all
 must name the modality it scores with (``output_side``), so unimodal
 baselines are first-class. ``validate_configuration`` is the one statement
 of these rules: the grid a sweep runs is the valid configurations of the
-per-layer choices, in ``canonical_key`` order.
+per-layer choices, in the canonical order ``enumerate_configurations``
+builds them in.
 
 ``apply_configuration`` and the sweep both build their tables through
 ``group_tables``, one layer-a dim at a time, so every PCA/CCA fit and
@@ -69,9 +70,8 @@ SIDE_BOTH = "both"
 _SIDE_LETTER = {SIDE_TEXTUAL: "T", SIDE_VISUAL: "V", SIDE_BOTH: "both"}
 _LETTER_SIDE = {v: k for k, v in _SIDE_LETTER.items()}
 
-_B_ORDER = {"none": 0, "cca": 1, "rcca": 2, "cca_plus_rcca": 3}
-_C_ORDER = {"none": 0, "concat": 1, "li": 2}
-_SIDE_ORDER = {SIDE_TEXTUAL: 0, SIDE_VISUAL: 1, SIDE_BOTH: 2, None: 3}
+_B_MOTIFS = ("none", "cca", "rcca", "cca_plus_rcca")
+_C_MOTIFS = ("none", "concat", "li")
 
 MOTIFS = ("pca", "cca", "rcca", "concat", "li")
 
@@ -111,7 +111,7 @@ class ScoringModel:
     normalize: bool = False
 
     def __post_init__(self):
-        if self.layer_c not in _C_ORDER:
+        if self.layer_c not in _C_MOTIFS:
             raise ValueError(f"unknown layer-c motif {self.layer_c!r}")
         if (self.second is None) != (self.layer_c == "none"):
             raise ValueError("a model has a second table exactly when layer c combines")
@@ -153,10 +153,10 @@ def validate_configuration(config, dim_t, dim_v):
     if c.layer_a not in ("none", "pca"):
         v.append(f"unknown layer-a motif {c.layer_a!r}")
         return v
-    if c.layer_b not in _B_ORDER:
+    if c.layer_b not in _B_MOTIFS:
         v.append(f"unknown layer-b motif {c.layer_b!r}")
         return v
-    if c.layer_c not in _C_ORDER:
+    if c.layer_c not in _C_MOTIFS:
         v.append(f"unknown layer-c motif {c.layer_c!r}")
         return v
 
@@ -428,29 +428,19 @@ def used_motifs(config):
     return frozenset(used)
 
 
-def canonical_key(config):
-    """Total, deterministic sort key over configurations."""
-    c = config
-    return (
-        0 if c.layer_a == "none" else 1,
-        c.pca_dim or 0,
-        _B_ORDER[c.layer_b],
-        c.fusion_dim or 0,
-        _SIDE_ORDER[c.output_side],
-        _SIDE_ORDER[c.cca_side],
-        _SIDE_ORDER[c.rcca_side],
-        _C_ORDER[c.layer_c],
-        c.alpha if c.alpha is not None else -1.0,
-    )
-
-
 def enumerate_configurations(dim_t, dim_v, grid):
     """Every valid configuration for the given input dims under ``grid``.
 
-    The grid is the product of the per-layer choices below, filtered and
-    sorted by ``canonical_key``: a configuration is kept when
-    ``validate_configuration`` accepts it and, when ``grid.motif_filter``
-    is set, its motifs all belong to the filter.
+    The grid is the product of the per-layer choices below, filtered: a
+    configuration is kept when ``validate_configuration`` accepts it and,
+    when ``grid.motif_filter`` is set, its motifs all belong to the
+    filter. The product is built in canonical order, layer a outermost:
+
+    * layer a: none, then PCA by ascending dim;
+    * layer b: none with side textual, visual or unset; CCA, then R-CCA,
+      each by ascending dim, then output side textual, visual, both;
+      CCA+R-CCA by ascending dim, then CCA side, then R-CCA side;
+    * layer c, innermost: none, concat, then LI by ascending alpha.
     """
     dims = grid.dims_up_to(min(dim_t, dim_v))
     sides = (SIDE_TEXTUAL, SIDE_VISUAL)
@@ -463,10 +453,9 @@ def enumerate_configurations(dim_t, dim_v, grid):
     c_choices = [{}, {"layer_c": "concat"}] + [{"layer_c": "li", "alpha": a} for a in grid.alphas()]
     configs = (Configuration(**a, **b, **c, ridge=grid.ridge)
                for a, b, c in product(a_choices, b_choices, c_choices))
-    return sorted((config for config in configs
-                   if not validate_configuration(config, dim_t, dim_v)
-                   and (grid.motif_filter is None or used_motifs(config) <= grid.motif_filter)),
-                  key=canonical_key)
+    return [config for config in configs
+            if not validate_configuration(config, dim_t, dim_v)
+            and (grid.motif_filter is None or used_motifs(config) <= grid.motif_filter)]
 
 
 def output_dimension(config, dim_t, dim_v):

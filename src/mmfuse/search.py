@@ -2,7 +2,8 @@
 
 Entries are ranked by rho descending, then output dimensionality
 ascending (the lowest-dimension winner is preferred among ties), then
-canonical configuration order, giving a total deterministic order that is
+canonical configuration order, the order ``enumerate_configurations``
+builds the grid in, giving a total deterministic order that is
 independent of evaluation scheduling. Configurations that fail
 numerically are kept in the report, marked and ranked last, so a sweep is
 auditable end to end.
@@ -278,7 +279,7 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
     raw = {SIDE_TEXTUAL: textual.matrix, SIDE_VISUAL: visual.matrix}
     a_fits = layer_a(raw, configs)
     pairs = covered_pairs(benches, textual)
-    # canonical order keeps each layer-a dim contiguous
+    # enumerate_configurations builds layer a outermost: each layer-a dim is contiguous
     groups = [list(g) for _, g in groupby(enumerate(configs), key=lambda i: i[1].pca_dim)]
     names = {SIDE_TEXTUAL: textual.name, SIDE_VISUAL: visual.name}
     run = partial(_sweep_group, raw=raw, names=names, a_fits=a_fits, benches=benches, pairs=pairs,

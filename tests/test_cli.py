@@ -998,6 +998,83 @@ class TestMalformedInput:
         assert "non-finite" in (out / "toy.report.txt").read_text()
 
 
+class TestMutatedInputs:
+    """Seeded mutations of every input file end in exit 0, 2 or 3, never in an exception."""
+
+    CASES = 75   # per command
+    INSERTS = (b"\t", b"\r", b"\x0b", "\x85".encode(), b"\x00", b"\xef\xbb\xbf", b"nan",
+               b"1e400", b"1_0", b"=", b",")
+    INVALID_UTF8 = (b"\xff", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80")
+
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory):
+        """The bytes of a 24-word 6-d and a 22-word 5-d table, a 15-pair benchmark,
+        a configuration and a manifest."""
+        path = tmp_path_factory.mktemp("originals")
+        rng = np.random.default_rng(5)
+        vocab = tuple(f"w{i:02d}" for i in range(24))
+        save_embeddings(EmbeddingTable(vocab, rng.normal(size=(24, 6))), path / "text.vecs")
+        save_embeddings(EmbeddingTable(vocab[:22], rng.normal(size=(22, 5))), path / "image.vecs")
+        save_benchmark(Benchmark("toy", tuple((vocab[i], vocab[j], float(rng.uniform(0, 10)))
+                                              for i in range(6) for j in range(i + 1, 6))),
+                       path / "toy.tsv")
+        (path / "fused.cfg").write_text(
+            "layer_a=pca:4\nlayer_b=cca:3:out=both\nlayer_c=li:0.5\nridge=0.001\n")
+        (path / "run.manifest").write_text(
+            "dim_step=2\ndim_min=2\nalpha_step=0.5\nmotifs=pca,cca,rcca,concat,li\n"
+            "normalize_concat=no\n")
+        return {p.name: p.read_bytes() for p in path.iterdir()}
+
+    def mutate(self, data, rng):
+        """``data`` with one mutation, and its description."""
+        at = int(rng.integers(len(data) + 1))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            return data[:at] + data[at + 1:], f"delete byte {at}"
+        if kind == 1:
+            insert = self.INSERTS[rng.integers(len(self.INSERTS))]
+            return data[:at] + insert + data[at:], f"insert {insert!r} at {at}"
+        if kind == 2:
+            lines = data.splitlines(keepends=True) or [b""]
+            i = int(rng.integers(len(lines)))
+            line, op = lines[i], ("duplicate", "delete", "truncate")[rng.integers(3)]
+            lines[i:i + 1] = {"duplicate": [line, line], "delete": [],
+                              "truncate": [line[:rng.integers(len(line) + 1)]]}[op]
+            return b"".join(lines), f"{op} line {i + 1}"
+        splice = self.INVALID_UTF8[rng.integers(len(self.INVALID_UTF8))]
+        return data[:at] + splice + data[at:], f"splice {splice!r} at {at}"
+
+    @pytest.mark.parametrize("command, seed", [("search", 1), ("eval", 2), ("cross", 3),
+                                               ("apply", 4)])
+    def test_no_exception_escapes(self, tmp_path, capsys, originals, command, seed):
+        rng = np.random.default_rng(seed)
+        names = sorted(originals)
+        for case in range(self.CASES):
+            files = dict(originals)
+            done = []
+            for _ in range(1 + rng.integers(3)):
+                name = names[rng.integers(len(names))]
+                files[name], what = self.mutate(files[name], rng)
+                done.append(f"{name}: {what}")
+            where = tmp_path / str(case)
+            where.mkdir()
+            for name, data in files.items():
+                (where / name).write_bytes(data)
+            args = [command, "--text-vecs", str(where / "text.vecs"),
+                    "--image-vecs", str(where / "image.vecs"),
+                    "--manifest", str(where / "run.manifest"), "--out", str(where / "out")]
+            if command != "apply":
+                args += ["--bench", str(where / "toy.tsv")]
+            if command != "search":
+                args += ["--config", str(where / "fused.cfg")]
+            try:
+                code = main(args)
+            except Exception as exc:
+                raise AssertionError(f"case {case} ({'; '.join(done)}) raised") from exc
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC), (case, done)
+            capsys.readouterr()
+
+
 class TestAtomicReports:
     def test_failed_write_keeps_previous_report(self, tmp_path):
         from mmfuse.cli import _write
@@ -1125,3 +1202,46 @@ class TestProcessEntry:
         # numpy does not load the pool itself, so mmfuse never did
         if before == "False":
             assert (imported, swept) == ("False", "False")
+
+
+class TestAddressSpaceCap:
+    """A child capped at 8 MB above its address space after importing numpy runs out of memory."""
+
+    CHILD = (
+        "import resource, sys, numpy, mmfuse.cli\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    size = next(int(line.split()[1]) for line in fh if line.startswith('VmSize:'))\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + (8 << 20), hard))\n"
+        "sys.argv = ['mmfuse', *sys.argv[1:]]\n"
+        "sys.exit(mmfuse.cli.run())\n"
+    )
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A 2000 x 300 textual table (5.7 MB), an 8 x 300 visual one and a 3-pair benchmark."""
+        path = tmp_path_factory.mktemp("capped")
+        rng = np.random.default_rng(8)
+        vocab = tuple(f"w{i:04d}" for i in range(2000))
+        save_embeddings(EmbeddingTable(vocab, rng.normal(size=(2000, 300))), path / "text.vecs")
+        save_embeddings(EmbeddingTable(vocab[:8], rng.normal(size=(8, 300))), path / "image.vecs")
+        save_benchmark(Benchmark("toy", ((vocab[0], vocab[1], 1.0), (vocab[2], vocab[3], 2.0),
+                                         (vocab[4], vocab[5], 3.0))), path / "toy.tsv")
+        (path / "pca.cfg").write_text("layer_a=pca:2\nlayer_b=none\nlayer_c=concat\n")
+        return path
+
+    @pytest.mark.parametrize("command, extra", [
+        ("search", ("--bench", "toy.tsv")),
+        ("apply", ("--config", "pca.cfg")),
+    ])
+    def test_exits_3_with_one_line_and_no_out(self, inputs, command, extra):
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS") or not Path("/proc/self/status").exists():
+            pytest.skip("needs RLIMIT_AS and /proc")
+        out = f"out-{command}"
+        done = _spawn(inputs, "-c", self.CHILD, command, "--text-vecs", "text.vecs",
+                      "--image-vecs", "image.vecs", *extra, "--out", out)
+        assert done.returncode == EXIT_NUMERIC, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines()[-1].startswith("error: out of memory")
+        assert not (inputs / out).exists()

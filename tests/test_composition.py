@@ -23,7 +23,7 @@ from mmfuse import (
     pca_fit,
     validate_configuration,
 )
-from mmfuse.composition import MOTIFS, canonical_key, used_motifs
+from mmfuse.composition import MOTIFS, used_motifs
 
 
 class TestValidate:
@@ -496,6 +496,37 @@ def _motifs(config):
     return {config.layer_a, config.layer_c, *config.layer_b.split("_plus_")} - {"none"}
 
 
+_SIDE_RANK = {"textual": 0, "visual": 1, "both": 2, None: 3}
+
+
+def _canonical_key(config):
+    """A total sort key stating canonical configuration order field by field."""
+    c = config
+    return (
+        0 if c.layer_a == "none" else 1,
+        c.pca_dim or 0,
+        ("none", "cca", "rcca", "cca_plus_rcca").index(c.layer_b),
+        c.fusion_dim or 0,
+        _SIDE_RANK[c.output_side],
+        _SIDE_RANK[c.cca_side],
+        _SIDE_RANK[c.rcca_side],
+        ("none", "concat", "li").index(c.layer_c),
+        c.alpha if c.alpha is not None else -1.0,
+    )
+
+
+_ORDER_SHAPES = [(150, 200), (100, 150), (300, 1024), (8, 8), (52, 51), (5, 3), (20, 12)]
+_ORDER_GRIDS = [
+    GridSpec(),
+    "fine",
+    GridSpec(dim_step=7, dim_min=3, alpha_step=0.3),
+    GridSpec(motif_filter=frozenset({"cca", "li"})),
+    GridSpec(motif_filter=frozenset({"li"})),
+    GridSpec(motif_filter=frozenset()),
+    GridSpec(dim_min=2000),   # above every input dim: no layer-a or layer-b choice
+]
+
+
 class TestEnumerate:
     @pytest.mark.parametrize("dim_t, dim_v, grid, dims, alphas", [
         (100, 100, GridSpec(alpha_step=0.5), [50, 100], [0.0, 0.5, 1.0]),
@@ -551,12 +582,20 @@ class TestEnumerate:
         for cfg in enumerate_configurations(4, 6, grid):
             assert validate_configuration(cfg, 4, 6) == []
 
-    def test_emitted_in_canonical_order_without_duplicates(self):
-        grid = GridSpec(dim_step=2, dim_min=2, alpha_step=0.25)
-        configs = enumerate_configurations(6, 6, grid)
-        keys = [canonical_key(c) for c in configs]
+    @pytest.mark.parametrize("dim_t, dim_v", _ORDER_SHAPES)
+    @pytest.mark.parametrize("grid", _ORDER_GRIDS,
+                             ids=["default", "fine", "step7", "cca-li", "li", "empty", "dim-min-2000"])
+    def test_emitted_in_canonical_order_without_duplicates(self, dim_t, dim_v, grid):
+        if grid == "fine":   # dim step 1, or 25 where that grid would be large
+            step = 25 if min(dim_t, dim_v) >= 50 else 1
+            grid = GridSpec(dim_step=step, dim_min=step)
+        configs = enumerate_configurations(dim_t, dim_v, grid)
+        keys = [_canonical_key(c) for c in configs]
         assert keys == sorted(keys)
         assert len(set(configs)) == len(configs)
+        # sweep groups configurations by layer-a dim with itertools.groupby
+        a_dims = [a_dim for a_dim, _ in itertools.groupby(c.pca_dim for c in configs)]
+        assert len(a_dims) == len(set(a_dims))
 
     def test_motif_filter_li_only(self):
         grid = GridSpec(dim_step=2, dim_min=2, alpha_step=0.5,
