@@ -102,7 +102,6 @@ _INPUTS = (
     _Input("ridge", {"type": float}, default=GridSpec.ridge, sweep_only=True),
     _Input("motifs", {"help": f"comma-separated subset of: {', '.join(MOTIFS)}"},
            sweep_only=True),
-    _Input("workers", {"type": int}, default=1, sweep_only=True),
     _Input("normalize_concat",
            {"action": "store_const", "const": True,
             "help": "row-normalize each block before concatenation"},
@@ -182,8 +181,6 @@ def _build_manifest(args, command):
     if missing:
         raise InputError(f"missing required inputs: {', '.join(missing)}")
     inputs.motifs = _parse_motifs(inputs.motifs)
-    if inputs.workers < 1:
-        raise InputError(f"workers must be >= 1, got {inputs.workers}")
     inputs.text_vecs = Path(inputs.text_vecs)
     inputs.image_vecs = Path(inputs.image_vecs)
     inputs.out = Path(inputs.out)
@@ -289,7 +286,7 @@ def cmd_search(manifest):
     )
     textual, visual, benches, _ = _load_inputs(manifest)
     reports = sweep(
-        textual, visual, benches, grid, workers=manifest.workers,
+        textual, visual, benches, grid,
         progress=lambda done, total: print(f"{done}/{total} configurations", file=sys.stderr),
         normalize_concat=manifest.normalize_concat,
     )

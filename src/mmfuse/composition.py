@@ -257,9 +257,9 @@ def layer_a(raw, configs):
     """The principal scores of the raw tables (``{side: matrix}``) that ``configs`` read.
 
     Returns ``{side: (PcaModel, scores) or the error fitting it raised}``,
-    textual first: each side fit and projected once, shared by the sweep's
-    threads, at m = min(n - 1, d_t, d_v) whatever ``configs`` are, since a
-    column prefix of a product is not bitwise the product of a column
+    textual first: each side fit and projected once, shared by every layer-a
+    group of a sweep, at m = min(n - 1, d_t, d_v) whatever ``configs`` are,
+    since a column prefix of a product is not bitwise the product of a column
     prefix. Both sides are fit when a configuration has layer a; otherwise
     only a raw side that an R-CCA narrower than the side reduces.
     """

@@ -45,8 +45,8 @@ each decomposition runs once whatever the number of benchmarks or dims:
   the benchmarks whose spans hold it.
 
 A failure is stored where it happened and given, with its text, to every
-configuration built on it. Groups share only the read-only layer-a fits
-and scores, so ``workers`` sweeps them in threads without locks. The
+configuration built on it. Groups are swept one after another in the
+calling thread, so a group's warnings come before its progress call. The
 reports of one search list the same configurations, so
 ``render_reports`` describes each configuration once for all of them.
 One configuration is evaluated on several benchmarks without a sweep:
@@ -56,7 +56,6 @@ One configuration is evaluated on several benchmarks without a sweep:
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -261,17 +260,15 @@ def _entry(config, order_index, output_dim, outcome):
                        order_index=order_index)
 
 
-def sweep(textual, visual, benches, grid, workers=1, progress=None,
-          normalize_concat=False):
+def sweep(textual, visual, benches, grid, *, progress=None, normalize_concat=False):
     """Evaluate every configuration in the grid against each benchmark.
 
     Returns one :class:`SearchReport` per benchmark, in order. Every fit,
-    table and score vector is computed once for all benchmarks. ``progress``,
-    when given, is called from the calling thread as ``progress(done, total)``
-    once per finished layer-a group, in group order: ``done`` configurations
-    of ``total`` have been swept, on every benchmark. ``workers`` layer-a
-    groups are swept at once; neither the results nor the progress calls
-    depend on it.
+    table and score vector is computed once for all benchmarks. The
+    layer-a groups are swept in order, in the calling thread; ``progress``,
+    when given, is called as ``progress(done, total)`` after each group:
+    ``done`` configurations of ``total`` have been swept, on every
+    benchmark.
     """
     if textual.vocab != visual.vocab:
         raise AlignmentError("tables must be vocabulary-aligned before searching")
@@ -279,29 +276,18 @@ def sweep(textual, visual, benches, grid, workers=1, progress=None,
     raw = {SIDE_TEXTUAL: textual.matrix, SIDE_VISUAL: visual.matrix}
     a_fits = layer_a(raw, configs)
     pairs = covered_pairs(benches, textual)
-    # enumerate_configurations builds layer a outermost: each layer-a dim is contiguous
-    groups = [list(g) for _, g in groupby(enumerate(configs), key=lambda i: i[1].pca_dim)]
     names = {SIDE_TEXTUAL: textual.name, SIDE_VISUAL: visual.name}
-    run = partial(_sweep_group, raw=raw, names=names, a_fits=a_fits, benches=benches, pairs=pairs,
-                  normalize_concat=normalize_concat)
     entries = [[] for _ in benches]
-
-    def gather(results):
-        done = 0
-        for items, group in zip(groups, results):
-            for bench_entries, new in zip(entries, group):
-                bench_entries.extend(new)
-            done += len(items)
-            if progress is not None:
-                progress(done, len(configs))
-
-    if workers > 1:
-        # imported here, so a one-worker sweep never loads the thread pool
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            gather(pool.map(run, groups))
-    else:
-        gather(map(run, groups))
+    done = 0
+    # enumerate_configurations builds layer a outermost: each layer-a dim is contiguous
+    for _, group in groupby(enumerate(configs), key=lambda i: i[1].pca_dim):
+        items = list(group)
+        group_entries = _sweep_group(items, raw, names, a_fits, benches, pairs, normalize_concat)
+        for bench_entries, new in zip(entries, group_entries):
+            bench_entries.extend(new)
+        done += len(items)
+        if progress is not None:
+            progress(done, len(configs))
     return tuple(
         SearchReport(benchmark_name=bench.name, grid=grid,
                      entries=tuple(sorted(bench_entries, key=_entry_sort_key)))

@@ -5,6 +5,7 @@ failing criterion shows up as a normal pytest failure for that test.
 """
 
 import os
+import pickle
 import time
 
 import numpy as np
@@ -37,6 +38,7 @@ from mmfuse import (
 from mmfuse.errors import DimensionError, NumericalError
 from mmfuse.search import STATUS_OK, _entry_sort_key
 
+from test_cli import _spawn
 from test_numerics import (
     CCA_INSTANCES,
     PCA_COMPONENTS,
@@ -178,12 +180,29 @@ def test_criterion_7_lowest_dimension_tie_break():
     _ok(7, "equal-rho configurations of output dims 100 and 50 select the 50")
 
 
-def test_criterion_8_worker_count_determinism(planted):
+# renders a pickled (textual, visual, benchmark, grid) sweep to stdout in a fresh process
+_RENDER_SCRIPT = (
+    "import pickle, sys\n"
+    "from mmfuse import render_reports, sweep\n"
+    "with open('planted.pickle', 'rb') as fh:\n"
+    "    textual, visual, bench, grid = pickle.load(fh)\n"
+    "for table, machine in render_reports(sweep(textual, visual, [bench], grid)):\n"
+    "    sys.stdout.write(table + machine)\n"
+)
+
+
+def test_criterion_8_serialized_reports_are_deterministic(planted, tmp_path):
     textual, visual, bench = planted
-    r1 = sweep(textual, visual, [bench], TOY_GRID, workers=1)
-    r8 = sweep(textual, visual, [bench], TOY_GRID, workers=8)
-    assert render_reports(r1) == render_reports(r8)
-    _ok(8, "1-worker and 8-worker sweeps serialize byte-identically")
+    rendered = render_reports(sweep(textual, visual, [bench], TOY_GRID))
+    (tmp_path / "planted.pickle").write_bytes(pickle.dumps((textual, visual, bench, TOY_GRID)))
+    outputs = []
+    for seed in ("0", "1"):
+        done = _spawn(tmp_path, "-c", _RENDER_SCRIPT, PYTHONHASHSEED=seed)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] == "".join(table + machine for table, machine in rendered)
+    _ok(8, "the planted sweep serializes byte-identically in process and in two "
+           "processes under PYTHONHASHSEED 0 and 1")
 
 
 def test_criterion_9_composition_constraints_at_scale():

@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,14 @@ def common(ws, *extra):
         "--bench", str(ws / "toy.tsv"),
         *extra,
     ]
+
+
+def command_args(ws, command):
+    """The inputs ``command`` needs on the workspace, without ``--out``."""
+    if command == "search":
+        return common(ws, *TestSearch.ARGS)
+    config = ["--config", str(ws / "good.cfg")]
+    return [*(common(ws) if command != "apply" else common(ws)[:4]), *config]
 
 
 class TestEval:
@@ -109,19 +118,16 @@ class TestSearch:
         assert "best configuration per benchmark" in (out / "summary.txt").read_text()
         assert (out / "run.log").exists()
 
-    def test_worker_counts_give_byte_identical_reports(self, workspace, capsys):
-        out1 = workspace / "w1"
-        out8 = workspace / "w8"
-        assert main(["search", *common(workspace), "--out", str(out1),
-                     *self.ARGS, "--workers", "1"]) == EXIT_OK
-        printed1 = capsys.readouterr()
-        assert main(["search", *common(workspace), "--out", str(out8),
-                     *self.ARGS, "--workers", "8"]) == EXIT_OK
-        for name in ("toy.report.txt", "toy.report.tsv", "summary.txt"):
-            assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
-        # the summary and the progress lines are printed alike too
-        assert capsys.readouterr() == printed1
-        assert printed1.err.endswith("configurations\n")
+    # every command, since no command takes it any more
+    @pytest.mark.parametrize("command", ["search", "eval", "cross", "apply"])
+    def test_the_removed_workers_flag_is_a_usage_error(self, workspace, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *command_args(workspace, command), "--out", str(workspace / "out"),
+                  "--workers", "2"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.endswith("mmfuse: error: unrecognized arguments: --workers 2\n")
+        assert not (workspace / "out").exists()
 
     @pytest.mark.filterwarnings("default::RuntimeWarning")   # as a console run shows them
     def test_a_warning_is_one_line_of_its_message(self, tmp_path, capsys):
@@ -337,7 +343,7 @@ class TestApply:
 
 # the flags only search reads
 SWEEP_ONLY = [("--ridge", "nan"), ("--dim-step", "3"), ("--dim-min", "2"),
-              ("--alpha-step", "0.5"), ("--motifs", "pca"), ("--workers", "7")]
+              ("--alpha-step", "0.5"), ("--motifs", "pca")]
 
 
 class TestManifest:
@@ -417,11 +423,11 @@ class TestManifest:
 
     def test_non_numeric_manifest_value_exits_2(self, workspace, capsys):
         manifest = workspace / "run.manifest"
-        manifest.write_text("dim_step=2\nworkers=many\n")
+        manifest.write_text("dim_min=2\ndim_step=many\n")
         code = main(["search", *common(workspace), "--out", str(workspace / "out"),
                      "--manifest", str(manifest)])
         assert code == EXIT_INPUT
-        assert f"{manifest}:2: bad value 'many' for workers" in capsys.readouterr().err
+        assert f"{manifest}:2: bad value 'many' for dim_step" in capsys.readouterr().err
 
     def test_manifest_flag_spellings(self, workspace):
         def report(name, *extra, line=None):
@@ -451,15 +457,14 @@ class TestManifest:
         assert f"{manifest}:2: bad value {value!r} for normalize_concat" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("source, workers", [("flag", "0"), ("manifest", "-3")])
-    def test_workers_below_one_exit_2(self, workspace, capsys, source, workers):
+    @pytest.mark.parametrize("command", ["search", "eval", "cross", "apply"])
+    def test_the_removed_workers_key_exits_2(self, workspace, capsys, command):
         manifest = workspace / "run.manifest"
-        manifest.write_text(f"workers={workers}\n" if source == "manifest" else "")
-        extra = ["--workers", workers] if source == "flag" else []
-        code = main(["search", *common(workspace), "--out", str(workspace / "out"),
-                     "--manifest", str(manifest), *extra])
+        manifest.write_text("workers=2\n")
+        code = main([command, *command_args(workspace, command), "--out", str(workspace / "out"),
+                     "--manifest", str(manifest)])
         assert code == EXIT_INPUT
-        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {manifest}:1: unknown manifest key 'workers'\n"
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("source, ridge", [("flag", "nan"), ("flag", "inf"),
@@ -534,7 +539,7 @@ class TestManifest:
         (workspace / "broken.tsv").write_text("not a benchmark\n")
         manifest = workspace / "run.manifest"
         manifest.write_text("ridge=nan\ndim_step=0\ndim_min=-1\nalpha_step=2\n"
-                            "motifs=svd\nworkers=0\n"
+                            "motifs=svd\n"
                             + (f"bench={workspace / 'broken.tsv'}\n" if command == "apply" else ""))
         args = ["--text-vecs", str(workspace / "text.vecs"),
                 "--image-vecs", str(workspace / "image.vecs"),
@@ -595,7 +600,6 @@ _COMMON_OPTIONS = [
     (["--ridge"], "ridge", float, "_StoreAction", None, None),
     (["--motifs"], "motifs", None, "_StoreAction", None,
      "comma-separated subset of: pca, cca, rcca, concat, li"),
-    (["--workers"], "workers", int, "_StoreAction", None, None),
     (["--normalize-concat"], "normalize_concat", None, "_StoreConstAction", True,
      "row-normalize each block before concatenation"),
 ]
@@ -881,13 +885,13 @@ class TestFailureBeforeOutputLeavesNoOut:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, extra, what", [
-        ("search", (*TestSearch.ARGS, "--workers", "1"), "PCA"),
-        # a layer-a group's CCA, on a worker thread
-        ("search", (*TestSearch.ARGS, "--workers", "2"), "whitened cross covariance"),
+        ("search", TestSearch.ARGS, "PCA"),
+        # a layer-a group's CCA, after layer a has been fit
+        ("search", TestSearch.ARGS, "whitened cross covariance"),
         ("eval", (), "PCA"),
         ("cross", (), "whitened cross covariance"),
         ("apply", (), "PCA"),
-    ], ids=["search", "search-workers-2", "eval", "cross", "apply"])
+    ], ids=["search", "search-group-cca", "eval", "cross", "apply"])
     @pytest.mark.parametrize("text", [ALLOCATION, ""], ids=["numpy-text", "no-text"])
     def test_out_of_memory_exits_3(self, workspace, capsys, monkeypatch, command, extra, what,
                                    text):
@@ -1087,14 +1091,40 @@ class TestAtomicReports:
         assert [p.name for p in tmp_path.iterdir()] == ["summary.txt"]
 
 
-def _spawn(cwd, *args):
-    """Run ``python -m mmfuse.cli`` (or ``python -c``) in a fresh process on this mmfuse."""
+def _spawn(cwd, *args, **env):
+    """Run ``python -m mmfuse.cli`` (or ``python -c``) in a fresh process on this mmfuse.
+
+    ``env`` holds environment variables set for that process only.
+    """
     src = str(Path(mmfuse.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     argv = list(args) if args[0] == "-c" else ["-m", "mmfuse.cli", *args]
     return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def signed_pairs(path):
+    """25 words in exact +/- pairs, ``w01`` = -``w00`` up to ``w23`` = -``w22``, and a zero ``w24``.
+
+    The textual rows are 12-d and the visual rows 16-d, written to 3
+    decimals, so ``w24``'s row is zero in every table a sweep builds.
+    Benchmark ``b`` holds the 24 pairs with ``w24`` and every third of
+    the others: 124 pairs, 24 of them degenerate in every table.
+    """
+    rng = np.random.default_rng(34)
+    words = [f"w{i:02d}" for i in range(25)]
+    for name, dim in (("text.vecs", 12), ("image.vecs", 16)):
+        half = rng.integers(-999, 1000, size=(12, dim))
+        rows = np.zeros((25, dim), dtype=np.int64)
+        rows[0:24:2], rows[1:24:2] = half, -half
+        lines = [f"25 {dim}"] + [word + " " + " ".join("%.3f" % (k / 1000) for k in row)
+                                 for word, row in zip(words, rows)]
+        (path / name).write_text("\n".join(lines) + "\n")
+    pairs = [(i, 24) for i in range(24)] + [(i, j) for i in range(24)
+                                            for j in range(i + 1, 24, 3)]
+    (path / "b.tsv").write_text("".join(f"{words[i]}\t{words[j]}\t{(i + 2 * j) % 7}\n"
+                                        for i, j in pairs))
 
 
 class TestProcessEntry:
@@ -1184,14 +1214,14 @@ class TestProcessEntry:
             main(["--help"])
         assert freezes == []
 
-    def test_a_one_worker_sweep_imports_no_thread_pool(self, workspace):
+    def test_a_search_imports_no_thread_pool(self, workspace):
         script = (
             "import sys, numpy\n"
             "before = 'concurrent.futures' in sys.modules\n"
             "import mmfuse.cli\n"
             "imported = 'concurrent.futures' in sys.modules\n"
             "code = mmfuse.cli.main(['search', '--text-vecs', 'text.vecs', '--image-vecs',"
-            " 'image.vecs', '--bench', 'toy.tsv', '--out', 'out', '--workers', '1',"
+            " 'image.vecs', '--bench', 'toy.tsv', '--out', 'out',"
             f" *{TestSearch.ARGS!r}])\n"
             "print(before, imported, 'concurrent.futures' in sys.modules, code)\n"
         )
@@ -1202,6 +1232,29 @@ class TestProcessEntry:
         # numpy does not load the pool itself, so mmfuse never did
         if before == "False":
             assert (imported, swept) == ("False", "False")
+
+    def test_a_search_prints_each_groups_warnings_before_its_progress(self, tmp_path):
+        """Four layer-a groups, each warning about its tables, then reporting its progress."""
+        signed_pairs(tmp_path)
+        args = ("search", "--text-vecs", "text.vecs", "--image-vecs", "image.vecs",
+                "--bench", "b.tsv", "--dim-step", "4", "--dim-min", "4")
+        runs = [_spawn(tmp_path, *args, "--out", f"out-{seed}", PYTHONHASHSEED=seed)
+                for seed in ("0", "12345")]
+        assert [done.returncode for done in runs] == [EXIT_OK] * 2, runs[0].stderr
+        assert runs[1].stderr == runs[0].stderr
+        lines = runs[0].stderr.splitlines()
+        assert len(lines) == 76
+        warning = re.compile(r"warning: 24 degenerate zero-norm pair scores set to 0 "
+                             r"in '[^']+' on 'b'")
+        groups, warned = [], 0
+        for line in lines:
+            if warning.fullmatch(line):
+                warned += 1
+            else:
+                groups.append((warned, line))
+                warned = 0
+        assert groups == [(3, "14/512 configurations"), (13, "104/512 configurations"),
+                          (23, "270/512 configurations"), (33, "512/512 configurations")]
 
 
 class TestAddressSpaceCap:

@@ -61,11 +61,10 @@ def group_progress(textual, visual, grid):
     return [(done, len(configs)) for done in accumulate(sizes)]
 
 
-def progress_calls(textual, visual, benches, grid, workers):
+def progress_calls(textual, visual, benches, grid):
     """The reports of a sweep and the ``(done, total)`` of each progress call it made."""
     calls = []
-    reports = sweep(textual, visual, benches, grid, workers=workers,
-                    progress=lambda *call: calls.append(call))
+    reports = sweep(textual, visual, benches, grid, progress=lambda *call: calls.append(call))
     return reports, calls
 
 
@@ -189,9 +188,8 @@ class TestPlantedSweep:
     def test_full_ranking_matches_exhaustive_oracle(self, planted):
         textual, visual, bench = planted
         oracle = exhaustive_oracle(textual, visual, bench, TOY_GRID)
-        for workers in (1, 3):
-            report, = sweep(textual, visual, [bench], TOY_GRID, workers=workers)
-            assert_matches_oracle(report, oracle)
+        report, = sweep(textual, visual, [bench], TOY_GRID)
+        assert_matches_oracle(report, oracle)
 
     @pytest.mark.parametrize("normalize_concat", [False, True])
     def test_each_score_vector_is_its_applied_models(self, planted, monkeypatch,
@@ -242,24 +240,20 @@ class TestPlantedSweep:
         _, big_best = select_best(big_report)
         assert big_best.rho >= small_best.rho
 
-    def test_workers_do_not_change_the_report(self, planted):
-        textual, visual, bench = planted
-        r1 = sweep(textual, visual, [bench], TOY_GRID, workers=1)
-        r8 = sweep(textual, visual, [bench], TOY_GRID, workers=8)
-        assert render_reports(r1) == render_reports(r8)
-
     def test_progress_reaches_total(self, planted):
-        """One call per layer-a group, ``done`` rising to the total, whatever the workers."""
+        """One call per layer-a group, ``done`` rising to the total."""
         textual, visual, bench = planted
         grid = GridSpec(dim_step=4, dim_min=4, alpha_step=0.5, ridge=1e-3)
-        (report,), calls = progress_calls(textual, visual, [bench], grid, workers=1)
+        (report,), calls = progress_calls(textual, visual, [bench], grid)
         total = len(report.entries)
         dones = [done for done, _ in calls]
         assert len(calls) == len({e.config.pca_dim for e in report.entries}) > 1
         assert all(a < b for a, b in zip(dones, dones[1:]))
         assert calls[-1] == (total, total)
         assert calls == group_progress(textual, visual, grid)
-        assert progress_calls(textual, visual, [bench], grid, workers=3)[1] == calls
+        # progress is keyword-only: a positional argument after the grid is refused
+        with pytest.raises(TypeError):
+            sweep(textual, visual, [bench], grid, calls.append)
 
     def test_li_motif_filter_reproduces_interpolation_only_sweep(self, planted):
         textual, visual, bench = planted
@@ -433,12 +427,11 @@ class TestFailureHandling:
     def test_ragged_sweep_matches_exhaustive_oracle(self, ragged):
         textual, visual, bench, grid = ragged
         oracle = exhaustive_oracle(textual, visual, bench, grid)
-        for workers in (1, 3):
-            report, = sweep(textual, visual, [bench], grid, workers=workers)
-            counts = report.counts()
-            assert counts[STATUS_OK] and counts[STATUS_FAILED]
-            assert {e.result.n_evaluated for e in report.entries if e.result} == {10}
-            assert_matches_oracle(report, oracle)
+        report, = sweep(textual, visual, [bench], grid)
+        counts = report.counts()
+        assert counts[STATUS_OK] and counts[STATUS_FAILED]
+        assert {e.result.n_evaluated for e in report.entries if e.result} == {10}
+        assert_matches_oracle(report, oracle)
 
 
 def twelve_words(overflow):
@@ -863,11 +856,10 @@ class TestMultiBenchmarkSweep:
                     for r in sweep(textual, visual, benches, grid)}
         assert coverage["full"] == {1.0} and coverage["zero"] == {0.0}
         assert 0.0 < min(coverage["partial"]) == max(coverage["partial"]) < 1.0
-        for workers in (1, 3):
-            reports = sweep(textual, visual, benches, grid, workers=workers)
-            assert [r.benchmark_name for r in reports] == [b.name for b in benches]
-            for report, oracle in zip(reports, oracles):
-                assert_matches_oracle(report, oracle)
+        reports = sweep(textual, visual, benches, grid)
+        assert [r.benchmark_name for r in reports] == [b.name for b in benches]
+        for report, oracle in zip(reports, oracles):
+            assert_matches_oracle(report, oracle)
 
     def test_degenerate_pairs_warn_per_table_and_benchmark(self):
         """One score vector per table serves every benchmark; its warnings stay per benchmark.
@@ -914,8 +906,7 @@ class TestMultiBenchmarkSweep:
 
     def test_no_benchmark_gives_no_report(self, planted):
         textual, visual, _ = planted
-        for workers in (1, 3):
-            assert sweep(textual, visual, [], TOY_GRID, workers=workers) == ()
+        assert sweep(textual, visual, [], TOY_GRID) == ()
 
     def test_every_table_of_a_search_has_a_name_of_its_own(self):
         from mmfuse.composition import concat_label, input_label, layer_inputs
@@ -931,13 +922,12 @@ class TestMultiBenchmarkSweep:
         assert len(labels) == len(concats)
 
     def test_progress_counts_every_benchmark_at_once(self, planted):
-        """One call per layer-a group for all benchmarks together, whatever the workers."""
+        """One call per layer-a group for all benchmarks together."""
         textual, visual, bench = planted
         benches = self.benches(textual, bench)[:3]
-        reports, calls = progress_calls(textual, visual, benches, TOY_GRID, workers=1)
+        reports, calls = progress_calls(textual, visual, benches, TOY_GRID)
         assert calls[-1] == (len(reports[0].entries),) * 2
         assert calls == group_progress(textual, visual, TOY_GRID)
-        assert progress_calls(textual, visual, benches, TOY_GRID, workers=3)[1] == calls
 
 
 class TestCrossEvaluate:
